@@ -66,12 +66,11 @@ def load_schedule(path: PathLike) -> SwitchingSchedule:
         repeat = bool(data.get("repeat", False))
         dt = data.get("dt", alpha)
         if isinstance(dt, (int, float)):
-            times = tuple(k * float(dt) for k in range(len(pattern)))
-        else:
-            dts = [float(x) for x in dt]
-            if len(dts) != len(pattern):
-                raise FileFormatError("dt list must match the pattern length")
-            times = tuple(float(t) for t in np.concatenate([[0.0], np.cumsum(dts[:-1])]))
+            return SwitchingSchedule.uniform(float(dt), pattern, alpha=alpha, repeat=repeat)
+        dts = [float(x) for x in dt]
+        if len(dts) != len(pattern):
+            raise FileFormatError("dt list must match the pattern length")
+        times = tuple(float(t) for t in np.concatenate([[0.0], np.cumsum(dts[:-1])]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed schedule file {path}: {exc}") from exc
     return SwitchingSchedule(

@@ -68,12 +68,12 @@ class MatrixWeight:
         return self.entries.shape[0]
 
 
-def classify_weight(raw: np.ndarray, tau_def: float = DEF_TOL) -> MatrixWeight:
+def classify_weight(raw: np.ndarray) -> MatrixWeight:
     """Symmetrize and classify a weight matrix.
 
     Raises AsymmetricWeightError when the raw matrix is not symmetric to
     relative precision 1e-9, and IndefiniteWeightError when eigenvalues of
-    both signs exceed ``tau_def``.
+    both signs exceed ``DEF_TOL``.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
@@ -83,8 +83,8 @@ def classify_weight(raw: np.ndarray, tau_def: float = DEF_TOL) -> MatrixWeight:
         raise AsymmetricWeightError("weight matrix is not symmetric")
     sym = (raw + raw.T) / 2.0
     eigs = np.linalg.eigvalsh(sym)
-    has_pos = bool(np.any(eigs > tau_def))
-    has_neg = bool(np.any(eigs < -tau_def))
+    has_pos = bool(np.any(eigs > DEF_TOL))
+    has_neg = bool(np.any(eigs < -DEF_TOL))
     if has_pos and has_neg:
         raise IndefiniteWeightError(
             f"weight has eigenvalues of both signs: {eigs.tolist()}"
@@ -92,9 +92,9 @@ def classify_weight(raw: np.ndarray, tau_def: float = DEF_TOL) -> MatrixWeight:
     if not has_pos and not has_neg:
         cls = Definiteness.ZERO
     elif has_pos:
-        cls = Definiteness.POS_DEF if np.all(eigs > tau_def) else Definiteness.POS_SEMI_DEF
+        cls = Definiteness.POS_DEF if np.all(eigs > DEF_TOL) else Definiteness.POS_SEMI_DEF
     else:
-        cls = Definiteness.NEG_DEF if np.all(eigs < -tau_def) else Definiteness.NEG_SEMI_DEF
+        cls = Definiteness.NEG_DEF if np.all(eigs < -DEF_TOL) else Definiteness.NEG_SEMI_DEF
     return MatrixWeight(entries=sym, definiteness=cls)
 
 
@@ -117,7 +117,6 @@ class SignedGraph:
         d: int,
         directed: bool,
         edges: Mapping[Tuple[int, int], np.ndarray],
-        tau_def: float = DEF_TOL,
     ) -> "SignedGraph":
         """Build a graph from raw weight matrices keyed by (to, from) pairs.
 
@@ -131,7 +130,7 @@ class SignedGraph:
             _check_vertex(n, j)
             if i == j:
                 raise InvalidPartitionError(f"self-loop on vertex {i} not allowed")
-            w = classify_weight(raw, tau_def)
+            w = classify_weight(raw)
             if w.definiteness is Definiteness.ZERO:
                 continue
             if w.d != d:
@@ -189,6 +188,42 @@ def structural_sets(g: SignedGraph) -> StructuralSets:
     return StructuralSets(n_in, n_out, omega, gamma, antag)
 
 
+def in_out_gaps(g: SignedGraph) -> Dict[int, np.ndarray]:
+    """Per vertex, the sum of its in-weight magnitudes minus the sum of its
+    out-weight magnitudes.
+
+    A vertex is in-degree dominated when its gap is positive semidefinite;
+    the coupling bound works with the negated gap.
+    """
+    gaps = {v: np.zeros((g.d, g.d)) for v in g.vertices}
+    for (i, j), w in g.weights.items():
+        mag = w.magnitude
+        gaps[i] += mag
+        gaps[j] -= mag
+    return gaps
+
+
+def _dominated(gap: np.ndarray) -> bool:
+    return float(np.min(np.linalg.eigvalsh(gap))) >= -DEF_TOL
+
+
+def _definite_reach(g: SignedGraph, sources: Iterable[int]) -> Set[int]:
+    """Vertices reachable from any source over strictly definite edges,
+    sources included."""
+    succ: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    for (i, j), w in g.weights.items():
+        if w.definiteness.definite:
+            succ[j].append(i)
+    seen = set(sources)
+    queue = deque(seen)
+    while queue:
+        for v in succ[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
 def pn_reachable(g: SignedGraph, src: int, dst: int) -> bool:
     """Directed reachability over strictly definite edges only.
 
@@ -196,36 +231,14 @@ def pn_reachable(g: SignedGraph, src: int, dst: int) -> bool:
     """
     _check_vertex(g.n, src)
     _check_vertex(g.n, dst)
-    if src == dst:
-        return True
-    succ: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    for (i, j), w in g.weights.items():
-        if w.definiteness.definite:
-            succ[j].append(i)
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v == dst:
-                return True
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return False
+    return dst in _definite_reach(g, [src])
 
 
-def in_degree_dominated(g: SignedGraph, v: int, tau_def: float = DEF_TOL) -> bool:
+def in_degree_dominated(g: SignedGraph, v: int) -> bool:
     """True when the in-weight magnitudes dominate the out-weight magnitudes
     in the semidefinite order."""
     _check_vertex(g.n, v)
-    diff = np.zeros((g.d, g.d))
-    for (i, j), w in g.weights.items():
-        if i == v:
-            diff += w.magnitude
-        if j == v:
-            diff -= w.magnitude
-    return float(np.min(np.linalg.eigvalsh(diff))) >= -tau_def
+    return _dominated(in_out_gaps(g)[v])
 
 
 @dataclass(frozen=True)
@@ -261,19 +274,15 @@ class AssumptionReport:
         return tuple(sorted(set(self.path_failures) | set(self.dominance_failures)))
 
 
-def verify_assumption(
-    g: SignedGraph, dec: Decomposition, tau_def: float = DEF_TOL
-) -> AssumptionReport:
+def verify_assumption(g: SignedGraph, dec: Decomposition) -> AssumptionReport:
     """Check the decomposition against the connectivity and dominance
     requirements.  Dominance is vacuous (reported true) on undirected graphs."""
     if dec.v1 | dec.v2 != set(g.vertices) or dec.v1 & dec.v2:
         raise InvalidPartitionError("V1, V2 must partition the vertex set")
-    path_fail = [
-        j for j in sorted(dec.v2)
-        if not any(pn_reachable(g, i, j) for i in dec.v1)
-    ]
+    path_fail = sorted(dec.v2 - _definite_reach(g, dec.v1))
     if g.directed:
-        dom_fail = [j for j in sorted(dec.v2) if not in_degree_dominated(g, j, tau_def)]
+        gaps = in_out_gaps(g)
+        dom_fail = [j for j in sorted(dec.v2) if not _dominated(gaps[j])]
     else:
         dom_fail = []
     return AssumptionReport(
@@ -284,9 +293,7 @@ def verify_assumption(
     )
 
 
-def suggest_decomposition(
-    g: SignedGraph, tau_def: float = DEF_TOL
-) -> Optional[Decomposition]:
+def suggest_decomposition(g: SignedGraph) -> Optional[Decomposition]:
     """Exhaustive search for a valid decomposition with minimal |V1|.
 
     Smallest V1 first, lexicographic tie-break; None when no partition works.
@@ -296,22 +303,17 @@ def suggest_decomposition(
         raise TooLargeError(f"exhaustive search capped at 15 vertices, got {g.n}")
     verts = list(g.vertices)
     if g.directed:
-        dominated = {v: in_degree_dominated(g, v, tau_def) for v in verts}
+        gaps = in_out_gaps(g)
+        mandatory = frozenset(v for v in verts if not _dominated(gaps[v]))
     else:
-        dominated = {v: True for v in verts}
-    reach = {
-        v: frozenset(u for u in verts if u != v and pn_reachable(g, v, u))
-        for v in verts
-    }
-    mandatory = frozenset(v for v in verts if not dominated[v])
+        mandatory = frozenset()
+    reach = {v: _definite_reach(g, [v]) for v in verts}
     free = [v for v in verts if v not in mandatory]
     for extra in range(len(free) + 1):
-        size = len(mandatory) + extra
-        if size == 0:
+        if len(mandatory) + extra == 0:
             continue
         for combo in itertools.combinations(free, extra):
             v1 = mandatory | set(combo)
-            covered = set().union(*(reach[v] for v in v1)) if v1 else set()
-            if all(j in covered for j in verts if j not in v1):
+            if len(set().union(*(reach[v] for v in v1))) == g.n:
                 return Decomposition.of(g, sorted(v1))
     return None

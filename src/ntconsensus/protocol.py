@@ -26,6 +26,7 @@ from .graph import (
     MatrixWeight,
     SignedGraph,
     classify_weight,
+    in_out_gaps,
     structural_sets,
     verify_assumption,
 )
@@ -37,6 +38,7 @@ from .spectral import (
     consensus_space,
     eigenvalues_sorted,
     grounded_laplacian,
+    intersect_null_spaces,
     null_space,
     principal_angle,
     signed_laplacian,
@@ -45,6 +47,7 @@ from .spectral import (
 INVERT_TOL = 1e-8
 SPEC_TOL = 1e-8
 ANGLE_TOL = 1e-6
+MEMBER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,17 +83,6 @@ class SwitchingDesign:
     alpha: float
 
 
-def _in_out_gap(g: SignedGraph, i: int) -> np.ndarray:
-    """sum of out-weight magnitudes minus sum of in-weight magnitudes at i."""
-    m = np.zeros((g.d, g.d))
-    for (a, b), w in g.weights.items():
-        if b == i:
-            m += w.magnitude
-        if a == i:
-            m -= w.magnitude
-    return m
-
-
 def _half_lmax_reduced(b_abs: np.ndarray, m: np.ndarray) -> float:
     """(1/2) lambda_max of |B|^{-1} M via the Cholesky reduction R^-1 M R^-T,
     which keeps the problem symmetric (the eigenvalues are real)."""
@@ -124,6 +116,7 @@ def _bound_given_blocks(
     dec: Decomposition,
     blocks: Mapping[int, MatrixWeight],
 ) -> Tuple[Dict[int, float], float]:
+    gaps = in_out_gaps(g)
     per_vertex: Dict[int, float] = {}
     for i in sorted(dec.v1):
         b = blocks.get(i)
@@ -134,7 +127,8 @@ def _bound_given_blocks(
             raise SingularCouplingError(
                 f"|B_{i}| has an eigenvalue below {INVERT_TOL}, cannot invert"
             )
-        per_vertex[i] = _half_lmax_reduced(b_abs, _in_out_gap(g, i))
+        # 0.0 - gap rather than -gap keeps a zero gap at +0.0, so C_i is never -0.0
+        per_vertex[i] = _half_lmax_reduced(b_abs, 0.0 - gaps[i])
     return per_vertex, max(per_vertex.values())
 
 
@@ -304,21 +298,15 @@ def contraction_factor(
 
 
 def necessary_condition_check(
-    zstar: np.ndarray,
-    augmented_matrices: Sequence[np.ndarray],
-    tol: float = 1e-6,
+    zstar: np.ndarray, augmented_matrices: Sequence[np.ndarray]
 ) -> bool:
     """True when the candidate limit lies in the intersection of the null
-    spaces of the recurring augmented Laplacians."""
+    spaces of the recurring augmented Laplacians, to relative residual
+    ``MEMBER_TOL``."""
     zstar = np.asarray(zstar, dtype=float).reshape(-1)
-    bases = [null_space(m) for m in augmented_matrices]
-    inter = (
-        bases[0]
-        if len(bases) == 1
-        else null_space(np.vstack([np.eye(len(zstar)) - b.columns @ b.columns.T for b in bases]))
-    )
+    inter = intersect_null_spaces([null_space(m) for m in augmented_matrices])
     norm = float(np.linalg.norm(zstar))
     if norm == 0.0:
         return True
     resid = zstar - inter.columns @ (inter.columns.T @ zstar)
-    return float(np.linalg.norm(resid)) < tol * norm
+    return float(np.linalg.norm(resid)) < MEMBER_TOL * norm

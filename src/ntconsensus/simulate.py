@@ -37,12 +37,9 @@ class Trajectory:
 
 
 def _affine_parts(g: SignedGraph, design: ProtocolDesign) -> Tuple[np.ndarray, np.ndarray]:
-    grounded, _ = design_laplacians(g, design)
-    forcing = np.zeros(g.n * g.d)
-    for i in sorted(design.informed):
-        b = design.blocks[i]
-        forcing[(i - 1) * g.d : i * g.d] = design.delta * (b.entries @ design.x0)
-    return grounded.matrix, forcing
+    grounded, augmented = design_laplacians(g, design)
+    nd = g.n * g.d
+    return grounded.matrix, -augmented.matrix[:nd, nd:] @ design.x0
 
 
 def _rk4_span(
@@ -218,23 +215,20 @@ class ConvergenceReport:
 
 
 def convergence_report(
-    traj: Trajectory,
-    theta: Optional[np.ndarray] = None,
-    tol: float = DEFAULT_TOL,
-    window: float = DEFAULT_WINDOW,
+    traj: Trajectory, theta: Optional[np.ndarray] = None
 ) -> ConvergenceReport:
     """Judge convergence to the preset state: every sample in the trailing
-    ``window`` fraction of the run must be within ``tol`` of theta in the
-    per-agent infinity norm."""
+    ``DEFAULT_WINDOW`` fraction of the run must be within ``DEFAULT_TOL`` of
+    theta in the per-agent infinity norm."""
     th = traj.theta if theta is None else np.asarray(theta, dtype=float)
     dev = np.abs(traj.states - np.tile(th, traj.n))
     per_sample = dev.reshape(len(traj.times), traj.n, traj.d).max(axis=(1, 2))
     horizon = traj.times[-1]
-    tail = traj.times >= (1.0 - window) * horizon
-    converged = bool(np.all(per_sample[tail] < tol))
+    tail = traj.times >= (1.0 - DEFAULT_WINDOW) * horizon
+    converged = bool(np.all(per_sample[tail] < DEFAULT_TOL))
     settle: Optional[float] = None
-    if per_sample[-1] < tol:
-        bad = np.nonzero(per_sample >= tol)[0]
+    if per_sample[-1] < DEFAULT_TOL:
+        bad = np.nonzero(per_sample >= DEFAULT_TOL)[0]
         settle = 0.0 if bad.size == 0 else float(traj.times[min(bad[-1] + 1, len(traj.times) - 1)])
     return ConvergenceReport(
         converged=converged,

@@ -14,7 +14,13 @@ from .errors import (
     NotNonnegativeWeightsError,
     NumericalFailureError,
 )
-from .graph import Definiteness, MatrixWeight, SignedGraph, classify_weight
+from .graph import (
+    Definiteness,
+    MatrixWeight,
+    SignedGraph,
+    classify_weight,
+    in_out_gaps,
+)
 
 RANK_TOL = 1e-8
 
@@ -23,8 +29,6 @@ class LaplacianKind(Enum):
     SIGNED = "signed"
     GROUNDED = "grounded"
     AUGMENTED = "augmented"
-    EXPANDED_GROUNDED = "expanded-grounded"
-    EXPANDED_AUGMENTED = "expanded-augmented"
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,6 @@ def grounded_laplacian(
     lap: Laplacian,
     deltas: Mapping[int, float],
     blocks: Mapping[int, MatrixWeight],
-    expanded: bool = False,
 ) -> Laplacian:
     """Add the block-diagonal grounding delta_i * |B_i|."""
     want = LaplacianKind.SIGNED
@@ -82,8 +85,7 @@ def grounded_laplacian(
     m = lap.matrix.copy()
     for i, (delta, b) in _grounding_terms(lap, deltas, blocks).items():
         m[_block(i, lap.d), _block(i, lap.d)] += delta * b.magnitude
-    kind = LaplacianKind.EXPANDED_GROUNDED if expanded else LaplacianKind.GROUNDED
-    return Laplacian(matrix=m, kind=kind, n=lap.n, d=lap.d)
+    return Laplacian(matrix=m, kind=LaplacianKind.GROUNDED, n=lap.n, d=lap.d)
 
 
 def augmented_laplacian(
@@ -93,7 +95,7 @@ def augmented_laplacian(
 ) -> Laplacian:
     """Adjoin the external-signal block: top-right carries -delta_i * B_i with
     the signed block (not its magnitude); the bottom block row is zero."""
-    if grounded.kind not in (LaplacianKind.GROUNDED, LaplacianKind.EXPANDED_GROUNDED):
+    if grounded.kind is not LaplacianKind.GROUNDED:
         raise DimensionMismatchError(
             f"need a grounded Laplacian, got {grounded.kind.value}"
         )
@@ -102,12 +104,7 @@ def augmented_laplacian(
     m[: n * d, : n * d] = grounded.matrix
     for i, (delta, b) in _grounding_terms(grounded, deltas, blocks).items():
         m[_block(i, d), n * d:] = -delta * b.entries
-    kind = (
-        LaplacianKind.EXPANDED_AUGMENTED
-        if grounded.kind is LaplacianKind.EXPANDED_GROUNDED
-        else LaplacianKind.AUGMENTED
-    )
-    return Laplacian(matrix=m, kind=kind, n=n, d=d)
+    return Laplacian(matrix=m, kind=LaplacianKind.AUGMENTED, n=n, d=d)
 
 
 def expand_system(
@@ -140,10 +137,7 @@ def expand_system(
         if b is not None:
             exp_blocks[i] = b
             exp_blocks[i + g.n] = classify_weight(-b.entries)
-    lap = grounded_laplacian(
-        signed_laplacian(expanded), exp_deltas, exp_blocks, expanded=True
-    )
-    return expanded, lap
+    return expanded, grounded_laplacian(signed_laplacian(expanded), exp_deltas, exp_blocks)
 
 
 def eigenvalues_sorted(m: np.ndarray) -> np.ndarray:
@@ -171,8 +165,8 @@ class Basis:
         return self.columns.shape[1]
 
 
-def null_space(m: np.ndarray, tau_rank: float = RANK_TOL) -> Basis:
-    """Right null space via SVD; singular values below tau_rank * sigma_max
+def null_space(m: np.ndarray) -> Basis:
+    """Right null space via SVD; singular values below RANK_TOL * sigma_max
     count as zero."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     try:
@@ -183,11 +177,11 @@ def null_space(m: np.ndarray, tau_rank: float = RANK_TOL) -> Basis:
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > tau_rank * s[0]))
+        rank = int(np.sum(s > RANK_TOL * s[0]))
     return Basis(columns=vt[rank:].T.copy() if rank < cols else np.zeros((cols, 0)))
 
 
-def intersect_null_spaces(bases: Sequence[Basis], tau_rank: float = RANK_TOL) -> Basis:
+def intersect_null_spaces(bases: Sequence[Basis]) -> Basis:
     """Intersection of subspaces, via the null space of the stacked orthogonal
     projectors onto their complements."""
     if not bases:
@@ -198,7 +192,7 @@ def intersect_null_spaces(bases: Sequence[Basis], tau_rank: float = RANK_TOL) ->
         if b.columns.shape[0] != rows:
             raise DimensionMismatchError("bases have mismatched row dimensions")
         stack.append(np.eye(rows) - b.columns @ b.columns.T)
-    return null_space(np.vstack(stack), tau_rank)
+    return null_space(np.vstack(stack))
 
 
 def principal_angle(a: Basis, b: Basis) -> float:
@@ -256,20 +250,16 @@ def quadratic_form_gap(
     lap = grounded_laplacian(signed_laplacian(g), deltas, blocks)
     x = np.asarray(x, dtype=float).reshape(g.n * g.d)
     phi = float(x @ lap.matrix @ x)
+    gaps = in_out_gaps(g)  # every weight is nonnegative, so magnitudes are the weights
     rhs = 0.0
     for i in g.vertices:
         xi = x[_block(i, g.d)]
-        m = np.zeros((g.d, g.d))
+        m = 0.5 * gaps[i]
         delta = deltas.get(i, 0.0)
         if delta:
             b = blocks.get(i)
             if b is not None:
                 m += delta * b.magnitude
-        for (a, bidx), w in g.weights.items():
-            if a == i:
-                m += 0.5 * w.entries
-            if bidx == i:
-                m -= 0.5 * w.entries
         rhs += float(xi @ m @ xi)
     return phi - rhs
 

@@ -1,5 +1,7 @@
 """Weight classification and the structural graph predicates."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,12 @@ from ntconsensus.errors import (
     VertexOutOfRangeError,
 )
 
-from conftest import random_directed_valid, random_undirected_valid
+from conftest import (
+    random_directed_valid,
+    random_psd_singular,
+    random_spd,
+    random_undirected_valid,
+)
 
 
 class TestClassifyWeight:
@@ -211,3 +218,90 @@ class TestSuggestDecomposition:
             dec = suggest_decomposition(g)
             assert dec is not None
             assert verify_assumption(g, dec).ok
+
+
+def _random_signed_digraph(rng, n, d):
+    """Directed graph with independent random edges (cycles allowed), each
+    definite or singular semidefinite, positive or negative, at scales spread
+    over two decades.  Half the edges get a reverse edge of equal magnitude,
+    so balanced vertices and ties between minimal decompositions occur.
+    Returns the graph, the weight magnitudes, and the set of definite edges."""
+    magnitudes, definite = {}, set()
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        if (i, j) in magnitudes or rng.random() > 0.3:
+            continue
+        is_definite = rng.random() < 0.6
+        w = random_spd(rng, d) if is_definite else random_psd_singular(rng, d)
+        mirror = (j, i) not in magnitudes and rng.random() < 0.5
+        pair = [(i, j), (j, i)] if mirror else [(i, j)]
+        scale = 10.0 ** rng.uniform(-1.0, 1.0)
+        for e in pair:
+            magnitudes[e] = scale * w
+            if is_definite:
+                definite.add(e)
+    signed = {e: (-m if rng.random() < 0.4 else m) for e, m in magnitudes.items()}
+    return SignedGraph.from_edges(n, d, True, signed), magnitudes, definite
+
+
+def _warshall(n, definite):
+    """reach[a, b]: a path from a to b over definite edges (empty path included)."""
+    reach = np.eye(n + 1, dtype=bool)
+    for i, j in definite:
+        reach[j, i] = True
+    for k in range(1, n + 1):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    return reach
+
+
+def _dominated_by_eigvalsh(n, d, magnitudes):
+    """Per vertex: in-weight magnitudes minus out-weight magnitudes is PSD."""
+    dominated = {}
+    for v in range(1, n + 1):
+        gap = sum((m for (i, _), m in magnitudes.items() if i == v), np.zeros((d, d)))
+        gap = gap - sum((m for (_, j), m in magnitudes.items() if j == v), np.zeros((d, d)))
+        dominated[v] = float(np.linalg.eigvalsh(gap).min()) >= -1e-9
+    return dominated
+
+
+class TestBruteForceReference:
+    """Random graphs not built to pass, checked against a Warshall closure,
+    a per-vertex eigenvalue test and a search over every subset."""
+
+    def test_failures_and_minimal_decomposition(self):
+        rng = np.random.default_rng(20261017)
+        seen_path_fail = seen_dom_fail = seen_large_v1 = seen_ties = 0
+        for _ in range(200):
+            n, d = int(rng.integers(2, 8)), int(rng.integers(2, 4))
+            g, magnitudes, definite = _random_signed_digraph(rng, n, d)
+            reach = _warshall(n, definite)
+            dominated = _dominated_by_eigvalsh(n, d, magnitudes)
+            verts = range(1, n + 1)
+
+            def failures(v1):
+                v2 = [j for j in verts if j not in v1]
+                path = tuple(j for j in v2 if not any(reach[i, j] for i in v1))
+                return path, tuple(j for j in v2 if not dominated[j])
+
+            for a in verts:
+                assert in_degree_dominated(g, a) == dominated[a]
+                for b in verts:
+                    assert pn_reachable(g, a, b) == reach[a, b]
+
+            v1 = [v for v in verts if rng.random() < 0.3] or [int(rng.integers(1, n + 1))]
+            report = verify_assumption(g, Decomposition.of(g, v1))
+            path, dom = failures(v1)
+            assert report.path_failures == path
+            assert report.dominance_failures == dom
+            seen_path_fail += bool(path)
+            seen_dom_fail += bool(dom)
+
+            # combinations() yields each size in lexicographic order
+            for k in range(1, n + 1):
+                valid = [c for c in itertools.combinations(verts, k) if failures(c) == ((), ())]
+                if valid:
+                    break
+            assert suggest_decomposition(g).v1 == frozenset(valid[0])
+            seen_large_v1 += k > 1
+            seen_ties += len(valid) > 1
+        # the random set must exercise every outcome, not just passing graphs
+        assert min(seen_path_fail, seen_dom_fail, seen_large_v1, seen_ties) >= 10
