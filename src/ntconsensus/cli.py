@@ -29,10 +29,7 @@ from .simulate import convergence_report, integrate_fixed, integrate_switching
 
 def _parse_v1(spec: str, g: SignedGraph) -> Decomposition:
     if spec.strip().lower() == "auto":
-        dec = suggest_decomposition(g)
-        if dec is None:
-            raise ConsensusError("no valid decomposition exists for this graph")
-        return dec
+        return suggest_decomposition(g)
     try:
         ids = [int(tok) for tok in spec.replace(" ", "").split(",") if tok]
     except ValueError as exc:

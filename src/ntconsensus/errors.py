@@ -21,10 +21,6 @@ class InvalidPartitionError(ConsensusError):
     pass
 
 
-class TooLargeError(ConsensusError):
-    pass
-
-
 class DimensionMismatchError(ConsensusError):
     pass
 

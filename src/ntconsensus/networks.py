@@ -1,5 +1,8 @@
 """Bundled 7-agent benchmark networks (d = 3) and their standard partitions.
 
+The network data lives only in ``data/<name>.json``; this module names the
+networks and holds their standard V1 and the switching-benchmark constants.
+
 ``net_a`` is the directed fixed-topology benchmark; ``net_a_weak`` is the same
 network with the strong positive weight on the 5 -> 6 edge replaced by a
 semi-definite one, which breaks both the definite-path cover and the
@@ -13,8 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, Tuple
 
-import numpy as np
-
+from .fileio import load_graph
 from .graph import Decomposition, SignedGraph
 
 # Standard V1 choice per network, and the per-network coupling coefficients
@@ -30,71 +32,10 @@ SWITCHING_PATTERN: Tuple[str, ...] = ("net_a", "net_a", "net_b", "net_c", "net_c
 SWITCHING_DWELL = 0.02
 
 
-def _net_a_edges(weak: bool = False) -> Dict[Tuple[int, int], np.ndarray]:
-    a12 = -np.array([[5.0, 2, 1], [2, 4, 1], [1, 1, 3]])
-    a47 = -np.diag([0.0, 1, 0])
-    a65 = np.diag([0.0, 8, 3]) if weak else np.array(
-        [[6.0, 1, -1], [1, 8, 2], [-1, 2, 6]]
-    )
-    a51 = np.array([[6.0, 1, -1], [1, 8, 2], [-1, 2, 6]])
-    a67 = np.diag([1.0, 0, 0])
-    a76 = np.array([[2.0, 1, 0], [1, 3, -1], [0, -1, 2]])
-    a43 = -np.array([[2.0, 0, 1], [0, 0, 0], [1, 0, 3]])
-    half = 0.5 * np.eye(3)
-    return {
-        (1, 2): a12,
-        (2, 6): -half,
-        (3, 6): -half,
-        (4, 3): a43,
-        (4, 7): a47,
-        (5, 1): a51,
-        (6, 2): a47.copy(),
-        (6, 5): a65,
-        (6, 7): a67,
-        (7, 6): a76,
-    }
-
-
-def _net_b_edges() -> Dict[Tuple[int, int], np.ndarray]:
-    a12 = np.diag([1.0, 1, 2])
-    return {
-        (1, 2): a12,
-        (2, 1): -np.diag([1.0, 1, 0]),
-        (2, 6): -np.diag([0.0, 0, 1]),
-        (3, 2): np.array([[0.0, 0, 0], [0, 4, 2], [0, 2, 4]]),
-        (3, 6): -0.1 * a12,
-        (4, 3): a12.copy(),
-        (5, 2): np.array([[10.0, 1, 2], [1, 8, 1], [2, 1, 12]]),
-        (6, 5): np.array([[4.0, 1, 1], [1, 3, 0], [1, 0, 2]]),
-        (7, 6): 0.1 * a12,
-    }
-
-
-def _net_c_edges() -> Dict[Tuple[int, int], np.ndarray]:
-    return {
-        (1, 5): -np.eye(3),
-        (2, 1): -np.array([[3.0, 1, -1], [1, 5, 2], [-1, 2, 5]]),
-        (3, 4): np.diag([1.0, 2, 0]),
-        (3, 7): -np.array([[2.0, -1, 0], [-1, 2, 0], [0, 0, 1]]),
-        (4, 3): np.array([[2.0, -1, 0], [-1, 3, 1], [0, 1, 4]]),
-        (5, 2): np.array([[8.0, 2, 1], [2, 8, 1], [1, 1, 6]]),
-        (6, 3): -np.eye(3),
-        (7, 5): np.diag([2.0, 3, 1]),
-    }
-
-
-_BUILDERS = {
-    "net_a": lambda: _net_a_edges(weak=False),
-    "net_a_weak": lambda: _net_a_edges(weak=True),
-    "net_b": _net_b_edges,
-    "net_c": _net_c_edges,
-}
-
-
 def bundled_graph(name: str) -> SignedGraph:
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown bundled network {name!r}; have {sorted(_BUILDERS)}")
-    return SignedGraph.from_edges(7, 3, directed=True, edges=_BUILDERS[name]())
+    if name not in BUNDLED_V1:
+        raise KeyError(f"unknown bundled network {name!r}; have {sorted(BUNDLED_V1)}")
+    return load_graph(bundled_path(f"{name}.json"))
 
 
 def bundled_decomposition(name: str) -> Decomposition:

@@ -31,6 +31,19 @@ class TestCheck:
         assert rc == 0
         assert len(json.loads(capsys.readouterr().out)["v1"]) <= 4
 
+    @pytest.mark.parametrize("n, d, weight, error", [
+        (2, 2, [[float("nan"), 0.0], [0.0, 1.0]], "NonFiniteError"),
+        (2, 2, [[float("inf"), 0.0], [0.0, 1.0]], "NonFiniteError"),
+        (2, 0, None, "DimensionMismatchError"),
+        (0, 2, None, "DimensionMismatchError"),
+    ])
+    def test_unanswerable_graph_exit_1(self, tmp_path, capsys, n, d, weight, error):
+        edges = [{"from": 1, "to": 2, "weight": weight}] if weight else []
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": n, "d": d, "directed": True, "edges": edges}))
+        assert main(["check", "--graph", str(p), "--v1", "auto"]) == 1
+        assert error in capsys.readouterr().err
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("nope")

@@ -24,15 +24,6 @@ from conftest import random_directed_valid, random_undirected_valid
 
 
 class TestGraphRoundTrip:
-    def test_bundled_files_match_builders(self):
-        for name in ("net_a", "net_a_weak", "net_b", "net_c"):
-            loaded = load_graph(bundled_path(f"{name}.json"))
-            built = bundled_graph(name)
-            assert loaded.n == built.n and loaded.d == built.d
-            assert set(loaded.weights) == set(built.weights)
-            for key, w in built.weights.items():
-                assert np.allclose(loaded.weights[key].entries, w.entries)
-
     def test_directed_round_trip(self, tmp_path, rng):
         g, _ = random_directed_valid(rng, 5, 3)
         p = tmp_path / "g.json"

@@ -1,6 +1,7 @@
 """Weight classification and the structural graph predicates."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from ntconsensus import (
 )
 from ntconsensus.errors import (
     AsymmetricWeightError,
+    DimensionMismatchError,
     IndefiniteWeightError,
     InvalidPartitionError,
-    TooLargeError,
+    NonFiniteError,
     VertexOutOfRangeError,
 )
 
@@ -55,6 +57,13 @@ class TestClassifyWeight:
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricWeightError):
             classify_weight(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        raw = np.eye(2)
+        raw[1, 1] = bad
+        with pytest.raises(NonFiniteError):
+            classify_weight(raw)
 
     def test_zero_and_semidefinite(self):
         assert classify_weight(np.zeros((2, 2))).definiteness is Definiteness.ZERO
@@ -90,6 +99,11 @@ class TestSignedGraph:
     def test_vertex_range_checked(self):
         with pytest.raises(VertexOutOfRangeError):
             SignedGraph.from_edges(2, 2, True, {(1, 3): np.eye(2)})
+
+    @pytest.mark.parametrize("n, d", [(0, 2), (-1, 2), (2, 0)])
+    def test_empty_dimensions_rejected(self, n, d):
+        with pytest.raises(DimensionMismatchError):
+            SignedGraph.from_edges(n, d, True, {})
 
     def test_undirected_materializes_both_directions(self):
         g = SignedGraph.from_edges(3, 2, False, {(1, 2): -np.eye(2)})
@@ -207,10 +221,14 @@ class TestSuggestDecomposition:
         dec = suggest_decomposition(g)
         assert dec is not None and dec.v1 == frozenset({1})
 
-    def test_size_cap(self):
-        g = SignedGraph.from_edges(16, 1, True, {})
-        with pytest.raises(TooLargeError):
-            suggest_decomposition(g)
+    def test_several_hundred_vertices(self):
+        g, expected = _condensation_network(np.random.default_rng(7))
+        assert g.n >= 300
+        start = time.perf_counter()
+        dec = suggest_decomposition(g)
+        assert time.perf_counter() - start < 1.0
+        assert dec.v1 == expected
+        assert verify_assumption(g, dec).ok
 
     def test_random_instances_self_consistent(self, rng):
         for _ in range(10):
@@ -218,6 +236,65 @@ class TestSuggestDecomposition:
             dec = suggest_decomposition(g)
             assert dec is not None
             assert verify_assumption(g, dec).ok
+
+
+def _condensation_network(rng):
+    """Directed graph on 360 shuffled labels whose minimal V1 is known by
+    construction.  Each cycle carries one weight magnitude W on every edge,
+    so its vertices are balanced; signs are random.
+
+    - 30 cycles of 5 fed by nothing: each needs its smallest label in V1.
+      Six of them send a semidefinite edge into one of 6 further cycles of 4:
+      the sender is not dominated, so it is mandatory and covers its own
+      cycle, while the receiving cycle gains in-weight but no definite path
+      and still needs its smallest label.
+    - 20 roots with out-edges only (not dominated), each feeding a cycle of 4
+      and a chain of 3 with shrinking weights: only the root is needed.
+    - 4 unfed chains of 5: only the head, which is not dominated, is needed.
+    - 6 isolated vertices, each needed.
+    """
+    d = 2
+    labels = iter(int(v) + 1 for v in rng.permutation(360))
+    edges, v1 = {}, set()
+
+    def take(k):
+        return [next(labels) for _ in range(k)]
+
+    def link(to, frm, mag):
+        edges[(to, frm)] = -mag if rng.random() < 0.4 else mag
+
+    def cycle(k):
+        verts, w = take(k), random_spd(rng, d)
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            link(b, a, w)
+        return verts
+
+    def chain(head, k):
+        w = random_spd(rng, d)
+        for m, v in enumerate(take(k), start=1):
+            link(v, head, w / m)
+            head = v
+
+    for c in range(30):
+        verts = cycle(5)
+        if c < 6:
+            sender = verts[int(rng.integers(5))]
+            target = cycle(4)
+            link(target[int(rng.integers(4))], sender, random_psd_singular(rng, d))
+            v1.update([sender, min(target)])
+        else:
+            v1.add(min(verts))
+    for _ in range(20):
+        (root,) = take(1)
+        link(cycle(4)[0], root, random_spd(rng, d))
+        chain(root, 3)
+        v1.add(root)
+    for _ in range(4):
+        (head,) = take(1)
+        chain(head, 4)
+        v1.add(head)
+    v1.update(take(6))
+    return SignedGraph.from_edges(360, d, True, edges), frozenset(v1)
 
 
 def _random_signed_digraph(rng, n, d):
