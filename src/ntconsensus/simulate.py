@@ -53,22 +53,28 @@ def _rk4_span(
     states: List[np.ndarray],
 ) -> np.ndarray:
     """March x over [t0, t0 + span], appending each landed sample; the last
-    step is shortened to land on the right endpoint exactly."""
+    step is shortened to land on the right endpoint exactly.
+
+    For the affine field f - L x the classic RK4 step is
+    x + h sum_{j<4} (-hL)^j (f - L x) / (j+1)!, evaluated here by Horner's
+    rule: the same four matvecs per step with fewer vector temporaries than
+    the stage-by-stage form, and no scaled copy of L."""
     n_full = int(np.floor(span / h + 1e-9))
     remainder = span - n_full * h
-    steps = [h] * n_full + ([remainder] if remainder > 1e-12 else [])
     t = t0
-    for step in steps:
-        k1 = forcing - lap @ x
-        k2 = forcing - lap @ (x + 0.5 * step * k1)
-        k3 = forcing - lap @ (x + 0.5 * step * k2)
-        k4 = forcing - lap @ (x + step * k3)
-        x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += step
-        if np.max(np.abs(x)) > DIVERGENCE_GUARD:
-            raise NonFiniteError(f"state exceeded {DIVERGENCE_GUARD:g} at t={t:.6g}")
-        times.append(t)
-        states.append(x)
+    for step, count in ((h, n_full), (remainder, int(remainder > 1e-12))):
+        c2, c3, c4 = step / 2.0, step / 3.0, step / 4.0
+        for _ in range(count):
+            r = forcing - lap @ x
+            u = r - (lap @ r) * c4
+            u = r - (lap @ u) * c3
+            u = r - (lap @ u) * c2
+            x = x + step * u
+            t += step
+            if np.abs(x).max() > DIVERGENCE_GUARD:
+                raise NonFiniteError(f"state exceeded {DIVERGENCE_GUARD:g} at t={t:.6g}")
+            times.append(t)
+            states.append(x)
     return x
 
 
