@@ -37,10 +37,12 @@ from .networks import (
     bundled_path,
 )
 from .protocol import (
+    ClosedLoop,
     ContractionReport,
     DesignReport,
     ProtocolDesign,
     SwitchingDesign,
+    closed_loop,
     contraction_factor,
     coupling_bound,
     design_fixed,
@@ -68,6 +70,7 @@ from .spectral import (
     expand_system,
     grounded_laplacian,
     intersect_null_spaces,
+    laplacian_blocks,
     quadratic_form_gap,
     log_norm2,
     matrix_exp,

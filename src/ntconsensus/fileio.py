@@ -15,6 +15,16 @@ from .simulate import SwitchingSchedule, Trajectory
 PathLike = Union[str, Path]
 
 
+def _integer(value: object, name: str) -> int:
+    """A JSON integer, or a float with an integral value; anything else is a
+    format error rather than a truncated size, vertex id or graph id."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FileFormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_graph(path: PathLike) -> SignedGraph:
     """Graph file format: {"d", "n", "directed", "edges": [{"from", "to",
     "weight"}]}; "from"/"to" are 1-based, weight is a row-major d x d array
@@ -24,12 +34,12 @@ def load_graph(path: PathLike) -> SignedGraph:
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read graph file {path}: {exc}") from exc
     try:
-        n = int(data["n"])
-        d = int(data["d"])
+        n = _integer(data["n"], "n")
+        d = _integer(data["d"], "d")
         directed = bool(data["directed"])
         edges: Dict[Tuple[int, int], np.ndarray] = {}
         for e in data["edges"]:
-            key = (int(e["to"]), int(e["from"]))
+            key = (_integer(e["to"], "to"), _integer(e["from"], "from"))
             edges[key] = np.array(e["weight"], dtype=float)
             if edges[key].shape != (d, d):
                 raise FileFormatError(
@@ -62,7 +72,7 @@ def load_schedule(path: PathLike) -> SwitchingSchedule:
         raise FileFormatError(f"cannot read schedule file {path}: {exc}") from exc
     try:
         alpha = float(data["alpha"])
-        pattern = [int(x) for x in data["pattern"]]
+        pattern = [_integer(x, "pattern entry") for x in data["pattern"]]
         repeat = bool(data.get("repeat", False))
         dt = data.get("dt", alpha)
         if isinstance(dt, (int, float)):
@@ -83,10 +93,11 @@ def write_trajectory_csv(traj: Trajectory, path: PathLike) -> None:
     cols = [f"x{i}_{k}" for i in range(1, traj.n + 1) for k in range(1, traj.d + 1)]
     header = ",".join(["t"] + cols + ["errnorm"])
     body = np.column_stack([traj.times, traj.states, traj.error_norm])
+    row = ",".join(["%.17g"] * body.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in body:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for values in body.tolist():
+            fh.write(row % tuple(values))
 
 
 def read_trajectory_csv(path: PathLike) -> np.ndarray:

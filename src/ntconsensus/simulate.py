@@ -1,14 +1,16 @@
 """Deterministic fixed-step integration of the coupled dynamics.
 
-The closed loop is affine, xdot = -L_B x + Delta_B x0, so each step is four
-matrix-vector products; switch times are landed on exactly with a shortened
-final step per interval.
+The closed loop is affine, xdot = -L_B x + Delta_B x0, so a classic RK4 step
+of constant length h is one affine map x <- P x + q (see
+``ClosedLoop.rk4_map``); each step is one matrix-vector product.  Switch
+times are landed on exactly with a shortened final step per interval.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .errors import (
     ScheduleExhaustedError,
 )
 from .graph import SignedGraph
-from .protocol import ProtocolDesign, SwitchingDesign, design_laplacians
+from .protocol import ClosedLoop, ProtocolDesign, SwitchingDesign, closed_loop
 
 DIVERGENCE_GUARD = 1e12
 DEFAULT_STEP = 1e-3
@@ -36,15 +38,22 @@ class Trajectory:
     theta: np.ndarray
 
 
-def _affine_parts(g: SignedGraph, design: ProtocolDesign) -> Tuple[np.ndarray, np.ndarray]:
-    grounded, augmented = design_laplacians(g, design)
-    nd = g.n * g.d
-    return grounded.matrix, -augmented.matrix[:nd, nd:] @ design.x0
+def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.ndarray:
+    """Check the run inputs shared by both integrators; return a copy of x_init."""
+    if not (math.isfinite(h) and math.isfinite(horizon)):
+        raise NonFiniteError(f"step and horizon must be finite, got h={h}, T={horizon}")
+    if h <= 0:
+        raise DimensionMismatchError(f"step must be positive, got h={h}")
+    x = np.asarray(x_init, dtype=float).reshape(-1).copy()
+    if x.shape[0] != nd:
+        raise DimensionMismatchError(f"x_init has length {x.shape[0]}, expected {nd}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("x_init has NaN or infinite entries")
+    return x
 
 
 def _rk4_span(
-    lap: np.ndarray,
-    forcing: np.ndarray,
+    loop: ClosedLoop,
     x: np.ndarray,
     t0: float,
     span: float,
@@ -53,26 +62,23 @@ def _rk4_span(
     states: List[np.ndarray],
 ) -> np.ndarray:
     """March x over [t0, t0 + span], appending each landed sample; the last
-    step is shortened to land on the right endpoint exactly.
-
-    For the affine field f - L x the classic RK4 step is
-    x + h sum_{j<4} (-hL)^j (f - L x) / (j+1)!, evaluated here by Horner's
-    rule: the same four matvecs per step with fewer vector temporaries than
-    the stage-by-stage form, and no scaled copy of L."""
+    step is shortened to land on the right endpoint exactly, with a map of
+    its own that is not kept on the loop."""
     n_full = int(np.floor(span / h + 1e-9))
     remainder = span - n_full * h
+    runs = [(h, n_full, loop.step_map(h))]
+    if remainder > 1e-12:
+        runs.append((remainder, 1, loop.rk4_map(remainder)))
     t = t0
-    for step, count in ((h, n_full), (remainder, int(remainder > 1e-12))):
-        c2, c3, c4 = step / 2.0, step / 3.0, step / 4.0
+    for step, count, (p, q) in runs:
         for _ in range(count):
-            r = forcing - lap @ x
-            u = r - (lap @ r) * c4
-            u = r - (lap @ u) * c3
-            u = r - (lap @ u) * c2
-            x = x + step * u
+            x = p @ x + q
             t += step
-            if np.abs(x).max() > DIVERGENCE_GUARD:
-                raise NonFiniteError(f"state exceeded {DIVERGENCE_GUARD:g} at t={t:.6g}")
+            # written so that a NaN state fails the test too
+            if not np.abs(x).max() <= DIVERGENCE_GUARD:
+                raise NonFiniteError(
+                    f"state exceeded {DIVERGENCE_GUARD:g} or became NaN at t={t:.6g}"
+                )
             times.append(t)
             states.append(x)
     return x
@@ -96,17 +102,12 @@ def integrate_fixed(
     horizon: float = 1.0,
 ) -> Trajectory:
     """Classic fourth-order fixed-step run of the fixed-topology loop."""
-    if h <= 0 or horizon < h:
+    x = _initial_state(x_init, g.n * g.d, h, horizon)
+    if horizon < h:
         raise DimensionMismatchError(f"need 0 < h <= T, got h={h}, T={horizon}")
-    x = np.asarray(x_init, dtype=float).reshape(-1).copy()
-    if x.shape[0] != g.n * g.d:
-        raise DimensionMismatchError(
-            f"x_init has length {x.shape[0]}, expected {g.n * g.d}"
-        )
-    lap, forcing = _affine_parts(g, design)
     times: List[float] = [0.0]
     states: List[np.ndarray] = [x]
-    _rk4_span(lap, forcing, x, 0.0, horizon, h, times, states)
+    _rk4_span(closed_loop(g, design), x, 0.0, horizon, h, times, states)
     return _as_trajectory(times, states, g, design.theta)
 
 
@@ -122,6 +123,8 @@ class SwitchingSchedule:
     repeat: bool = False
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and np.all(np.isfinite(self.switch_times))):
+            raise NonFiniteError("dwell time and switch times must be finite")
         if self.alpha <= 0:
             raise DimensionMismatchError(f"dwell time must be positive, got {self.alpha}")
         if not self.switch_times or self.switch_times[0] != 0.0:
@@ -181,28 +184,20 @@ def integrate_switching(
     horizon: float = 1.0,
 ) -> Trajectory:
     """Piecewise integration with steps aligned to every switch time."""
+    first = next(iter(graphs.values()))
+    x = _initial_state(x_init, first.n * first.d, h, horizon)
     if h > schedule.alpha / 4.0 + 1e-15:
         raise DimensionMismatchError(
             f"step h={h:g} must not exceed a quarter of the dwell time {schedule.alpha:g}"
         )
-    first = next(iter(graphs.values()))
-    x = np.asarray(x_init, dtype=float).reshape(-1).copy()
-    if x.shape[0] != first.n * first.d:
-        raise DimensionMismatchError(
-            f"x_init has length {x.shape[0]}, expected {first.n * first.d}"
-        )
-    parts = {
-        gid: _affine_parts(graphs[gid], sdesign.designs[gid])
-        for gid in sdesign.designs
-    }
+    loops = {gid: closed_loop(graphs[gid], design) for gid, design in sdesign.designs.items()}
     theta = next(iter(sdesign.designs.values())).theta
     times: List[float] = [0.0]
     states: List[np.ndarray] = [x]
     for start, end, gid in schedule.intervals(horizon):
-        if gid not in parts:
+        if gid not in loops:
             raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")
-        lap, forcing = parts[gid]
-        x = _rk4_span(lap, forcing, x, start, end - start, h, times, states)
+        x = _rk4_span(loops[gid], x, start, end - start, h, times, states)
     return _as_trajectory(times, states, first, theta)
 
 

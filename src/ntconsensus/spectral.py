@@ -43,34 +43,65 @@ def _block(i: int, d: int) -> slice:
     return slice((i - 1) * d, i * d)
 
 
-def signed_laplacian(g: SignedGraph) -> Laplacian:
-    """Diagonal block i is the sum of |A_ik| over in-neighbors; off-diagonal
-    block (i, j) is -A_ij."""
-    m = np.zeros((g.n * g.d, g.n * g.d))
-    for (i, j), w in g.weights.items():
-        m[_block(i, g.d), _block(j, g.d)] = -w.entries
-        m[_block(i, g.d), _block(i, g.d)] += w.magnitude
-    return Laplacian(matrix=m, kind=LaplacianKind.SIGNED, n=g.n, d=g.d)
-
-
 def _grounding_terms(
-    lap: Laplacian, deltas: Mapping[int, float], blocks: Mapping[int, MatrixWeight]
+    n: int, d: int, deltas: Mapping[int, float], blocks: Mapping[int, MatrixWeight]
 ) -> Dict[int, Tuple[float, MatrixWeight]]:
     out: Dict[int, Tuple[float, MatrixWeight]] = {}
     for i, delta in deltas.items():
         if delta == 0.0:
             continue
-        if not (1 <= i <= lap.n):
-            raise DimensionMismatchError(f"grounded vertex {i} outside 1..{lap.n}")
+        if not (1 <= i <= n):
+            raise DimensionMismatchError(f"grounded vertex {i} outside 1..{n}")
         b = blocks.get(i)
         if b is None or b.definiteness is Definiteness.ZERO:
             raise DimensionMismatchError(f"vertex {i} has delta > 0 but no block")
-        if b.d != lap.d:
+        if b.d != d:
             raise DimensionMismatchError(
-                f"block for vertex {i} has dimension {b.d}, expected {lap.d}"
+                f"block for vertex {i} has dimension {b.d}, expected {d}"
             )
         out[i] = (delta, b)
     return out
+
+
+def laplacian_blocks(
+    g: SignedGraph,
+    deltas: Mapping[int, float],
+    blocks: Mapping[int, MatrixWeight],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block triplets (rows, cols, data) of the signed Laplacian grounded by
+    delta_i |B_i|: 0-based block rows and columns and the (k, d, d) blocks.
+
+    The off-diagonal blocks -A_ij come first, in edge order, then the n
+    diagonal blocks: the sum of |A_ik| over in-neighbors, accumulated in edge
+    order, plus the grounding term.  Dense and sparse Laplacians are both
+    built from these triplets, so they hold the same floating-point values."""
+    n, d = g.n, g.d
+    ends = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2) - 1
+    heads, tails = ends[:, 0], ends[:, 1]
+    weights = list(g.weights.values())
+    entries = np.array([w.entries for w in weights]).reshape(-1, d, d)
+    signs = np.array([w.sign for w in weights], dtype=float)
+    diag = np.zeros((n, d, d))
+    np.add.at(diag, heads, signs[:, None, None] * entries)
+    for i, (delta, b) in _grounding_terms(n, d, deltas, blocks).items():
+        diag[i - 1] += delta * b.magnitude
+    own = np.arange(n)
+    return (
+        np.concatenate([heads, own]),
+        np.concatenate([tails, own]),
+        np.concatenate([-entries, diag]),
+    )
+
+
+def signed_laplacian(g: SignedGraph) -> Laplacian:
+    """Diagonal block i is the sum of |A_ik| over in-neighbors; off-diagonal
+    block (i, j) is -A_ij."""
+    rows, cols, data = laplacian_blocks(g, {}, {})
+    m = np.zeros((g.n, g.d, g.n, g.d))
+    m[rows, :, cols, :] = data
+    return Laplacian(
+        matrix=m.reshape(g.n * g.d, g.n * g.d), kind=LaplacianKind.SIGNED, n=g.n, d=g.d
+    )
 
 
 def grounded_laplacian(
@@ -83,7 +114,7 @@ def grounded_laplacian(
     if lap.kind is not want:
         raise DimensionMismatchError(f"need a {want.value} Laplacian, got {lap.kind.value}")
     m = lap.matrix.copy()
-    for i, (delta, b) in _grounding_terms(lap, deltas, blocks).items():
+    for i, (delta, b) in _grounding_terms(lap.n, lap.d, deltas, blocks).items():
         m[_block(i, lap.d), _block(i, lap.d)] += delta * b.magnitude
     return Laplacian(matrix=m, kind=LaplacianKind.GROUNDED, n=lap.n, d=lap.d)
 
@@ -102,7 +133,7 @@ def augmented_laplacian(
     n, d = grounded.n, grounded.d
     m = np.zeros(((n + 1) * d, (n + 1) * d))
     m[: n * d, : n * d] = grounded.matrix
-    for i, (delta, b) in _grounding_terms(grounded, deltas, blocks).items():
+    for i, (delta, b) in _grounding_terms(n, d, deltas, blocks).items():
         m[_block(i, d), n * d:] = -delta * b.entries
     return Laplacian(matrix=m, kind=LaplacianKind.AUGMENTED, n=n, d=d)
 

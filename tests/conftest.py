@@ -19,6 +19,7 @@ from ntconsensus import (
     bundled_decomposition,
     bundled_graph,
 )
+from ntconsensus.networks import BUNDLED_V1
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -104,6 +105,49 @@ def random_all_psd_graph(rng: np.random.Generator, n: int, d: int) -> SignedGrap
                 if np.max(np.abs(w)) > 0:
                     edges[(i, j)] = w
     return SignedGraph.from_edges(n, d, directed=True, edges=edges)
+
+
+def rk4_reference_step(lap: np.ndarray, forcing: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """One classic RK4 step of xdot = forcing - lap x, stage by stage."""
+    k1 = forcing - lap @ x
+    k2 = forcing - lap @ (x + h / 2.0 * k1)
+    k3 = forcing - lap @ (x + h / 2.0 * k2)
+    k4 = forcing - lap @ (x + h * k3)
+    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def tiled_graph(rng: np.random.Generator, copies: int) -> Tuple[SignedGraph, Decomposition]:
+    """``copies`` copies of net_a / net_b on vertices 7c+1..7c+7, each weight
+    conjugated by a random orthogonal Q and scaled by s in [0.1, 0.3] (both
+    keep definiteness classes and in-degree dominance), chained by a positive
+    definite edge from each copy's first V1 vertex to the next one's.  V1 is
+    the union of the copies' bundled V1 sets."""
+    bases = ("net_a", "net_b")
+    graphs = {name: bundled_graph(name) for name in bases}
+    edges: Dict[Tuple[int, int], np.ndarray] = {}
+    v1 = []
+    prev = 0
+    for c in range(copies):
+        name = bases[int(rng.integers(len(bases)))]
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        s = float(rng.uniform(0.1, 0.3))
+        off = 7 * c
+        for (i, j), w in graphs[name].weights.items():
+            m = s * (q @ w.entries @ q.T)
+            edges[(i + off, j + off)] = (m + m.T) / 2.0
+        entry = BUNDLED_V1[name][0] + off
+        if prev:
+            edges[(entry, prev)] = 0.5 * s * random_spd(rng, 3)
+        v1 += [v + off for v in BUNDLED_V1[name]]
+        prev = entry
+    g = SignedGraph.from_edges(7 * copies, 3, directed=True, edges=edges)
+    return g, Decomposition.of(g, v1)
+
+
+@pytest.fixture(scope="session")
+def tiled() -> Tuple[SignedGraph, Decomposition]:
+    """A 315-state tiled network, large enough that its RK4 step map is sparse."""
+    return tiled_graph(np.random.default_rng(7), 15)
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,13 @@ class TestCheck:
         bad.write_text("nope")
         assert main(["check", "--graph", str(bad), "--v1", "auto"]) == 2
 
+    @pytest.mark.parametrize("n, d", [(2.7, 2), (2, 1.5)])
+    def test_non_integer_size_exit_2(self, tmp_path, capsys, n, d):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": n, "d": d, "directed": True, "edges": []}))
+        assert main(["check", "--graph", str(p), "--v1", "auto"]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
 
 class TestDesign:
     def test_benchmark_numbers(self, capsys, tmp_path):
@@ -72,6 +79,14 @@ class TestDesign:
             "--theta", "0,0,0",
         ])
         assert rc == 1
+
+    def test_non_finite_theta_exit_1(self, capsys):
+        rc = main([
+            "design", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",
+            "--theta", "nan,1,1", "--json",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
 
     def test_weak_variant_with_pinned_delta_not_ok(self, capsys):
         rc = main([
@@ -124,6 +139,15 @@ class TestSimulate:
         assert 0.0 < summary["Lambda"] < 1.0
         data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
         assert data[-1, -1] < 0.05 * data[0, -1]
+
+    @pytest.mark.parametrize("flag, value", [("--h", "nan"), ("--T", "inf")])
+    def test_non_finite_step_or_horizon_exit_1(self, capsys, flag, value):
+        rc = main([
+            "simulate", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",
+            "--theta", "1,2,-1", flag, value,
+        ])
+        assert rc == 1
+        assert "NonFiniteError" in capsys.readouterr().err
 
     def test_switching_without_schedule_exit_2(self):
         rc = main([

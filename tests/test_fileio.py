@@ -17,6 +17,7 @@ from ntconsensus import (
     save_graph,
     write_trajectory_csv,
 )
+from ntconsensus.errors import NonFiniteError
 from ntconsensus.networks import BUNDLED_V1
 from ntconsensus import Decomposition
 
@@ -55,6 +56,28 @@ class TestGraphRoundTrip:
         with pytest.raises(FileFormatError):
             load_graph(p)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.7), ("d", 1.5), ("n", "2"), ("d", True), ("to", 1.5), ("from", None),
+    ])
+    def test_non_integer_size_or_vertex_rejected(self, tmp_path, field, value):
+        data = {"n": 2, "d": 1, "directed": True,
+                "edges": [{"from": 1, "to": 2, "weight": [[1.0]]}]}
+        if field in data:
+            data[field] = value
+        else:
+            data["edges"][0][field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(FileFormatError, match="must be an integer"):
+            load_graph(p)
+
+    def test_integral_float_sizes_accepted(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 2.0, "d": 1.0, "directed": True,
+                                 "edges": [{"from": 1.0, "to": 2, "weight": [[1.0]]}]}))
+        g = load_graph(p)
+        assert (g.n, g.d, list(g.weights)) == (2, 1, [(2, 1)])
+
     def test_wrong_weight_shape(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({
@@ -79,6 +102,21 @@ class TestScheduleLoading:
         }))
         s = load_schedule(p)
         assert s.switch_times == (0.0, 0.1, pytest.approx(0.3))
+
+    def test_fractional_pattern_entry_rejected(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"alpha": 0.1, "pattern": [0, 1.6], "dt": 0.1}))
+        with pytest.raises(FileFormatError, match="must be an integer"):
+            load_schedule(p)
+
+    @pytest.mark.parametrize("alpha, dt", [
+        ("NaN", "0.1"), ("0.1", "Infinity"), ("0.1", "[0.1, NaN, 0.1]"),
+    ])
+    def test_non_finite_times_rejected(self, tmp_path, alpha, dt):
+        p = tmp_path / "s.json"
+        p.write_text(f'{{"alpha": {alpha}, "pattern": [0, 1, 0], "dt": {dt}}}')
+        with pytest.raises(NonFiniteError):
+            load_schedule(p)
 
     def test_dt_list_length_mismatch(self, tmp_path):
         p = tmp_path / "s.json"

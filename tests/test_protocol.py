@@ -2,29 +2,41 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from ntconsensus import (
+    ClosedLoop,
     Decomposition,
     SignedGraph,
+    bundled_decomposition,
+    bundled_graph,
     classify_weight,
+    closed_loop,
     contraction_factor,
     coupling_bound,
     design_fixed,
     design_laplacians,
     design_switching,
     necessary_condition_check,
+    signed_laplacian,
     verify_design,
 )
 from ntconsensus.errors import (
     AssumptionViolatedError,
     DegenerateCouplingError,
+    NonFiniteError,
     NotContractingError,
     SingularCouplingError,
     ZeroThetaError,
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 
-from conftest import random_directed_valid, random_spd, random_undirected_valid
+from conftest import (
+    random_directed_valid,
+    random_spd,
+    random_undirected_valid,
+    rk4_reference_step,
+)
 
 THETA = np.array([1.0, 2.0, -1.0])
 
@@ -103,6 +115,17 @@ class TestDesignFixed:
     def test_zero_theta_rejected(self, net_a, net_a_dec):
         with pytest.raises(ZeroThetaError):
             design_fixed(net_a, net_a_dec, np.zeros(3))
+
+    @pytest.mark.parametrize("theta, margin, delta", [
+        ((np.nan, 1.0, 1.0), 0.1, None),
+        ((1.0, np.inf, 1.0), 0.1, None),
+        ((1.0, 2.0, -1.0), np.nan, None),
+        ((1.0, 2.0, -1.0), 0.1, np.nan),
+        ((1.0, 2.0, -1.0), 0.1, np.inf),
+    ])
+    def test_non_finite_input_rejected(self, net_a, net_a_dec, theta, margin, delta):
+        with pytest.raises(NonFiniteError):
+            design_fixed(net_a, net_a_dec, np.array(theta), margin=margin, delta=delta)
 
     def test_assumption_gate_without_explicit_delta(self, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError):
@@ -266,3 +289,55 @@ class TestNecessaryCondition:
         # k1 differs per graph, so no common augmented direction survives
         z = consensus_space(7, 3, 1.0, sdesign.designs[0].k1) @ THETA
         assert not necessary_condition_check(z, mats)
+
+
+def _designed(name, tiled):
+    """A design on a bundled network (its bundled V1, the switching run's
+    coefficient, or net_a's for net_a_weak) or on the tiled network."""
+    if name == "tiled":
+        g, dec = tiled
+        return g, design_fixed(g, dec, THETA)
+    g = bundled_graph(name)
+    delta = SWITCHING_DELTAS.get(name, SWITCHING_DELTAS["net_a"])
+    return g, design_fixed(g, bundled_decomposition(name), THETA, delta=delta)
+
+
+class TestClosedLoop:
+    @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak", "tiled"])
+    def test_operator_matches_dense_laplacians(self, name, tiled):
+        g, design = _designed(name, tiled)
+        grounded, augmented = design_laplacians(g, design)
+        loop = closed_loop(g, design)
+        # exact equality; toarray() turns a stored -0.0 into +0.0, so not tobytes()
+        assert np.array_equal(loop.laplacian.toarray(), grounded.matrix)
+        nd = g.n * g.d
+        forcing = -augmented.matrix[:nd, nd:] @ design.x0
+        assert np.allclose(loop.forcing, forcing, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("name, h, dense", [("net_a", 1e-2, True), ("tiled", 5e-2, False)])
+    def test_step_map_is_the_rk4_step(self, name, h, dense, tiled, rng):
+        g, design = _designed(name, tiled)
+        loop = closed_loop(g, design)
+        p, q = loop.step_map(h)
+        assert isinstance(p, np.ndarray) == dense
+        assert loop.step_map(h) is loop.step_map(h)
+        lap = design_laplacians(g, design)[0].matrix
+        for _ in range(3):
+            x = rng.uniform(-5.0, 5.0, g.n * g.d)
+            want = rk4_reference_step(lap, loop.forcing, x, h)
+            assert np.linalg.norm(p @ x + q - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_sparse_operator_with_dense_step_map(self, rng):
+        # a directed path: L is under a quarter full, P = R(-hL) is not
+        n = 10
+        g = SignedGraph.from_edges(
+            n, 2, True, {(v + 1, v): random_spd(rng, 2) for v in range(1, n)}
+        )
+        lap = csr_matrix(signed_laplacian(g).matrix + np.eye(2 * n))
+        loop = ClosedLoop(laplacian=lap, forcing=rng.normal(size=2 * n))
+        assert 4 * lap.nnz < (2 * n) ** 2
+        p, q = loop.rk4_map(0.1)
+        assert isinstance(p, np.ndarray)
+        x = rng.normal(size=2 * n)
+        want = rk4_reference_step(lap.toarray(), loop.forcing, x, 0.1)
+        assert np.linalg.norm(p @ x + q - want) <= 1e-13 * np.linalg.norm(want)

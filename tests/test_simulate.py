@@ -6,6 +6,7 @@ import pytest
 from ntconsensus import (
     Decomposition,
     SwitchingSchedule,
+    closed_loop,
     convergence_report,
     design_fixed,
     design_laplacians,
@@ -21,7 +22,7 @@ from ntconsensus.errors import (
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 
-from conftest import random_directed_valid
+from conftest import random_directed_valid, rk4_reference_step
 
 THETA = np.array([1.0, 2.0, -1.0])
 
@@ -44,11 +45,12 @@ def _switching_setup(net_a, net_b, net_c):
 
 
 class TestIntegrateFixed:
-    def test_equilibrium_start_stays_put(self, net_a, net_a_dec):
-        design = design_fixed(net_a, net_a_dec, THETA)
-        x0 = np.tile(THETA, 7)
-        traj = integrate_fixed(net_a, design, x0, h=1e-3, horizon=1.0)
-        assert float(np.max(np.abs(traj.states - x0))) < 1e-9
+    def test_equilibrium_start_stays_put(self, net_a, net_a_dec, tiled):
+        for g, dec in ((net_a, net_a_dec), tiled):
+            design = design_fixed(g, dec, THETA)
+            x0 = np.tile(THETA, g.n)
+            traj = integrate_fixed(g, design, x0, h=1e-3, horizon=1.0)
+            assert float(np.max(np.abs(traj.states - x0))) < 1e-9
 
     def test_equilibrium_drift_long_horizon(self, net_a, net_a_dec):
         design = design_fixed(net_a, net_a_dec, THETA)
@@ -66,21 +68,42 @@ class TestIntegrateFixed:
         )
         assert rel < 1e-6
 
-    def test_deterministic(self, net_a, net_a_dec, rng):
-        design = design_fixed(net_a, net_a_dec, THETA)
-        x0 = rng.uniform(-5, 5, 21)
-        a = integrate_fixed(net_a, design, x0, h=1e-3, horizon=0.5)
-        b = integrate_fixed(net_a, design, x0, h=1e-3, horizon=0.5)
-        assert np.array_equal(a.states, b.states)
+    def test_deterministic(self, net_a, net_a_dec, tiled, rng):
+        for g, dec in ((net_a, net_a_dec), tiled):
+            design = design_fixed(g, dec, THETA)
+            x0 = rng.uniform(-5, 5, g.n * g.d)
+            a = integrate_fixed(g, design, x0, h=1e-3, horizon=0.5)
+            b = integrate_fixed(g, design, x0, h=1e-3, horizon=0.5)
+            assert np.array_equal(a.states, b.states)
 
-    def test_affine_superposition(self, net_a, net_a_dec, rng):
-        design = design_fixed(net_a, net_a_dec, THETA)
-        u = rng.uniform(-5, 5, 21)
-        v = rng.uniform(-5, 5, 21)
-        a = 0.3
-        end = lambda x: integrate_fixed(net_a, design, x, h=1e-3, horizon=0.5).states[-1]
-        mixed = end(a * u + (1 - a) * v)
-        assert np.allclose(mixed, a * end(u) + (1 - a) * end(v), atol=1e-9)
+    def test_affine_superposition(self, net_a, net_a_dec, tiled, rng):
+        for g, dec in ((net_a, net_a_dec), tiled):
+            design = design_fixed(g, dec, THETA)
+            u = rng.uniform(-5, 5, g.n * g.d)
+            v = rng.uniform(-5, 5, g.n * g.d)
+            a = 0.3
+            end = lambda x: integrate_fixed(g, design, x, h=1e-3, horizon=0.5).states[-1]
+            mixed = end(a * u + (1 - a) * v)
+            assert np.allclose(mixed, a * end(u) + (1 - a) * end(v), atol=1e-9)
+
+    @pytest.mark.parametrize("horizon", [0.0105, 0.05])
+    def test_matches_stage_by_stage_rk4(self, net_a, net_a_dec, tiled, rng, horizon):
+        # 0.0105 = ten full steps and a shortened one that lands on T
+        h = 1e-3
+        for g, dec in ((net_a, net_a_dec), tiled):
+            design = design_fixed(g, dec, THETA)
+            loop = closed_loop(g, design)
+            lap = loop.laplacian.toarray()
+            x = rng.uniform(-5, 5, g.n * g.d)
+            traj = integrate_fixed(g, design, x, h=h, horizon=horizon)
+            steps = int(np.floor(horizon / h + 1e-9))
+            assert len(traj.times) == steps + 1 + (horizon > steps * h + 1e-12)
+            assert traj.times[-1] == pytest.approx(horizon, abs=1e-15)
+            for k in range(steps):
+                x = rk4_reference_step(lap, loop.forcing, x, h)
+                assert np.linalg.norm(traj.states[k + 1] - x) <= 1e-13 * np.linalg.norm(x)
+            x = rk4_reference_step(lap, loop.forcing, x, horizon - steps * h)
+            assert np.linalg.norm(traj.states[-1] - x) <= 1e-13 * np.linalg.norm(x)
 
     def test_exponential_decay_envelope(self, net_a, net_a_dec, rng):
         design = design_fixed(net_a, net_a_dec, THETA)
@@ -91,11 +114,35 @@ class TestIntegrateFixed:
         bound = traj.error_norm[0] * np.exp(-lam * traj.times)
         assert np.all(traj.error_norm <= bound * (1 + 1e-6))
 
-    def test_divergence_guard(self, net_a, net_a_dec):
+    def test_divergence_guard(self, net_a, net_a_dec, tiled):
         # a step far beyond the stability limit makes the scheme blow up
-        design = design_fixed(net_a, net_a_dec, THETA)
+        for g, dec in ((net_a, net_a_dec), tiled):
+            design = design_fixed(g, dec, THETA)
+            with pytest.raises(NonFiniteError):
+                integrate_fixed(g, design, 1e3 * np.ones(g.n * g.d), h=1.0, horizon=100.0)
+
+    def test_divergence_guard_catches_nan(self, net_a, net_a_dec):
+        from dataclasses import replace
+
+        broken = replace(design_fixed(net_a, net_a_dec, THETA), x0=np.full(3, np.nan))
         with pytest.raises(NonFiniteError):
-            integrate_fixed(net_a, design, 1e3 * np.ones(21), h=1.0, horizon=100.0)
+            integrate_fixed(net_a, broken, np.zeros(21), h=1e-3, horizon=0.1)
+
+    @pytest.mark.parametrize("h, horizon, bad", [
+        (np.nan, 1.0, None),
+        (1e-3, np.nan, None),
+        (1e-3, np.inf, None),
+        (np.inf, 1.0, None),
+        (1e-3, 1.0, np.nan),
+        (1e-3, 1.0, -np.inf),
+    ])
+    def test_non_finite_run_input_rejected(self, net_a, net_a_dec, h, horizon, bad):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        x0 = np.zeros(21)
+        if bad is not None:
+            x0[4] = bad
+        with pytest.raises(NonFiniteError):
+            integrate_fixed(net_a, design, x0, h=h, horizon=horizon)
 
     def test_bad_step_rejected(self, net_a, net_a_dec):
         design = design_fixed(net_a, net_a_dec, THETA)
@@ -150,12 +197,35 @@ class TestIntegrateSwitching:
 
     def test_switch_times_sampled_exactly(self, net_a, net_b, net_c, rng):
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
-        traj = integrate_switching(
-            schedule, sdesign, graphs, rng.uniform(-5, 5, 21), h=3e-3, horizon=0.3
-        )
+        x = rng.uniform(-5, 5, 21)
+        traj = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=0.3)
         for k in range(1, 15):
             tk = 0.02 * k
             assert np.min(np.abs(traj.times - tk)) < 1e-12
+        # each 0.02 interval is six 3e-3 steps and a shortened 2e-3 one
+        loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+        for k, gid in enumerate((0, 0, 1, 2, 2)):
+            lap, forcing = loops[gid].laplacian.toarray(), loops[gid].forcing
+            for step in (3e-3,) * 6 + (0.02 - 6 * 3e-3,):
+                x = rk4_reference_step(lap, forcing, x, step)
+            at = 7 * (k + 1)
+            assert traj.times[at] == pytest.approx(0.02 * (k + 1), abs=1e-12)
+            assert np.linalg.norm(traj.states[at] - x) <= 1e-13 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("h, horizon, bad, error", [
+        (np.nan, 1.0, None, NonFiniteError),
+        (1e-3, np.inf, None, NonFiniteError),
+        (1e-3, 1.0, np.nan, NonFiniteError),
+        (0.0, 1.0, None, DimensionMismatchError),
+        (-1e-3, 1.0, None, DimensionMismatchError),
+    ])
+    def test_invalid_run_input_rejected(self, net_a, net_b, net_c, h, horizon, bad, error):
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        x0 = np.zeros(21)
+        if bad is not None:
+            x0[0] = bad
+        with pytest.raises(error):
+            integrate_switching(schedule, sdesign, graphs, x0, h=h, horizon=horizon)
 
     def test_large_step_rejected(self, net_a, net_b, net_c, rng):
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)

@@ -9,6 +9,7 @@ from ntconsensus import (
     Basis,
     SignedGraph,
     augmented_laplacian,
+    bundled_graph,
     classify_weight,
     consensus_space,
     eigenvalues_sorted,
@@ -28,7 +29,12 @@ from ntconsensus.errors import (
     NotNonnegativeWeightsError,
 )
 
-from conftest import random_all_psd_graph, random_undirected_valid
+from conftest import (
+    random_all_psd_graph,
+    random_directed_valid,
+    random_undirected_valid,
+    tiled_graph,
+)
 
 
 def _blocks_of(values):
@@ -60,6 +66,34 @@ class TestSignedLaplacian:
         lap = signed_laplacian(g).matrix
         v = rng.normal(size=3)
         assert np.allclose(lap @ np.tile(v, 5), 0.0, atol=1e-10)
+
+
+def _edge_loop_laplacian(g):
+    """Reference assembly, one edge at a time in edge order."""
+    m = np.zeros((g.n * g.d, g.n * g.d))
+    for (i, j), w in g.weights.items():
+        bi, bj = slice((i - 1) * g.d, i * g.d), slice((j - 1) * g.d, j * g.d)
+        m[bi, bj] = -w.entries
+        m[bi, bi] += w.magnitude
+    return m
+
+
+class TestLaplacianBlocks:
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_all_psd_graph(rng, 6, 3),
+        lambda rng: random_directed_valid(rng, 9, 2)[0],
+        lambda rng: random_undirected_valid(rng, 7, 3)[0],
+        lambda rng: tiled_graph(rng, 6)[0],
+    ])
+    def test_matches_edge_loop_bit_for_bit(self, make, rng):
+        for _ in range(5):
+            g = make(rng)
+            assert signed_laplacian(g).matrix.tobytes() == _edge_loop_laplacian(g).tobytes()
+
+    @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak"])
+    def test_bundled_match_edge_loop_bit_for_bit(self, name):
+        g = bundled_graph(name)
+        assert signed_laplacian(g).matrix.tobytes() == _edge_loop_laplacian(g).tobytes()
 
 
 class TestGroundedLaplacian:
