@@ -77,6 +77,7 @@ from .spectral import (
     min_real_part,
     null_space,
     principal_angle,
+    signal_blocks,
     signed_laplacian,
 )
 

@@ -44,7 +44,7 @@ from .spectral import (
     laplacian_blocks,
     null_space,
     principal_angle,
-    signed_laplacian,
+    signal_blocks,
 )
 
 if TYPE_CHECKING:
@@ -211,7 +211,7 @@ def design_fixed(
 def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian, Laplacian]:
     """Grounded and signal-augmented Laplacians realized by a design."""
     deltas = design.deltas()
-    grounded = grounded_laplacian(signed_laplacian(g), deltas, design.blocks)
+    grounded = grounded_laplacian(g, deltas, design.blocks)
     return grounded, augmented_laplacian(grounded, deltas, design.blocks)
 
 
@@ -240,15 +240,14 @@ class ClosedLoop:
 
         On an affine field the step is exactly this map: with A = -h L_B,
         P = R(A) = I + A S(A) and q = h S(A) f, where
-        S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule.  P is
-        kept dense when more than a quarter of its entries are nonzero, and
-        in CSR form otherwise."""
+        S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule.  The
+        storage follows L_B: when more than a quarter of its entries are
+        nonzero the map is built and kept dense (P's pattern holds L_B's, so P
+        is at least as full), otherwise in CSR form."""
         import scipy.sparse
 
         lap = self.laplacian
         nd = lap.shape[0]
-        # P's pattern holds L_B's, so a quarter-full L_B gives a dense P:
-        # there the dense arithmetic is the cheaper one
         if 4 * lap.nnz > nd * nd:
             lap, eye = lap.toarray(), np.eye(nd)
         else:
@@ -258,15 +257,12 @@ class ClosedLoop:
         s = eye + (a @ s) / 3.0
         s = eye + (a @ s) / 2.0
         p = eye + a @ s
-        if scipy.sparse.issparse(p) and 4 * p.nnz > nd * nd:
-            p = p.toarray()
         return p, h * (s @ self.forcing)
 
 
 def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
     """Assemble the design's closed loop on g once: L_B from the block
-    triplets of ``laplacian_blocks`` and the forcing from the grounding
-    blocks."""
+    triplets of ``laplacian_blocks`` and the forcing from ``signal_blocks``."""
     # imported here: scipy.sparse would add ~25 ms to importing the package
     from scipy.sparse import csr_matrix
 
@@ -279,10 +275,10 @@ def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
     order = np.argsort(r * nd + c)
     indptr = np.searchsorted(r[order], np.arange(nd + 1))
     lap = csr_matrix((data.ravel()[order], c[order], indptr), shape=(nd, nd))
-    forcing = np.zeros(nd)
-    for i, delta in deltas.items():
-        forcing[(i - 1) * d:i * d] = (delta * design.blocks[i].entries) @ design.x0
-    return ClosedLoop(laplacian=lap, forcing=forcing)
+    forcing = np.zeros((g.n, d))
+    rows, data = signal_blocks(g.n, d, deltas, design.blocks)
+    forcing[rows] = -(data @ design.x0)
+    return ClosedLoop(laplacian=lap, forcing=forcing.reshape(nd))
 
 
 @dataclass(frozen=True)
@@ -365,7 +361,7 @@ def contraction_factor(
     part of graph i's grounded Laplacian."""
     lmins: Dict[int, float] = {}
     for gid, design in sorted(sdesign.designs.items()):
-        lap = closed_loop(graphs[gid], design).laplacian.toarray()
+        lap = grounded_laplacian(graphs[gid], design.deltas(), design.blocks).matrix
         sym = (lap + lap.T) / 2.0
         lmins[gid] = float(np.min(np.linalg.eigvalsh(sym)))
     bad = [gid for gid, l in lmins.items() if l <= 0]

@@ -93,30 +93,48 @@ def laplacian_blocks(
     )
 
 
+def _dense(
+    g: SignedGraph,
+    deltas: Mapping[int, float],
+    blocks: Mapping[int, MatrixWeight],
+    kind: LaplacianKind,
+) -> Laplacian:
+    """The dense matrix of the ``laplacian_blocks`` triplets."""
+    rows, cols, data = laplacian_blocks(g, deltas, blocks)
+    m = np.zeros((g.n, g.d, g.n, g.d))
+    m[rows, :, cols, :] = data
+    return Laplacian(matrix=m.reshape(g.n * g.d, g.n * g.d), kind=kind, n=g.n, d=g.d)
+
+
 def signed_laplacian(g: SignedGraph) -> Laplacian:
     """Diagonal block i is the sum of |A_ik| over in-neighbors; off-diagonal
     block (i, j) is -A_ij."""
-    rows, cols, data = laplacian_blocks(g, {}, {})
-    m = np.zeros((g.n, g.d, g.n, g.d))
-    m[rows, :, cols, :] = data
-    return Laplacian(
-        matrix=m.reshape(g.n * g.d, g.n * g.d), kind=LaplacianKind.SIGNED, n=g.n, d=g.d
-    )
+    return _dense(g, {}, {}, LaplacianKind.SIGNED)
 
 
 def grounded_laplacian(
-    lap: Laplacian,
+    g: SignedGraph,
     deltas: Mapping[int, float],
     blocks: Mapping[int, MatrixWeight],
 ) -> Laplacian:
-    """Add the block-diagonal grounding delta_i * |B_i|."""
-    want = LaplacianKind.SIGNED
-    if lap.kind is not want:
-        raise DimensionMismatchError(f"need a {want.value} Laplacian, got {lap.kind.value}")
-    m = lap.matrix.copy()
-    for i, (delta, b) in _grounding_terms(lap.n, lap.d, deltas, blocks).items():
-        m[_block(i, lap.d), _block(i, lap.d)] += delta * b.magnitude
-    return Laplacian(matrix=m, kind=LaplacianKind.GROUNDED, n=lap.n, d=lap.d)
+    """The signed Laplacian of g plus the block-diagonal grounding
+    delta_i * |B_i|."""
+    return _dense(g, deltas, blocks, LaplacianKind.GROUNDED)
+
+
+def signal_blocks(
+    n: int,
+    d: int,
+    deltas: Mapping[int, float],
+    blocks: Mapping[int, MatrixWeight],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Block column of the external signal: 0-based block rows and the
+    (k, d, d) blocks -delta_i * B_i, with the signed block (not its
+    magnitude).  The closed loop's forcing is minus this column times x0."""
+    terms = _grounding_terms(n, d, deltas, blocks)
+    rows = np.array(list(terms), dtype=np.intp) - 1
+    data = np.array([-delta * b.entries for delta, b in terms.values()]).reshape(-1, d, d)
+    return rows, data
 
 
 def augmented_laplacian(
@@ -124,8 +142,8 @@ def augmented_laplacian(
     deltas: Mapping[int, float],
     blocks: Mapping[int, MatrixWeight],
 ) -> Laplacian:
-    """Adjoin the external-signal block: top-right carries -delta_i * B_i with
-    the signed block (not its magnitude); the bottom block row is zero."""
+    """Adjoin the external-signal block column of ``signal_blocks``; the
+    bottom block row is zero."""
     if grounded.kind is not LaplacianKind.GROUNDED:
         raise DimensionMismatchError(
             f"need a grounded Laplacian, got {grounded.kind.value}"
@@ -133,8 +151,8 @@ def augmented_laplacian(
     n, d = grounded.n, grounded.d
     m = np.zeros(((n + 1) * d, (n + 1) * d))
     m[: n * d, : n * d] = grounded.matrix
-    for i, (delta, b) in _grounding_terms(n, d, deltas, blocks).items():
-        m[_block(i, d), n * d:] = -delta * b.entries
+    rows, data = signal_blocks(n, d, deltas, blocks)
+    m.reshape(n + 1, d, n + 1, d)[rows, :, n, :] = data
     return Laplacian(matrix=m, kind=LaplacianKind.AUGMENTED, n=n, d=d)
 
 
@@ -168,7 +186,7 @@ def expand_system(
         if b is not None:
             exp_blocks[i] = b
             exp_blocks[i + g.n] = classify_weight(-b.entries)
-    return expanded, grounded_laplacian(signed_laplacian(expanded), exp_deltas, exp_blocks)
+    return expanded, grounded_laplacian(expanded, exp_deltas, exp_blocks)
 
 
 def eigenvalues_sorted(m: np.ndarray) -> np.ndarray:
@@ -278,7 +296,7 @@ def quadratic_form_gap(
             raise NotNonnegativeWeightsError(
                 f"edge ({j}->{i}) has negative class {w.definiteness.value}"
             )
-    lap = grounded_laplacian(signed_laplacian(g), deltas, blocks)
+    lap = grounded_laplacian(g, deltas, blocks)
     x = np.asarray(x, dtype=float).reshape(g.n * g.d)
     phi = float(x @ lap.matrix @ x)
     gaps = in_out_gaps(g)  # every weight is nonnegative, so magnitudes are the weights

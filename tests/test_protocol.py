@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 from ntconsensus import (
     ClosedLoop,
@@ -327,8 +327,9 @@ class TestClosedLoop:
             want = rk4_reference_step(lap, loop.forcing, x, h)
             assert np.linalg.norm(p @ x + q - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_sparse_operator_with_dense_step_map(self, rng):
-        # a directed path: L is under a quarter full, P = R(-hL) is not
+    def test_sparse_operator_keeps_a_sparse_step_map(self, rng):
+        # a directed path: L is under a quarter full, P = R(-hL) is not;
+        # the storage follows L
         n = 10
         g = SignedGraph.from_edges(
             n, 2, True, {(v + 1, v): random_spd(rng, 2) for v in range(1, n)}
@@ -337,7 +338,7 @@ class TestClosedLoop:
         loop = ClosedLoop(laplacian=lap, forcing=rng.normal(size=2 * n))
         assert 4 * lap.nnz < (2 * n) ** 2
         p, q = loop.rk4_map(0.1)
-        assert isinstance(p, np.ndarray)
+        assert issparse(p) and 4 * p.nnz > (2 * n) ** 2
         x = rng.normal(size=2 * n)
         want = rk4_reference_step(lap.toarray(), loop.forcing, x, 0.1)
         assert np.linalg.norm(p @ x + q - want) <= 1e-13 * np.linalg.norm(want)

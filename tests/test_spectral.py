@@ -99,32 +99,30 @@ class TestLaplacianBlocks:
 class TestGroundedLaplacian:
     def test_zero_deltas_is_identity(self, net_a):
         lap = signed_laplacian(net_a)
-        grounded = grounded_laplacian(lap, {}, {})
+        grounded = grounded_laplacian(net_a, {}, {})
         assert np.allclose(grounded.matrix, lap.matrix)
 
     def test_single_node_grounding(self):
         g = SignedGraph.from_edges(1, 3, True, {})
-        grounded = grounded_laplacian(
-            signed_laplacian(g), {1: 2.0}, _blocks_of({1: np.eye(3)})
-        )
+        grounded = grounded_laplacian(g, {1: 2.0}, _blocks_of({1: np.eye(3)}))
         assert np.allclose(grounded.matrix, 2 * np.eye(3))
 
     def test_missing_block_rejected(self, net_a):
         with pytest.raises(DimensionMismatchError):
-            grounded_laplacian(signed_laplacian(net_a), {1: 1.0}, {})
+            grounded_laplacian(net_a, {1: 1.0}, {})
 
 
 class TestAugmentedLaplacian:
     def test_bottom_rows_zero(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
         blocks = _blocks_of({1: np.eye(2)})
-        grounded = grounded_laplacian(signed_laplacian(g), {1: 1.0}, blocks)
+        grounded = grounded_laplacian(g, {1: 1.0}, blocks)
         aug = augmented_laplacian(grounded, {1: 1.0}, blocks)
         assert np.allclose(aug.matrix[-2:, :], 0.0)
 
     def test_zero_delta_block_form(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
-        grounded = grounded_laplacian(signed_laplacian(g), {}, {})
+        grounded = grounded_laplacian(g, {}, {})
         aug = augmented_laplacian(grounded, {}, {})
         assert np.allclose(aug.matrix[:4, 4:], 0.0)
         assert np.allclose(aug.matrix[:4, :4], grounded.matrix)
@@ -153,7 +151,7 @@ class TestExpandSystem:
         """The lifted spectrum contains the original grounded spectrum."""
         blocks = _blocks_of({1: np.eye(3), 2: np.eye(3)})
         deltas = {1: 2.0, 2: 3.0}
-        grounded = grounded_laplacian(signed_laplacian(net_a), deltas, blocks)
+        grounded = grounded_laplacian(net_a, deltas, blocks)
         _, lifted = expand_system(net_a, deltas, blocks)
         small = eigenvalues_sorted(grounded.matrix)
         big = eigenvalues_sorted(lifted.matrix)
