@@ -77,14 +77,13 @@ def load_schedule(path: PathLike) -> SwitchingSchedule:
         dt = data.get("dt", alpha)
         if isinstance(dt, (int, float)):
             return SwitchingSchedule.uniform(float(dt), pattern, alpha=alpha, repeat=repeat)
-        dts = [float(x) for x in dt]
-        if len(dts) != len(pattern):
+        lengths = tuple(float(x) for x in dt)
+        if len(lengths) != len(pattern):
             raise FileFormatError("dt list must match the pattern length")
-        times = tuple(float(t) for t in np.concatenate([[0.0], np.cumsum(dts[:-1])]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed schedule file {path}: {exc}") from exc
     return SwitchingSchedule(
-        switch_times=times, graph_ids=tuple(pattern), alpha=alpha, repeat=repeat
+        lengths=lengths, graph_ids=tuple(pattern), alpha=alpha, repeat=repeat
     )
 
 

@@ -217,6 +217,9 @@ def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian
 
 StepMap = Tuple["np.ndarray | csr_matrix", np.ndarray]  # (P, q)
 
+# byte budget of one stack of step-map powers (see ClosedLoop.step_block)
+STACK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class ClosedLoop:
@@ -228,12 +231,38 @@ class ClosedLoop:
     _maps: Dict[float, StepMap] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _blocks: Dict[Tuple[float, int], StepMap] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def step_map(self, h: float) -> StepMap:
         """``rk4_map(h)``, built once per step length and kept on this value."""
         if h not in self._maps:
             self._maps[h] = self.rk4_map(h)
         return self._maps[h]
+
+    def step_block(self, h: float, steps: int) -> StepMap:
+        """(S, o) such that m steps of length h from x land on the rows of
+        ``(S @ x).reshape(m, nd) + o``: S stacks [P; P^2; ...; P^m] and o
+        holds [q; Pq + q; ...].  m = min(steps, STACK_BYTES // (nd^2 * 8)),
+        and m = 1 when P is CSR (its powers fill in) or too large for the
+        budget; the first r < m rows of both serve r steps.  Built once per
+        (h, m) and kept on this value.  An unstable P may overflow in its
+        powers; those rows come out inf or NaN and fail the caller's guard."""
+        p, q = self.step_map(h)
+        m = max(1, min(steps, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
+        if (h, m) not in self._blocks:
+            if m == 1:
+                self._blocks[(h, m)] = (p, q[None, :])
+            else:
+                nd = q.shape[0]
+                stack, offsets = np.empty((m, nd, nd)), np.empty((m, nd))
+                stack[0], offsets[0] = p, q
+                for k in range(1, m):
+                    np.matmul(p, stack[k - 1], out=stack[k])
+                    offsets[k] = p @ offsets[k - 1] + q
+                self._blocks[(h, m)] = (stack.reshape(m * nd, nd), offsets)
+        return self._blocks[(h, m)]
 
     def rk4_map(self, h: float) -> StepMap:
         """(P, q) such that the classic RK4 step of length h is x <- P x + q.

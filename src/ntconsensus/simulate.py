@@ -2,8 +2,13 @@
 
 The closed loop is affine, xdot = -L_B x + Delta_B x0, so a classic RK4 step
 of constant length h is one affine map x <- P x + q (see
-``ClosedLoop.rk4_map``); each step is one matrix-vector product.  Switch
-times are landed on exactly with a shortened final step per interval.
+``ClosedLoop.rk4_map``), and m steps are x_k = P^k x + o_k.  A span of full
+steps is taken in blocks: one product of the stacked powers [P; ...; P^m]
+with the state gives all m samples of a block (``ClosedLoop.step_block``).
+m is capped so that one stack fits in ``protocol.STACK_BYTES``; a CSR step
+map (its powers fill in) or one too large for the budget steps one sample
+per product.  Samples sit at t0 + k h, and each span ends with a shortened
+step that lands on its end exactly (a switch time or T).
 """
 
 from __future__ import annotations
@@ -56,39 +61,52 @@ def _rk4_span(
     loop: ClosedLoop,
     x: np.ndarray,
     t0: float,
-    span: float,
+    t1: float,
     h: float,
-    times: List[float],
+    times: List[np.ndarray],
     states: List[np.ndarray],
 ) -> np.ndarray:
-    """March x over [t0, t0 + span], appending each landed sample; the last
-    step is shortened to land on the right endpoint exactly, with a map of
-    its own that is not kept on the loop."""
-    n_full = int(np.floor(span / h + 1e-9))
-    remainder = span - n_full * h
-    runs = [(h, n_full, loop.step_map(h))]
+    """March x over [t0, t1], appending the landed samples block by block.
+
+    Full steps go in blocks of ``loop.step_block`` rows, one product per
+    block, at times t0 + j h; the last step is shortened to land on t1
+    exactly, with a map of its own that is not kept on the loop.  A block
+    is checked as a whole and the first sample in it that fails names the
+    time."""
+    n_full = int(np.floor((t1 - t0) / h + 1e-9))
+    remainder = (t1 - t0) - n_full * h
+    runs = [(n_full, loop.step_block(h, n_full))] if n_full else []
     if remainder > 1e-12:
-        runs.append((remainder, 1, loop.rk4_map(remainder)))
-    t = t0
-    for step, count, (p, q) in runs:
-        for _ in range(count):
-            x = p @ x + q
-            t += step
+        p, q = loop.rk4_map(remainder)
+        runs.append((1, (p, q[None, :])))
+    span_times = t0 + h * np.arange(1, sum(steps for steps, _ in runs) + 1)
+    span_times[-1:] = t1
+    times.append(span_times)
+    done = 0
+    for steps, (stack, offsets) in runs:
+        m, nd = offsets.shape
+        for j in range(0, steps, m):
+            r = min(m, steps - j)
+            s, o = (stack, offsets) if r == m else (stack[: r * nd], offsets[:r])
+            block = (s @ x).reshape(r, nd) + o
             # written so that a NaN state fails the test too
-            if not np.abs(x).max() <= DIVERGENCE_GUARD:
+            ok = np.abs(block).max(axis=1) <= DIVERGENCE_GUARD
+            if not ok.all():
                 raise NonFiniteError(
-                    f"state exceeded {DIVERGENCE_GUARD:g} or became NaN at t={t:.6g}"
+                    f"state exceeded {DIVERGENCE_GUARD:g} or became NaN"
+                    f" at t={span_times[done + np.argmin(ok)]:.6g}"
                 )
-            times.append(t)
-            states.append(x)
+            states.append(block)
+            x = block[-1]
+            done += r
     return x
 
 
 def _as_trajectory(
-    times: List[float], states: List[np.ndarray], g: SignedGraph, theta: np.ndarray
+    times: List[np.ndarray], states: List[np.ndarray], g: SignedGraph, theta: np.ndarray
 ) -> Trajectory:
-    t = np.array(times)
-    s = np.vstack(states)
+    t = np.concatenate(times)
+    s = np.concatenate(states)
     target = np.tile(theta, g.n)
     err = np.linalg.norm(s - target, axis=1)
     return Trajectory(times=t, states=s, error_norm=err, n=g.n, d=g.d, theta=theta)
@@ -105,74 +123,79 @@ def integrate_fixed(
     x = _initial_state(x_init, g.n * g.d, h, horizon)
     if horizon < h:
         raise DimensionMismatchError(f"need 0 < h <= T, got h={h}, T={horizon}")
-    times: List[float] = [0.0]
-    states: List[np.ndarray] = [x]
-    _rk4_span(closed_loop(g, design), x, 0.0, horizon, h, times, states)
+    times: List[np.ndarray] = [np.zeros(1)]
+    states: List[np.ndarray] = [x[None, :]]
+    # an unstable map overflows inside a block; the guard reports it instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        _rk4_span(closed_loop(g, design), x, 0.0, horizon, h, times, states)
     return _as_trajectory(times, states, g, design.theta)
 
 
 @dataclass(frozen=True)
 class SwitchingSchedule:
-    """Piecewise-constant graph assignment: graph_ids[k] is active on
-    [switch_times[k], switch_times[k+1]).  With ``repeat`` the listed pattern
-    cycles forever."""
+    """Piecewise-constant graph assignment: from t = 0 the intervals follow
+    one another, graph_ids[k] active for lengths[k].  With ``repeat`` the
+    listed pattern cycles forever, with the sum of the lengths as period."""
 
-    switch_times: Tuple[float, ...]   # t_0 = 0, strictly increasing
+    lengths: Tuple[float, ...]        # one per interval, each at least alpha
     graph_ids: Tuple[int, ...]        # one per interval
     alpha: float
     repeat: bool = False
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and np.all(np.isfinite(self.switch_times))):
-            raise NonFiniteError("dwell time and switch times must be finite")
+        if not (math.isfinite(self.alpha) and np.all(np.isfinite(self.lengths))):
+            raise NonFiniteError("dwell time and interval lengths must be finite")
         if self.alpha <= 0:
             raise DimensionMismatchError(f"dwell time must be positive, got {self.alpha}")
-        if not self.switch_times or self.switch_times[0] != 0.0:
-            raise DimensionMismatchError("switch times must start at 0")
-        if len(self.graph_ids) != len(self.switch_times):
+        if not self.lengths:
+            raise DimensionMismatchError("a schedule needs at least one interval")
+        if len(self.graph_ids) != len(self.lengths):
             raise DimensionMismatchError("need one graph id per interval")
-        dts = np.diff(self.switch_times)
-        if np.any(dts < self.alpha - 1e-12):
+        if min(self.lengths) < self.alpha - 1e-12:
             raise DimensionMismatchError("an interval is shorter than the dwell time")
 
     @staticmethod
     def uniform(
         dt: float, graph_ids: Sequence[int], alpha: Optional[float] = None, repeat: bool = False
     ) -> "SwitchingSchedule":
-        times = tuple(k * dt for k in range(len(graph_ids)))
         return SwitchingSchedule(
-            switch_times=times,
+            lengths=(dt,) * len(graph_ids),
             graph_ids=tuple(graph_ids),
             alpha=dt if alpha is None else alpha,
             repeat=repeat,
         )
 
+    def _edges(self) -> Tuple[float, ...]:
+        """0, the switch times within one pass, and the period."""
+        return (0.0,) + tuple(np.cumsum(self.lengths).tolist())
+
+    @property
+    def switch_times(self) -> Tuple[float, ...]:
+        return self._edges()[:-1]
+
     @property
     def period(self) -> float:
-        dts = list(np.diff(self.switch_times))
-        last = dts[-1] if dts else self.alpha
-        return self.switch_times[-1] + last
+        return self._edges()[-1]
 
     def intervals(self, horizon: float) -> Iterator[Tuple[float, float, int]]:
         """Yield (start, end, graph_id) covering [0, horizon]."""
-        k = len(self.switch_times)
-        dts = list(np.diff(self.switch_times))
-        dts.append(self.period - self.switch_times[-1])
+        edges = self._edges()
+        period = edges[-1]
         offset = 0.0
         while True:
-            for idx in range(k):
-                start = offset + self.switch_times[idx]
-                end = start + dts[idx]
+            for idx, gid in enumerate(self.graph_ids):
+                start = offset + edges[idx]
+                end = offset + edges[idx + 1]
                 if start >= horizon:
                     return
-                yield start, min(end, horizon), self.graph_ids[idx]
+                yield start, min(end, horizon), gid
                 if end >= horizon:
                     return
             if not self.repeat:
                 raise ScheduleExhaustedError(
-                    f"schedule ends at t={self.period:g} < T={horizon:g} and does not repeat"
+                    f"schedule ends at t={period:g} < T={horizon:g} and does not repeat"
                 )
-            offset += self.period
+            offset += period
 
 
 def integrate_switching(
@@ -192,12 +215,13 @@ def integrate_switching(
         )
     loops = {gid: closed_loop(graphs[gid], design) for gid, design in sdesign.designs.items()}
     theta = next(iter(sdesign.designs.values())).theta
-    times: List[float] = [0.0]
-    states: List[np.ndarray] = [x]
-    for start, end, gid in schedule.intervals(horizon):
-        if gid not in loops:
-            raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")
-        x = _rk4_span(loops[gid], x, start, end - start, h, times, states)
+    times: List[np.ndarray] = [np.zeros(1)]
+    states: List[np.ndarray] = [x[None, :]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, end, gid in schedule.intervals(horizon):
+            if gid not in loops:
+                raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")
+            x = _rk4_span(loops[gid], x, start, end, h, times, states)
     return _as_trajectory(times, states, first, theta)
 
 

@@ -140,6 +140,23 @@ class TestSimulate:
         data = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
         assert data[-1, -1] < 0.05 * data[0, -1]
 
+    def test_short_last_interval_exit_1(self, capsys, tmp_path):
+        schedule = tmp_path / "s.json"
+        schedule.write_text(json.dumps({
+            "alpha": 0.02, "pattern": [0, 1, 2], "dt": [0.02, 0.04, 0.002], "repeat": True,
+        }))
+        rc = main([
+            "simulate",
+            "--graphs", _p("net_a.json"), _p("net_b.json"), _p("net_c.json"),
+            "--v1", "1,2,3,4;2,3;1,2,3",
+            "--theta", "1,2,-1",
+            "--delta", "7.0495", "--delta", "7.2440", "--delta", "3.1",
+            "--schedule", str(schedule),
+            "--T", "0.2", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "DimensionMismatchError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--h", "nan"), ("--T", "inf")])
     def test_non_finite_step_or_horizon_exit_1(self, capsys, flag, value):
         rc = main([

@@ -17,7 +17,7 @@ from ntconsensus import (
     save_graph,
     write_trajectory_csv,
 )
-from ntconsensus.errors import NonFiniteError
+from ntconsensus.errors import DimensionMismatchError, NonFiniteError
 from ntconsensus.networks import BUNDLED_V1
 from ntconsensus import Decomposition
 
@@ -102,6 +102,25 @@ class TestScheduleLoading:
         }))
         s = load_schedule(p)
         assert s.switch_times == (0.0, 0.1, pytest.approx(0.3))
+
+    def test_dt_list_keeps_the_last_interval(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({
+            "alpha": 0.1, "pattern": [0, 1, 2], "dt": [0.1, 0.2, 0.3], "repeat": True,
+        }))
+        s = load_schedule(p)
+        assert s.period == pytest.approx(0.6)
+        spans = [(round(a, 10), round(b, 10), gid) for a, b, gid in s.intervals(1.0)]
+        assert spans == [
+            (0.0, 0.1, 0), (0.1, 0.3, 1), (0.3, 0.6, 2),
+            (0.6, 0.7, 0), (0.7, 0.9, 1), (0.9, 1.0, 2),
+        ]
+
+    def test_short_last_interval_rejected(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"alpha": 0.1, "pattern": [0, 1, 2], "dt": [0.1, 0.2, 0.01]}))
+        with pytest.raises(DimensionMismatchError):
+            load_schedule(p)
 
     def test_fractional_pattern_entry_rejected(self, tmp_path):
         p = tmp_path / "s.json"

@@ -30,6 +30,7 @@ from ntconsensus.errors import (
     ZeroThetaError,
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
+from ntconsensus.protocol import STACK_BYTES
 
 from conftest import (
     random_directed_valid,
@@ -326,6 +327,31 @@ class TestClosedLoop:
             x = rng.uniform(-5.0, 5.0, g.n * g.d)
             want = rk4_reference_step(lap, loop.forcing, x, h)
             assert np.linalg.norm(p @ x + q - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name, h", [("net_a", 1e-2), ("tiled", 5e-2)])
+    def test_step_block_stacks_powers(self, name, h, tiled):
+        g, design = _designed(name, tiled)
+        loop = closed_loop(g, design)
+        p, q = loop.step_map(h)
+        nd = g.n * g.d
+        # a dense P is stacked up to the byte budget; a CSR P is not stacked
+        cap = STACK_BYTES // (nd * nd * 8) if isinstance(p, np.ndarray) else 1
+        assert name == "tiled" or 5 < cap < 1000
+        for steps in (5, 1000):
+            stack, offsets = loop.step_block(h, steps)
+            m = min(steps, cap)
+            assert offsets.shape == (m, nd) and stack.shape == (m * nd, nd)
+            power, offset = np.eye(nd), np.zeros(nd)
+            for k in range(m):
+                power, offset = p @ power, p @ offset + q
+                row = stack[k * nd : (k + 1) * nd]
+                assert np.linalg.norm(row - power) <= 1e-13 * np.linalg.norm(power)
+                assert np.linalg.norm(offsets[k] - offset) <= 1e-13 * np.linalg.norm(offset)
+        # built once per (h, m): 1000 and 2000 steps share the capped stack
+        assert loop.step_block(h, 5) is loop.step_block(h, 5)
+        assert loop.step_block(h, 1000) is loop.step_block(h, 2000)
+        if name == "tiled":
+            assert loop.step_block(h, 1000)[0] is p
 
     def test_sparse_operator_keeps_a_sparse_step_map(self, rng):
         # a directed path: L is under a quarter full, P = R(-hL) is not;

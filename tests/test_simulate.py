@@ -1,5 +1,7 @@
 """Fixed-step integration, switching schedules, and convergence judging."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,15 @@ from ntconsensus.errors import (
     ScheduleExhaustedError,
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
+from ntconsensus.protocol import STACK_BYTES
+from ntconsensus.simulate import DIVERGENCE_GUARD
 
 from conftest import random_directed_valid, rk4_reference_step
 
 THETA = np.array([1.0, 2.0, -1.0])
+# two full blocks of net_a's stacked step map at h = 1e-3, ten more steps and
+# a shortened one
+BLOCKS_AND_A_SHORT_STEP = (2 * (STACK_BYTES // (21 * 21 * 8)) + 10.5) * 1e-3
 
 
 def _switching_setup(net_a, net_b, net_c):
@@ -86,7 +93,7 @@ class TestIntegrateFixed:
             mixed = end(a * u + (1 - a) * v)
             assert np.allclose(mixed, a * end(u) + (1 - a) * end(v), atol=1e-9)
 
-    @pytest.mark.parametrize("horizon", [0.0105, 0.05])
+    @pytest.mark.parametrize("horizon", [0.0105, 0.05, BLOCKS_AND_A_SHORT_STEP])
     def test_matches_stage_by_stage_rk4(self, net_a, net_a_dec, tiled, rng, horizon):
         # 0.0105 = ten full steps and a shortened one that lands on T
         h = 1e-3
@@ -97,8 +104,11 @@ class TestIntegrateFixed:
             x = rng.uniform(-5, 5, g.n * g.d)
             traj = integrate_fixed(g, design, x, h=h, horizon=horizon)
             steps = int(np.floor(horizon / h + 1e-9))
+            if horizon == BLOCKS_AND_A_SHORT_STEP and g is net_a:
+                assert len(loop.step_block(h, steps)[1]) < steps
             assert len(traj.times) == steps + 1 + (horizon > steps * h + 1e-12)
-            assert traj.times[-1] == pytest.approx(horizon, abs=1e-15)
+            assert traj.times[-1] == horizon
+            assert np.array_equal(traj.times[: steps + 1], h * np.arange(steps + 1))
             for k in range(steps):
                 x = rk4_reference_step(lap, loop.forcing, x, h)
                 assert np.linalg.norm(traj.states[k + 1] - x) <= 1e-13 * np.linalg.norm(x)
@@ -115,11 +125,23 @@ class TestIntegrateFixed:
         assert np.all(traj.error_norm <= bound * (1 + 1e-6))
 
     def test_divergence_guard(self, net_a, net_a_dec, tiled):
-        # a step far beyond the stability limit makes the scheme blow up
+        # a step far beyond the stability limit makes the scheme blow up; the
+        # powers of the step map overflow inside a block, and only the guard
+        # may report it, at the first time a stage-by-stage run fails
+        h = 1.0
         for g, dec in ((net_a, net_a_dec), tiled):
             design = design_fixed(g, dec, THETA)
-            with pytest.raises(NonFiniteError):
-                integrate_fixed(g, design, 1e3 * np.ones(g.n * g.d), h=1.0, horizon=100.0)
+            loop = closed_loop(g, design)
+            lap = loop.laplacian.toarray()
+            x = 1e3 * np.ones(g.n * g.d)
+            k = 0
+            while np.abs(x).max() <= DIVERGENCE_GUARD:
+                x = rk4_reference_step(lap, loop.forcing, x, h)
+                k += 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError, match=rf"at t={k * h:.6g}$"):
+                    integrate_fixed(g, design, 1e3 * np.ones(g.n * g.d), h=h, horizon=100.0)
 
     def test_divergence_guard_catches_nan(self, net_a, net_a_dec):
         from dataclasses import replace
@@ -176,7 +198,10 @@ class TestSwitchingSchedule:
 
     def test_interval_shorter_than_dwell_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            SwitchingSchedule(switch_times=(0.0, 0.01), graph_ids=(0, 1), alpha=0.02)
+            SwitchingSchedule(lengths=(0.01, 0.02), graph_ids=(0, 1), alpha=0.02)
+        # the last interval is checked too
+        with pytest.raises(DimensionMismatchError):
+            SwitchingSchedule(lengths=(0.02, 0.01), graph_ids=(0, 1), alpha=0.02)
 
 
 class TestIntegrateSwitching:
