@@ -60,10 +60,7 @@ from .simulate import (
     integrate_switching,
 )
 from .spectral import (
-    Basis,
     Laplacian,
-    LaplacianKind,
-    SpectralReport,
     augmented_laplacian,
     consensus_space,
     eigenvalues_sorted,

@@ -18,7 +18,6 @@ from .errors import ConsensusError, FileFormatError
 from .fileio import load_graph, load_schedule, write_trajectory_csv
 from .graph import Decomposition, SignedGraph, suggest_decomposition, verify_assumption
 from .protocol import (
-    SwitchingDesign,
     contraction_factor,
     design_fixed,
     design_switching,
@@ -52,6 +51,20 @@ def _graph_args(args: argparse.Namespace) -> List[Path]:
     return paths
 
 
+def _single_graph(args: argparse.Namespace) -> SignedGraph:
+    if not args.graph:
+        raise FileFormatError("no graph file given (use --graph)")
+    return load_graph(args.graph)
+
+
+def _single_delta(args: argparse.Namespace) -> Optional[float]:
+    if not args.delta:
+        return None
+    if len(args.delta) > 1:
+        raise FileFormatError(f"got {len(args.delta)} --delta values for one graph")
+    return args.delta[0]
+
+
 def _v1_specs(spec: str, count: int) -> List[str]:
     parts = [p for p in spec.split(";") if p.strip()]
     if len(parts) == 1:
@@ -62,7 +75,7 @@ def _v1_specs(spec: str, count: int) -> List[str]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
+    g = _single_graph(args)
     dec = _parse_v1(args.v1, g)
     report = verify_assumption(g, dec)
     if args.json:
@@ -83,15 +96,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
+    g = _single_graph(args)
     dec = _parse_v1(args.v1, g)
     theta = _parse_theta(args.theta)
-    delta = args.delta[0] if args.delta else None
-    design = design_fixed(g, dec, theta, margin=args.margin, delta=delta)
+    design = design_fixed(g, dec, theta, margin=args.margin, delta=_single_delta(args))
     report = verify_design(g, design)
     payload = {
         "design": design.to_dict(),
-        "spectral": report.spectral.to_dict(),
+        "spectral": report.spectral_dict(),
         "specOk": report.spec_ok,
         "nullOk": report.null_ok,
         "equilibriumResidual": report.equilibrium_residual,
@@ -108,7 +120,7 @@ def cmd_design(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "design.json").write_text(json.dumps(design.to_dict(), indent=2) + "\n")
         (out / "spectral.json").write_text(
-            json.dumps(report.spectral.to_dict(), indent=2) + "\n"
+            json.dumps(report.spectral_dict(), indent=2) + "\n"
         )
     return 0 if report.spec_ok else 1
 
@@ -140,8 +152,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traj = integrate_switching(schedule, sdesign, graphs, x_init, h=args.h, horizon=args.T)
         lam: Optional[float] = contraction.factor
     else:
-        delta = args.delta[0] if args.delta else None
-        design = design_fixed(first, decs[0], theta, margin=args.margin, delta=delta)
+        design = design_fixed(first, decs[0], theta, margin=args.margin, delta=_single_delta(args))
         traj = integrate_fixed(first, design, x_init, h=args.h, horizon=args.T)
         lam = None
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 import numpy as np
 
@@ -157,9 +157,6 @@ class SignedGraph:
                 weights[(j, i)] = w
         return SignedGraph(n=n, d=d, directed=directed, weights=weights)
 
-    def weight(self, i: int, j: int) -> Optional[MatrixWeight]:
-        return self.weights.get((i, j))
-
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -172,26 +169,18 @@ def _check_vertex(n: int, v: int) -> None:
 
 @dataclass(frozen=True)
 class StructuralSets:
-    """Per-vertex neighbor structure and the antagonized set."""
+    """Negative in-neighbors per vertex and the antagonized set."""
 
-    in_neighbors: Dict[int, Set[int]]
-    out_neighbors: Dict[int, Set[int]]
     negative_in: Dict[int, Set[int]]   # Omega_i: in-neighbors over negative edges
-    positive_in: Dict[int, Set[int]]   # Gamma_i: in-neighbors over positive edges
     antagonized: FrozenSet[int]        # vertices with at least one negative in-edge
 
 
 def structural_sets(g: SignedGraph) -> StructuralSets:
-    n_in: Dict[int, Set[int]] = {v: set() for v in g.vertices}
-    n_out: Dict[int, Set[int]] = {v: set() for v in g.vertices}
     omega: Dict[int, Set[int]] = {v: set() for v in g.vertices}
-    gamma: Dict[int, Set[int]] = {v: set() for v in g.vertices}
     for (i, j), w in g.weights.items():
-        n_in[i].add(j)
-        n_out[j].add(i)
-        (omega if w.sign < 0 else gamma)[i].add(j)
-    antag = frozenset(v for v in g.vertices if omega[v])
-    return StructuralSets(n_in, n_out, omega, gamma, antag)
+        if w.sign < 0:
+            omega[i].add(j)
+    return StructuralSets(omega, frozenset(v for v in g.vertices if omega[v]))
 
 
 def in_out_gaps(g: SignedGraph) -> Dict[int, np.ndarray]:

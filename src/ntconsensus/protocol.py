@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -33,9 +33,7 @@ from .graph import (
     verify_assumption,
 )
 from .spectral import (
-    Basis,
     Laplacian,
-    SpectralReport,
     augmented_laplacian,
     consensus_space,
     eigenvalues_sorted,
@@ -209,10 +207,12 @@ def design_fixed(
 
 
 def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian, Laplacian]:
-    """Grounded and signal-augmented Laplacians realized by a design."""
-    deltas = design.deltas()
-    grounded = grounded_laplacian(g, deltas, design.blocks)
-    return grounded, augmented_laplacian(grounded, deltas, design.blocks)
+    """Grounded and signal-augmented Laplacians realized by a design.  The
+    augmented one is assembled once; the grounded one is a view of its
+    leading nd x nd block."""
+    augmented = augmented_laplacian(g, design.deltas(), design.blocks)
+    nd = g.n * g.d
+    return Laplacian(augmented.matrix[:nd, :nd]), augmented
 
 
 StepMap = Tuple["np.ndarray | csr_matrix", np.ndarray]  # (P, q)
@@ -312,14 +312,24 @@ def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
 
 @dataclass(frozen=True)
 class DesignReport:
-    spec_ok: bool
+    min_real_part: float  # of the grounded Laplacian's spectrum
+    null_dim: int  # of the augmented Laplacian's null space
     null_ok: bool
     equilibrium_residual: float
-    spectral: SpectralReport
+    eigenvalues: Tuple[complex, ...]  # grounded spectrum, ascending real part
 
     @property
-    def min_real_part(self) -> float:
-        return self.spectral.min_real_part
+    def spec_ok(self) -> bool:
+        return self.min_real_part > SPEC_TOL
+
+    def spectral_dict(self) -> dict:
+        """The spectral part of the report, as the CLI writes it."""
+        return {
+            "minRealPart": self.min_real_part,
+            "nullDim": self.null_dim,
+            "psiMatch": self.null_ok,
+            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
+        }
 
 
 def verify_design(g: SignedGraph, design: ProtocolDesign) -> DesignReport:
@@ -331,22 +341,15 @@ def verify_design(g: SignedGraph, design: ProtocolDesign) -> DesignReport:
     """
     grounded, augmented = design_laplacians(g, design)
     eigs = eigenvalues_sorted(grounded.matrix)
-    min_re = float(eigs[0].real)
     basis = null_space(augmented.matrix)
     psi = consensus_space(g.n, g.d, 1.0, design.k1)
-    psi_basis = Basis(np.linalg.qr(psi)[0])
-    null_ok = basis.dim == g.d and principal_angle(basis, psi_basis) < ANGLE_TOL
-    residual = float(np.max(np.abs(augmented.matrix @ psi)))
+    null_dim = basis.shape[1]
     return DesignReport(
-        spec_ok=min_re > SPEC_TOL,
-        null_ok=null_ok,
-        equilibrium_residual=residual,
-        spectral=SpectralReport(
-            min_real_part=min_re,
-            null_dim=basis.dim,
-            psi_match=null_ok,
-            eigenvalues=tuple(eigs),
-        ),
+        min_real_part=float(eigs[0].real),
+        null_dim=null_dim,
+        null_ok=null_dim == g.d and principal_angle(basis, np.linalg.qr(psi)[0]) < ANGLE_TOL,
+        equilibrium_residual=float(np.max(np.abs(augmented.matrix @ psi))),
+        eigenvalues=tuple(eigs),
     )
 
 
@@ -413,5 +416,5 @@ def necessary_condition_check(
     norm = float(np.linalg.norm(zstar))
     if norm == 0.0:
         return True
-    resid = zstar - inter.columns @ (inter.columns.T @ zstar)
+    resid = zstar - inter @ (inter.T @ zstar)
     return float(np.linalg.norm(resid)) < MEMBER_TOL * norm

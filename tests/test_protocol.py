@@ -18,7 +18,9 @@ from ntconsensus import (
     design_laplacians,
     design_switching,
     necessary_condition_check,
+    grounded_laplacian,
     signed_laplacian,
+    suggest_decomposition,
     verify_design,
 )
 from ntconsensus.errors import (
@@ -38,6 +40,7 @@ from conftest import (
     random_undirected_valid,
     rk4_reference_step,
 )
+from test_graph import _random_signed_digraph
 
 THETA = np.array([1.0, 2.0, -1.0])
 
@@ -178,7 +181,7 @@ class TestVerifyDesign:
         assert report.spec_ok and report.null_ok
         assert report.min_real_part == pytest.approx(0.9334, abs=1e-3)
         assert report.equilibrium_residual < 1e-9
-        assert report.spectral.null_dim == 3
+        assert report.null_dim == 3
 
     def test_weak_variant_loses_spectral_gap(self, net_a_weak, net_a_dec):
         design = design_fixed(net_a_weak, net_a_dec, THETA, delta=7.0495)
@@ -191,9 +194,33 @@ class TestVerifyDesign:
         report = verify_design(net_a_weak, design)
         assert report.equilibrium_residual < 1e-9
 
+    def test_theorem_on_graphs_not_built_to_pass(self):
+        """delta = C + margin puts the grounded spectrum in the open right
+        half-plane and makes the augmented null space the span of psi, on
+        random digraphs with cycles and semidefinite edges.  More definite
+        and more negative edges than the generator's default make a positive
+        definite block at every V1 vertex, which the design needs, likelier."""
+        rng = np.random.default_rng(20261018)
+        reached = with_semidefinite = 0
+        for _ in range(200):
+            n, d = int(rng.integers(2, 8)), int(rng.integers(2, 4))
+            g, magnitudes, definite = _random_signed_digraph(
+                rng, n, d, p_definite=0.8, p_negative=0.7
+            )
+            try:
+                design = design_fixed(g, suggest_decomposition(g), rng.normal(size=d))
+            except DegenerateCouplingError:
+                continue
+            report = verify_design(g, design)
+            assert report.spec_ok and report.null_ok and report.null_dim == d
+            reached += 1
+            with_semidefinite += len(definite) < len(magnitudes)
+        # the draw must reach designs, semidefinite edges included, to show anything
+        assert reached >= 30 and with_semidefinite >= 10
+
     def test_spectral_report_serialization(self, net_a, net_a_dec):
         design = design_fixed(net_a, net_a_dec, THETA)
-        payload = verify_design(net_a, design).spectral.to_dict()
+        payload = verify_design(net_a, design).spectral_dict()
         assert set(payload) == {"minRealPart", "nullDim", "psiMatch", "eigenvalues"}
         assert len(payload["eigenvalues"]) == 21
         assert all(len(z) == 2 for z in payload["eigenvalues"])
@@ -304,6 +331,13 @@ def _designed(name, tiled):
 
 
 class TestClosedLoop:
+    @pytest.mark.parametrize("name", ["net_a", "tiled"])
+    def test_grounded_is_the_augmented_leading_block(self, name, tiled):
+        g, design = _designed(name, tiled)
+        grounded, _ = design_laplacians(g, design)
+        alone = grounded_laplacian(g, design.deltas(), design.blocks).matrix
+        assert np.ascontiguousarray(grounded.matrix).tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak", "tiled"])
     def test_operator_matches_dense_laplacians(self, name, tiled):
         g, design = _designed(name, tiled)
