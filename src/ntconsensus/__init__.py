@@ -19,11 +19,9 @@ from .graph import (
     Definiteness,
     MatrixWeight,
     SignedGraph,
-    StructuralSets,
     classify_weight,
     in_degree_dominated,
     pn_reachable,
-    structural_sets,
     suggest_decomposition,
     verify_assumption,
 )

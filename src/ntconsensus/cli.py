@@ -152,6 +152,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traj = integrate_switching(schedule, sdesign, graphs, x_init, h=args.h, horizon=args.T)
         lam: Optional[float] = contraction.factor
     else:
+        if args.schedule:
+            raise FileFormatError("--schedule needs a switching run (use --graphs)")
         design = design_fixed(first, decs[0], theta, margin=args.margin, delta=_single_delta(args))
         traj = integrate_fixed(first, design, x_init, h=args.h, horizon=args.T)
         lam = None

@@ -25,6 +25,13 @@ def _integer(value: object, name: str) -> int:
     return value
 
 
+def _boolean(value: object, name: str) -> bool:
+    """A JSON boolean; a string such as "false" is a format error, not true."""
+    if not isinstance(value, bool):
+        raise FileFormatError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def load_graph(path: PathLike) -> SignedGraph:
     """Graph file format: {"d", "n", "directed", "edges": [{"from", "to",
     "weight"}]}; "from"/"to" are 1-based, weight is a row-major d x d array
@@ -36,7 +43,7 @@ def load_graph(path: PathLike) -> SignedGraph:
     try:
         n = _integer(data["n"], "n")
         d = _integer(data["d"], "d")
-        directed = bool(data["directed"])
+        directed = _boolean(data["directed"], "directed")
         edges: Dict[Tuple[int, int], np.ndarray] = {}
         for e in data["edges"]:
             key = (_integer(e["to"], "to"), _integer(e["from"], "from"))
@@ -51,14 +58,15 @@ def load_graph(path: PathLike) -> SignedGraph:
 
 
 def save_graph(g: SignedGraph, path: PathLike) -> None:
-    seen = set()
-    edges = []
-    for (i, j), w in sorted(g.weights.items()):
-        if not g.directed:
-            if frozenset((i, j)) in seen:
-                continue
-            seen.add(frozenset((i, j)))
-        edges.append({"from": j, "to": i, "weight": w.entries.tolist()})
+    """Write the graph file read by ``load_graph``: edges sorted by (to,
+    from), each undirected pair once, as (min, max)."""
+    order = np.lexsort((g.tails, g.heads))
+    if not g.directed:
+        order = order[g.heads[order] < g.tails[order]]
+    edges = [
+        {"from": j + 1, "to": i + 1, "weight": w.tolist()}
+        for i, j, w in zip(g.heads[order].tolist(), g.tails[order].tolist(), g.entries[order])
+    ]
     payload = {"d": g.d, "n": g.n, "directed": g.directed, "edges": edges}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -73,7 +81,7 @@ def load_schedule(path: PathLike) -> SwitchingSchedule:
     try:
         alpha = float(data["alpha"])
         pattern = [_integer(x, "pattern entry") for x in data["pattern"]]
-        repeat = bool(data.get("repeat", False))
+        repeat = _boolean(data.get("repeat", False), "repeat")
         dt = data.get("dt", alpha)
         if isinstance(dt, (int, float)):
             return SwitchingSchedule.uniform(float(dt), pattern, alpha=alpha, repeat=repeat)

@@ -1,23 +1,27 @@
 """Signed matrix-weighted graphs.
 
 Edge weights are symmetric d x d matrices, each positive or negative
-(semi-)definite.  The weight stored under key ``(i, j)`` is the matrix on the
-edge from vertex j to vertex i (vertices are 1-based).  Negative weights
-encode antagonistic coupling.
+(semi-)definite.  Negative weights encode antagonistic coupling.  A graph
+stores its weights once, at construction, as arrays: the 0-based head
+(receiving vertex) and tail of each edge, the (E, d, d) entries and a class
+code per edge.  The weight on the edge from vertex j to vertex i (1-based) is
+A_ij.  Every per-edge or per-vertex d x d operation runs as one stacked NumPy
+call, and every sum over edges accumulates in edge order (the order in which
+``from_edges`` first met each edge), so results do not depend on hashing.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from .errors import (
     AsymmetricWeightError,
+    ConsensusError,
     DimensionMismatchError,
     IndefiniteWeightError,
     InvalidPartitionError,
@@ -43,9 +47,15 @@ class Definiteness(Enum):
             return -1
         return 0
 
-    @property
-    def definite(self) -> bool:
-        return self in (Definiteness.POS_DEF, Definiteness.NEG_DEF)
+
+# A class code is the weight's sign, doubled when the weight is definite.
+CLASS_OF_CODE = {
+    2: Definiteness.POS_DEF,
+    1: Definiteness.POS_SEMI_DEF,
+    0: Definiteness.ZERO,
+    -1: Definiteness.NEG_SEMI_DEF,
+    -2: Definiteness.NEG_DEF,
+}
 
 
 @dataclass(frozen=True)
@@ -69,51 +79,76 @@ class MatrixWeight:
         return self.entries.shape[0]
 
 
-def classify_weight(raw: np.ndarray) -> MatrixWeight:
-    """Symmetrize and classify a weight matrix.
+def classify_stack(
+    raw: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, ConsensusError]]:
+    """Symmetrize and classify a (k, m, m) stack of weights with one
+    ``eigvalsh`` call.
 
-    Raises NonFiniteError when an entry is NaN or infinite,
-    AsymmetricWeightError when the raw matrix is not symmetric to relative
-    precision 1e-9, and IndefiniteWeightError when eigenvalues of both signs
+    Returns the symmetrized stack, the class codes and, keyed by row, the
+    error of each weight that cannot be classified: NonFiniteError for NaN
+    or infinite entries (or entries whose symmetrization overflows),
+    AsymmetricWeightError when the weight is not symmetric to relative
+    precision 1e-9, IndefiniteWeightError when eigenvalues of both signs
     exceed ``DEF_TOL``.
     """
+    flipped = raw.swapaxes(1, 2)
+    scale = np.abs(raw).max(axis=(1, 2))
+    nonfinite = ~np.isfinite(scale)
+    with np.errstate(invalid="ignore", over="ignore"):
+        skew = np.abs(raw - flipped).max(axis=(1, 2))
+        sym = (raw + flipped) / 2.0
+    asym = ~nonfinite & (scale > 0) & (skew > 1e-9 * scale)
+    overflow = ~nonfinite & ~asym & ~np.isfinite(sym).all(axis=(1, 2))
+    ok = ~(nonfinite | asym | overflow)
+    eigs = np.linalg.eigvalsh(np.where(ok[:, None, None], sym, 0.0))
+    pos, neg = eigs > DEF_TOL, eigs < -DEF_TOL
+    has_pos, has_neg = pos.any(axis=1), neg.any(axis=1)
+    codes = has_pos.astype(np.int8) + pos.all(axis=1) - has_neg - neg.all(axis=1)
+    errors: Dict[int, ConsensusError] = {}
+    for k in np.flatnonzero(~ok | (has_pos & has_neg)).tolist():
+        if nonfinite[k]:
+            errors[k] = NonFiniteError("weight has NaN or infinite entries")
+        elif asym[k]:
+            errors[k] = AsymmetricWeightError("weight matrix is not symmetric")
+        elif overflow[k]:
+            errors[k] = NonFiniteError("weight overflows when symmetrized")
+        else:
+            errors[k] = IndefiniteWeightError(
+                f"weight has eigenvalues of both signs: {eigs[k].tolist()}"
+            )
+    return sym, codes, errors
+
+
+def classify_weight(raw: np.ndarray) -> MatrixWeight:
+    """Symmetrize and classify one weight matrix; raises the errors of
+    ``classify_stack``, and AsymmetricWeightError for a non-square one."""
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise AsymmetricWeightError(f"weight must be square, got shape {raw.shape}")
-    scale = np.max(np.abs(raw))
-    if not math.isfinite(scale):
-        raise NonFiniteError("weight has NaN or infinite entries")
-    if scale > 0 and np.max(np.abs(raw - raw.T)) > 1e-9 * scale:
-        raise AsymmetricWeightError("weight matrix is not symmetric")
-    sym = (raw + raw.T) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
-    has_pos = bool(np.any(eigs > DEF_TOL))
-    has_neg = bool(np.any(eigs < -DEF_TOL))
-    if has_pos and has_neg:
-        raise IndefiniteWeightError(
-            f"weight has eigenvalues of both signs: {eigs.tolist()}"
-        )
-    if not has_pos and not has_neg:
-        cls = Definiteness.ZERO
-    elif has_pos:
-        cls = Definiteness.POS_DEF if np.all(eigs > DEF_TOL) else Definiteness.POS_SEMI_DEF
-    else:
-        cls = Definiteness.NEG_DEF if np.all(eigs < -DEF_TOL) else Definiteness.NEG_SEMI_DEF
-    return MatrixWeight(entries=sym, definiteness=cls)
+    sym, codes, errors = classify_stack(raw[None])
+    if errors:
+        raise errors[0]
+    return MatrixWeight(entries=sym[0], definiteness=CLASS_OF_CODE[int(codes[0])])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedGraph:
     """Immutable signed matrix-weighted graph on vertices 1..n.
 
-    For undirected graphs both directions are materialized and must agree,
-    so Laplacian assembly has a single code path.
+    Edge k carries the weight ``entries[k]`` from vertex ``tails[k] + 1`` to
+    vertex ``heads[k] + 1``, of class code ``classes[k]`` (see
+    ``CLASS_OF_CODE``).  For undirected graphs both directions are
+    materialized and agree, so Laplacian assembly has a single code path.
     """
 
     n: int
     d: int
     directed: bool
-    weights: Dict[Tuple[int, int], MatrixWeight]
+    heads: np.ndarray    # (E,) 0-based receiving vertex
+    tails: np.ndarray    # (E,) 0-based sending vertex
+    entries: np.ndarray  # (E, d, d) symmetric weights
+    classes: np.ndarray  # (E,) class codes, never 0
 
     @staticmethod
     def from_edges(
@@ -127,39 +162,61 @@ class SignedGraph:
         Weights classifying as Zero are dropped (zero means no edge).  For
         undirected graphs each pair may be given once; if both orientations
         are present they must agree entrywise.  Needs n >= 1 and d >= 1.
+        All d x d weights are classified in one stacked call; errors are
+        raised for the first bad edge in the mapping's order.
         """
         if n < 1 or d < 1:
             raise DimensionMismatchError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
-        weights: Dict[Tuple[int, int], MatrixWeight] = {}
-        for (i, j), raw in edges.items():
+        raws = [np.asarray(w, dtype=float) for w in edges.values()]
+        fits = [r.shape == (d, d) for r in raws]
+        stack = np.array([r if f else np.zeros((d, d)) for r, f in zip(raws, fits)])
+        sym, codes, errors = classify_stack(stack.reshape(-1, d, d))
+        rows: Dict[Tuple[int, int], int] = {}  # edge -> row of the stack, in edge order
+        for k, (i, j) in enumerate(edges):
             _check_vertex(n, i)
             _check_vertex(n, j)
             if i == j:
                 raise InvalidPartitionError(f"self-loop on vertex {i} not allowed")
-            w = classify_weight(raw)
-            if w.definiteness is Definiteness.ZERO:
+            if not fits[k]:  # classified alone: an error, or dropped when zero
+                if classify_weight(raws[k]).definiteness is not Definiteness.ZERO:
+                    raise AsymmetricWeightError(
+                        f"edge ({j}->{i}) has dimension {len(raws[k])}, expected {d}"
+                    )
                 continue
-            if w.d != d:
-                raise AsymmetricWeightError(
-                    f"edge ({j}->{i}) has dimension {w.d}, expected {d}"
-                )
-            if (i, j) in weights and not np.allclose(
-                weights[(i, j)].entries, w.entries, atol=1e-12
-            ):
+            if k in errors:
+                raise errors[k]
+            if codes[k] == 0:
+                continue
+            if (i, j) in rows and not np.allclose(sym[rows[(i, j)]], sym[k], atol=1e-12):
                 raise AsymmetricWeightError(f"conflicting weights for edge ({j}->{i})")
-            weights[(i, j)] = w
+            rows[(i, j)] = k
             if not directed:
-                mirror = weights.get((j, i))
-                if mirror is not None and not np.array_equal(mirror.entries, w.entries):
+                mirror = rows.get((j, i))
+                if mirror is not None and not np.array_equal(sym[mirror], sym[k]):
                     raise AsymmetricWeightError(
                         f"undirected graph has A[{j},{i}] != A[{i},{j}]"
                     )
-                weights[(j, i)] = w
-        return SignedGraph(n=n, d=d, directed=directed, weights=weights)
+                rows[(j, i)] = k
+        ends = np.array(list(rows), dtype=np.intp).reshape(-1, 2) - 1
+        take = np.fromiter(rows.values(), dtype=np.intp, count=len(rows))
+        return SignedGraph(
+            n=n, d=d, directed=directed, heads=ends[:, 0], tails=ends[:, 1],
+            entries=sym[take], classes=codes[take],
+        )
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
+
+    @property
+    def magnitudes(self) -> np.ndarray:
+        """sgn(A_ij) * A_ij per edge, positive semidefinite."""
+        return np.sign(self.classes)[:, None, None] * self.entries
+
+    @property
+    def definite(self) -> np.ndarray:
+        """Edge mask of the strictly definite weights."""
+        return np.abs(self.classes) == 2
 
 
 def _check_vertex(n: int, v: int) -> None:
@@ -167,48 +224,34 @@ def _check_vertex(n: int, v: int) -> None:
         raise VertexOutOfRangeError(f"vertex {v} outside 1..{n}")
 
 
-@dataclass(frozen=True)
-class StructuralSets:
-    """Negative in-neighbors per vertex and the antagonized set."""
+def in_out_gaps(g: SignedGraph) -> np.ndarray:
+    """(n, d, d): per vertex (row v - 1), the sum of its in-weight magnitudes
+    minus the sum of its out-weight magnitudes.
 
-    negative_in: Dict[int, Set[int]]   # Omega_i: in-neighbors over negative edges
-    antagonized: FrozenSet[int]        # vertices with at least one negative in-edge
-
-
-def structural_sets(g: SignedGraph) -> StructuralSets:
-    omega: Dict[int, Set[int]] = {v: set() for v in g.vertices}
-    for (i, j), w in g.weights.items():
-        if w.sign < 0:
-            omega[i].add(j)
-    return StructuralSets(omega, frozenset(v for v in g.vertices if omega[v]))
-
-
-def in_out_gaps(g: SignedGraph) -> Dict[int, np.ndarray]:
-    """Per vertex, the sum of its in-weight magnitudes minus the sum of its
-    out-weight magnitudes.
-
-    A vertex is in-degree dominated when its gap is positive semidefinite;
-    the coupling bound works with the negated gap.
+    One ``np.add.at`` over "+head, -tail" pairs interleaved per edge, so each
+    vertex accumulates in edge order.  A vertex is in-degree dominated when
+    its gap is positive semidefinite; the coupling bound works with the
+    negated gap.
     """
-    gaps = {v: np.zeros((g.d, g.d)) for v in g.vertices}
-    for (i, j), w in g.weights.items():
-        mag = w.magnitude
-        gaps[i] += mag
-        gaps[j] -= mag
+    mag = g.magnitudes
+    gaps = np.zeros((g.n, g.d, g.d))
+    np.add.at(gaps, np.stack([g.heads, g.tails], axis=1).ravel(),
+              np.stack([mag, -mag], axis=1).reshape(-1, g.d, g.d))
     return gaps
 
 
-def _dominated(gap: np.ndarray) -> bool:
-    return float(np.min(np.linalg.eigvalsh(gap))) >= -DEF_TOL
+def _dominated(gaps: np.ndarray) -> np.ndarray:
+    """Per gap of a (k, d, d) stack: positive semidefinite to ``DEF_TOL``."""
+    return np.linalg.eigvalsh(gaps).min(axis=1) >= -DEF_TOL
 
 
 def _definite_reach(g: SignedGraph, sources: Iterable[int]) -> Set[int]:
     """Vertices reachable from any source over strictly definite edges,
     sources included."""
     succ: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    for (i, j), w in g.weights.items():
-        if w.definiteness.definite:
-            succ[j].append(i)
+    definite = g.definite
+    for i, j in zip(g.heads[definite].tolist(), g.tails[definite].tolist()):
+        succ[j + 1].append(i + 1)
     seen = set(sources)
     queue = deque(seen)
     while queue:
@@ -233,7 +276,7 @@ def in_degree_dominated(g: SignedGraph, v: int) -> bool:
     """True when the in-weight magnitudes dominate the out-weight magnitudes
     in the semidefinite order."""
     _check_vertex(g.n, v)
-    return _dominated(in_out_gaps(g)[v])
+    return bool(_dominated(in_out_gaps(g)[v - 1 : v])[0])
 
 
 @dataclass(frozen=True)
@@ -269,15 +312,20 @@ class AssumptionReport:
         return tuple(sorted(set(self.path_failures) | set(self.dominance_failures)))
 
 
-def verify_assumption(g: SignedGraph, dec: Decomposition) -> AssumptionReport:
+def verify_assumption(
+    g: SignedGraph, dec: Decomposition, gaps: Optional[np.ndarray] = None
+) -> AssumptionReport:
     """Check the decomposition against the connectivity and dominance
-    requirements.  Dominance is vacuous (reported true) on undirected graphs."""
+    requirements.  Dominance is vacuous (reported true) on undirected graphs,
+    and is tested on ``gaps``, the graph's ``in_out_gaps`` (computed here
+    when not given), in one stacked call over V2."""
     if dec.v1 | dec.v2 != set(g.vertices) or dec.v1 & dec.v2:
         raise InvalidPartitionError("V1, V2 must partition the vertex set")
     path_fail = sorted(dec.v2 - _definite_reach(g, dec.v1))
     if g.directed:
-        gaps = in_out_gaps(g)
-        dom_fail = [j for j in sorted(dec.v2) if not _dominated(gaps[j])]
+        v2 = np.array(sorted(dec.v2), dtype=np.intp)
+        gaps = in_out_gaps(g) if gaps is None else gaps
+        dom_fail = v2[~_dominated(gaps[v2 - 1])].tolist()
     else:
         dom_fail = []
     return AssumptionReport(
@@ -302,12 +350,11 @@ def suggest_decomposition(g: SignedGraph) -> Decomposition:
     from scipy.sparse.csgraph import connected_components
 
     if g.directed:
-        gaps = in_out_gaps(g)
-        v1 = {v for v in g.vertices if not _dominated(gaps[v])}
+        v1 = set((np.flatnonzero(~_dominated(in_out_gaps(g))) + 1).tolist())
     else:
         v1 = set()
-    definite = [(j - 1, i - 1) for (i, j), w in g.weights.items() if w.definiteness.definite]
-    src, dst = np.array(definite, dtype=np.intp).reshape(-1, 2).T
+    definite = g.definite
+    src, dst = g.tails[definite], g.heads[definite]
     adj = csr_matrix((np.ones(len(src)), (src, dst)), shape=(g.n, g.n))
     _, label = connected_components(adj, directed=True, connection="strong")
     covered = set(label[dst[label[src] != label[dst]]].tolist())

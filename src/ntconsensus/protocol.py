@@ -24,12 +24,12 @@ from .errors import (
     ZeroThetaError,
 )
 from .graph import (
+    CLASS_OF_CODE,
     Decomposition,
     MatrixWeight,
     SignedGraph,
-    classify_weight,
+    classify_stack,
     in_out_gaps,
-    structural_sets,
     verify_assumption,
 )
 from .spectral import (
@@ -87,17 +87,37 @@ class SwitchingDesign:
     alpha: float
 
 
-def _half_lmax_reduced(b_abs: np.ndarray, m: np.ndarray) -> float:
-    """(1/2) lambda_max of |B|^{-1} M via the Cholesky reduction R^-1 M R^-T,
-    which keeps the problem symmetric (the eigenvalues are real)."""
+def _v1_magnitudes(
+    d: int, v1: Sequence[int], blocks: Mapping[int, MatrixWeight]
+) -> Tuple[np.ndarray, Optional[int]]:
+    """The |B_i| over V1, stacked (zeros for a vertex without a block), and
+    the first V1 vertex whose |B_i| is missing or has an eigenvalue at or
+    below ``INVERT_TOL`` (None when every one can be inverted)."""
+    b_abs = np.array([blocks[i].magnitude if i in blocks else np.zeros((d, d)) for i in v1])
+    low = np.linalg.eigvalsh(b_abs.reshape(-1, d, d)).min(axis=1) <= INVERT_TOL
+    return b_abs, v1[int(np.argmax(low))] if low.any() else None
+
+
+def _bound(
+    gaps: np.ndarray, v1: Sequence[int], b_abs: np.ndarray
+) -> Tuple[Dict[int, float], float]:
+    """C_i = (1/2) lambda_max of |B_i|^{-1} M_i over V1, with M_i the negated
+    gap, via the Cholesky reduction R^-1 M R^-T, which keeps each problem
+    symmetric (the eigenvalues are real).  The factorizations and the
+    eigenvalues are one stacked call each; the triangular solves run per
+    vertex (SciPy's batched form loops in Python too)."""
     try:
         r = np.linalg.cholesky(b_abs)
     except np.linalg.LinAlgError as exc:
         raise SingularCouplingError(f"coupling block not positive definite: {exc}") from exc
-    reduced = scipy.linalg.solve_triangular(
-        r, scipy.linalg.solve_triangular(r, m.T, lower=True).T, lower=True
-    )
-    return 0.5 * float(np.max(np.linalg.eigvalsh((reduced + reduced.T) / 2.0)))
+    # 0.0 - gap rather than -gap keeps a zero gap at +0.0, so C_i is never -0.0
+    m = 0.0 - gaps[np.asarray(v1) - 1]
+    reduced = np.empty_like(m)
+    for k in range(len(v1)):
+        half = scipy.linalg.solve_triangular(r[k], m[k].T, lower=True, check_finite=False)
+        reduced[k] = scipy.linalg.solve_triangular(r[k], half.T, lower=True, check_finite=False)
+    c = 0.5 * np.linalg.eigvalsh((reduced + reduced.swapaxes(1, 2)) / 2.0).max(axis=1)
+    return dict(zip(v1, c.tolist())), float(c.max())  # a NaN C_i makes C NaN
 
 
 def coupling_bound(
@@ -107,33 +127,39 @@ def coupling_bound(
 ) -> Tuple[Dict[int, float], float]:
     """Per-vertex coupling lower bounds C_i over V1 for user-supplied blocks,
     and their maximum C.  Each |B_i| must be positive definite."""
-    report = verify_assumption(g, dec)
+    gaps = in_out_gaps(g)
+    report = verify_assumption(g, dec, gaps)
     if not report.ok:
         raise AssumptionViolatedError(
             f"decomposition fails for vertices {list(report.failures)}"
         )
-    return _bound_given_blocks(g, dec, blocks)
+    v1 = sorted(dec.v1)
+    b_abs, bad = _v1_magnitudes(g.d, v1, blocks)
+    if bad is not None:
+        if bad not in blocks:
+            raise SingularCouplingError(f"no coupling block for V1 vertex {bad}")
+        raise SingularCouplingError(
+            f"|B_{bad}| has an eigenvalue below {INVERT_TOL}, cannot invert"
+        )
+    return _bound(gaps, v1, b_abs)
 
 
-def _bound_given_blocks(
-    g: SignedGraph,
-    dec: Decomposition,
-    blocks: Mapping[int, MatrixWeight],
-) -> Tuple[Dict[int, float], float]:
-    gaps = in_out_gaps(g)
-    per_vertex: Dict[int, float] = {}
-    for i in sorted(dec.v1):
-        b = blocks.get(i)
-        if b is None:
-            raise SingularCouplingError(f"no coupling block for V1 vertex {i}")
-        b_abs = b.magnitude
-        if float(np.min(np.linalg.eigvalsh(b_abs))) <= INVERT_TOL:
-            raise SingularCouplingError(
-                f"|B_{i}| has an eigenvalue below {INVERT_TOL}, cannot invert"
-            )
-        # 0.0 - gap rather than -gap keeps a zero gap at +0.0, so C_i is never -0.0
-        per_vertex[i] = _half_lmax_reduced(b_abs, 0.0 - gaps[i])
-    return per_vertex, max(per_vertex.values())
+def _negative_in_blocks(g: SignedGraph) -> Dict[int, MatrixWeight]:
+    """B_i = the sum of |A_ij| over the negative in-edges of each vertex
+    that has one (the informed vertices), accumulated in edge order and
+    classified in one stacked call."""
+    negative = g.classes < 0
+    heads = g.heads[negative]
+    sums = np.zeros((g.n, g.d, g.d))
+    np.add.at(sums, heads, g.magnitudes[negative])
+    rows = np.unique(heads)
+    sym, codes, errors = classify_stack(sums[rows])
+    if errors:
+        raise errors[min(errors)]
+    return {
+        r + 1: MatrixWeight(entries=b, definiteness=CLASS_OF_CODE[c])
+        for r, b, c in zip(rows.tolist(), sym, codes.tolist())
+    }
 
 
 def design_fixed(
@@ -146,14 +172,13 @@ def design_fixed(
     """Synthesize the coupling design for a fixed topology.
 
     Informed vertices are exactly those with incoming negative edges; each
-    gets the block B_i = sum of |A_ij| over its negative in-neighbors (taken
-    with positive sign).  Directed graphs use delta = C + margin with C the
-    coupling bound at these blocks; undirected graphs accept any positive
-    delta, so delta = margin and C is reported as 0.  An explicit ``delta``
-    overrides the margin rule (C is still reported); in that case a failed
-    decomposition check is tolerated, since the caller takes responsibility
-    for the coefficient and verify_design delivers the operative spectral
-    verdict.
+    gets the block of ``_negative_in_blocks``.  Directed graphs use
+    delta = C + margin with C the coupling bound at these blocks; undirected
+    graphs accept any positive delta, so delta = margin and C is reported as
+    0.  An explicit ``delta`` overrides the margin rule (C is still
+    reported); in that case a failed decomposition check is tolerated, since
+    the caller takes responsibility for the coefficient and verify_design
+    delivers the operative spectral verdict.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.shape[0] != g.d:
@@ -164,27 +189,21 @@ def design_fixed(
         raise NonFiniteError("theta has NaN or infinite entries")
     if not np.any(theta):
         raise ZeroThetaError("the preset consensus state must be nonzero")
-    report = verify_assumption(g, dec)
+    gaps = in_out_gaps(g) if g.directed else None
+    report = verify_assumption(g, dec, gaps)
     if not report.ok and delta is None:
         raise AssumptionViolatedError(
             f"decomposition fails for vertices {list(report.failures)}"
         )
-    sets = structural_sets(g)
-    informed = sets.antagonized
-    blocks: Dict[int, MatrixWeight] = {}
-    for i in sorted(informed):
-        total = np.zeros((g.d, g.d))
-        for j in sets.negative_in[i]:
-            total += g.weights[(i, j)].magnitude
-        blocks[i] = classify_weight(total)
+    blocks = _negative_in_blocks(g)
     if g.directed:
-        for i in sorted(dec.v1):
-            b = blocks.get(i)
-            if b is None or float(np.min(np.linalg.eigvalsh(b.magnitude))) <= INVERT_TOL:
-                raise DegenerateCouplingError(
-                    f"V1 vertex {i} lacks a positive definite negative-in-weight sum"
-                )
-        per_vertex, bound_c = _bound_given_blocks(g, dec, blocks)
+        v1 = sorted(dec.v1)
+        b_abs, bad = _v1_magnitudes(g.d, v1, blocks)
+        if bad is not None:
+            raise DegenerateCouplingError(
+                f"V1 vertex {bad} lacks a positive definite negative-in-weight sum"
+            )
+        per_vertex, bound_c = _bound(gaps, v1, b_abs)
         chosen = bound_c + margin if delta is None else delta
     else:
         per_vertex, bound_c = {}, 0.0
@@ -196,7 +215,7 @@ def design_fixed(
     k1 = 1.0 + 2.0 / chosen
     return ProtocolDesign(
         theta=theta,
-        informed=informed,
+        informed=frozenset(blocks),
         delta=float(chosen),
         blocks=blocks,
         k1=k1,

@@ -14,6 +14,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .graph import (
+    CLASS_OF_CODE,
     Definiteness,
     MatrixWeight,
     SignedGraph,
@@ -69,20 +70,15 @@ def laplacian_blocks(
     order, plus the grounding term.  Dense and sparse Laplacians are both
     built from these triplets, so they hold the same floating-point values."""
     n, d = g.n, g.d
-    ends = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2) - 1
-    heads, tails = ends[:, 0], ends[:, 1]
-    weights = list(g.weights.values())
-    entries = np.array([w.entries for w in weights]).reshape(-1, d, d)
-    signs = np.array([w.sign for w in weights], dtype=float)
     diag = np.zeros((n, d, d))
-    np.add.at(diag, heads, signs[:, None, None] * entries)
+    np.add.at(diag, g.heads, g.magnitudes)
     for i, (delta, b) in _grounding_terms(n, d, deltas, blocks).items():
         diag[i - 1] += delta * b.magnitude
     own = np.arange(n)
     return (
-        np.concatenate([heads, own]),
-        np.concatenate([tails, own]),
-        np.concatenate([-entries, diag]),
+        np.concatenate([g.heads, own]),
+        np.concatenate([g.tails, own]),
+        np.concatenate([-g.entries, diag]),
     )
 
 
@@ -159,13 +155,15 @@ def expand_system(
     mirror copies grounded through -B_i.
     """
     edges: Dict[Tuple[int, int], np.ndarray] = {}
-    for (i, j), w in g.weights.items():
-        if w.sign > 0:
-            edges[(i, j)] = w.entries
-            edges[(i + g.n, j + g.n)] = w.entries
+    for i, j, code, w in zip(
+        (g.heads + 1).tolist(), (g.tails + 1).tolist(), g.classes.tolist(), g.entries
+    ):
+        if code > 0:
+            edges[(i, j)] = w
+            edges[(i + g.n, j + g.n)] = w
         else:
-            edges[(i + g.n, j)] = w.magnitude
-            edges[(i, j + g.n)] = w.magnitude
+            edges[(i + g.n, j)] = -w
+            edges[(i, j + g.n)] = -w
     expanded = SignedGraph.from_edges(2 * g.n, g.d, g.directed, edges)
     exp_deltas: Dict[int, float] = {}
     exp_blocks: Dict[int, MatrixWeight] = {}
@@ -271,11 +269,13 @@ def quadratic_form_gap(
     Returns x^T L_B x - sum_i x_i^T [delta_i |B_i| + (1/2) sum_{j != i}
     (A_ij - A_ji)] x_i.
     """
-    for (i, j), w in g.weights.items():
-        if w.sign < 0:
-            raise NotNonnegativeWeightsError(
-                f"edge ({j}->{i}) has negative class {w.definiteness.value}"
-            )
+    negative = np.flatnonzero(g.classes < 0)
+    if negative.size:
+        k = negative[0]
+        raise NotNonnegativeWeightsError(
+            f"edge ({g.tails[k] + 1}->{g.heads[k] + 1}) has negative class "
+            f"{CLASS_OF_CODE[int(g.classes[k])].value}"
+        )
     lap = grounded_laplacian(g, deltas, blocks)
     x = np.asarray(x, dtype=float).reshape(g.n * g.d)
     phi = float(x @ lap.matrix @ x)
@@ -283,7 +283,7 @@ def quadratic_form_gap(
     rhs = 0.0
     for i in g.vertices:
         xi = x[_block(i, g.d)]
-        m = 0.5 * gaps[i]
+        m = 0.5 * gaps[i - 1]
         delta = deltas.get(i, 0.0)
         if delta:
             b = blocks.get(i)

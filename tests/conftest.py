@@ -15,11 +15,22 @@ import pytest
 
 from ntconsensus import (
     Decomposition,
+    MatrixWeight,
     SignedGraph,
     bundled_decomposition,
     bundled_graph,
 )
+from ntconsensus.graph import CLASS_OF_CODE
 from ntconsensus.networks import BUNDLED_V1
+
+
+def edge_weights(g: SignedGraph) -> Dict[Tuple[int, int], MatrixWeight]:
+    """The graph's weights keyed by 1-based (to, from) pairs, in edge order,
+    read from its arrays."""
+    return {
+        (i + 1, j + 1): MatrixWeight(w, CLASS_OF_CODE[c])
+        for i, j, w, c in zip(g.heads.tolist(), g.tails.tolist(), g.entries, g.classes.tolist())
+    }
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -132,7 +143,7 @@ def tiled_graph(rng: np.random.Generator, copies: int) -> Tuple[SignedGraph, Dec
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         s = float(rng.uniform(0.1, 0.3))
         off = 7 * c
-        for (i, j), w in graphs[name].weights.items():
+        for (i, j), w in edge_weights(graphs[name]).items():
             m = s * (q @ w.entries @ q.T)
             edges[(i + off, j + off)] = (m + m.T) / 2.0
         entry = BUNDLED_V1[name][0] + off

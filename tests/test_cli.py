@@ -49,6 +49,13 @@ class TestCheck:
         bad.write_text("nope")
         assert main(["check", "--graph", str(bad), "--v1", "auto"]) == 2
 
+    @pytest.mark.parametrize("directed", ["false", 0, None])
+    def test_non_boolean_directed_exit_2(self, tmp_path, capsys, directed):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 2, "d": 1, "directed": directed, "edges": []}))
+        assert main(["check", "--graph", str(p), "--v1", "auto"]) == 2
+        assert "directed must be true or false" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n, d", [(2.7, 2), (2, 1.5)])
     def test_non_integer_size_exit_2(self, tmp_path, capsys, n, d):
         p = tmp_path / "g.json"
@@ -165,6 +172,14 @@ class TestSimulate:
         ])
         assert rc == 1
         assert "NonFiniteError" in capsys.readouterr().err
+
+    def test_schedule_on_one_graph_exit_2(self, capsys):
+        rc = main([
+            "simulate", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",
+            "--theta", "1,2,-1", "--T", "0.05", "--schedule", _p("cycle_schedule.json"),
+        ])
+        assert rc == 2
+        assert "--schedule needs a switching run" in capsys.readouterr().err
 
     def test_switching_without_schedule_exit_2(self):
         rc = main([

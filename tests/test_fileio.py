@@ -21,7 +21,7 @@ from ntconsensus.errors import DimensionMismatchError, NonFiniteError
 from ntconsensus.networks import BUNDLED_V1
 from ntconsensus import Decomposition
 
-from conftest import random_directed_valid, random_undirected_valid
+from conftest import edge_weights, random_directed_valid, random_undirected_valid
 
 
 class TestGraphRoundTrip:
@@ -30,9 +30,9 @@ class TestGraphRoundTrip:
         p = tmp_path / "g.json"
         save_graph(g, p)
         back = load_graph(p)
-        assert set(back.weights) == set(g.weights)
-        for key, w in g.weights.items():
-            assert np.allclose(back.weights[key].entries, w.entries, atol=1e-15)
+        assert set(edge_weights(back)) == set(edge_weights(g))
+        for key, w in edge_weights(g).items():
+            assert np.allclose(edge_weights(back)[key].entries, w.entries, atol=1e-15)
 
     def test_undirected_round_trip_single_listing(self, tmp_path, rng):
         g, _ = random_undirected_valid(rng, 4, 2)
@@ -40,9 +40,9 @@ class TestGraphRoundTrip:
         save_graph(g, p)
         data = json.loads(p.read_text())
         # each unordered pair appears once on disk
-        assert len(data["edges"]) == len(g.weights) // 2
+        assert len(data["edges"]) == len(edge_weights(g)) // 2
         back = load_graph(p)
-        assert set(back.weights) == set(g.weights)
+        assert set(edge_weights(back)) == set(edge_weights(g))
 
     def test_malformed_file(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -76,7 +76,15 @@ class TestGraphRoundTrip:
         p.write_text(json.dumps({"n": 2.0, "d": 1.0, "directed": True,
                                  "edges": [{"from": 1.0, "to": 2, "weight": [[1.0]]}]}))
         g = load_graph(p)
-        assert (g.n, g.d, list(g.weights)) == (2, 1, [(2, 1)])
+        assert (g.n, g.d, list(edge_weights(g))) == (2, 1, [(2, 1)])
+
+    @pytest.mark.parametrize("directed", ["false", "true", 0, 1, None, [True]])
+    def test_non_boolean_directed_rejected(self, tmp_path, directed):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 2, "d": 1, "directed": directed,
+                                 "edges": [{"from": 1, "to": 2, "weight": [[1.0]]}]}))
+        with pytest.raises(FileFormatError, match="directed must be true or false"):
+            load_graph(p)
 
     def test_wrong_weight_shape(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -121,6 +129,18 @@ class TestScheduleLoading:
         p.write_text(json.dumps({"alpha": 0.1, "pattern": [0, 1, 2], "dt": [0.1, 0.2, 0.01]}))
         with pytest.raises(DimensionMismatchError):
             load_schedule(p)
+
+    @pytest.mark.parametrize("repeat", ["false", "true", 0, 1, None])
+    def test_non_boolean_repeat_rejected(self, tmp_path, repeat):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"alpha": 0.1, "pattern": [0, 1], "dt": 0.1, "repeat": repeat}))
+        with pytest.raises(FileFormatError, match="repeat must be true or false"):
+            load_schedule(p)
+
+    def test_omitted_repeat_is_false(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"alpha": 0.1, "pattern": [0, 1], "dt": 0.1}))
+        assert not load_schedule(p).repeat
 
     def test_fractional_pattern_entry_rejected(self, tmp_path):
         p = tmp_path / "s.json"

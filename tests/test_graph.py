@@ -15,9 +15,9 @@ from ntconsensus import (
     Definiteness,
     SignedGraph,
     classify_weight,
+    design_fixed,
     in_degree_dominated,
     pn_reachable,
-    structural_sets,
     suggest_decomposition,
     verify_assumption,
 )
@@ -31,6 +31,7 @@ from ntconsensus.errors import (
 )
 
 from conftest import (
+    edge_weights,
     random_directed_valid,
     random_psd_singular,
     random_spd,
@@ -58,8 +59,9 @@ class TestClassifyWeight:
         with pytest.raises(AsymmetricWeightError):
             classify_weight(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7e308])
     def test_non_finite_rejected(self, bad):
+        """1.7e308 is finite, but it overflows when symmetrized."""
         raw = np.eye(2)
         raw[1, 1] = bad
         with pytest.raises(NonFiniteError):
@@ -90,11 +92,20 @@ class TestSignedGraph:
         g = SignedGraph.from_edges(
             2, 2, True, {(1, 2): np.zeros((2, 2)), (2, 1): np.eye(2)}
         )
-        assert (1, 2) not in g.weights and (2, 1) in g.weights
+        assert (1, 2) not in edge_weights(g) and (2, 1) in edge_weights(g)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ConsensusError):
             SignedGraph.from_edges(2, 2, True, {(1, 1): np.eye(2)})
+
+    def test_first_bad_edge_named(self):
+        """The weights are classified in one call, but the error is still
+        the one of the first bad edge in the mapping's order."""
+        indefinite, out_of_range = ((1, 2), np.diag([1.0, -1.0])), ((1, 5), np.eye(2))
+        with pytest.raises(IndefiniteWeightError):
+            SignedGraph.from_edges(2, 2, True, dict([indefinite, out_of_range]))
+        with pytest.raises(VertexOutOfRangeError):
+            SignedGraph.from_edges(2, 2, True, dict([out_of_range, indefinite]))
 
     def test_vertex_range_checked(self):
         with pytest.raises(VertexOutOfRangeError):
@@ -107,7 +118,7 @@ class TestSignedGraph:
 
     def test_undirected_materializes_both_directions(self):
         g = SignedGraph.from_edges(3, 2, False, {(1, 2): -np.eye(2)})
-        assert np.allclose(g.weights[(2, 1)].entries, g.weights[(1, 2)].entries)
+        assert np.allclose(edge_weights(g)[(2, 1)].entries, edge_weights(g)[(1, 2)].entries)
 
     def test_undirected_mismatch_rejected(self):
         with pytest.raises(AsymmetricWeightError):
@@ -116,30 +127,45 @@ class TestSignedGraph:
             )
 
 
+def _negative_in(g):
+    """Per vertex, the tails of its negative in-edges, read from the class codes."""
+    out = {v: set() for v in g.vertices}
+    for (i, j), w in edge_weights(g).items():
+        if w.sign < 0:
+            out[i].add(j)
+    return out
+
+
 class TestStructuralSets:
-    def test_benchmark_antagonized_set(self, net_a):
-        assert structural_sets(net_a).antagonized == frozenset({1, 2, 3, 4, 6})
+    def test_benchmark_antagonized_set(self, net_a, net_a_dec):
+        antagonized = frozenset(v for v, tails in _negative_in(net_a).items() if tails)
+        assert antagonized == frozenset({1, 2, 3, 4, 6})
+        assert design_fixed(net_a, net_a_dec, np.ones(3)).informed == antagonized
 
     def test_all_positive_graph_empty(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): np.eye(2)})
-        assert structural_sets(g).antagonized == frozenset()
+        assert not np.any(g.classes < 0)
+        assert all(not tails for tails in _negative_in(g).values())
 
     def test_mutual_negative_pair(self):
         g = SignedGraph.from_edges(
             2, 2, True, {(1, 2): -np.eye(2), (2, 1): -np.eye(2)}
         )
-        sets = structural_sets(g)
-        assert sets.antagonized == frozenset({1, 2})
-        assert sets.negative_in[1] == {2} and sets.negative_in[2] == {1}
+        negative_in = _negative_in(g)
+        assert negative_in[1] == {2} and negative_in[2] == {1}
+        design = design_fixed(g, Decomposition.of(g, [1]), np.ones(2))
+        assert design.informed == frozenset({1, 2})
 
     def test_undirected_symmetry(self, rng):
         g, _ = random_undirected_valid(rng, 5, 2)
-        sets = structural_sets(g)
-        for i, j in g.weights:
-            assert (j, i) in g.weights
+        weights = edge_weights(g)
+        for (i, j), w in weights.items():
+            assert (j, i) in weights
+            assert np.array_equal(weights[(j, i)].entries, w.entries)
+        negative_in = _negative_in(g)
         for v in g.vertices:
-            for j in sets.negative_in[v]:
-                assert v in sets.negative_in[j]
+            for j in negative_in[v]:
+                assert v in negative_in[j]
 
 
 class TestReachability:
@@ -158,7 +184,7 @@ class TestReachability:
         reach_before = {
             (a, b) for a in g.vertices for b in g.vertices if pn_reachable(g, a, b)
         }
-        extra = dict({k: w.entries for k, w in g.weights.items()})
+        extra = dict({k: w.entries for k, w in edge_weights(g).items()})
         # new definite edge out of the root
         target = next(v for v in range(2, 7) if (v, 1) not in extra)
         extra[(target, 1)] = np.eye(2)

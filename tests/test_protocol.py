@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.sparse import csr_matrix, issparse
 
 from ntconsensus import (
@@ -21,6 +22,7 @@ from ntconsensus import (
     grounded_laplacian,
     signed_laplacian,
     suggest_decomposition,
+    verify_assumption,
     verify_design,
 )
 from ntconsensus.errors import (
@@ -32,13 +34,16 @@ from ntconsensus.errors import (
     ZeroThetaError,
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
+from ntconsensus.graph import in_out_gaps
 from ntconsensus.protocol import STACK_BYTES
 
 from conftest import (
+    edge_weights,
     random_directed_valid,
     random_spd,
     random_undirected_valid,
     rk4_reference_step,
+    tiled_graph,
 )
 from test_graph import _random_signed_digraph
 
@@ -70,7 +75,7 @@ class TestCouplingBound:
             b = random_spd(rng, 2)
             per, _ = coupling_bound(g, dec, {1: classify_weight(b)})
             m = np.zeros((2, 2))
-            for (a, src), w in g.weights.items():
+            for (a, src), w in edge_weights(g).items():
                 if src == 1:
                     m += w.magnitude
                 if a == 1:
@@ -84,6 +89,15 @@ class TestCouplingBound:
         with pytest.raises(SingularCouplingError):
             coupling_bound(g, dec, {1: classify_weight(np.diag([1.0, 0.0]))})
 
+    def test_first_singular_v1_vertex_named(self):
+        g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
+        dec = Decomposition.of(g, [1, 2])
+        singular = classify_weight(np.diag([1.0, 0.0]))
+        with pytest.raises(SingularCouplingError, match=r"\|B_1\| has an eigenvalue below"):
+            coupling_bound(g, dec, {1: singular})
+        with pytest.raises(SingularCouplingError, match="no coupling block for V1 vertex 1"):
+            coupling_bound(g, dec, {2: singular})
+
     def test_assumption_gate(self, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError):
             coupling_bound(
@@ -93,7 +107,7 @@ class TestCouplingBound:
     def test_scaling_invariance(self, rng):
         g, dec = random_directed_valid(rng, 4, 2)
         scaled = SignedGraph.from_edges(
-            4, 2, True, {k: 3.7 * w.entries for k, w in g.weights.items()}
+            4, 2, True, {k: 3.7 * w.entries for k, w in edge_weights(g).items()}
         )
         d1 = design_fixed(g, dec, np.ones(2))
         d2 = design_fixed(scaled, dec, np.ones(2))
@@ -111,10 +125,10 @@ class TestDesignFixed:
     def test_block_formula(self, net_a, net_a_dec):
         design = design_fixed(net_a, net_a_dec, THETA)
         expected_b4 = (
-            net_a.weights[(4, 3)].magnitude + net_a.weights[(4, 7)].magnitude
+            edge_weights(net_a)[(4, 3)].magnitude + edge_weights(net_a)[(4, 7)].magnitude
         )
         assert np.allclose(design.blocks[4].entries, expected_b4)
-        assert np.allclose(design.blocks[6].entries, net_a.weights[(6, 2)].magnitude)
+        assert np.allclose(design.blocks[6].entries, edge_weights(net_a)[(6, 2)].magnitude)
 
     def test_zero_theta_rejected(self, net_a, net_a_dec):
         with pytest.raises(ZeroThetaError):
@@ -147,6 +161,11 @@ class TestDesignFixed:
         with pytest.raises(DegenerateCouplingError):
             design_fixed(g, Decomposition.of(g, [1]), np.ones(2))
 
+    def test_first_degenerate_v1_vertex_named(self):
+        g = SignedGraph.from_edges(3, 2, True, {(3, 1): np.eye(2), (3, 2): np.eye(2)})
+        with pytest.raises(DegenerateCouplingError, match="V1 vertex 1 lacks"):
+            design_fixed(g, Decomposition.of(g, [1, 2]), np.ones(2))
+
     def test_equilibrium_identity(self, rng):
         g = SignedGraph.from_edges(
             2, 2, True, {(1, 2): -np.eye(2), (2, 1): -np.eye(2)}
@@ -172,6 +191,137 @@ class TestDesignFixed:
         assert design.delta == pytest.approx(0.05)
         assert design.bound_c == 0.0
         assert verify_design(g, design).spec_ok
+
+
+def _per_vertex_design(g, v1):
+    """The blocks and bounds the way the design computed them one vertex at
+    a time: the gaps summed edge by edge, each B_i summed over a set of
+    negative in-neighbours (set iteration order) and classified alone, and
+    each C_i by its own Cholesky reduction."""
+    weights = edge_weights(g)
+    gaps = {v: np.zeros((g.d, g.d)) for v in g.vertices}
+    negative_in = {v: set() for v in g.vertices}
+    for (i, j), w in weights.items():
+        gaps[i] += w.magnitude
+        gaps[j] -= w.magnitude
+        if w.sign < 0:
+            negative_in[i].add(j)
+    blocks = {}
+    for i in sorted(v for v in g.vertices if negative_in[v]):
+        total = np.zeros((g.d, g.d))
+        for j in negative_in[i]:
+            total += weights[(i, j)].magnitude
+        blocks[i] = classify_weight(total)
+    per_vertex = {}
+    for i in sorted(v1):
+        r = np.linalg.cholesky(blocks[i].magnitude)
+        m = 0.0 - gaps[i]
+        reduced = solve_triangular(r, solve_triangular(r, m.T, lower=True).T, lower=True)
+        per_vertex[i] = 0.5 * float(np.max(np.linalg.eigvalsh((reduced + reduced.T) / 2.0)))
+    return blocks, per_vertex, negative_in
+
+
+def _designs_by_both_routes(g, dec, delta=None):
+    design = design_fixed(g, dec, np.ones(g.d), delta=delta)
+    blocks, per_vertex, negative_in = _per_vertex_design(g, dec.v1)
+    assert sorted(design.blocks) == sorted(blocks)
+    for i, b in blocks.items():
+        assert design.blocks[i].definiteness is b.definiteness
+    return design, blocks, per_vertex, max(len(s) for s in negative_in.values())
+
+
+class TestStackedDesign:
+    """The stacked design against the per-vertex loop it replaced."""
+
+    def _networks(self, tiled):
+        rng = np.random.default_rng(8)
+        nets = [bundled_decomposition(name) for name in BUNDLED_V1]
+        nets = [(bundled_graph(name), dec) for name, dec in zip(BUNDLED_V1, nets)]
+        nets += [tiled, tiled_graph(rng, 30)]
+        nets += [random_directed_valid(rng, int(rng.integers(3, 12)), 3) for _ in range(30)]
+        return nets
+
+    def test_bit_identical_on_bundled_tree_and_tiled_networks(self, tiled):
+        """Every vertex of these networks has at most two negative
+        in-neighbours, so edge order and set order add the same terms in an
+        order that rounds alike: blocks, classes, C_i, C and delta agree bit
+        for bit.  net_a_weak and net_c fail the assumption check at their
+        bundled V1, so they get an explicit delta."""
+        for g, dec in self._networks(tiled):
+            delta = None if verify_assumption(g, dec).ok else 5.0
+            design, blocks, per_vertex, most = _designs_by_both_routes(g, dec, delta)
+            assert most <= 2
+            for i, b in blocks.items():
+                assert design.blocks[i].entries.tobytes() == b.entries.tobytes()
+            assert design.per_vertex_c == per_vertex
+            assert design.bound_c == max(per_vertex.values())
+            assert design.delta == (delta or max(per_vertex.values()) + 0.1)
+
+    def test_edge_order_within_tolerance_on_random_digraphs(self):
+        """With three or more negative in-neighbours the summation order
+        shows: blocks agree to 1e-15 of their largest entry, and C_i to 1e-12
+        relative to max(1, |C_i|) on V1 vertices whose |B_i| has condition
+        number below 1e4 (seen: 3.1e-16 and 3.7e-16, with 61 of 1240 blocks
+        not bit-identical).  V1 is the informed vertices with such blocks, and
+        delta is given, so the assumption check does not gate the bound."""
+        rng = np.random.default_rng(300)
+        differing = compared = 0
+        for _ in range(300):
+            n, d = int(rng.integers(3, 9)), int(rng.integers(2, 4))
+            g, _, _ = _random_signed_digraph(rng, n, d, p_definite=0.8, p_negative=0.7)
+            blocks, _, _ = _per_vertex_design(g, [])
+            v1 = [i for i, b in blocks.items()
+                  if np.linalg.cond(b.magnitude) < 1e4 and b.sign > 0]
+            if not v1:
+                continue
+            design, blocks, per_vertex, _ = _designs_by_both_routes(
+                g, Decomposition.of(g, v1), delta=1.0
+            )
+            for i, b in blocks.items():
+                scale = np.max(np.abs(b.entries))
+                assert np.max(np.abs(design.blocks[i].entries - b.entries)) <= 1e-15 * scale
+                differing += design.blocks[i].entries.tobytes() != b.entries.tobytes()
+                compared += 1
+            for i, c in per_vertex.items():
+                assert abs(design.per_vertex_c[i] - c) <= 1e-12 * max(1.0, abs(c))
+        # the draw must hold blocks where the order shows, or the tolerance is untested
+        assert compared >= 300 and differing >= 20
+
+    def test_sums_follow_edge_order(self):
+        """Three negative in-edges at vertex 1 whose sum rounds differently
+        by order: 1 + 1 + 2^53 is 2^53 + 2, while 2^53 + 1 + 1 rounds to
+        2^53.  B_1 and the gap take the order of ``from_edges``."""
+        big = 2.0 ** 53
+        edges = {(1, 4): -np.eye(1), (1, 3): -np.eye(1), (1, 2): -big * np.eye(1)}
+        g = SignedGraph.from_edges(4, 1, True, edges)
+        design = design_fixed(g, Decomposition.of(g, [1]), np.ones(1), delta=1.0)
+        assert design.blocks[1].entries[0, 0] == big + 2.0
+        assert in_out_gaps(g)[0, 0, 0] == big + 2.0
+
+    def test_design_linear_algebra_is_stacked(self, net_a, net_a_dec, monkeypatch):
+        """design_fixed makes as many eigvalsh and cholesky calls on the
+        630-state tiled network as on net_a, so no per-vertex loop of them
+        is left."""
+        big, big_dec = tiled_graph(np.random.default_rng(3), 30)
+        assert big.n * big.d == 630
+
+        def counts(g, dec):
+            calls = {"eigvalsh": 0, "cholesky": 0}
+            for name in calls:
+                original = getattr(np.linalg, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(np.linalg, name, counted)
+            design_fixed(g, dec, THETA)
+            monkeypatch.undo()
+            return calls
+
+        small = counts(net_a, net_a_dec)
+        assert small == counts(big, big_dec)
+        assert small["cholesky"] == 1
 
 
 class TestVerifyDesign:
