@@ -47,8 +47,8 @@ def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.
     """Check the run inputs shared by both integrators; return a copy of x_init."""
     if not (math.isfinite(h) and math.isfinite(horizon)):
         raise NonFiniteError(f"step and horizon must be finite, got h={h}, T={horizon}")
-    if h <= 0:
-        raise DimensionMismatchError(f"step must be positive, got h={h}")
+    if not 0 < h <= horizon:
+        raise DimensionMismatchError(f"need 0 < h <= T, got h={h}, T={horizon}")
     x = np.asarray(x_init, dtype=float).reshape(-1).copy()
     if x.shape[0] != nd:
         raise DimensionMismatchError(f"x_init has length {x.shape[0]}, expected {nd}")
@@ -121,8 +121,6 @@ def integrate_fixed(
 ) -> Trajectory:
     """Classic fourth-order fixed-step run of the fixed-topology loop."""
     x = _initial_state(x_init, g.n * g.d, h, horizon)
-    if horizon < h:
-        raise DimensionMismatchError(f"need 0 < h <= T, got h={h}, T={horizon}")
     times: List[np.ndarray] = [np.zeros(1)]
     states: List[np.ndarray] = [x[None, :]]
     # an unstable map overflows inside a block; the guard reports it instead

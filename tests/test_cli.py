@@ -164,6 +164,21 @@ class TestSimulate:
         assert rc == 1
         assert "DimensionMismatchError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", ["-1", "0"])
+    def test_switching_horizon_not_above_step_exit_1(self, capsys, tmp_path, horizon):
+        rc = main([
+            "simulate",
+            "--graphs", _p("net_a.json"), _p("net_b.json"), _p("net_c.json"),
+            "--v1", "1,2,3,4;2,3;1,2,3",
+            "--theta", "1,2,-1",
+            "--delta", "7.0495", "--delta", "7.2440", "--delta", "3.1",
+            "--schedule", _p("cycle_schedule.json"),
+            "--T", horizon, "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "need 0 < h <= T" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("flag, value", [("--h", "nan"), ("--T", "inf")])
     def test_non_finite_step_or_horizon_exit_1(self, capsys, flag, value):
         rc = main([

@@ -243,6 +243,9 @@ class TestIntegrateSwitching:
         (1e-3, 1.0, np.nan, NonFiniteError),
         (0.0, 1.0, None, DimensionMismatchError),
         (-1e-3, 1.0, None, DimensionMismatchError),
+        (1e-3, -1.0, None, DimensionMismatchError),
+        (1e-3, 0.0, None, DimensionMismatchError),
+        (2e-3, 1e-3, None, DimensionMismatchError),
     ])
     def test_invalid_run_input_rejected(self, net_a, net_b, net_c, h, horizon, bad, error):
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
