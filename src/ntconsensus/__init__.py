@@ -64,7 +64,6 @@ from .spectral import (
     eigenvalues_sorted,
     expand_system,
     grounded_laplacian,
-    intersect_null_spaces,
     laplacian_blocks,
     quadratic_form_gap,
     log_norm2,
@@ -72,7 +71,6 @@ from .spectral import (
     min_real_part,
     null_space,
     principal_angle,
-    signal_blocks,
     signed_laplacian,
 )
 

@@ -221,8 +221,16 @@ def write_trajectory_csv(traj: Trajectory, path: PathLike) -> None:
 
 
 def read_trajectory_csv(path: PathLike) -> np.ndarray:
-    """The trajectory CSV's samples as a 2-D array, one row per sample."""
+    """The trajectory CSV's samples as a 2-D array, one row per sample.  The
+    file is read as a stream; one with no sample after its header is a
+    format error."""
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path) as fh:
+            fh.readline()  # the header
+            body = fh.tell()
+            if not fh.readline().strip():
+                raise FileFormatError(f"trajectory {path} has no samples")
+            fh.seek(body)
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise FileFormatError(f"cannot read trajectory {path}: {exc}") from exc

@@ -187,8 +187,6 @@ class SignedGraph:
                 raise errors[k]
             if codes[k] == 0:
                 continue
-            if (i, j) in rows and not np.allclose(sym[rows[(i, j)]], sym[k], atol=1e-12):
-                raise AsymmetricWeightError(f"conflicting weights for edge ({j}->{i})")
             rows[(i, j)] = k
             if not directed:
                 mirror = rows.get((j, i))

@@ -38,11 +38,9 @@ from .spectral import (
     consensus_space,
     eigenvalues_sorted,
     grounded_laplacian,
-    intersect_null_spaces,
     laplacian_blocks,
     null_space,
     principal_angle,
-    signal_blocks,
 )
 
 if TYPE_CHECKING:
@@ -57,16 +55,22 @@ MEMBER_TOL = 1e-6
 @dataclass(frozen=True)
 class ProtocolDesign:
     theta: np.ndarray
-    informed: FrozenSet[int]
     delta: float
-    blocks: Dict[int, MatrixWeight]  # signed coupling blocks, positive convention
-    k1: float
-    x0: np.ndarray
+    blocks: Dict[int, MatrixWeight]  # signed coupling blocks of the informed vertices
     bound_c: float
     per_vertex_c: Dict[int, float]
 
-    def deltas(self) -> Dict[int, float]:
-        return {i: self.delta for i in self.informed}
+    @property
+    def informed(self) -> FrozenSet[int]:
+        return frozenset(self.blocks)
+
+    @property
+    def k1(self) -> float:
+        return 1.0 + 2.0 / self.delta
+
+    @property
+    def x0(self) -> np.ndarray:
+        return self.k1 * self.theta
 
     def to_dict(self) -> dict:
         return {
@@ -212,16 +216,8 @@ def design_fixed(
         raise NonFiniteError(f"coupling coefficient must be finite, got {chosen}")
     if chosen <= 0:
         raise DegenerateCouplingError(f"coupling coefficient must be positive, got {chosen}")
-    k1 = 1.0 + 2.0 / chosen
     return ProtocolDesign(
-        theta=theta,
-        informed=frozenset(blocks),
-        delta=float(chosen),
-        blocks=blocks,
-        k1=k1,
-        x0=k1 * theta,
-        bound_c=bound_c,
-        per_vertex_c=per_vertex,
+        theta=theta, delta=float(chosen), blocks=blocks, bound_c=bound_c, per_vertex_c=per_vertex
     )
 
 
@@ -229,7 +225,7 @@ def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian
     """Grounded and signal-augmented Laplacians realized by a design.  The
     augmented one is assembled once; the grounded one is a view of its
     leading nd x nd block."""
-    augmented = augmented_laplacian(g, design.deltas(), design.blocks)
+    augmented = augmented_laplacian(g, design.delta, design.blocks)
     nd = g.n * g.d
     return Laplacian(augmented.matrix[:nd, :nd]), augmented
 
@@ -243,7 +239,7 @@ STACK_BYTES = 1 << 18
 @dataclass(frozen=True)
 class ClosedLoop:
     """The closed loop xdot = -L_B x + f that a design realizes on a graph:
-    L_B in CSR form and the forcing f, whose block i is delta_i B_i x0."""
+    L_B in CSR form and the forcing f, whose block i is delta B_i x0."""
 
     laplacian: "csr_matrix"
     forcing: np.ndarray
@@ -309,23 +305,24 @@ class ClosedLoop:
 
 
 def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
-    """Assemble the design's closed loop on g once: L_B from the block
-    triplets of ``laplacian_blocks`` and the forcing from ``signal_blocks``."""
+    """Assemble the design's closed loop on g once from the block triplets of
+    ``laplacian_blocks``: L_B from those in block columns below n, and the
+    forcing, minus the signal column times x0, from those in column n."""
     # imported here: scipy.sparse would add ~25 ms to importing the package
     from scipy.sparse import csr_matrix
 
-    deltas = design.deltas()
-    rows, cols, data = laplacian_blocks(g, deltas, design.blocks)
+    rows, cols, data = laplacian_blocks(g, design.delta, design.blocks)
     d, nd = g.d, g.n * g.d
+    signal = cols == g.n
+    forcing = np.zeros((g.n, d))
+    forcing[rows[signal]] = -(data[signal] @ design.x0)
+    rows, cols, data = rows[~signal], cols[~signal], data[~signal]
     k = np.arange(d)
     r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
     c = np.broadcast_to(cols[:, None, None] * d + k, data.shape).ravel()
     order = np.argsort(r * nd + c)
     indptr = np.searchsorted(r[order], np.arange(nd + 1))
     lap = csr_matrix((data.ravel()[order], c[order], indptr), shape=(nd, nd))
-    forcing = np.zeros((g.n, d))
-    rows, data = signal_blocks(g.n, d, deltas, design.blocks)
-    forcing[rows] = -(data @ design.x0)
     return ClosedLoop(laplacian=lap, forcing=forcing.reshape(nd))
 
 
@@ -412,7 +409,7 @@ def contraction_factor(
     part of graph i's grounded Laplacian."""
     lmins: Dict[int, float] = {}
     for gid, design in sorted(sdesign.designs.items()):
-        lap = grounded_laplacian(graphs[gid], design.deltas(), design.blocks).matrix
+        lap = grounded_laplacian(graphs[gid], design.delta, design.blocks).matrix
         sym = (lap + lap.T) / 2.0
         lmins[gid] = float(np.min(np.linalg.eigvalsh(sym)))
     bad = [gid for gid, l in lmins.items() if l <= 0]
@@ -427,13 +424,12 @@ def contraction_factor(
 def necessary_condition_check(
     zstar: np.ndarray, augmented_matrices: Sequence[np.ndarray]
 ) -> bool:
-    """True when the candidate limit lies in the intersection of the null
-    spaces of the recurring augmented Laplacians, to relative residual
-    ``MEMBER_TOL``."""
+    """True when the candidate limit z lies in the null space of every
+    recurring augmented Laplacian M, as a residual:
+    ||M z|| <= ``MEMBER_TOL`` ||z|| max(1, ||M||_2)."""
     zstar = np.asarray(zstar, dtype=float).reshape(-1)
-    inter = intersect_null_spaces([null_space(m) for m in augmented_matrices])
-    norm = float(np.linalg.norm(zstar))
-    if norm == 0.0:
-        return True
-    resid = zstar - inter @ (inter.T @ zstar)
-    return float(np.linalg.norm(resid)) < MEMBER_TOL * norm
+    scale = MEMBER_TOL * float(np.linalg.norm(zstar))
+    return all(
+        float(np.linalg.norm(m @ zstar)) <= scale * max(1.0, float(np.linalg.norm(m, 2)))
+        for m in augmented_matrices
+    )

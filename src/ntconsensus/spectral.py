@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -15,7 +15,6 @@ from .errors import (
 )
 from .graph import (
     CLASS_OF_CODE,
-    Definiteness,
     MatrixWeight,
     SignedGraph,
     classify_weight,
@@ -33,119 +32,78 @@ class Laplacian:
     matrix: np.ndarray
 
 
-def _block(i: int, d: int) -> slice:
-    return slice((i - 1) * d, i * d)
-
-
-def _grounding_terms(
-    n: int, d: int, deltas: Mapping[int, float], blocks: Mapping[int, MatrixWeight]
-) -> Dict[int, Tuple[float, MatrixWeight]]:
-    out: Dict[int, Tuple[float, MatrixWeight]] = {}
-    for i, delta in deltas.items():
-        if delta == 0.0:
-            continue
-        if not (1 <= i <= n):
-            raise DimensionMismatchError(f"grounded vertex {i} outside 1..{n}")
-        b = blocks.get(i)
-        if b is None or b.definiteness is Definiteness.ZERO:
-            raise DimensionMismatchError(f"vertex {i} has delta > 0 but no block")
-        if b.d != d:
-            raise DimensionMismatchError(
-                f"block for vertex {i} has dimension {b.d}, expected {d}"
-            )
-        out[i] = (delta, b)
-    return out
-
-
 def laplacian_blocks(
-    g: SignedGraph,
-    deltas: Mapping[int, float],
-    blocks: Mapping[int, MatrixWeight],
+    g: SignedGraph, delta: float, blocks: Mapping[int, MatrixWeight]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block triplets (rows, cols, data) of the signed Laplacian grounded by
-    delta_i |B_i|: 0-based block rows and columns and the (k, d, d) blocks.
+    """Block triplets (rows, cols, data) of the signal-augmented Laplacian:
+    0-based block rows and columns and the (k, d, d) blocks.
 
     The off-diagonal blocks -A_ij come first, in edge order, then the n
     diagonal blocks: the sum of |A_ik| over in-neighbors, accumulated in edge
-    order, plus the grounding term.  Dense and sparse Laplacians are both
-    built from these triplets, so they hold the same floating-point values."""
+    order, plus delta |B_i| for every vertex in ``blocks``; last, the signal
+    column -delta B_i (the signed block) at block column n, in ascending
+    vertex order.  delta = 0 grounds nothing.  Every dense Laplacian and the
+    closed loop's L_B and forcing are scatters of these triplets, so they
+    hold the same floating-point values."""
     n, d = g.n, g.d
+    informed = sorted(blocks) if delta else []
+    for i in informed:
+        if not (1 <= i <= n):
+            raise DimensionMismatchError(f"grounded vertex {i} outside 1..{n}")
+        if blocks[i].d != d:
+            raise DimensionMismatchError(
+                f"block for vertex {i} has dimension {blocks[i].d}, expected {d}"
+            )
+    signal = np.array(informed, dtype=np.intp) - 1
+    b = np.array([blocks[i].entries for i in informed]).reshape(-1, d, d)
+    mag = np.array([blocks[i].magnitude for i in informed]).reshape(-1, d, d)
     diag = np.zeros((n, d, d))
     np.add.at(diag, g.heads, g.magnitudes)
-    for i, (delta, b) in _grounding_terms(n, d, deltas, blocks).items():
-        diag[i - 1] += delta * b.magnitude
+    diag[signal] += delta * mag
     own = np.arange(n)
     return (
-        np.concatenate([g.heads, own]),
-        np.concatenate([g.tails, own]),
-        np.concatenate([-g.entries, diag]),
+        np.concatenate([g.heads, own, signal]),
+        np.concatenate([g.tails, own, np.full(signal.size, n)]),
+        np.concatenate([-g.entries, diag, -delta * b]),
     )
 
 
 def _dense(
-    g: SignedGraph,
-    deltas: Mapping[int, float],
-    blocks: Mapping[int, MatrixWeight],
-    order: int,
-) -> np.ndarray:
-    """The ``laplacian_blocks`` triplets scattered into a zero (order, d,
-    order, d) array; blocks beyond the first g.n stay zero."""
-    rows, cols, data = laplacian_blocks(g, deltas, blocks)
+    g: SignedGraph, delta: float, blocks: Mapping[int, MatrixWeight], order: int
+) -> Laplacian:
+    """The ``laplacian_blocks`` triplets with block column below ``order``,
+    scattered into a zero (order d) x (order d) matrix."""
+    rows, cols, data = laplacian_blocks(g, delta, blocks)
+    keep = cols < order
     m = np.zeros((order, g.d, order, g.d))
-    m[rows, :, cols, :] = data
-    return m
+    m[rows[keep], :, cols[keep], :] = data[keep]
+    return Laplacian(m.reshape(order * g.d, order * g.d))
 
 
 def signed_laplacian(g: SignedGraph) -> Laplacian:
     """Diagonal block i is the sum of |A_ik| over in-neighbors; off-diagonal
     block (i, j) is -A_ij."""
-    return grounded_laplacian(g, {}, {})
+    return grounded_laplacian(g, 0.0, {})
 
 
 def grounded_laplacian(
-    g: SignedGraph,
-    deltas: Mapping[int, float],
-    blocks: Mapping[int, MatrixWeight],
+    g: SignedGraph, delta: float, blocks: Mapping[int, MatrixWeight]
 ) -> Laplacian:
     """The signed Laplacian of g plus the block-diagonal grounding
-    delta_i * |B_i|."""
-    nd = g.n * g.d
-    return Laplacian(_dense(g, deltas, blocks, g.n).reshape(nd, nd))
-
-
-def signal_blocks(
-    n: int,
-    d: int,
-    deltas: Mapping[int, float],
-    blocks: Mapping[int, MatrixWeight],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Block column of the external signal: 0-based block rows and the
-    (k, d, d) blocks -delta_i * B_i, with the signed block (not its
-    magnitude).  The closed loop's forcing is minus this column times x0."""
-    terms = _grounding_terms(n, d, deltas, blocks)
-    rows = np.array(list(terms), dtype=np.intp) - 1
-    data = np.array([-delta * b.entries for delta, b in terms.values()]).reshape(-1, d, d)
-    return rows, data
+    delta |B_i|."""
+    return _dense(g, delta, blocks, g.n)
 
 
 def augmented_laplacian(
-    g: SignedGraph,
-    deltas: Mapping[int, float],
-    blocks: Mapping[int, MatrixWeight],
+    g: SignedGraph, delta: float, blocks: Mapping[int, MatrixWeight]
 ) -> Laplacian:
-    """The grounded Laplacian of g with the external-signal block column of
-    ``signal_blocks`` adjoined; the bottom block row is zero."""
-    m = _dense(g, deltas, blocks, g.n + 1)
-    rows, data = signal_blocks(g.n, g.d, deltas, blocks)
-    m[rows, :, g.n, :] = data
-    nd = (g.n + 1) * g.d
-    return Laplacian(m.reshape(nd, nd))
+    """The grounded Laplacian of g with the external-signal block column
+    -delta B_i adjoined; the bottom block row is zero."""
+    return _dense(g, delta, blocks, g.n + 1)
 
 
 def expand_system(
-    g: SignedGraph,
-    deltas: Mapping[int, float],
-    blocks: Mapping[int, MatrixWeight],
+    g: SignedGraph, delta: float, blocks: Mapping[int, MatrixWeight]
 ) -> Tuple[SignedGraph, Laplacian]:
     """Mirror every agent and reroute antagonistic edges to the mirror copies.
 
@@ -165,16 +123,10 @@ def expand_system(
             edges[(i + g.n, j)] = -w
             edges[(i, j + g.n)] = -w
     expanded = SignedGraph.from_edges(2 * g.n, g.d, g.directed, edges)
-    exp_deltas: Dict[int, float] = {}
-    exp_blocks: Dict[int, MatrixWeight] = {}
-    for i, delta in deltas.items():
-        exp_deltas[i] = delta
-        exp_deltas[i + g.n] = delta
-        b = blocks.get(i)
-        if b is not None:
-            exp_blocks[i] = b
-            exp_blocks[i + g.n] = classify_weight(-b.entries)
-    return expanded, grounded_laplacian(expanded, exp_deltas, exp_blocks)
+    exp_blocks = dict(blocks)
+    for i, b in blocks.items():
+        exp_blocks[i + g.n] = classify_weight(-b.entries)
+    return expanded, grounded_laplacian(expanded, delta, exp_blocks)
 
 
 def eigenvalues_sorted(m: np.ndarray) -> np.ndarray:
@@ -205,20 +157,6 @@ def null_space(m: np.ndarray) -> np.ndarray:
     else:
         rank = int(np.sum(s > RANK_TOL * s[0]))
     return vt[rank:].T.copy() if rank < cols else np.zeros((cols, 0))
-
-
-def intersect_null_spaces(bases: Sequence[np.ndarray]) -> np.ndarray:
-    """Intersection of the subspaces spanned by orthonormal columns, via the
-    null space of the stacked orthogonal projectors onto their complements."""
-    if not bases:
-        raise DimensionMismatchError("need at least one basis")
-    rows = bases[0].shape[0]
-    stack: List[np.ndarray] = []
-    for b in bases:
-        if b.shape[0] != rows:
-            raise DimensionMismatchError("bases have mismatched row dimensions")
-        stack.append(np.eye(rows) - b @ b.T)
-    return null_space(np.vstack(stack))
 
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -257,17 +195,11 @@ def consensus_space(n: int, d: int, xi: float = 1.0, xi0: float = 1.0) -> np.nda
     return np.vstack([xi * np.tile(np.eye(d), (n, 1)), xi0 * np.eye(d)])
 
 
-def quadratic_form_gap(
-    g: SignedGraph,
-    deltas: Mapping[int, float],
-    blocks: Mapping[int, MatrixWeight],
-    x: np.ndarray,
-) -> float:
-    """Quadratic-form slack of the grounded Laplacian of an all-nonnegative
+def quadratic_form_gap(g: SignedGraph, x: np.ndarray) -> float:
+    """Quadratic-form slack of the signed Laplacian of an all-nonnegative
     graph over the per-vertex lower bound; nonnegative up to roundoff.
 
-    Returns x^T L_B x - sum_i x_i^T [delta_i |B_i| + (1/2) sum_{j != i}
-    (A_ij - A_ji)] x_i.
+    Returns x^T L x - sum_i x_i^T [(1/2) sum_{j != i} (A_ij - A_ji)] x_i.
     """
     negative = np.flatnonzero(g.classes < 0)
     if negative.size:
@@ -276,19 +208,10 @@ def quadratic_form_gap(
             f"edge ({g.tails[k] + 1}->{g.heads[k] + 1}) has negative class "
             f"{CLASS_OF_CODE[int(g.classes[k])].value}"
         )
-    lap = grounded_laplacian(g, deltas, blocks)
     x = np.asarray(x, dtype=float).reshape(g.n * g.d)
-    phi = float(x @ lap.matrix @ x)
+    phi = float(x @ signed_laplacian(g).matrix @ x)
     gaps = in_out_gaps(g)  # every weight is nonnegative, so magnitudes are the weights
     rhs = 0.0
-    for i in g.vertices:
-        xi = x[_block(i, g.d)]
-        m = 0.5 * gaps[i - 1]
-        delta = deltas.get(i, 0.0)
-        if delta:
-            b = blocks.get(i)
-            if b is not None:
-                m += delta * b.magnitude
-        rhs += float(xi @ m @ xi)
+    for xi, gap in zip(x.reshape(g.n, g.d), gaps):
+        rhs += float(xi @ (0.5 * gap) @ xi)
     return phi - rhs
-

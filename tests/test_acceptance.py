@@ -162,7 +162,7 @@ def test_c07_quadratic_form_bound():
         g = random_all_psd_graph(rng, n, d)
         for _ in range(10):
             x = rng.normal(scale=rng.uniform(0.1, 10.0), size=n * d)
-            gap = quadratic_form_gap(g, {}, {}, x)
+            gap = quadratic_form_gap(g, x)
             ok = ok and gap >= -1e-9 * (1.0 + float(x @ x))
     _report("c07 quadratic-form lower bound on 1000 PSD-weight samples", ok)
 
@@ -176,7 +176,7 @@ def test_c08_lifting_equivalence():
         g, dec = random_directed_valid(rng, n, d)
         design = design_fixed(g, dec, np.ones(d))
         grounded, _ = design_laplacians(g, design)
-        _, lifted = expand_system(g, design.deltas(), design.blocks)
+        _, lifted = expand_system(g, design.delta, design.blocks)
         small = min_real_part(grounded.matrix)
         big = min_real_part(lifted.matrix)
         ok = ok and (small > 0) == (big > 0) and np.sign(round(small, 8)) == np.sign(round(big, 8))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,15 @@ class TestTrajectoryCsv:
         data = read_trajectory_csv(p)
         assert data.shape == (1, 23)
         assert np.array_equal(data[0], np.concatenate([[0.0], np.ones(21), one.error_norm]))
+
+    @pytest.mark.parametrize("text", ["t,x1_1,errnorm\n", "t,x1_1,errnorm", ""])
+    def test_header_only_is_format_error(self, tmp_path, text):
+        p = tmp_path / "traj.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError, match="no samples"):
+                read_trajectory_csv(p)
 
 
 def _row_loop_csv(traj, path):

@@ -485,7 +485,7 @@ class TestClosedLoop:
     def test_grounded_is_the_augmented_leading_block(self, name, tiled):
         g, design = _designed(name, tiled)
         grounded, _ = design_laplacians(g, design)
-        alone = grounded_laplacian(g, design.deltas(), design.blocks).matrix
+        alone = grounded_laplacian(g, design.delta, design.blocks).matrix
         assert np.ascontiguousarray(grounded.matrix).tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak", "tiled"])

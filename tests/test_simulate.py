@@ -146,7 +146,7 @@ class TestIntegrateFixed:
     def test_divergence_guard_catches_nan(self, net_a, net_a_dec):
         from dataclasses import replace
 
-        broken = replace(design_fixed(net_a, net_a_dec, THETA), x0=np.full(3, np.nan))
+        broken = replace(design_fixed(net_a, net_a_dec, THETA), theta=np.full(3, np.nan))
         with pytest.raises(NonFiniteError):
             integrate_fixed(net_a, broken, np.zeros(21), h=1e-3, horizon=0.1)
 
@@ -282,9 +282,9 @@ class TestConvergenceReport:
     def test_ungrounded_run_fails(self, rng):
         g, dec = random_directed_valid(rng, 4, 2)
         design = design_fixed(g, dec, np.ones(2))
-        # zero out the coupling: equilibrium at theta disappears
+        # a vanishing coupling coefficient (x0 follows it): the run cannot settle at theta
         from dataclasses import replace
 
-        broken = replace(design, delta=1e-12, x0=design.x0)
+        broken = replace(design, delta=1e-12)
         traj = integrate_fixed(g, broken, rng.uniform(1.5, 2.0, 8), h=1e-2, horizon=5.0)
         assert not convergence_report(traj, np.ones(2)).converged

@@ -14,7 +14,7 @@ from ntconsensus import (
     eigenvalues_sorted,
     expand_system,
     grounded_laplacian,
-    intersect_null_spaces,
+    laplacian_blocks,
     quadratic_form_gap,
     log_norm2,
     matrix_exp,
@@ -23,10 +23,7 @@ from ntconsensus import (
     principal_angle,
     signed_laplacian,
 )
-from ntconsensus.errors import (
-    DimensionMismatchError,
-    NotNonnegativeWeightsError,
-)
+from ntconsensus.errors import NotNonnegativeWeightsError
 
 from conftest import (
     edge_weights,
@@ -95,34 +92,43 @@ class TestLaplacianBlocks:
         g = bundled_graph(name)
         assert signed_laplacian(g).matrix.tobytes() == _edge_loop_laplacian(g).tobytes()
 
+    def test_triplet_order_ends_with_signal_column(self, net_a):
+        """Edges, then the n grounded diagonal blocks, then the signal
+        column -delta B_i at block column n in ascending vertex order."""
+        blocks = _blocks_of({5: -np.eye(3), 2: 2 * np.eye(3)})
+        rows, cols, data = laplacian_blocks(net_a, 1.5, blocks)
+        e, n = net_a.heads.size, net_a.n
+        assert rows.tolist() == net_a.heads.tolist() + list(range(n)) + [1, 4]
+        assert cols.tolist() == net_a.tails.tolist() + list(range(n)) + [n, n]
+        assert np.array_equal(data[-2:], [-3.0 * np.eye(3), 1.5 * np.eye(3)])
+        signed = signed_laplacian(net_a).matrix
+        assert np.array_equal(data[e + 4], signed[12:15, 12:15] + 1.5 * np.eye(3))
+        assert np.array_equal(laplacian_blocks(net_a, 0.0, blocks)[0], rows[: e + n])
+
 
 class TestGroundedLaplacian:
     def test_zero_deltas_is_identity(self, net_a):
         lap = signed_laplacian(net_a)
-        grounded = grounded_laplacian(net_a, {}, {})
+        grounded = grounded_laplacian(net_a, 0.0, _blocks_of({1: np.eye(3)}))
         assert np.allclose(grounded.matrix, lap.matrix)
 
     def test_single_node_grounding(self):
         g = SignedGraph.from_edges(1, 3, True, {})
-        grounded = grounded_laplacian(g, {1: 2.0}, _blocks_of({1: np.eye(3)}))
+        grounded = grounded_laplacian(g, 2.0, _blocks_of({1: np.eye(3)}))
         assert np.allclose(grounded.matrix, 2 * np.eye(3))
-
-    def test_missing_block_rejected(self, net_a):
-        with pytest.raises(DimensionMismatchError):
-            grounded_laplacian(net_a, {1: 1.0}, {})
 
 
 class TestAugmentedLaplacian:
     def test_bottom_rows_zero(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
         blocks = _blocks_of({1: np.eye(2)})
-        aug = augmented_laplacian(g, {1: 1.0}, blocks)
+        aug = augmented_laplacian(g, 1.0, blocks)
         assert np.allclose(aug.matrix[-2:, :], 0.0)
 
     def test_zero_delta_block_form(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
-        grounded = grounded_laplacian(g, {}, {})
-        aug = augmented_laplacian(g, {}, {})
+        grounded = grounded_laplacian(g, 0.0, {})
+        aug = augmented_laplacian(g, 0.0, {})
         assert np.allclose(aug.matrix[:4, 4:], 0.0)
         assert np.allclose(aug.matrix[:4, :4], grounded.matrix)
 
@@ -130,28 +136,27 @@ class TestAugmentedLaplacian:
 class TestExpandSystem:
     def test_positive_edge_duplicated(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): np.eye(2)})
-        expanded, _ = expand_system(g, {}, {})
+        expanded, _ = expand_system(g, 0.0, {})
         assert np.allclose(edge_weights(expanded)[(1, 2)].entries, np.eye(2))
         assert np.allclose(edge_weights(expanded)[(3, 4)].entries, np.eye(2))
         assert (1, 4) not in edge_weights(expanded)
 
     def test_negative_edge_rerouted(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -2 * np.eye(2)})
-        expanded, _ = expand_system(g, {}, {})
+        expanded, _ = expand_system(g, 0.0, {})
         assert (1, 2) not in edge_weights(expanded)
         assert np.allclose(edge_weights(expanded)[(1, 4)].entries, 2 * np.eye(2))
         assert np.allclose(edge_weights(expanded)[(3, 2)].entries, 2 * np.eye(2))
 
     def test_expanded_weights_all_nonnegative(self, net_a):
-        expanded, _ = expand_system(net_a, {}, {})
+        expanded, _ = expand_system(net_a, 0.0, {})
         assert all(w.sign >= 0 for w in edge_weights(expanded).values())
 
     def test_spectrum_contains_original(self, net_a):
         """The lifted spectrum contains the original grounded spectrum."""
         blocks = _blocks_of({1: np.eye(3), 2: np.eye(3)})
-        deltas = {1: 2.0, 2: 3.0}
-        grounded = grounded_laplacian(net_a, deltas, blocks)
-        _, lifted = expand_system(net_a, deltas, blocks)
+        grounded = grounded_laplacian(net_a, 2.0, blocks)
+        _, lifted = expand_system(net_a, 2.0, blocks)
         small = eigenvalues_sorted(grounded.matrix)
         big = eigenvalues_sorted(lifted.matrix)
         for lam in small:
@@ -170,13 +175,6 @@ class TestNullSpace:
         m[:, 0] = m[:, 1]  # force rank deficiency
         basis = null_space(m @ np.diag([0.0, 1, 1, 1, 1, 1]))
         assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]))
-
-    def test_intersection_of_identical_spans(self, rng):
-        m = rng.normal(size=(4, 6))
-        b = null_space(m)
-        inter = intersect_null_spaces([b, b])
-        assert inter.shape == b.shape
-        assert principal_angle(inter, b) < 1e-9
 
     def test_principal_angle_dim_mismatch(self):
         a = np.eye(3)[:, :1]
@@ -224,7 +222,7 @@ class TestLogNormAndExp:
 class TestQuadraticFormGap:
     def test_zero_vector(self, rng):
         g = random_all_psd_graph(rng, 4, 2)
-        assert quadratic_form_gap(g, {}, {}, np.zeros(8)) == pytest.approx(0.0)
+        assert quadratic_form_gap(g, np.zeros(8)) == pytest.approx(0.0)
 
     def test_equality_on_symmetric_consensus_vector(self, rng):
         # weight-symmetric graph, delta = 0, x = 1 (x) v hits the equality case
@@ -235,13 +233,13 @@ class TestQuadraticFormGap:
             {(1, 2): w1, (2, 1): w1, (2, 3): w2, (3, 2): w2},
         )
         v = rng.normal(size=2)
-        gap = quadratic_form_gap(g, {}, {}, np.tile(v, 3))
+        gap = quadratic_form_gap(g, np.tile(v, 3))
         assert abs(gap) < 1e-10
 
     def test_negative_weight_rejected(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
         with pytest.raises(NotNonnegativeWeightsError):
-            quadratic_form_gap(g, {}, {}, np.zeros(4))
+            quadratic_form_gap(g, np.zeros(4))
 
 
 class TestUndirectedLaplacian:
