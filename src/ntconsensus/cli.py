@@ -7,6 +7,7 @@ I/O or format failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -192,11 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify the decomposition requirements")
     common(p_check, theta=False)
-    p_check.set_defaults(func=cmd_check)
 
     p_design = sub.add_parser("design", help="synthesize and verify a coupling design")
     common(p_design)
-    p_design.set_defaults(func=cmd_design)
 
     p_sim = sub.add_parser("simulate", help="integrate the closed loop and judge convergence")
     common(p_sim)
@@ -205,14 +204,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--h", type=float, default=1e-3, help="integration step")
     p_sim.add_argument("--T", type=float, default=20.0, help="horizon")
     p_sim.add_argument("--seed", type=int, default=42, help="seed for the initial state")
-    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call and reused: parse_args
+    keeps no state between calls (``--delta`` appends to a fresh list)."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call rather than stored on the parser, so that a
+    # cmd_* rebound on this module after the first call is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,13 @@ network with the strong positive weight on the 5 -> 6 edge replaced by a
 semi-definite one, which breaks both the definite-path cover and the
 in-degree dominance of vertices 5 and 6.  ``net_b`` and ``net_c`` are the two
 extra topologies of the switching benchmark, cycled A A B C C with dwell 0.02.
+
+``net_c``'s standard V1 (1, 2, 3) fails its check on purpose: vertices 4 and 7
+are not in-degree dominated, so designing with it by the margin rule raises
+``AssumptionViolatedError``.  The V1 that passes, {1, 2, 3, 4, 7}, holds
+vertex 4, which has no negative in-edge and so no coupling block; no V1
+designs net_c by the margin rule.  Only the switching benchmark's pinned
+delta designs it, and (1, 2, 3) stays so that the C it reports is unchanged.
 """
 
 from __future__ import annotations

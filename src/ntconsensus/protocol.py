@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     AssumptionViolatedError,
@@ -39,8 +39,7 @@ from .spectral import (
     eigenvalues_sorted,
     grounded_laplacian,
     laplacian_blocks,
-    null_space,
-    principal_angle,
+    null_dimension,
 )
 
 if TYPE_CHECKING:
@@ -108,8 +107,11 @@ def _bound(
     """C_i = (1/2) lambda_max of |B_i|^{-1} M_i over V1, with M_i the negated
     gap, via the Cholesky reduction R^-1 M R^-T, which keeps each problem
     symmetric (the eigenvalues are real).  The factorizations and the
-    eigenvalues are one stacked call each; the triangular solves run per
-    vertex (SciPy's batched form loops in Python too)."""
+    eigenvalues are one stacked call each; the triangular solves are two
+    LAPACK ``dtrtrs`` calls per vertex, made directly because SciPy's
+    ``solve_triangular`` spends most of its time validating arguments.  A
+    NaN passes through the solves, and a zero pivot raises
+    ``SingularCouplingError``."""
     try:
         r = np.linalg.cholesky(b_abs)
     except np.linalg.LinAlgError as exc:
@@ -118,8 +120,11 @@ def _bound(
     m = 0.0 - gaps[np.asarray(v1) - 1]
     reduced = np.empty_like(m)
     for k in range(len(v1)):
-        half = scipy.linalg.solve_triangular(r[k], m[k].T, lower=True, check_finite=False)
-        reduced[k] = scipy.linalg.solve_triangular(r[k], half.T, lower=True, check_finite=False)
+        half, info = dtrtrs(r[k], m[k].T, lower=1)
+        if info == 0:
+            reduced[k], info = dtrtrs(r[k], half.T, lower=1)
+        if info != 0:
+            raise SingularCouplingError(f"|B_{v1[k]}| factor: dtrtrs info {info}")
     c = 0.5 * np.linalg.eigvalsh((reduced + reduced.swapaxes(1, 2)) / 2.0).max(axis=1)
     return dict(zip(v1, c.tolist())), float(c.max())  # a NaN C_i makes C NaN
 
@@ -352,19 +357,25 @@ def verify_design(g: SignedGraph, design: ProtocolDesign) -> DesignReport:
     """Spectral and null-space verdicts for a design, report-only.
 
     spec_ok: every grounded-Laplacian eigenvalue has real part above 1e-8.
-    null_ok: the augmented Laplacian's null space has dimension d and matches
-    the target space to principal angle below 1e-6.
+    null_ok: the augmented Laplacian M's null space has dimension d and lies
+    within principal angle 1e-6 of span psi.  Both come from M's singular
+    values alone.  psi's d columns are orthogonal, each of norm
+    sqrt(n + k1^2), so Q = psi / sqrt(n + k1^2) is an orthonormal basis; with
+    sigma_r the smallest singular value counted as nonzero, the sine of the
+    largest angle between span Q and the null space is at most
+    ||M Q||_2 / sigma_r <= ||M Q||_F / sigma_r, and that bound is tested.
     """
     grounded, augmented = design_laplacians(g, design)
     eigs = eigenvalues_sorted(grounded.matrix)
-    basis = null_space(augmented.matrix)
-    psi = consensus_space(g.n, g.d, 1.0, design.k1)
-    null_dim = basis.shape[1]
+    null_dim, sigma_r = null_dimension(augmented.matrix)
+    residual = augmented.matrix @ consensus_space(g.n, g.d, 1.0, design.k1)
+    q_scale = math.sqrt(g.n + design.k1**2)
     return DesignReport(
         min_real_part=float(eigs[0].real),
         null_dim=null_dim,
-        null_ok=null_dim == g.d and principal_angle(basis, np.linalg.qr(psi)[0]) < ANGLE_TOL,
-        equilibrium_residual=float(np.max(np.abs(augmented.matrix @ psi))),
+        null_ok=null_dim == g.d
+        and float(np.linalg.norm(residual)) < ANGLE_TOL * sigma_r * q_scale,
+        equilibrium_residual=float(np.max(np.abs(residual))),
         eigenvalues=tuple(eigs),
     )
 

@@ -70,14 +70,15 @@ def _rk4_span(
 
     Full steps go in blocks of ``loop.step_block`` rows, one product per
     block, at times t0 + j h; the last step is shortened to land on t1
-    exactly, with a map of its own that is not kept on the loop.  A block
+    exactly, with the map of its own length, which ``loop.step_map`` keeps
+    per exact remainder (a periodic schedule repeats a few of them).  A block
     is checked as a whole and the first sample in it that fails names the
     time."""
     n_full = int(np.floor((t1 - t0) / h + 1e-9))
     remainder = (t1 - t0) - n_full * h
     runs = [(n_full, loop.step_block(h, n_full))] if n_full else []
     if remainder > 1e-12:
-        p, q = loop.rk4_map(remainder)
+        p, q = loop.step_map(remainder)
         runs.append((1, (p, q[None, :])))
     span_times = t0 + h * np.arange(1, sum(steps for steps, _ in runs) + 1)
     span_times[-1:] = t1

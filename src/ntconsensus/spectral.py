@@ -143,20 +143,35 @@ def min_real_part(m: np.ndarray) -> float:
     return float(eigenvalues_sorted(m)[0].real)
 
 
+def _svd(m: np.ndarray, compute_uv: bool):
+    try:
+        return np.linalg.svd(m, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"SVD failed: {exc}") from exc
+
+
+def _rank(s: np.ndarray) -> int:
+    """Singular values (descending) above RANK_TOL * sigma_max."""
+    return int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] != 0.0 else 0
+
+
 def null_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the right null space, via SVD; singular
     values below RANK_TOL * sigma_max count as zero."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    try:
-        _, s, vt = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD failed: {exc}") from exc
-    cols = m.shape[1]
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > RANK_TOL * s[0]))
+    _, s, vt = _svd(m, True)
+    rank, cols = _rank(s), m.shape[1]
     return vt[rank:].T.copy() if rank < cols else np.zeros((cols, 0))
+
+
+def null_dimension(m: np.ndarray) -> Tuple[int, float]:
+    """The dimension of ``null_space(m)`` and the smallest singular value
+    counted as nonzero (0.0 when none is), from the singular values alone:
+    no singular vectors are formed."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    s = _svd(m, False)
+    rank = _rank(s)
+    return m.shape[1] - rank, float(s[rank - 1]) if rank else 0.0
 
 
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ntconsensus import bundled_path
+from ntconsensus import bundled_path, cli
 from ntconsensus.cli import main
 
 
@@ -102,6 +102,47 @@ class TestDesign:
         ])
         assert rc == 1
         assert not json.loads(capsys.readouterr().out)["specOk"]
+
+
+    def test_bundled_net_c_v1_fails_on_purpose(self, capsys):
+        # (1, 2, 3) leaves vertices 4 and 7 without in-degree dominance; only
+        # the switching run's pinned delta designs net_c with it
+        graph = ["--graph", _p("net_c.json")]
+        assert main(["design", *graph, "--v1", "1,2,3", "--theta", "1,2,-1"]) == 1
+        assert "decomposition fails for vertices [4, 7]" in capsys.readouterr().err
+        assert main(["check", *graph, "--v1", "auto"]) == 0
+        assert "V1 = [1, 2, 3, 4, 7]" in capsys.readouterr().out
+        # the V1 that passes holds vertex 4, which has no negative in-edge and
+        # so no coupling block: no V1 designs net_c by the margin rule
+        assert main(["design", *graph, "--v1", "auto", "--theta", "1,2,-1"]) == 1
+        assert "V1 vertex 4 lacks" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    ARGS = ["design", "--graph", _p("net_a.json"), "--v1", "1,2,3,4", "--theta", "1,2,-1",
+            "--json"]
+
+    def test_delta_does_not_leak_into_the_next_call(self, capsys):
+        assert main(self.ARGS + ["--delta", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["design"]["delta"] == 5.0
+        assert main(self.ARGS) == 0
+        design = json.loads(capsys.readouterr().out)["design"]
+        assert design["delta"] == design["C"] + 0.1
+
+    def test_rejected_command_line_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["design", "--graph", _p("net_a.json"), "--no-such-flag"])
+        with pytest.raises(SystemExit):
+            main(self.ARGS[:-3])  # --theta is required
+        assert main(self.ARGS) == 0
+        assert json.loads(capsys.readouterr().out)["specOk"]
+
+    def test_command_rebound_after_first_call_runs(self, monkeypatch, capsys):
+        assert main(self.ARGS) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_design", lambda args: seen.append(args.graph) or 7)
+        assert main(self.ARGS) == 7
+        assert seen == [_p("net_a.json")]
 
 
 class TestSimulate:

@@ -35,6 +35,7 @@ from ntconsensus.errors import (
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 from ntconsensus.graph import in_out_gaps
+from ntconsensus import protocol
 from ntconsensus.protocol import STACK_BYTES
 
 from conftest import (
@@ -82,6 +83,17 @@ class TestCouplingBound:
                     m -= w.magnitude
             direct = 0.5 * float(np.max(np.linalg.eigvals(np.linalg.inv(b) @ m)).real)
             assert per[1] == pytest.approx(direct, abs=1e-9)
+
+    def test_nan_gap_makes_c_nan(self):
+        gaps = np.array([np.eye(2), np.full((2, 2), np.nan)])
+        per, c = protocol._bound(gaps, [1, 2], np.array([np.eye(2), np.eye(2)]))
+        assert per[1] == pytest.approx(-0.5)
+        assert np.isnan(per[2]) and np.isnan(c)
+
+    def test_triangular_solve_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(protocol, "dtrtrs", lambda a, b, lower: (np.zeros_like(b), 2))
+        with pytest.raises(SingularCouplingError, match="dtrtrs info 2"):
+            protocol._bound(np.array([np.eye(2)]), [1], np.array([np.eye(2)]))
 
     def test_singular_block_rejected(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2), (2, 1): -np.eye(2)})

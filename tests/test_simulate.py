@@ -23,7 +23,7 @@ from ntconsensus.errors import (
     ScheduleExhaustedError,
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
-from ntconsensus.protocol import STACK_BYTES
+from ntconsensus.protocol import STACK_BYTES, ClosedLoop
 from ntconsensus.simulate import DIVERGENCE_GUARD
 
 from conftest import random_directed_valid, rk4_reference_step
@@ -236,6 +236,26 @@ class TestIntegrateSwitching:
             at = 7 * (k + 1)
             assert traj.times[at] == pytest.approx(0.02 * (k + 1), abs=1e-12)
             assert np.linalg.norm(traj.states[at] - x) <= 1e-13 * np.linalg.norm(x)
+
+    def test_shortened_step_map_built_once_per_length(self, net_a, net_b, net_c, rng,
+                                                       monkeypatch):
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        x = rng.uniform(-5, 5, 21)
+        built = []
+        rk4_map = ClosedLoop.rk4_map
+
+        def counted(loop, h):
+            built.append((id(loop), h))
+            return rk4_map(loop, h)
+
+        monkeypatch.setattr(ClosedLoop, "rk4_map", counted)
+        traj = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
+        # 100 intervals, each six 3e-3 steps and a shortened one
+        assert len(built) == len(set(built)) < 100
+        monkeypatch.setattr(ClosedLoop, "step_map", counted)
+        fresh = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
+        assert np.array_equal(traj.states, fresh.states)
+        assert np.array_equal(traj.times, fresh.times)
 
     @pytest.mark.parametrize("h, horizon, bad, error", [
         (np.nan, 1.0, None, NonFiniteError),
