@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the switching-topology benchmark: three networks cycled
-A A B C C with dwell 0.02, per-network coupling coefficients, and the
-contraction-factor bound on the error decay.
+A A B C C with dwell 0.02 by the bundled cycle_schedule.json, per-network
+coupling coefficients, and the contraction-factor bound on the error decay.
 
 Writes trajectory.csv and summary.json under --out (default ./out_switching).
 """
@@ -13,16 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from ntconsensus import (
-    SwitchingSchedule,
     bundled_decomposition,
     bundled_graph,
+    bundled_path,
     contraction_factor,
     convergence_report,
     design_switching,
     integrate_switching,
+    load_schedule,
     write_trajectory_csv,
 )
-from ntconsensus.networks import SWITCHING_DELTAS, SWITCHING_DWELL
+from ntconsensus.networks import SWITCHING_DELTAS
 
 
 def main() -> None:
@@ -38,14 +39,14 @@ def main() -> None:
     deltas = {k: SWITCHING_DELTAS[n] for k, n in enumerate(names)}
     theta = np.array([1.0, 2.0, -1.0])
 
-    sdesign = design_switching(graphs, decs, theta, alpha=SWITCHING_DWELL, deltas=deltas)
+    schedule = load_schedule(bundled_path("cycle_schedule.json"))
+    sdesign = design_switching(graphs, decs, theta, alpha=schedule.alpha, deltas=deltas)
     for k, n in enumerate(names):
         d = sdesign.designs[k]
         print(f"{n}: delta = {d.delta:.4f}, x0 = {np.round(d.x0, 4)}")
     contraction = contraction_factor(sdesign, graphs)
     print(f"contraction factor per dwell: {contraction.factor:.6f}")
 
-    schedule = SwitchingSchedule.uniform(SWITCHING_DWELL, [0, 0, 1, 2, 2], repeat=True)
     x0 = np.random.default_rng(args.seed).uniform(-5.0, 5.0, 21)
     traj = integrate_switching(schedule, sdesign, graphs, x0, h=1e-3, horizon=args.T)
     conv = convergence_report(traj, theta)

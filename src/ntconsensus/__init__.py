@@ -16,12 +16,7 @@ from .fileio import (
 from .graph import (
     AssumptionReport,
     Decomposition,
-    Definiteness,
-    MatrixWeight,
     SignedGraph,
-    classify_weight,
-    in_degree_dominated,
-    pn_reachable,
     suggest_decomposition,
     verify_assumption,
 )
@@ -29,7 +24,6 @@ from .networks import (
     BUNDLED_V1,
     SWITCHING_DELTAS,
     SWITCHING_DWELL,
-    SWITCHING_PATTERN,
     bundled_decomposition,
     bundled_graph,
     bundled_path,
@@ -42,7 +36,6 @@ from .protocol import (
     SwitchingDesign,
     closed_loop,
     contraction_factor,
-    coupling_bound,
     design_fixed,
     design_laplacians,
     design_switching,
@@ -62,16 +55,8 @@ from .spectral import (
     augmented_laplacian,
     consensus_space,
     eigenvalues_sorted,
-    expand_system,
     grounded_laplacian,
     laplacian_blocks,
-    quadratic_form_gap,
-    log_norm2,
-    matrix_exp,
-    min_real_part,
-    null_space,
-    principal_angle,
-    signed_laplacian,
 )
 
 __version__ = "0.1.0"

@@ -29,10 +29,6 @@ class NumericalFailureError(ConsensusError):
     pass
 
 
-class NotNonnegativeWeightsError(ConsensusError):
-    pass
-
-
 class AssumptionViolatedError(ConsensusError):
     pass
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -32,65 +31,21 @@ from .errors import (
 DEF_TOL = 1e-9
 
 
-class Definiteness(Enum):
-    POS_DEF = "posdef"
-    POS_SEMI_DEF = "possemidef"
-    ZERO = "zero"
-    NEG_SEMI_DEF = "negsemidef"
-    NEG_DEF = "negdef"
-
-    @property
-    def sign(self) -> int:
-        if self in (Definiteness.POS_DEF, Definiteness.POS_SEMI_DEF):
-            return 1
-        if self in (Definiteness.NEG_DEF, Definiteness.NEG_SEMI_DEF):
-            return -1
-        return 0
-
-
-# A class code is the weight's sign, doubled when the weight is definite.
-CLASS_OF_CODE = {
-    2: Definiteness.POS_DEF,
-    1: Definiteness.POS_SEMI_DEF,
-    0: Definiteness.ZERO,
-    -1: Definiteness.NEG_SEMI_DEF,
-    -2: Definiteness.NEG_DEF,
-}
-
-
-@dataclass(frozen=True)
-class MatrixWeight:
-    """A symmetric matrix together with its definiteness class."""
-
-    entries: np.ndarray
-    definiteness: Definiteness
-
-    @property
-    def sign(self) -> int:
-        return self.definiteness.sign
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        """sgn(W) * W, positive semi-definite for any non-zero class."""
-        return self.sign * self.entries
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-
 def classify_stack(
     raw: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, Dict[int, ConsensusError]]:
     """Symmetrize and classify a (k, m, m) stack of weights with one
     ``eigvalsh`` call.
 
-    Returns the symmetrized stack, the class codes and, keyed by row, the
-    error of each weight that cannot be classified: NonFiniteError for NaN
+    Returns the symmetrized stack, the int8 class codes and, keyed by row,
+    the error of each weight that cannot be classified: NonFiniteError for NaN
     or infinite entries (or entries whose symmetrization overflows),
     AsymmetricWeightError when the weight is not symmetric to relative
     precision 1e-9, IndefiniteWeightError when eigenvalues of both signs
-    exceed ``DEF_TOL``.
+    exceed ``DEF_TOL``.  A class code is the weight's sign, doubled when the
+    weight is definite: 2 positive definite, 1 positive semidefinite, 0 zero,
+    -1 negative semidefinite, -2 negative definite.  Each row is classified
+    as if alone.
     """
     flipped = raw.swapaxes(1, 2)
     scale = np.abs(raw).max(axis=(1, 2))
@@ -120,25 +75,13 @@ def classify_stack(
     return sym, codes, errors
 
 
-def classify_weight(raw: np.ndarray) -> MatrixWeight:
-    """Symmetrize and classify one weight matrix; raises the errors of
-    ``classify_stack``, and AsymmetricWeightError for a non-square one."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise AsymmetricWeightError(f"weight must be square, got shape {raw.shape}")
-    sym, codes, errors = classify_stack(raw[None])
-    if errors:
-        raise errors[0]
-    return MatrixWeight(entries=sym[0], definiteness=CLASS_OF_CODE[int(codes[0])])
-
-
 @dataclass(frozen=True, eq=False)
 class SignedGraph:
     """Immutable signed matrix-weighted graph on vertices 1..n.
 
     Edge k carries the weight ``entries[k]`` from vertex ``tails[k] + 1`` to
     vertex ``heads[k] + 1``, of class code ``classes[k]`` (see
-    ``CLASS_OF_CODE``).  For undirected graphs both directions are
+    ``classify_stack``).  For undirected graphs both directions are
     materialized and agree, so Laplacian assembly has a single code path.
     """
 
@@ -178,7 +121,13 @@ class SignedGraph:
             if i == j:
                 raise InvalidPartitionError(f"self-loop on vertex {i} not allowed")
             if not fits[k]:  # classified alone: an error, or dropped when zero
-                if classify_weight(raws[k]).definiteness is not Definiteness.ZERO:
+                raw = raws[k]
+                if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+                    raise AsymmetricWeightError(f"weight must be square, got shape {raw.shape}")
+                _, code, error = classify_stack(raw[None])
+                if error:
+                    raise error[0]
+                if code[0]:
                     raise AsymmetricWeightError(
                         f"edge ({j}->{i}) has dimension {len(raws[k])}, expected {d}"
                     )
@@ -260,23 +209,6 @@ def _definite_reach(g: SignedGraph, sources: Iterable[int]) -> Set[int]:
     return seen
 
 
-def pn_reachable(g: SignedGraph, src: int, dst: int) -> bool:
-    """Directed reachability over strictly definite edges only.
-
-    ``src == dst`` is true by the empty-path convention.
-    """
-    _check_vertex(g.n, src)
-    _check_vertex(g.n, dst)
-    return dst in _definite_reach(g, [src])
-
-
-def in_degree_dominated(g: SignedGraph, v: int) -> bool:
-    """True when the in-weight magnitudes dominate the out-weight magnitudes
-    in the semidefinite order."""
-    _check_vertex(g.n, v)
-    return bool(_dominated(in_out_gaps(g)[v - 1 : v])[0])
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Partition of the vertex set into a grounded part V1 and the rest."""
@@ -342,6 +274,11 @@ def suggest_decomposition(g: SignedGraph) -> Decomposition:
     component of the definite-edge graph that holds none of those: such a
     component is reached only from inside, and any one of its vertices
     reaches all of it.  Runs in O(n + E) beyond the dominance test.
+
+    The rule ignores the design's own need for a positive definite coupling
+    block on every V1 vertex, so ``design_fixed`` can still reject the
+    suggestion with ``DegenerateCouplingError`` (net_c's V1 holds vertex 4,
+    which has no negative in-edge).
     """
     # imported here: scipy.sparse.csgraph would add ~30 ms to importing the package
     from scipy.sparse import csr_matrix

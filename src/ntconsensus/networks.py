@@ -7,7 +7,8 @@ networks and holds their standard V1 and the switching-benchmark constants.
 network with the strong positive weight on the 5 -> 6 edge replaced by a
 semi-definite one, which breaks both the definite-path cover and the
 in-degree dominance of vertices 5 and 6.  ``net_b`` and ``net_c`` are the two
-extra topologies of the switching benchmark, cycled A A B C C with dwell 0.02.
+extra topologies of the switching benchmark, cycled A A B C C with dwell 0.02
+by ``data/cycle_schedule.json``, the one copy of that schedule.
 
 ``net_c``'s standard V1 (1, 2, 3) fails its check on purpose: vertices 4 and 7
 are not in-degree dominated, so designing with it by the margin rule raises
@@ -35,7 +36,8 @@ BUNDLED_V1: Dict[str, Tuple[int, ...]] = {
     "net_c": (1, 2, 3),
 }
 SWITCHING_DELTAS: Dict[str, float] = {"net_a": 7.0495, "net_b": 7.2440, "net_c": 3.1000}
-SWITCHING_PATTERN: Tuple[str, ...] = ("net_a", "net_a", "net_b", "net_c", "net_c")
+# the bundled schedule's dwell (a test checks that they agree), read by the
+# switching benchmark
 SWITCHING_DWELL = 0.02
 
 

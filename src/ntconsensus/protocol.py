@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -24,9 +24,7 @@ from .errors import (
     ZeroThetaError,
 )
 from .graph import (
-    CLASS_OF_CODE,
     Decomposition,
-    MatrixWeight,
     SignedGraph,
     classify_stack,
     in_out_gaps,
@@ -55,13 +53,10 @@ MEMBER_TOL = 1e-6
 class ProtocolDesign:
     theta: np.ndarray
     delta: float
-    blocks: Dict[int, MatrixWeight]  # signed coupling blocks of the informed vertices
+    informed: np.ndarray  # (k,) ascending 1-based ids of the informed vertices
+    blocks: np.ndarray  # (k, d, d) their coupling blocks B_i, positive semidefinite
     bound_c: float
     per_vertex_c: Dict[int, float]
-
-    @property
-    def informed(self) -> FrozenSet[int]:
-        return frozenset(self.blocks)
 
     @property
     def k1(self) -> float:
@@ -77,10 +72,10 @@ class ProtocolDesign:
             "delta": self.delta,
             "k1": self.k1,
             "x0": self.x0.tolist(),
-            "informed": sorted(self.informed),
+            "informed": self.informed.tolist(),
             "C": self.bound_c,
             "perVertexC": {str(i): c for i, c in sorted(self.per_vertex_c.items())},
-            "blocks": {str(i): b.entries.tolist() for i, b in sorted(self.blocks.items())},
+            "blocks": {str(i): b.tolist() for i, b in zip(self.informed.tolist(), self.blocks)},
         }
 
 
@@ -90,30 +85,20 @@ class SwitchingDesign:
     alpha: float
 
 
-def _v1_magnitudes(
-    d: int, v1: Sequence[int], blocks: Mapping[int, MatrixWeight]
-) -> Tuple[np.ndarray, Optional[int]]:
-    """The |B_i| over V1, stacked (zeros for a vertex without a block), and
-    the first V1 vertex whose |B_i| is missing or has an eigenvalue at or
-    below ``INVERT_TOL`` (None when every one can be inverted)."""
-    b_abs = np.array([blocks[i].magnitude if i in blocks else np.zeros((d, d)) for i in v1])
-    low = np.linalg.eigvalsh(b_abs.reshape(-1, d, d)).min(axis=1) <= INVERT_TOL
-    return b_abs, v1[int(np.argmax(low))] if low.any() else None
-
-
 def _bound(
-    gaps: np.ndarray, v1: Sequence[int], b_abs: np.ndarray
+    gaps: np.ndarray, v1: Sequence[int], blocks: np.ndarray
 ) -> Tuple[Dict[int, float], float]:
-    """C_i = (1/2) lambda_max of |B_i|^{-1} M_i over V1, with M_i the negated
-    gap, via the Cholesky reduction R^-1 M R^-T, which keeps each problem
-    symmetric (the eigenvalues are real).  The factorizations and the
+    """C_i = (1/2) lambda_max of |B_i|^{-1} M_i over V1, with |B_i| = B_i the
+    V1 vertices' ``blocks`` and M_i the negated gap, via the Cholesky
+    reduction R^-1 M R^-T, which keeps each problem symmetric (the
+    eigenvalues are real).  The factorizations and the
     eigenvalues are one stacked call each; the triangular solves are two
     LAPACK ``dtrtrs`` calls per vertex, made directly because SciPy's
     ``solve_triangular`` spends most of its time validating arguments.  A
     NaN passes through the solves, and a zero pivot raises
     ``SingularCouplingError``."""
     try:
-        r = np.linalg.cholesky(b_abs)
+        r = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError as exc:
         raise SingularCouplingError(f"coupling block not positive definite: {exc}") from exc
     # 0.0 - gap rather than -gap keeps a zero gap at +0.0, so C_i is never -0.0
@@ -129,46 +114,22 @@ def _bound(
     return dict(zip(v1, c.tolist())), float(c.max())  # a NaN C_i makes C NaN
 
 
-def coupling_bound(
-    g: SignedGraph,
-    dec: Decomposition,
-    blocks: Mapping[int, MatrixWeight],
-) -> Tuple[Dict[int, float], float]:
-    """Per-vertex coupling lower bounds C_i over V1 for user-supplied blocks,
-    and their maximum C.  Each |B_i| must be positive definite."""
-    gaps = in_out_gaps(g)
-    report = verify_assumption(g, dec, gaps)
-    if not report.ok:
-        raise AssumptionViolatedError(
-            f"decomposition fails for vertices {list(report.failures)}"
-        )
-    v1 = sorted(dec.v1)
-    b_abs, bad = _v1_magnitudes(g.d, v1, blocks)
-    if bad is not None:
-        if bad not in blocks:
-            raise SingularCouplingError(f"no coupling block for V1 vertex {bad}")
-        raise SingularCouplingError(
-            f"|B_{bad}| has an eigenvalue below {INVERT_TOL}, cannot invert"
-        )
-    return _bound(gaps, v1, b_abs)
-
-
-def _negative_in_blocks(g: SignedGraph) -> Dict[int, MatrixWeight]:
-    """B_i = the sum of |A_ij| over the negative in-edges of each vertex
-    that has one (the informed vertices), accumulated in edge order and
-    classified in one stacked call."""
+def _negative_in_blocks(g: SignedGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """The informed vertices, those with a negative in-edge, as ascending
+    1-based ids, and their (k, d, d) blocks B_i = the sum of |A_ij| over the
+    negative in-edges, accumulated in edge order.  A sum of magnitudes is
+    positive semidefinite by construction; classifying the sums in one
+    stacked call still raises on an overflowing or numerically indefinite
+    sum."""
     negative = g.classes < 0
     heads = g.heads[negative]
     sums = np.zeros((g.n, g.d, g.d))
     np.add.at(sums, heads, g.magnitudes[negative])
     rows = np.unique(heads)
-    sym, codes, errors = classify_stack(sums[rows])
+    sym, _, errors = classify_stack(sums[rows])
     if errors:
         raise errors[min(errors)]
-    return {
-        r + 1: MatrixWeight(entries=b, definiteness=CLASS_OF_CODE[c])
-        for r, b, c in zip(rows.tolist(), sym, codes.tolist())
-    }
+    return rows + 1, sym
 
 
 def design_fixed(
@@ -204,15 +165,19 @@ def design_fixed(
         raise AssumptionViolatedError(
             f"decomposition fails for vertices {list(report.failures)}"
         )
-    blocks = _negative_in_blocks(g)
+    informed, blocks = _negative_in_blocks(g)
     if g.directed:
         v1 = sorted(dec.v1)
-        b_abs, bad = _v1_magnitudes(g.d, v1, blocks)
-        if bad is not None:
+        on_v1 = np.zeros((g.n, g.d, g.d))  # B_i, or zeros where there is none
+        on_v1[informed - 1] = blocks
+        on_v1 = on_v1[np.asarray(v1) - 1]
+        low = np.linalg.eigvalsh(on_v1).min(axis=1) <= INVERT_TOL
+        if low.any():
             raise DegenerateCouplingError(
-                f"V1 vertex {bad} lacks a positive definite negative-in-weight sum"
+                f"V1 vertex {v1[int(np.argmax(low))]} lacks a positive definite"
+                " negative-in-weight sum"
             )
-        per_vertex, bound_c = _bound(gaps, v1, b_abs)
+        per_vertex, bound_c = _bound(gaps, v1, on_v1)
         chosen = bound_c + margin if delta is None else delta
     else:
         per_vertex, bound_c = {}, 0.0
@@ -222,7 +187,8 @@ def design_fixed(
     if chosen <= 0:
         raise DegenerateCouplingError(f"coupling coefficient must be positive, got {chosen}")
     return ProtocolDesign(
-        theta=theta, delta=float(chosen), blocks=blocks, bound_c=bound_c, per_vertex_c=per_vertex
+        theta=theta, delta=float(chosen), informed=informed, blocks=blocks,
+        bound_c=bound_c, per_vertex_c=per_vertex,
     )
 
 
@@ -230,7 +196,7 @@ def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian
     """Grounded and signal-augmented Laplacians realized by a design.  The
     augmented one is assembled once; the grounded one is a view of its
     leading nd x nd block."""
-    augmented = augmented_laplacian(g, design.delta, design.blocks)
+    augmented = augmented_laplacian(g, design.delta, design.informed, design.blocks)
     nd = g.n * g.d
     return Laplacian(augmented.matrix[:nd, :nd]), augmented
 
@@ -316,7 +282,7 @@ def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
     # imported here: scipy.sparse would add ~25 ms to importing the package
     from scipy.sparse import csr_matrix
 
-    rows, cols, data = laplacian_blocks(g, design.delta, design.blocks)
+    rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
     d, nd = g.d, g.n * g.d
     signal = cols == g.n
     forcing = np.zeros((g.n, d))
@@ -389,11 +355,20 @@ def design_switching(
     deltas: Optional[Mapping[int, float]] = None,
 ) -> SwitchingDesign:
     """One fixed-topology design per graph, sharing theta; coupling parameters
-    jump with the topology.  ``deltas`` optionally pins per-graph coefficients."""
+    jump with the topology.  ``deltas`` optionally pins per-graph coefficients.
+    Every graph must have the vertex count n and weight dimension d of the
+    graph with the smallest id."""
     if alpha <= 0:
         raise DimensionMismatchError(f"dwell time must be positive, got {alpha}")
+    gids = sorted(graphs)
+    shapes = [(graphs[gid].n, graphs[gid].d) for gid in gids]
+    for gid, shape in zip(gids, shapes):
+        if shape != shapes[0]:
+            raise DimensionMismatchError(
+                f"graph {gid} has (n, d) = {shape}, graph {gids[0]} has {shapes[0]}"
+            )
     designs: Dict[int, ProtocolDesign] = {}
-    for gid in sorted(graphs):
+    for gid in gids:
         try:
             designs[gid] = design_fixed(
                 graphs[gid],
@@ -420,7 +395,9 @@ def contraction_factor(
     part of graph i's grounded Laplacian."""
     lmins: Dict[int, float] = {}
     for gid, design in sorted(sdesign.designs.items()):
-        lap = grounded_laplacian(graphs[gid], design.delta, design.blocks).matrix
+        lap = grounded_laplacian(
+            graphs[gid], design.delta, design.informed, design.blocks
+        ).matrix
         sym = (lap + lap.T) / 2.0
         lmins[gid] = float(np.min(np.linalg.eigvalsh(sym)))
     bad = [gid for gid, l in lmins.items() if l <= 0]

@@ -169,10 +169,6 @@ class SwitchingSchedule:
         return (0.0,) + tuple(np.cumsum(self.lengths).tolist())
 
     @property
-    def switch_times(self) -> Tuple[float, ...]:
-        return self._edges()[:-1]
-
-    @property
     def period(self) -> float:
         return self._edges()[-1]
 

@@ -15,22 +15,31 @@ import pytest
 
 from ntconsensus import (
     Decomposition,
-    MatrixWeight,
     SignedGraph,
     bundled_decomposition,
     bundled_graph,
 )
-from ntconsensus.graph import CLASS_OF_CODE
 from ntconsensus.networks import BUNDLED_V1
 
 
-def edge_weights(g: SignedGraph) -> Dict[Tuple[int, int], MatrixWeight]:
-    """The graph's weights keyed by 1-based (to, from) pairs, in edge order,
-    read from its arrays."""
-    return {
-        (i + 1, j + 1): MatrixWeight(w, CLASS_OF_CODE[c])
-        for i, j, w, c in zip(g.heads.tolist(), g.tails.tolist(), g.entries, g.classes.tolist())
-    }
+def _edge_keys(g: SignedGraph):
+    return zip((g.heads + 1).tolist(), (g.tails + 1).tolist())
+
+
+def edge_weights(g: SignedGraph) -> Dict[Tuple[int, int], np.ndarray]:
+    """The graph's signed weights keyed by 1-based (to, from) pairs, in edge
+    order, read from its arrays."""
+    return dict(zip(_edge_keys(g), g.entries))
+
+
+def edge_magnitudes(g: SignedGraph) -> Dict[Tuple[int, int], np.ndarray]:
+    """|A_ij| per edge, keyed like ``edge_weights``."""
+    return dict(zip(_edge_keys(g), g.magnitudes))
+
+
+def edge_codes(g: SignedGraph) -> Dict[Tuple[int, int], int]:
+    """The class code per edge, keyed like ``edge_weights``."""
+    return dict(zip(_edge_keys(g), g.classes.tolist()))
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -144,7 +153,7 @@ def tiled_graph(rng: np.random.Generator, copies: int) -> Tuple[SignedGraph, Dec
         s = float(rng.uniform(0.1, 0.3))
         off = 7 * c
         for (i, j), w in edge_weights(graphs[name]).items():
-            m = s * (q @ w.entries @ q.T)
+            m = s * (q @ w @ q.T)
             edges[(i + off, j + off)] = (m + m.T) / 2.0
         entry = BUNDLED_V1[name][0] + off
         if prev:

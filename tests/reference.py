@@ -1,0 +1,107 @@
+"""Proof devices and references that check the package from outside.
+
+The mirrored lifting, the quadratic-form bound and the logarithmic norm are
+devices of the paper's proofs, and the SVD null space with its principal
+angles is the reference that ``verify_design``'s singular-value test is
+checked against.  None of them is part of checking, designing or
+simulating, so they live here.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Tuple
+
+import numpy as np
+
+from ntconsensus import ConsensusError, Laplacian, SignedGraph, grounded_laplacian
+from ntconsensus.graph import in_out_gaps
+from ntconsensus.spectral import RANK_TOL
+
+
+class NotNonnegativeWeightsError(ConsensusError):
+    pass
+
+
+def signed_laplacian(g: SignedGraph) -> np.ndarray:
+    """The grounded Laplacian with nothing grounded."""
+    return grounded_laplacian(g, 0.0, np.zeros(0, dtype=np.intp), np.zeros((0, g.d, g.d))).matrix
+
+
+def expand_system(
+    g: SignedGraph, delta: float, informed: np.ndarray, blocks: np.ndarray
+) -> Tuple[SignedGraph, Laplacian]:
+    """Mirror every agent and reroute antagonistic edges to the mirror copies.
+
+    The definiteness-order max{A, 0} keeps positive-class weights in place and
+    moves negative-class ones (as magnitudes) onto the cross edges.  Returns
+    the all-nonnegative 2N-vertex graph and its grounded Laplacian, with the
+    mirror copies grounded through B_i as well: the grounded Laplacian holds
+    only |B_i|, and the blocks are positive semidefinite.
+    """
+    edges: Dict[Tuple[int, int], np.ndarray] = {}
+    for i, j, code, w in zip(
+        (g.heads + 1).tolist(), (g.tails + 1).tolist(), g.classes.tolist(), g.entries
+    ):
+        if code > 0:
+            edges[(i, j)] = w
+            edges[(i + g.n, j + g.n)] = w
+        else:
+            edges[(i + g.n, j)] = -w
+            edges[(i, j + g.n)] = -w
+    expanded = SignedGraph.from_edges(2 * g.n, g.d, g.directed, edges)
+    informed = np.asarray(informed, dtype=np.intp)
+    lifted = grounded_laplacian(
+        expanded, delta, np.concatenate([informed, informed + g.n]),
+        np.concatenate([blocks, blocks]),
+    )
+    return expanded, lifted
+
+
+def quadratic_form_gap(g: SignedGraph, x: np.ndarray) -> float:
+    """Quadratic-form slack of the signed Laplacian of an all-nonnegative
+    graph over the per-vertex lower bound; nonnegative up to roundoff.
+
+    Returns x^T L x - sum_i x_i^T [(1/2) sum_{j != i} (A_ij - A_ji)] x_i.
+    """
+    negative = np.flatnonzero(g.classes < 0)
+    if negative.size:
+        k = negative[0]
+        raise NotNonnegativeWeightsError(
+            f"edge ({g.tails[k] + 1}->{g.heads[k] + 1}) has negative class code "
+            f"{int(g.classes[k])}"
+        )
+    x = np.asarray(x, dtype=float).reshape(g.n * g.d)
+    phi = float(x @ signed_laplacian(g) @ x)
+    gaps = in_out_gaps(g)  # every weight is nonnegative, so magnitudes are the weights
+    rhs = 0.0
+    for xi, gap in zip(x.reshape(g.n, g.d), gaps):
+        rhs += float(xi @ (0.5 * gap) @ xi)
+    return phi - rhs
+
+
+def log_norm2(m: np.ndarray) -> float:
+    """Logarithmic norm induced by the spectral norm: lambda_max of the
+    symmetric part, which bounds ||e^{tM}||_2 by e^{t mu(M)}."""
+    return float(np.linalg.eigvalsh((m + m.T) / 2.0).max())
+
+
+def null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the right null space, via SVD; singular
+    values at or below RANK_TOL * sigma_max count as zero, as in
+    ``spectral.null_dimension``."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    _, s, vt = np.linalg.svd(m)
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] != 0.0 else 0
+    return vt[rank:].T.copy()
+
+
+def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest principal angle (radians) between the subspaces spanned by the
+    orthonormal columns of a and b."""
+    assert a.shape[0] == b.shape[0], "bases have mismatched row dimensions"
+    if a.shape[1] != b.shape[1]:
+        return float(np.pi / 2)
+    if a.shape[1] == 0:
+        return 0.0
+    sigma = np.linalg.svd(a.T @ b, compute_uv=False)
+    return float(np.arccos(np.clip(sigma.min(), -1.0, 1.0)))

@@ -205,6 +205,24 @@ class TestSimulate:
         assert rc == 1
         assert "DimensionMismatchError" in capsys.readouterr().err
 
+    def test_graphs_of_different_sizes_exit_1(self, capsys, tmp_path):
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps({"n": 2, "d": 3, "directed": True, "edges": [
+            {"from": 2, "to": 1, "weight": (-np.eye(3)).tolist()},
+            {"from": 1, "to": 2, "weight": (-np.eye(3)).tolist()},
+        ]}))
+        schedule = tmp_path / "s.json"
+        schedule.write_text(json.dumps({"alpha": 0.02, "pattern": [0, 1], "dt": 0.02}))
+        rc = main([
+            "simulate", "--graphs", _p("net_a.json"), str(small),
+            "--v1", "1,2,3,4;1,2", "--theta", "1,2,-1",
+            "--schedule", str(schedule), "--delta", "8", "--T", "0.1",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "DimensionMismatchError: graph 1 has (n, d) = (2, 3)" in err
+
     @pytest.mark.parametrize("horizon", ["-1", "0"])
     def test_switching_horizon_not_above_step_exit_1(self, capsys, tmp_path, horizon):
         rc = main([

@@ -23,7 +23,7 @@ from ntconsensus import (
     write_trajectory_csv,
 )
 from ntconsensus.errors import DimensionMismatchError, NonFiniteError
-from ntconsensus.networks import BUNDLED_V1
+from ntconsensus.networks import BUNDLED_V1, SWITCHING_DWELL
 from ntconsensus import Decomposition
 
 from conftest import edge_weights, random_directed_valid, random_undirected_valid
@@ -37,7 +37,7 @@ class TestGraphRoundTrip:
         back = load_graph(p)
         assert set(edge_weights(back)) == set(edge_weights(g))
         for key, w in edge_weights(g).items():
-            assert np.allclose(edge_weights(back)[key].entries, w.entries, atol=1e-15)
+            assert np.allclose(edge_weights(back)[key], w, atol=1e-15)
 
     def test_undirected_round_trip_single_listing(self, tmp_path, rng):
         g, _ = random_undirected_valid(rng, 4, 2)
@@ -117,13 +117,18 @@ class TestScheduleLoading:
         assert s.graph_ids == (0, 0, 1, 2, 2)
         assert s.repeat
 
+    def test_switching_dwell_is_the_bundled_schedules(self):
+        s = load_schedule(bundled_path("cycle_schedule.json"))
+        assert s.alpha == SWITCHING_DWELL
+        assert all(length == SWITCHING_DWELL for length in s.lengths)
+
     def test_dt_list(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text(json.dumps({
             "alpha": 0.1, "pattern": [0, 1, 0], "dt": [0.1, 0.2, 0.1],
         }))
         s = load_schedule(p)
-        assert s.switch_times == (0.0, 0.1, pytest.approx(0.3))
+        assert s._edges()[:-1] == (0.0, 0.1, pytest.approx(0.3))
 
     def test_dt_list_keeps_the_last_interval(self, tmp_path):
         p = tmp_path / "s.json"

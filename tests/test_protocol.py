@@ -11,16 +11,13 @@ from ntconsensus import (
     SignedGraph,
     bundled_decomposition,
     bundled_graph,
-    classify_weight,
     closed_loop,
     contraction_factor,
-    coupling_bound,
     design_fixed,
     design_laplacians,
     design_switching,
     necessary_condition_check,
     grounded_laplacian,
-    signed_laplacian,
     suggest_decomposition,
     verify_assumption,
     verify_design,
@@ -28,17 +25,20 @@ from ntconsensus import (
 from ntconsensus.errors import (
     AssumptionViolatedError,
     DegenerateCouplingError,
+    DimensionMismatchError,
     NonFiniteError,
     NotContractingError,
     SingularCouplingError,
     ZeroThetaError,
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
-from ntconsensus.graph import in_out_gaps
+from ntconsensus.graph import classify_stack, in_out_gaps
 from ntconsensus import protocol
 from ntconsensus.protocol import STACK_BYTES
 
 from conftest import (
+    edge_codes,
+    edge_magnitudes,
     edge_weights,
     random_directed_valid,
     random_spd,
@@ -46,6 +46,7 @@ from conftest import (
     rk4_reference_step,
     tiled_graph,
 )
+from reference import signed_laplacian
 from test_graph import _random_signed_digraph
 
 THETA = np.array([1.0, 2.0, -1.0])
@@ -55,32 +56,28 @@ class TestCouplingBound:
     def test_two_node_negative_edge(self):
         # v1 has no out-edges, so its bound is negative: any delta > 0 works
         g = SignedGraph.from_edges(2, 3, True, {(1, 2): -np.eye(3)})
-        dec = Decomposition.of(g, [1, 2])
-        per, c = coupling_bound(
-            g, dec, {1: classify_weight(np.eye(3)), 2: classify_weight(np.eye(3))}
-        )
+        per, c = protocol._bound(in_out_gaps(g), [1, 2], np.array([np.eye(3), np.eye(3)]))
         assert per[1] == pytest.approx(-0.5)
         assert per[2] == pytest.approx(0.5)
         assert c == pytest.approx(0.5)
 
     def test_benchmark_bound(self, net_a, net_a_dec):
         design = design_fixed(net_a, net_a_dec, THETA)
-        per, c = coupling_bound(net_a, net_a_dec, design.blocks)
-        assert c == pytest.approx(6.9495, abs=1e-3)
-        assert per[2] == pytest.approx(c)
+        assert design.bound_c == pytest.approx(6.9495, abs=1e-3)
+        assert design.per_vertex_c[2] == pytest.approx(design.bound_c)
 
     def test_matches_unsymmetric_eigensolver(self, rng):
         """Cholesky reduction against a direct eigensolve of |B|^-1 M."""
         for _ in range(20):
-            g, dec = random_directed_valid(rng, 3, 2)
+            g, _ = random_directed_valid(rng, 3, 2)
             b = random_spd(rng, 2)
-            per, _ = coupling_bound(g, dec, {1: classify_weight(b)})
+            per, _ = protocol._bound(in_out_gaps(g), [1], b[None])
             m = np.zeros((2, 2))
-            for (a, src), w in edge_weights(g).items():
+            for (a, src), w in edge_magnitudes(g).items():
                 if src == 1:
-                    m += w.magnitude
+                    m += w
                 if a == 1:
-                    m -= w.magnitude
+                    m -= w
             direct = 0.5 * float(np.max(np.linalg.eigvals(np.linalg.inv(b) @ m)).real)
             assert per[1] == pytest.approx(direct, abs=1e-9)
 
@@ -96,30 +93,31 @@ class TestCouplingBound:
             protocol._bound(np.array([np.eye(2)]), [1], np.array([np.eye(2)]))
 
     def test_singular_block_rejected(self):
-        g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2), (2, 1): -np.eye(2)})
-        dec = Decomposition.of(g, [1])
-        with pytest.raises(SingularCouplingError):
-            coupling_bound(g, dec, {1: classify_weight(np.diag([1.0, 0.0]))})
+        g = SignedGraph.from_edges(
+            2, 2, True, {(1, 2): -np.diag([1.0, 0.0]), (2, 1): -np.eye(2)}
+        )
+        with pytest.raises(DegenerateCouplingError):
+            design_fixed(g, Decomposition.of(g, [1]), np.ones(2))
 
     def test_first_singular_v1_vertex_named(self):
-        g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
-        dec = Decomposition.of(g, [1, 2])
-        singular = classify_weight(np.diag([1.0, 0.0]))
-        with pytest.raises(SingularCouplingError, match=r"\|B_1\| has an eigenvalue below"):
-            coupling_bound(g, dec, {1: singular})
-        with pytest.raises(SingularCouplingError, match="no coupling block for V1 vertex 1"):
-            coupling_bound(g, dec, {2: singular})
+        # B_1 is singular and vertex 2 has no block; B_2 alone is singular
+        g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.diag([1.0, 0.0])})
+        with pytest.raises(DegenerateCouplingError, match="V1 vertex 1 lacks"):
+            design_fixed(g, Decomposition.of(g, [1, 2]), np.ones(2), delta=1.0)
+        g = SignedGraph.from_edges(
+            2, 2, True, {(1, 2): -np.eye(2), (2, 1): -np.diag([1.0, 0.0])}
+        )
+        with pytest.raises(DegenerateCouplingError, match="V1 vertex 2 lacks"):
+            design_fixed(g, Decomposition.of(g, [1, 2]), np.ones(2), delta=1.0)
 
     def test_assumption_gate(self, net_a_weak, net_a_dec):
-        with pytest.raises(AssumptionViolatedError):
-            coupling_bound(
-                net_a_weak, net_a_dec, {i: classify_weight(np.eye(3)) for i in range(1, 5)}
-            )
+        with pytest.raises(AssumptionViolatedError, match=r"vertices \[5, 6, 7\]"):
+            design_fixed(net_a_weak, net_a_dec, THETA)
 
     def test_scaling_invariance(self, rng):
         g, dec = random_directed_valid(rng, 4, 2)
         scaled = SignedGraph.from_edges(
-            4, 2, True, {k: 3.7 * w.entries for k, w in edge_weights(g).items()}
+            4, 2, True, {k: 3.7 * w for k, w in edge_weights(g).items()}
         )
         d1 = design_fixed(g, dec, np.ones(2))
         d2 = design_fixed(scaled, dec, np.ones(2))
@@ -130,17 +128,16 @@ class TestDesignFixed:
     def test_benchmark_reproduction(self, net_a, net_a_dec):
         design = design_fixed(net_a, net_a_dec, THETA, margin=0.1)
         assert design.delta == pytest.approx(7.0495, abs=1e-3)
-        assert design.informed == frozenset({1, 2, 3, 4, 6})
+        assert design.informed.tolist() == [1, 2, 3, 4, 6]
         assert np.allclose(design.x0, [1.2837, 2.5674, -1.2837], atol=1e-4)
         assert design.k1 == pytest.approx(1 + 2 / design.delta)
 
     def test_block_formula(self, net_a, net_a_dec):
         design = design_fixed(net_a, net_a_dec, THETA)
-        expected_b4 = (
-            edge_weights(net_a)[(4, 3)].magnitude + edge_weights(net_a)[(4, 7)].magnitude
-        )
-        assert np.allclose(design.blocks[4].entries, expected_b4)
-        assert np.allclose(design.blocks[6].entries, edge_weights(net_a)[(6, 2)].magnitude)
+        magnitudes = edge_magnitudes(net_a)
+        blocks = dict(zip(design.informed.tolist(), design.blocks))
+        assert np.allclose(blocks[4], magnitudes[(4, 3)] + magnitudes[(4, 7)])
+        assert np.allclose(blocks[6], magnitudes[(6, 2)])
 
     def test_zero_theta_rejected(self, net_a, net_a_dec):
         with pytest.raises(ZeroThetaError):
@@ -186,10 +183,8 @@ class TestDesignFixed:
         grounded, _ = design_laplacians(g, design)
         theta_stack = np.tile(design.theta, 2)
         forcing = np.zeros(4)
-        for i in design.informed:
-            forcing[(i - 1) * 2 : i * 2] = design.delta * (
-                design.blocks[i].entries @ design.x0
-            )
+        for i, b in zip(design.informed.tolist(), design.blocks):
+            forcing[(i - 1) * 2 : i * 2] = design.delta * (b @ design.x0)
         assert np.allclose(-grounded.matrix @ theta_stack + forcing, 0.0, atol=1e-12)
 
     def test_deterministic(self, net_a, net_a_dec):
@@ -208,25 +203,28 @@ class TestDesignFixed:
 def _per_vertex_design(g, v1):
     """The blocks and bounds the way the design computed them one vertex at
     a time: the gaps summed edge by edge, each B_i summed over a set of
-    negative in-neighbours (set iteration order) and classified alone, and
-    each C_i by its own Cholesky reduction."""
-    weights = edge_weights(g)
+    negative in-neighbours (set iteration order) and classified alone (as
+    positive, since it is a sum of magnitudes), and each C_i by its own
+    Cholesky reduction."""
+    weights, codes = edge_magnitudes(g), edge_codes(g)
     gaps = {v: np.zeros((g.d, g.d)) for v in g.vertices}
     negative_in = {v: set() for v in g.vertices}
     for (i, j), w in weights.items():
-        gaps[i] += w.magnitude
-        gaps[j] -= w.magnitude
-        if w.sign < 0:
+        gaps[i] += w
+        gaps[j] -= w
+        if codes[(i, j)] < 0:
             negative_in[i].add(j)
     blocks = {}
     for i in sorted(v for v in g.vertices if negative_in[v]):
         total = np.zeros((g.d, g.d))
         for j in negative_in[i]:
-            total += weights[(i, j)].magnitude
-        blocks[i] = classify_weight(total)
+            total += weights[(i, j)]
+        sym, code, errors = classify_stack(total[None])
+        assert not errors and code[0] > 0
+        blocks[i] = sym[0]
     per_vertex = {}
     for i in sorted(v1):
-        r = np.linalg.cholesky(blocks[i].magnitude)
+        r = np.linalg.cholesky(blocks[i])
         m = 0.0 - gaps[i]
         reduced = solve_triangular(r, solve_triangular(r, m.T, lower=True).T, lower=True)
         per_vertex[i] = 0.5 * float(np.max(np.linalg.eigvalsh((reduced + reduced.T) / 2.0)))
@@ -236,10 +234,9 @@ def _per_vertex_design(g, v1):
 def _designs_by_both_routes(g, dec, delta=None):
     design = design_fixed(g, dec, np.ones(g.d), delta=delta)
     blocks, per_vertex, negative_in = _per_vertex_design(g, dec.v1)
-    assert sorted(design.blocks) == sorted(blocks)
-    for i, b in blocks.items():
-        assert design.blocks[i].definiteness is b.definiteness
-    return design, blocks, per_vertex, max(len(s) for s in negative_in.values())
+    assert design.informed.tolist() == sorted(blocks)
+    stacked = dict(zip(design.informed.tolist(), design.blocks))
+    return design, stacked, blocks, per_vertex, max(len(s) for s in negative_in.values())
 
 
 class TestStackedDesign:
@@ -261,10 +258,10 @@ class TestStackedDesign:
         bundled V1, so they get an explicit delta."""
         for g, dec in self._networks(tiled):
             delta = None if verify_assumption(g, dec).ok else 5.0
-            design, blocks, per_vertex, most = _designs_by_both_routes(g, dec, delta)
+            design, stacked, blocks, per_vertex, most = _designs_by_both_routes(g, dec, delta)
             assert most <= 2
             for i, b in blocks.items():
-                assert design.blocks[i].entries.tobytes() == b.entries.tobytes()
+                assert stacked[i].tobytes() == b.tobytes()
             assert design.per_vertex_c == per_vertex
             assert design.bound_c == max(per_vertex.values())
             assert design.delta == (delta or max(per_vertex.values()) + 0.1)
@@ -282,17 +279,16 @@ class TestStackedDesign:
             n, d = int(rng.integers(3, 9)), int(rng.integers(2, 4))
             g, _, _ = _random_signed_digraph(rng, n, d, p_definite=0.8, p_negative=0.7)
             blocks, _, _ = _per_vertex_design(g, [])
-            v1 = [i for i, b in blocks.items()
-                  if np.linalg.cond(b.magnitude) < 1e4 and b.sign > 0]
+            v1 = [i for i, b in blocks.items() if np.linalg.cond(b) < 1e4]
             if not v1:
                 continue
-            design, blocks, per_vertex, _ = _designs_by_both_routes(
+            design, stacked, blocks, per_vertex, _ = _designs_by_both_routes(
                 g, Decomposition.of(g, v1), delta=1.0
             )
             for i, b in blocks.items():
-                scale = np.max(np.abs(b.entries))
-                assert np.max(np.abs(design.blocks[i].entries - b.entries)) <= 1e-15 * scale
-                differing += design.blocks[i].entries.tobytes() != b.entries.tobytes()
+                scale = np.max(np.abs(b))
+                assert np.max(np.abs(stacked[i] - b)) <= 1e-15 * scale
+                differing += stacked[i].tobytes() != b.tobytes()
                 compared += 1
             for i, c in per_vertex.items():
                 assert abs(design.per_vertex_c[i] - c) <= 1e-12 * max(1.0, abs(c))
@@ -307,7 +303,7 @@ class TestStackedDesign:
         edges = {(1, 4): -np.eye(1), (1, 3): -np.eye(1), (1, 2): -big * np.eye(1)}
         g = SignedGraph.from_edges(4, 1, True, edges)
         design = design_fixed(g, Decomposition.of(g, [1]), np.ones(1), delta=1.0)
-        assert design.blocks[1].entries[0, 0] == big + 2.0
+        assert design.blocks[0, 0, 0] == big + 2.0
         assert in_out_gaps(g)[0, 0, 0] == big + 2.0
 
     def test_design_linear_algebra_is_stacked(self, net_a, net_a_dec, monkeypatch):
@@ -426,6 +422,18 @@ class TestDesignSwitching:
             )
 
 
+    def test_graphs_of_different_sizes_rejected(self, net_a, net_a_dec):
+        small = SignedGraph.from_edges(2, 3, True, {(1, 2): -np.eye(3), (2, 1): -np.eye(3)})
+        with pytest.raises(DimensionMismatchError, match=r"graph 1 has \(n, d\) = \(2, 3\)"):
+            design_switching(
+                {0: net_a, 1: small},
+                {0: net_a_dec, 1: Decomposition.of(small, [1, 2])},
+                THETA,
+                alpha=0.02,
+                deltas={0: 8.0, 1: 8.0},
+            )
+
+
 class TestContractionFactor:
     def test_analytic_exponent(self, net_a, net_a_dec):
         sdesign = design_switching({0: net_a}, {0: net_a_dec}, THETA, alpha=1.0)
@@ -497,7 +505,7 @@ class TestClosedLoop:
     def test_grounded_is_the_augmented_leading_block(self, name, tiled):
         g, design = _designed(name, tiled)
         grounded, _ = design_laplacians(g, design)
-        alone = grounded_laplacian(g, design.delta, design.blocks).matrix
+        alone = grounded_laplacian(g, design.delta, design.informed, design.blocks).matrix
         assert np.ascontiguousarray(grounded.matrix).tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak", "tiled"])
@@ -556,7 +564,7 @@ class TestClosedLoop:
         g = SignedGraph.from_edges(
             n, 2, True, {(v + 1, v): random_spd(rng, 2) for v in range(1, n)}
         )
-        lap = csr_matrix(signed_laplacian(g).matrix + np.eye(2 * n))
+        lap = csr_matrix(signed_laplacian(g) + np.eye(2 * n))
         loop = ClosedLoop(laplacian=lap, forcing=rng.normal(size=2 * n))
         assert 4 * lap.nnz < (2 * n) ** 2
         p, q = loop.rk4_map(0.1)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ntconsensus import (
-    Decomposition,
     SwitchingSchedule,
     closed_loop,
     convergence_report,
@@ -15,40 +14,22 @@ from ntconsensus import (
     design_switching,
     integrate_fixed,
     integrate_switching,
-    log_norm2,
 )
 from ntconsensus.errors import (
     DimensionMismatchError,
     NonFiniteError,
     ScheduleExhaustedError,
 )
-from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 from ntconsensus.protocol import STACK_BYTES, ClosedLoop
 from ntconsensus.simulate import DIVERGENCE_GUARD
 
 from conftest import random_directed_valid, rk4_reference_step
+from test_acceptance import _switching_setup
 
 THETA = np.array([1.0, 2.0, -1.0])
 # two full blocks of net_a's stacked step map at h = 1e-3, ten more steps and
 # a shortened one
 BLOCKS_AND_A_SHORT_STEP = (2 * (STACK_BYTES // (21 * 21 * 8)) + 10.5) * 1e-3
-
-
-def _switching_setup(net_a, net_b, net_c):
-    graphs = {0: net_a, 1: net_b, 2: net_c}
-    decs = {
-        0: Decomposition.of(net_a, BUNDLED_V1["net_a"]),
-        1: Decomposition.of(net_b, BUNDLED_V1["net_b"]),
-        2: Decomposition.of(net_c, BUNDLED_V1["net_c"]),
-    }
-    deltas = {
-        0: SWITCHING_DELTAS["net_a"],
-        1: SWITCHING_DELTAS["net_b"],
-        2: SWITCHING_DELTAS["net_c"],
-    }
-    sdesign = design_switching(graphs, decs, THETA, alpha=0.02, deltas=deltas)
-    schedule = SwitchingSchedule.uniform(0.02, [0, 0, 1, 2, 2], repeat=True)
-    return graphs, sdesign, schedule
 
 
 class TestIntegrateFixed:
@@ -118,7 +99,8 @@ class TestIntegrateFixed:
     def test_exponential_decay_envelope(self, net_a, net_a_dec, rng):
         design = design_fixed(net_a, net_a_dec, THETA)
         grounded, _ = design_laplacians(net_a, design)
-        lam = -log_norm2(-grounded.matrix)  # lambda_min of the symmetric part
+        sym = (grounded.matrix + grounded.matrix.T) / 2.0
+        lam = float(np.linalg.eigvalsh(sym).min())
         x0 = rng.uniform(-5, 5, 21)
         traj = integrate_fixed(net_a, design, x0, h=1e-3, horizon=2.0)
         bound = traj.error_norm[0] * np.exp(-lam * traj.times)
@@ -181,7 +163,7 @@ class TestIntegrateFixed:
 class TestSwitchingSchedule:
     def test_uniform_construction(self):
         s = SwitchingSchedule.uniform(0.02, [0, 0, 1, 2, 2], repeat=True)
-        assert s.switch_times == (0.0, 0.02, 0.04, 0.06, 0.08)
+        assert s._edges()[:-1] == (0.0, 0.02, 0.04, 0.06, 0.08)
         assert s.period == pytest.approx(0.1)
 
     def test_intervals_cycle(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,33 +10,38 @@ from ntconsensus import (
     SignedGraph,
     augmented_laplacian,
     bundled_graph,
-    classify_weight,
     consensus_space,
     eigenvalues_sorted,
-    expand_system,
     grounded_laplacian,
     laplacian_blocks,
-    quadratic_form_gap,
-    log_norm2,
-    matrix_exp,
-    min_real_part,
-    null_space,
-    principal_angle,
-    signed_laplacian,
 )
-from ntconsensus.errors import NotNonnegativeWeightsError
 
 from conftest import (
+    edge_codes,
+    edge_magnitudes,
     edge_weights,
     random_all_psd_graph,
     random_directed_valid,
     random_undirected_valid,
     tiled_graph,
 )
+from reference import (
+    NotNonnegativeWeightsError,
+    expand_system,
+    log_norm2,
+    null_space,
+    principal_angle,
+    quadratic_form_gap,
+    signed_laplacian,
+)
+
+NONE = (np.zeros(0, dtype=np.intp), np.zeros((0, 3, 3)))  # no grounded vertex, d = 3
 
 
 def _blocks_of(values):
-    return {i: classify_weight(m) for i, m in values.items()}
+    """(informed, blocks) arrays from a {vertex: B_i} mapping."""
+    informed = sorted(values)
+    return np.array(informed), np.array([values[i] for i in informed])
 
 
 class TestSignedLaplacian:
@@ -43,24 +49,22 @@ class TestSignedLaplacian:
         g = SignedGraph.from_edges(
             2, 2, True, {(1, 2): -np.eye(2), (2, 1): -np.eye(2)}
         )
-        lap = signed_laplacian(g).matrix
+        lap = signed_laplacian(g)
         expected = np.block([[np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]])
         assert np.allclose(lap, expected)
 
     def test_single_node(self):
         g = SignedGraph.from_edges(1, 3, True, {})
-        assert np.allclose(signed_laplacian(g).matrix, np.zeros((3, 3)))
+        assert np.allclose(signed_laplacian(g), np.zeros((3, 3)))
 
     def test_benchmark_row6_diagonal_block(self, net_a):
-        lap = signed_laplacian(net_a).matrix
-        expected = sum(
-            edge_weights(net_a)[(6, j)].magnitude for j in (2, 5, 7)
-        )
+        lap = signed_laplacian(net_a)
+        expected = sum(edge_magnitudes(net_a)[(6, j)] for j in (2, 5, 7))
         assert np.allclose(lap[15:18, 15:18], expected)
 
     def test_all_positive_row_block_sum_zero(self, rng):
         g = random_all_psd_graph(rng, 5, 3)
-        lap = signed_laplacian(g).matrix
+        lap = signed_laplacian(g)
         v = rng.normal(size=3)
         assert np.allclose(lap @ np.tile(v, 5), 0.0, atol=1e-10)
 
@@ -70,8 +74,8 @@ def _edge_loop_laplacian(g):
     m = np.zeros((g.n * g.d, g.n * g.d))
     for (i, j), w in edge_weights(g).items():
         bi, bj = slice((i - 1) * g.d, i * g.d), slice((j - 1) * g.d, j * g.d)
-        m[bi, bj] = -w.entries
-        m[bi, bi] += w.magnitude
+        m[bi, bj] = -w
+        m[bi, bi] += edge_magnitudes(g)[(i, j)]
     return m
 
 
@@ -85,50 +89,52 @@ class TestLaplacianBlocks:
     def test_matches_edge_loop_bit_for_bit(self, make, rng):
         for _ in range(5):
             g = make(rng)
-            assert signed_laplacian(g).matrix.tobytes() == _edge_loop_laplacian(g).tobytes()
+            assert signed_laplacian(g).tobytes() == _edge_loop_laplacian(g).tobytes()
 
     @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak"])
     def test_bundled_match_edge_loop_bit_for_bit(self, name):
         g = bundled_graph(name)
-        assert signed_laplacian(g).matrix.tobytes() == _edge_loop_laplacian(g).tobytes()
+        assert signed_laplacian(g).tobytes() == _edge_loop_laplacian(g).tobytes()
 
     def test_triplet_order_ends_with_signal_column(self, net_a):
         """Edges, then the n grounded diagonal blocks, then the signal
         column -delta B_i at block column n in ascending vertex order."""
-        blocks = _blocks_of({5: -np.eye(3), 2: 2 * np.eye(3)})
-        rows, cols, data = laplacian_blocks(net_a, 1.5, blocks)
+        informed, blocks = _blocks_of({2: 2 * np.eye(3), 5: np.eye(3)})
+        rows, cols, data = laplacian_blocks(net_a, 1.5, informed, blocks)
         e, n = net_a.heads.size, net_a.n
         assert rows.tolist() == net_a.heads.tolist() + list(range(n)) + [1, 4]
         assert cols.tolist() == net_a.tails.tolist() + list(range(n)) + [n, n]
-        assert np.array_equal(data[-2:], [-3.0 * np.eye(3), 1.5 * np.eye(3)])
-        signed = signed_laplacian(net_a).matrix
+        assert np.array_equal(data[-2:], [-3.0 * np.eye(3), -1.5 * np.eye(3)])
+        signed = signed_laplacian(net_a)
         assert np.array_equal(data[e + 4], signed[12:15, 12:15] + 1.5 * np.eye(3))
-        assert np.array_equal(laplacian_blocks(net_a, 0.0, blocks)[0], rows[: e + n])
+        assert np.array_equal(
+            laplacian_blocks(net_a, 0.0, informed, blocks)[0], rows[: e + n]
+        )
 
 
 class TestGroundedLaplacian:
     def test_zero_deltas_is_identity(self, net_a):
         lap = signed_laplacian(net_a)
-        grounded = grounded_laplacian(net_a, 0.0, _blocks_of({1: np.eye(3)}))
-        assert np.allclose(grounded.matrix, lap.matrix)
+        grounded = grounded_laplacian(net_a, 0.0, *_blocks_of({1: np.eye(3)}))
+        assert np.allclose(grounded.matrix, lap)
 
     def test_single_node_grounding(self):
         g = SignedGraph.from_edges(1, 3, True, {})
-        grounded = grounded_laplacian(g, 2.0, _blocks_of({1: np.eye(3)}))
+        grounded = grounded_laplacian(g, 2.0, *_blocks_of({1: np.eye(3)}))
         assert np.allclose(grounded.matrix, 2 * np.eye(3))
 
 
 class TestAugmentedLaplacian:
     def test_bottom_rows_zero(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
-        blocks = _blocks_of({1: np.eye(2)})
-        aug = augmented_laplacian(g, 1.0, blocks)
+        aug = augmented_laplacian(g, 1.0, *_blocks_of({1: np.eye(2)}))
         assert np.allclose(aug.matrix[-2:, :], 0.0)
 
     def test_zero_delta_block_form(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
-        grounded = grounded_laplacian(g, 0.0, {})
-        aug = augmented_laplacian(g, 0.0, {})
+        none = (NONE[0], np.zeros((0, 2, 2)))
+        grounded = grounded_laplacian(g, 0.0, *none)
+        aug = augmented_laplacian(g, 0.0, *none)
         assert np.allclose(aug.matrix[:4, 4:], 0.0)
         assert np.allclose(aug.matrix[:4, :4], grounded.matrix)
 
@@ -136,27 +142,27 @@ class TestAugmentedLaplacian:
 class TestExpandSystem:
     def test_positive_edge_duplicated(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): np.eye(2)})
-        expanded, _ = expand_system(g, 0.0, {})
-        assert np.allclose(edge_weights(expanded)[(1, 2)].entries, np.eye(2))
-        assert np.allclose(edge_weights(expanded)[(3, 4)].entries, np.eye(2))
+        expanded, _ = expand_system(g, 0.0, NONE[0], np.zeros((0, 2, 2)))
+        assert np.allclose(edge_weights(expanded)[(1, 2)], np.eye(2))
+        assert np.allclose(edge_weights(expanded)[(3, 4)], np.eye(2))
         assert (1, 4) not in edge_weights(expanded)
 
     def test_negative_edge_rerouted(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -2 * np.eye(2)})
-        expanded, _ = expand_system(g, 0.0, {})
+        expanded, _ = expand_system(g, 0.0, NONE[0], np.zeros((0, 2, 2)))
         assert (1, 2) not in edge_weights(expanded)
-        assert np.allclose(edge_weights(expanded)[(1, 4)].entries, 2 * np.eye(2))
-        assert np.allclose(edge_weights(expanded)[(3, 2)].entries, 2 * np.eye(2))
+        assert np.allclose(edge_weights(expanded)[(1, 4)], 2 * np.eye(2))
+        assert np.allclose(edge_weights(expanded)[(3, 2)], 2 * np.eye(2))
 
     def test_expanded_weights_all_nonnegative(self, net_a):
-        expanded, _ = expand_system(net_a, 0.0, {})
-        assert all(w.sign >= 0 for w in edge_weights(expanded).values())
+        expanded, _ = expand_system(net_a, 0.0, *NONE)
+        assert all(code > 0 for code in edge_codes(expanded).values())
 
     def test_spectrum_contains_original(self, net_a):
         """The lifted spectrum contains the original grounded spectrum."""
         blocks = _blocks_of({1: np.eye(3), 2: np.eye(3)})
-        grounded = grounded_laplacian(net_a, 2.0, blocks)
-        _, lifted = expand_system(net_a, 2.0, blocks)
+        grounded = grounded_laplacian(net_a, 2.0, *blocks)
+        _, lifted = expand_system(net_a, 2.0, *blocks)
         small = eigenvalues_sorted(grounded.matrix)
         big = eigenvalues_sorted(lifted.matrix)
         for lam in small:
@@ -189,9 +195,9 @@ class TestLogNormAndExp:
         assert log_norm2(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.5)
 
     def test_exp_of_zero_and_diagonal(self):
-        assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
+        assert np.allclose(scipy.linalg.expm(np.zeros((3, 3))), np.eye(3))
         assert np.allclose(
-            matrix_exp(np.diag([1.0, -2.0])), np.diag([np.e, np.exp(-2.0)])
+            scipy.linalg.expm(np.diag([1.0, -2.0])), np.diag([np.e, np.exp(-2.0)])
         )
 
     def test_exp_against_ode_integration(self, rng):
@@ -206,7 +212,7 @@ class TestLogNormAndExp:
             k3 = m @ (x + 0.5 * h * k2)
             k4 = m @ (x + h * k3)
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert np.allclose(matrix_exp(m, t), x, rtol=1e-7, atol=1e-7)
+        assert np.allclose(scipy.linalg.expm(t * m), x, rtol=1e-7, atol=1e-7)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -215,7 +221,7 @@ class TestLogNormAndExp:
         m = r.normal(size=(4, 4))
         mu = log_norm2(m)
         for t in (0.1, 1.0, 10.0):
-            norm = float(np.linalg.norm(matrix_exp(m, t), 2))
+            norm = float(np.linalg.norm(scipy.linalg.expm(t * m), 2))
             assert norm <= np.exp(t * mu) * (1 + 1e-9)
 
 
@@ -245,7 +251,7 @@ class TestQuadraticFormGap:
 class TestUndirectedLaplacian:
     def test_symmetric_signed_laplacian_psd(self, rng):
         g, _ = random_undirected_valid(rng, 6, 3)
-        lap = signed_laplacian(g).matrix
+        lap = signed_laplacian(g)
         assert np.allclose(lap, lap.T)
         assert float(np.min(np.linalg.eigvalsh(lap))) >= -1e-9
 
@@ -260,7 +266,7 @@ class TestConsensusSpace:
 
 class TestMinRealPart:
     def test_identity(self):
-        assert min_real_part(np.eye(3)) == pytest.approx(1.0)
+        assert eigenvalues_sorted(np.eye(3))[0].real == pytest.approx(1.0)
 
     def test_sorted_spectrum_deterministic(self, rng):
         m = rng.normal(size=(5, 5))
