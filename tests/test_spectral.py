@@ -35,7 +35,9 @@ from reference import (
     signed_laplacian,
 )
 
-NONE = (np.zeros(0, dtype=np.intp), np.zeros((0, 3, 3)))  # no grounded vertex, d = 3
+def _ungrounded(d):
+    """(informed, blocks) arrays with no grounded vertex."""
+    return np.zeros(0, dtype=np.intp), np.zeros((0, d, d))
 
 
 def _blocks_of(values):
@@ -132,9 +134,8 @@ class TestAugmentedLaplacian:
 
     def test_zero_delta_block_form(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
-        none = (NONE[0], np.zeros((0, 2, 2)))
-        grounded = grounded_laplacian(g, 0.0, *none)
-        aug = augmented_laplacian(g, 0.0, *none)
+        grounded = grounded_laplacian(g, 0.0, *_ungrounded(2))
+        aug = augmented_laplacian(g, 0.0, *_ungrounded(2))
         assert np.allclose(aug.matrix[:4, 4:], 0.0)
         assert np.allclose(aug.matrix[:4, :4], grounded.matrix)
 
@@ -142,20 +143,20 @@ class TestAugmentedLaplacian:
 class TestExpandSystem:
     def test_positive_edge_duplicated(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): np.eye(2)})
-        expanded, _ = expand_system(g, 0.0, NONE[0], np.zeros((0, 2, 2)))
+        expanded, _ = expand_system(g, 0.0, *_ungrounded(2))
         assert np.allclose(edge_weights(expanded)[(1, 2)], np.eye(2))
         assert np.allclose(edge_weights(expanded)[(3, 4)], np.eye(2))
         assert (1, 4) not in edge_weights(expanded)
 
     def test_negative_edge_rerouted(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -2 * np.eye(2)})
-        expanded, _ = expand_system(g, 0.0, NONE[0], np.zeros((0, 2, 2)))
+        expanded, _ = expand_system(g, 0.0, *_ungrounded(2))
         assert (1, 2) not in edge_weights(expanded)
         assert np.allclose(edge_weights(expanded)[(1, 4)], 2 * np.eye(2))
         assert np.allclose(edge_weights(expanded)[(3, 2)], 2 * np.eye(2))
 
     def test_expanded_weights_all_nonnegative(self, net_a):
-        expanded, _ = expand_system(net_a, 0.0, *NONE)
+        expanded, _ = expand_system(net_a, 0.0, *_ungrounded(3))
         assert all(code > 0 for code in edge_codes(expanded).values())
 
     def test_spectrum_contains_original(self, net_a):
