@@ -214,8 +214,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_signed_values(argv: List[str]) -> List[str]:
+    """argv with ``--theta V`` and ``--delta V`` spelled ``--theta=V`` and
+    ``--delta=V`` where V starts with a single minus sign: argparse takes a
+    separate -1,2,3 or -1e3 for an option and reports a missing value."""
+    joined: List[str] = []
+    for arg in argv:
+        if joined and joined[-1] in ("--theta", "--delta") and arg.startswith("-") \
+                and not arg.startswith("--") and arg != "-h":
+            joined[-1] = f"{joined[-1]}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     # looked up per call rather than stored on the parser, so that a
     # cmd_* rebound on this module after the first call is the one that runs
     command = globals()[f"cmd_{args.command}"]

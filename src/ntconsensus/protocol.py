@@ -232,9 +232,13 @@ class ClosedLoop:
         ``(S @ x).reshape(m, nd) + o``: S stacks [P; P^2; ...; P^m] and o
         holds [q; Pq + q; ...].  m = min(steps, STACK_BYTES // (nd^2 * 8)),
         and m = 1 when P is CSR (its powers fill in) or too large for the
-        budget; the first r < m rows of both serve r steps.  Built once per
-        (h, m) and kept on this value.  An unstable P may overflow in its
-        powers; those rows come out inf or NaN and fail the caller's guard."""
+        budget; the first r < m rows of both serve r steps.  The stack is
+        built by doubling: with its first c rows done, k = min(c, m - c)
+        more come from one GEMM each, S[c:c+k] = S[:k] P^c and
+        o[c:c+k] = S[:k] o_c + o[:k], so ceil(log2 m) products in all.
+        Built once per (h, m) and kept on this value.  An unstable P may
+        overflow in its powers; those rows come out inf or NaN and fail the
+        caller's guard."""
         p, q = self.step_map(h)
         m = max(1, min(steps, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
         if (h, m) not in self._blocks:
@@ -242,12 +246,16 @@ class ClosedLoop:
                 self._blocks[(h, m)] = (p, q[None, :])
             else:
                 nd = q.shape[0]
-                stack, offsets = np.empty((m, nd, nd)), np.empty((m, nd))
-                stack[0], offsets[0] = p, q
-                for k in range(1, m):
-                    np.matmul(p, stack[k - 1], out=stack[k])
-                    offsets[k] = p @ offsets[k - 1] + q
-                self._blocks[(h, m)] = (stack.reshape(m * nd, nd), offsets)
+                stack, offsets = np.empty((m * nd, nd)), np.empty((m, nd))
+                stack[:nd], offsets[0] = p, q
+                c = 1
+                while c < m:
+                    k = min(c, m - c)
+                    head, power = stack[: k * nd], stack[(c - 1) * nd : c * nd]
+                    np.matmul(head, power, out=stack[c * nd : (c + k) * nd])
+                    offsets[c : c + k] = (head @ offsets[c - 1]).reshape(k, nd) + offsets[:k]
+                    c += k
+                self._blocks[(h, m)] = (stack, offsets)
         return self._blocks[(h, m)]
 
     def rk4_map(self, h: float) -> StepMap:
@@ -346,6 +354,22 @@ def verify_design(g: SignedGraph, design: ProtocolDesign) -> DesignReport:
     )
 
 
+def _first_of_one_shape(graphs: Mapping[int, SignedGraph]) -> SignedGraph:
+    """The graph with the smallest id, once every graph is checked to have
+    its vertex count n and weight dimension d."""
+    if not graphs:
+        raise DimensionMismatchError("need at least one graph")
+    gids = sorted(graphs)
+    first = graphs[gids[0]]
+    for gid in gids:
+        shape = (graphs[gid].n, graphs[gid].d)
+        if shape != (first.n, first.d):
+            raise DimensionMismatchError(
+                f"graph {gid} has (n, d) = {shape}, graph {gids[0]} has {(first.n, first.d)}"
+            )
+    return first
+
+
 def design_switching(
     graphs: Mapping[int, SignedGraph],
     decs: Mapping[int, Decomposition],
@@ -360,15 +384,9 @@ def design_switching(
     graph with the smallest id."""
     if alpha <= 0:
         raise DimensionMismatchError(f"dwell time must be positive, got {alpha}")
-    gids = sorted(graphs)
-    shapes = [(graphs[gid].n, graphs[gid].d) for gid in gids]
-    for gid, shape in zip(gids, shapes):
-        if shape != shapes[0]:
-            raise DimensionMismatchError(
-                f"graph {gid} has (n, d) = {shape}, graph {gids[0]} has {shapes[0]}"
-            )
+    _first_of_one_shape(graphs)
     designs: Dict[int, ProtocolDesign] = {}
-    for gid in gids:
+    for gid in sorted(graphs):
         try:
             designs[gid] = design_fixed(
                 graphs[gid],

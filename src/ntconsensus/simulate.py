@@ -2,20 +2,21 @@
 
 The closed loop is affine, xdot = -L_B x + Delta_B x0, so a classic RK4 step
 of constant length h is one affine map x <- P x + q (see
-``ClosedLoop.rk4_map``), and m steps are x_k = P^k x + o_k.  A span of full
-steps is taken in blocks: one product of the stacked powers [P; ...; P^m]
-with the state gives all m samples of a block (``ClosedLoop.step_block``).
-m is capped so that one stack fits in ``protocol.STACK_BYTES``; a CSR step
-map (its powers fill in) or one too large for the budget steps one sample
-per product.  Samples sit at t0 + k h, and each span ends with a shortened
-step that lands on its end exactly (a switch time or T).
+``ClosedLoop.rk4_map``), and m steps are x_k = P^k x + o_k.  Both integrators
+march their spans, one for a fixed run and one per interval of a switching
+run, in two levels (``_march``): a chain of one matvec per piece of up to m
+steps takes the state from piece end to piece end, then one GEMM per distinct
+piece fills in the samples between.  Samples sit at t0 + k h, and each span
+ends with a shortened step that lands on its end exactly (a switch time or T).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -25,7 +26,10 @@ from .errors import (
     ScheduleExhaustedError,
 )
 from .graph import SignedGraph
-from .protocol import ClosedLoop, ProtocolDesign, SwitchingDesign, closed_loop
+from .protocol import ClosedLoop, ProtocolDesign, SwitchingDesign, _first_of_one_shape, closed_loop
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 DIVERGENCE_GUARD = 1e12
 DEFAULT_STEP = 1e-3
@@ -57,60 +61,122 @@ def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.
     return x
 
 
-def _rk4_span(
-    loop: ClosedLoop,
-    x: np.ndarray,
-    t0: float,
-    t1: float,
-    h: float,
-    times: List[np.ndarray],
-    states: List[np.ndarray],
-) -> np.ndarray:
-    """March x over [t0, t1], appending the landed samples block by block.
+class _Piece(NamedTuple):
+    """The first ``rows`` rows of a stack from ``ClosedLoop.step_block`` (a
+    step map is a one-row stack), its end map x <- end @ x + offset, and the
+    rows of the samples that its occurrences start from."""
 
-    Full steps go in blocks of ``loop.step_block`` rows, one product per
-    block, at times t0 + j h; the last step is shortened to land on t1
-    exactly, with the map of its own length, which ``loop.step_map`` keeps
-    per exact remainder (a periodic schedule repeats a few of them).  A block
-    is checked as a whole and the first sample in it that fails names the
-    time."""
-    n_full = int(np.floor((t1 - t0) / h + 1e-9))
-    remainder = (t1 - t0) - n_full * h
-    runs = [(n_full, loop.step_block(h, n_full))] if n_full else []
-    if remainder > 1e-12:
+    end: "np.ndarray | csr_matrix"
+    offset: np.ndarray
+    rows: int
+    stack: "np.ndarray | csr_matrix"
+    offsets: np.ndarray
+    starts: List[int]
+
+
+def _cut(
+    loop: ClosedLoop, h: float, steps: int, remainder: float, pieces: Dict[tuple, _Piece]
+) -> List[Tuple[_Piece, int]]:
+    """One kind of span cut into pieces in time order, with repeat counts:
+    ``steps`` full steps in blocks of ``loop.step_block``'s m rows (the last
+    block shorter), then the shortened step if ``remainder`` is not 0.  A
+    piece is made once per (stack, rows); ``pieces`` keeps its stack alive, so
+    the id in the key stays unique.  Its end map is the stack's row block
+    ``rows``; an nd-row stack, a CSR P among them, is its own end map and is
+    never sliced."""
+    runs = []
+    if steps:
+        stack, offsets = loop.step_block(h, steps)
+        m = len(offsets)
+        runs.append((stack, offsets, m, steps // m))
+        if steps % m:
+            runs.append((stack, offsets, steps % m, 1))
+    if remainder:
         p, q = loop.step_map(remainder)
-        runs.append((1, (p, q[None, :])))
-    span_times = t0 + h * np.arange(1, sum(steps for steps, _ in runs) + 1)
-    span_times[-1:] = t1
-    times.append(span_times)
-    done = 0
-    for steps, (stack, offsets) in runs:
-        m, nd = offsets.shape
-        for j in range(0, steps, m):
-            r = min(m, steps - j)
-            s, o = (stack, offsets) if r == m else (stack[: r * nd], offsets[:r])
-            block = (s @ x).reshape(r, nd) + o
-            # written so that a NaN state fails the test too
-            ok = np.abs(block).max(axis=1) <= DIVERGENCE_GUARD
-            if not ok.all():
-                raise NonFiniteError(
-                    f"state exceeded {DIVERGENCE_GUARD:g} or became NaN"
-                    f" at t={span_times[done + np.argmin(ok)]:.6g}"
-                )
-            states.append(block)
-            x = block[-1]
-            done += r
-    return x
+        runs.append((p, q[None, :], 1, 1))
+    cut = []
+    for stack, offsets, rows, reps in runs:
+        key = (id(stack), rows)
+        if key not in pieces:
+            nd = offsets.shape[1]
+            end = stack if stack.shape[0] == nd else stack[(rows - 1) * nd : rows * nd]
+            pieces[key] = _Piece(end, offsets[rows - 1], rows, stack, offsets, [])
+        cut.append((pieces[key], reps))
+    return cut
 
 
-def _as_trajectory(
-    times: List[np.ndarray], states: List[np.ndarray], g: SignedGraph, theta: np.ndarray
+def _march(
+    g: SignedGraph,
+    theta: np.ndarray,
+    loops: Mapping[int, ClosedLoop],
+    spans: Sequence[Tuple[float, float, int]],
+    x: np.ndarray,
+    h: float,
 ) -> Trajectory:
-    t = np.concatenate(times)
-    s = np.concatenate(states)
-    target = np.tile(theta, g.n)
-    err = np.linalg.norm(s - target, axis=1)
-    return Trajectory(times=t, states=s, error_norm=err, n=g.n, d=g.d, theta=theta)
+    """March x through the spans (start, end, key of its loop) in order,
+    sampling after every step: floor((end - start) / h) full steps at
+    start + j h, then, if more than 1e-12 is left, a shortened step that
+    lands on end exactly.  Each kind of span (loop, full steps, remainder) is
+    cut into pieces once (``_cut``).  A chain of one matvec per piece with
+    its end map takes the state from piece end to piece end in time order;
+    then one GEMM per distinct piece fills the interior samples of all its
+    occurrences from their start states.  A CSR map has one-row pieces, so
+    its states are those of stepping x <- P x + q; elsewhere they agree with
+    stage-by-stage RK4 to about 1e-14 relative.  The guard checks every
+    sample once and names the first that fails."""
+    starts = np.array([span[0] for span in spans])
+    ends = np.array([span[1] for span in spans])
+    lengths = ends - starts
+    full = np.floor(lengths / h + 1e-9).astype(np.int64)
+    remainders = lengths - full * h
+    short = remainders > 1e-12
+    counts = full + short
+    last = np.cumsum(counts)  # row of each span's last sample; row 0 holds x
+    first = last - counts
+    times = np.empty(last[-1] + 1)
+    times[0] = 0.0
+    times[1:] = np.repeat(starts, counts) + h * (
+        np.arange(1, last[-1] + 1) - np.repeat(first, counts)
+    )
+    times[last[counts > 0]] = ends[counts > 0]
+
+    nd = x.shape[0]
+    states = np.empty((len(times), nd))
+    states[0] = x
+    pieces: Dict[tuple, _Piece] = {}
+    cuts: Dict[tuple, List[Tuple[_Piece, int]]] = {}
+    row = 0
+    # an unstable map overflows in the chain or in its powers; the guard
+    # reports it instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in zip(
+            [span[2] for span in spans], full.tolist(), np.where(short, remainders, 0.0).tolist()
+        ):
+            if kind not in cuts:
+                cuts[kind] = _cut(loops[kind[0]], h, kind[1], kind[2], pieces)
+            for (end, offset, rows, _, _, at), reps in cuts[kind]:
+                for _ in range(reps):
+                    if rows > 1:
+                        at.append(row)
+                    x = end @ x + offset
+                    row += rows
+                    states[row] = x
+        for _, _, rows, stack, offsets, at in pieces.values():
+            if at:
+                at = np.array(at)
+                fill = (states[at] @ stack[: (rows - 1) * nd].T).reshape(len(at), rows - 1, nd)
+                fill += offsets[: rows - 1]
+                states[at[:, None] + np.arange(1, rows)] = fill
+    # max and min pass a NaN on, so a NaN state fails the test too; no
+    # full-size temporary is made unless a sample fails and must be named
+    if not (states[1:].max() <= DIVERGENCE_GUARD and states[1:].min() >= -DIVERGENCE_GUARD):
+        ok = np.abs(states[1:]).max(axis=1) <= DIVERGENCE_GUARD
+        raise NonFiniteError(
+            f"state exceeded {DIVERGENCE_GUARD:g} or became NaN"
+            f" at t={times[1 + np.argmin(ok)]:.6g}"
+        )
+    err = np.linalg.norm(states - np.tile(theta, g.n), axis=1)
+    return Trajectory(times=times, states=states, error_norm=err, n=g.n, d=g.d, theta=theta)
 
 
 def integrate_fixed(
@@ -122,12 +188,7 @@ def integrate_fixed(
 ) -> Trajectory:
     """Classic fourth-order fixed-step run of the fixed-topology loop."""
     x = _initial_state(x_init, g.n * g.d, h, horizon)
-    times: List[np.ndarray] = [np.zeros(1)]
-    states: List[np.ndarray] = [x[None, :]]
-    # an unstable map overflows inside a block; the guard reports it instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        _rk4_span(closed_loop(g, design), x, 0.0, horizon, h, times, states)
-    return _as_trajectory(times, states, g, design.theta)
+    return _march(g, design.theta, {0: closed_loop(g, design)}, [(0.0, horizon, 0)], x, h)
 
 
 @dataclass(frozen=True)
@@ -201,23 +262,26 @@ def integrate_switching(
     h: float = DEFAULT_STEP,
     horizon: float = 1.0,
 ) -> Trajectory:
-    """Piecewise integration with steps aligned to every switch time."""
-    first = next(iter(graphs.values()))
+    """Piecewise integration with steps aligned to every switch time.  Every
+    graph must have the (n, d) of the graph with the smallest id, and every
+    graph id of the design must be in ``graphs``; otherwise this raises
+    ``DimensionMismatchError`` before any step."""
+    first = _first_of_one_shape(graphs)
+    for gid in sdesign.designs:
+        if gid not in graphs:
+            raise DimensionMismatchError(f"the design has graph id {gid}, which has no graph")
     x = _initial_state(x_init, first.n * first.d, h, horizon)
     if h > schedule.alpha / 4.0 + 1e-15:
         raise DimensionMismatchError(
             f"step h={h:g} must not exceed a quarter of the dwell time {schedule.alpha:g}"
         )
     loops = {gid: closed_loop(graphs[gid], design) for gid, design in sdesign.designs.items()}
+    spans = list(schedule.intervals(horizon))
+    for _, _, gid in spans:
+        if gid not in loops:
+            raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")
     theta = next(iter(sdesign.designs.values())).theta
-    times: List[np.ndarray] = [np.zeros(1)]
-    states: List[np.ndarray] = [x[None, :]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, end, gid in schedule.intervals(horizon):
-            if gid not in loops:
-                raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")
-            x = _rk4_span(loops[gid], x, start, end, h, times, states)
-    return _as_trajectory(times, states, first, theta)
+    return _march(first, theta, loops, spans, x, h)
 
 
 @dataclass(frozen=True)

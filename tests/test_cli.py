@@ -95,6 +95,39 @@ class TestDesign:
         assert rc == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("value", ["-1,2,3", "-1e0,2,3", "-.5,2,3"])
+    def test_theta_with_a_leading_minus(self, capsys, value):
+        # a separate value and one after '=' print identical JSON
+        runs = []
+        for spelling in (["--theta", value], [f"--theta={value}"]):
+            rc = main(["design", "--graph", _p("net_a.json"), "--v1", "1,2,3,4", *spelling,
+                       "--json"])
+            runs.append((rc, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        rc, captured = runs[0]
+        assert rc == 0
+        assert json.loads(captured.out)["design"]["theta"][0] < 0
+
+    def test_delta_with_a_leading_minus(self, capsys):
+        # a negative coefficient is a domain error under either spelling
+        runs = []
+        for spelling in (["--delta", "-8e0"], ["--delta=-8e0"]):
+            rc = main(["design", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",
+                       "--theta", "1,2,-1", *spelling])
+            runs.append((rc, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and "DegenerateCouplingError" in runs[0][1].err
+
+    def test_other_options_keep_their_parse(self, capsys):
+        # only --theta and --delta take a separate value with a minus sign
+        with pytest.raises(SystemExit):
+            main(["simulate", "--graph", _p("net_a.json"), "--theta", "1,2,-1",
+                  "--h", "-1e-3"])
+        assert "--h: expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["design", "--graph", _p("net_a.json"), "--theta", "--json"])
+        assert "--theta: expected one argument" in capsys.readouterr().err
+
     def test_weak_variant_with_pinned_delta_not_ok(self, capsys):
         rc = main([
             "design", "--graph", _p("net_a_weak.json"), "--v1", "1,2,3,4",

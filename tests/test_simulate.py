@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from ntconsensus import (
+    Decomposition,
+    SignedGraph,
+    SwitchingDesign,
     SwitchingSchedule,
     closed_loop,
     convergence_report,
@@ -23,13 +26,32 @@ from ntconsensus.errors import (
 from ntconsensus.protocol import STACK_BYTES, ClosedLoop
 from ntconsensus.simulate import DIVERGENCE_GUARD
 
-from conftest import random_directed_valid, rk4_reference_step
+from conftest import random_directed_valid, rk4_reference_step, tiled_graph
 from test_acceptance import _switching_setup
 
 THETA = np.array([1.0, 2.0, -1.0])
 # two full blocks of net_a's stacked step map at h = 1e-3, ten more steps and
 # a shortened one
 BLOCKS_AND_A_SHORT_STEP = (2 * (STACK_BYTES // (21 * 21 * 8)) + 10.5) * 1e-3
+
+
+def _spans_stage_by_stage(loops, spans, x, h):
+    """The samples of a run over ``spans`` (start, end, graph id), one RK4
+    step at a time and stage by stage, and its sample times: t0 + h j within
+    a span, and the span's end exactly for its last sample."""
+    times, states = [np.zeros(1)], [x]
+    for start, end, gid in spans:
+        lap, forcing = loops[gid].laplacian.toarray(), loops[gid].forcing
+        full = int(np.floor((end - start) / h + 1e-9))
+        remainder = (end - start) - full * h
+        steps = [h] * full + ([remainder] if remainder > 1e-12 else [])
+        span_times = start + h * np.arange(1, len(steps) + 1)
+        span_times[-1:] = end
+        times.append(span_times)
+        for step in steps:
+            x = rk4_reference_step(lap, forcing, x, step)
+            states.append(x)
+    return np.concatenate(times), np.array(states)
 
 
 class TestIntegrateFixed:
@@ -188,13 +210,116 @@ class TestSwitchingSchedule:
 
 class TestIntegrateSwitching:
     def test_single_interval_matches_fixed(self, net_a, net_a_dec, rng):
+        # also over four intervals: 250 steps each are cut into blocks of at
+        # most 74 rows differently from one span of 1000 steps, and every
+        # sample still agrees
         design = design_fixed(net_a, net_a_dec, THETA)
-        sdesign = design_switching({0: net_a}, {0: net_a_dec}, THETA, alpha=1.0)
-        schedule = SwitchingSchedule.uniform(1.0, [0], repeat=True)
         x0 = rng.uniform(-5, 5, 21)
         a = integrate_fixed(net_a, design, x0, h=1e-3, horizon=1.0)
-        b = integrate_switching(schedule, sdesign, {0: net_a}, x0, h=1e-3, horizon=1.0)
-        assert np.allclose(a.states[-1], b.states[-1], atol=1e-12)
+        for dwell, intervals in ((1.0, 1), (0.25, 4)):
+            sdesign = design_switching({0: net_a}, {0: net_a_dec}, THETA, alpha=dwell)
+            schedule = SwitchingSchedule.uniform(dwell, [0] * intervals)
+            b = integrate_switching(schedule, sdesign, {0: net_a}, x0, h=1e-3, horizon=1.0)
+            assert a.states.shape == b.states.shape
+            assert np.allclose(a.times, b.times, rtol=0.0, atol=1e-12)
+            rel = np.linalg.norm(a.states - b.states, axis=1) / np.linalg.norm(a.states, axis=1)
+            assert rel.max() <= 1e-13
+
+    @pytest.mark.parametrize("case", ["dense", "csr"])
+    def test_matches_stage_by_stage_on_random_sets(self, case):
+        # random interval lengths, none a multiple of h, so every interval
+        # ends with a shortened step; dense intervals take more steps than
+        # one stack of powers holds (several blocks and a shorter one), a
+        # CSR map takes one step per piece
+        rng = np.random.default_rng(1313 if case == "dense" else 1314)
+        h = 1e-3
+        if case == "dense":
+            made = [random_directed_valid(rng, 7, 3) for _ in range(3)]
+            lengths = rng.uniform(0.08, 0.2, 5)
+        else:
+            made = [tiled_graph(rng, 4) for _ in range(2)]
+            lengths = rng.uniform(0.02, 0.05, 5)
+        graphs = {k: g for k, (g, _) in enumerate(made)}
+        decs = {k: dec for k, (_, dec) in enumerate(made)}
+        theta = rng.uniform(-2, 2, 3)
+        sdesign = design_switching(graphs, decs, theta, alpha=float(lengths.min()))
+        schedule = SwitchingSchedule(
+            lengths=tuple(lengths.tolist()),
+            graph_ids=tuple(int(k) for k in rng.integers(0, len(graphs), 5)),
+            alpha=float(lengths.min()),
+            repeat=True,
+        )
+        horizon = 1.6 * schedule.period
+        spans = list(schedule.intervals(horizon))
+        loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+        for gid, loop in loops.items():
+            p = loop.step_map(h)[0]
+            assert isinstance(p, np.ndarray) == (case == "dense")
+            if case == "dense":
+                assert len(loop.step_block(h, 80)[1]) < 80
+        for start, end, _ in spans:
+            steps = (end - start) / h
+            assert abs(steps - round(steps)) > 1e-6
+        x = rng.uniform(-5, 5, graphs[0].n * 3)
+        traj = integrate_switching(schedule, sdesign, graphs, x, h=h, horizon=horizon)
+        times, states = _spans_stage_by_stage(loops, spans, x, h)
+        assert np.array_equal(traj.times, times)
+        assert traj.states.shape == states.shape
+        rel = np.linalg.norm(traj.states - states, axis=1) / np.linalg.norm(states, axis=1)
+        assert rel.max() <= 1e-13
+
+    def test_divergence_guard(self, net_a, net_b, net_c):
+        # h far beyond the stability limit, with dwells of four full steps
+        # and a shortened one: the chain, the powers and the fill overflow,
+        # and only the guard may report it, at the first time a
+        # stage-by-stage run fails, two switches into the run
+        graphs, sdesign, _ = _switching_setup(net_a, net_b, net_c)
+        schedule = SwitchingSchedule.uniform(0.85, [0, 1, 2], repeat=True)
+        h = 0.2
+        loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+        x = np.ones(21)
+        failed = None
+        for start, end, gid in schedule.intervals(100.0):
+            lap, forcing = loops[gid].laplacian.toarray(), loops[gid].forcing
+            for j in range(1, 6):
+                x = rk4_reference_step(lap, forcing, x, h if j < 5 else end - start - 4 * h)
+                if not np.abs(x).max() <= DIVERGENCE_GUARD:
+                    failed = start + h * j if j < 5 else end
+                    break
+            if failed is not None:
+                break
+        assert failed is not None and failed > 2 * 0.85
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=rf"at t={failed:.6g}$"):
+                integrate_switching(schedule, sdesign, graphs, np.ones(21), h=h, horizon=100.0)
+
+    def test_graphs_of_different_sizes_rejected(self, net_a, net_a_dec):
+        small = SignedGraph.from_edges(2, 3, True, {(1, 2): -np.eye(3), (2, 1): -np.eye(3)})
+        sdesign = SwitchingDesign(
+            designs={
+                0: design_fixed(net_a, net_a_dec, THETA),
+                1: design_fixed(small, Decomposition.of(small, [1, 2]), THETA, delta=8.0),
+            },
+            alpha=0.02,
+        )
+        schedule = SwitchingSchedule.uniform(0.02, [0, 1], repeat=True)
+        with pytest.raises(DimensionMismatchError, match=r"graph 1 has \(n, d\) = \(2, 3\)"):
+            integrate_switching(schedule, sdesign, {0: net_a, 1: small}, np.zeros(21),
+                                h=1e-3, horizon=0.1)
+
+    def test_designed_graph_missing_rejected(self, net_a, net_a_dec):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        sdesign = SwitchingDesign(designs={0: design, 1: design}, alpha=0.02)
+        schedule = SwitchingSchedule.uniform(0.02, [0, 1], repeat=True)
+        with pytest.raises(DimensionMismatchError, match=r"graph id 1\b"):
+            integrate_switching(schedule, sdesign, {0: net_a}, np.zeros(21), h=1e-3, horizon=0.1)
+        with pytest.raises(DimensionMismatchError, match="at least one graph"):
+            integrate_switching(schedule, sdesign, {}, np.zeros(21), h=1e-3, horizon=0.1)
+        # a schedule over a graph id without a design is refused before any step
+        lone = SwitchingDesign(designs={0: design}, alpha=0.02)
+        with pytest.raises(ScheduleExhaustedError, match="unknown graph id 1"):
+            integrate_switching(schedule, lone, {0: net_a}, np.zeros(21), h=1e-3, horizon=0.1)
 
     def test_benchmark_error_decays(self, net_a, net_b, net_c, rng):
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
