@@ -154,7 +154,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lam: Optional[float] = contraction.factor
     else:
         if args.schedule:
-            raise FileFormatError("--schedule needs a switching run (use --graphs)")
+            raise FileFormatError(
+                "--schedule needs a switching run, and a switching run needs two or more graphs"
+            )
         design = design_fixed(first, decs[0], theta, margin=args.margin, delta=_single_delta(args))
         traj = integrate_fixed(first, design, x_init, h=args.h, horizon=args.T)
         lam = None

@@ -105,8 +105,9 @@ class SignedGraph:
         Weights classifying as Zero are dropped (zero means no edge).  For
         undirected graphs each pair may be given once; if both orientations
         are present they must agree entrywise.  Needs n >= 1 and d >= 1.
-        All d x d weights are classified in one stacked call; errors are
-        raised for the first bad edge in the mapping's order.
+        Every weight must be d x d, a zero one too.  All weights are
+        classified in one stacked call; errors are raised for the first bad
+        edge in the mapping's order.
         """
         if n < 1 or d < 1:
             raise DimensionMismatchError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
@@ -120,18 +121,10 @@ class SignedGraph:
             _check_vertex(n, j)
             if i == j:
                 raise InvalidPartitionError(f"self-loop on vertex {i} not allowed")
-            if not fits[k]:  # classified alone: an error, or dropped when zero
-                raw = raws[k]
-                if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-                    raise AsymmetricWeightError(f"weight must be square, got shape {raw.shape}")
-                _, code, error = classify_stack(raw[None])
-                if error:
-                    raise error[0]
-                if code[0]:
-                    raise AsymmetricWeightError(
-                        f"edge ({j}->{i}) has dimension {len(raws[k])}, expected {d}"
-                    )
-                continue
+            if not fits[k]:
+                raise DimensionMismatchError(
+                    f"edge ({j}->{i}) has a weight of shape {raws[k].shape}, expected ({d}, {d})"
+                )
             if k in errors:
                 raise errors[k]
             if codes[k] == 0:

@@ -8,7 +8,7 @@ external signal x0 = k1 * theta with k1 = 1 + 2/delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -201,12 +201,6 @@ def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian
     return Laplacian(augmented.matrix[:nd, :nd]), augmented
 
 
-StepMap = Tuple["np.ndarray | csr_matrix", np.ndarray]  # (P, q)
-
-# byte budget of one stack of step-map powers (see ClosedLoop.step_block)
-STACK_BYTES = 1 << 18
-
-
 @dataclass(frozen=True)
 class ClosedLoop:
     """The closed loop xdot = -L_B x + f that a design realizes on a graph:
@@ -214,73 +208,6 @@ class ClosedLoop:
 
     laplacian: "csr_matrix"
     forcing: np.ndarray
-    _maps: Dict[float, StepMap] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _blocks: Dict[Tuple[float, int], StepMap] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def step_map(self, h: float) -> StepMap:
-        """``rk4_map(h)``, built once per step length and kept on this value."""
-        if h not in self._maps:
-            self._maps[h] = self.rk4_map(h)
-        return self._maps[h]
-
-    def step_block(self, h: float, steps: int) -> StepMap:
-        """(S, o) such that m steps of length h from x land on the rows of
-        ``(S @ x).reshape(m, nd) + o``: S stacks [P; P^2; ...; P^m] and o
-        holds [q; Pq + q; ...].  m = min(steps, STACK_BYTES // (nd^2 * 8)),
-        and m = 1 when P is CSR (its powers fill in) or too large for the
-        budget; the first r < m rows of both serve r steps.  The stack is
-        built by doubling: with its first c rows done, k = min(c, m - c)
-        more come from one GEMM each, S[c:c+k] = S[:k] P^c and
-        o[c:c+k] = S[:k] o_c + o[:k], so ceil(log2 m) products in all.
-        Built once per (h, m) and kept on this value.  An unstable P may
-        overflow in its powers; those rows come out inf or NaN and fail the
-        caller's guard."""
-        p, q = self.step_map(h)
-        m = max(1, min(steps, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
-        if (h, m) not in self._blocks:
-            if m == 1:
-                self._blocks[(h, m)] = (p, q[None, :])
-            else:
-                nd = q.shape[0]
-                stack, offsets = np.empty((m * nd, nd)), np.empty((m, nd))
-                stack[:nd], offsets[0] = p, q
-                c = 1
-                while c < m:
-                    k = min(c, m - c)
-                    head, power = stack[: k * nd], stack[(c - 1) * nd : c * nd]
-                    np.matmul(head, power, out=stack[c * nd : (c + k) * nd])
-                    offsets[c : c + k] = (head @ offsets[c - 1]).reshape(k, nd) + offsets[:k]
-                    c += k
-                self._blocks[(h, m)] = (stack, offsets)
-        return self._blocks[(h, m)]
-
-    def rk4_map(self, h: float) -> StepMap:
-        """(P, q) such that the classic RK4 step of length h is x <- P x + q.
-
-        On an affine field the step is exactly this map: with A = -h L_B,
-        P = R(A) = I + A S(A) and q = h S(A) f, where
-        S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule.  The
-        storage follows L_B: when more than a quarter of its entries are
-        nonzero the map is built and kept dense (P's pattern holds L_B's, so P
-        is at least as full), otherwise in CSR form."""
-        import scipy.sparse
-
-        lap = self.laplacian
-        nd = lap.shape[0]
-        if 4 * lap.nnz > nd * nd:
-            lap, eye = lap.toarray(), np.eye(nd)
-        else:
-            eye = scipy.sparse.identity(nd, format="csr")
-        a = lap * -h
-        s = eye + a / 4.0
-        s = eye + (a @ s) / 3.0
-        s = eye + (a @ s) / 2.0
-        p = eye + a @ s
-        return p, h * (s @ self.forcing)
 
 
 def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:

@@ -1,12 +1,12 @@
 """Deterministic fixed-step integration of the coupled dynamics.
 
 The closed loop is affine, xdot = -L_B x + Delta_B x0, so a classic RK4 step
-of constant length h is one affine map x <- P x + q (see
-``ClosedLoop.rk4_map``), and m steps are x_k = P^k x + o_k.  Both integrators
-march their spans, one for a fixed run and one per interval of a switching
-run, in two levels (``_march``): a chain of one matvec per piece of up to m
-steps takes the state from piece end to piece end, then one GEMM per distinct
-piece fills in the samples between.  Samples sit at t0 + k h, and each span
+of constant length h is one affine map x <- P x + q (see ``_rk4_map``), and
+m steps are x_k = P^k x + o_k (see ``_powers``).  This module owns how the
+loop is stepped.  Both integrators march their spans, one for a fixed run and
+one per interval of a switching run, in two levels (``_march``): a chain of
+one matvec per piece of up to m steps takes the state from piece end to piece
+end, then one GEMM per distinct piece fills in the samples between.  Samples sit at t0 + k h, and each span
 ends with a shortened step that lands on its end exactly (a switch time or T).
 """
 
@@ -61,10 +61,63 @@ def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.
     return x
 
 
+StepMap = Tuple["np.ndarray | csr_matrix", np.ndarray]  # (P, q), or a stack (S, o)
+
+# byte budget of one stack of step-map powers (see _cut)
+STACK_BYTES = 1 << 18
+
+
+def _rk4_map(loop: ClosedLoop, h: float) -> StepMap:
+    """(P, q) such that the classic RK4 step of length h is x <- P x + q.
+
+    On an affine field the step is exactly this map: with A = -h L_B,
+    P = R(A) = I + A S(A) and q = h S(A) f, where
+    S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule.  The
+    storage follows L_B: when more than a quarter of its entries are
+    nonzero the map is built and kept dense (P's pattern holds L_B's, so P
+    is at least as full), otherwise in CSR form."""
+    import scipy.sparse
+
+    lap = loop.laplacian
+    nd = lap.shape[0]
+    if 4 * lap.nnz > nd * nd:
+        lap, eye = lap.toarray(), np.eye(nd)
+    else:
+        eye = scipy.sparse.identity(nd, format="csr")
+    a = lap * -h
+    s = eye + a / 4.0
+    s = eye + (a @ s) / 3.0
+    s = eye + (a @ s) / 2.0
+    p = eye + a @ s
+    return p, h * (s @ loop.forcing)
+
+
+def _powers(p: np.ndarray, q: np.ndarray, m: int) -> StepMap:
+    """(S, o) such that m steps x <- P x + q from x land on the rows of
+    ``(S @ x).reshape(m, nd) + o``: S stacks [P; P^2; ...; P^m] and o holds
+    [q; Pq + q; ...]; the first r < m rows of both serve r steps.  Built by
+    doubling: with its first c rows done, k = min(c, m - c) more come from
+    one GEMM each, S[c:c+k] = S[:k] P^c and o[c:c+k] = S[:k] o_c + o[:k], so
+    ceil(log2 m) products in all.  An unstable P may overflow in its powers;
+    those rows come out inf or NaN and fail the caller's guard."""
+    nd = q.shape[0]
+    stack, offsets = np.empty((m * nd, nd)), np.empty((m, nd))
+    stack[:nd], offsets[0] = p, q
+    c = 1
+    while c < m:
+        k = min(c, m - c)
+        head, power = stack[: k * nd], stack[(c - 1) * nd : c * nd]
+        np.matmul(head, power, out=stack[c * nd : (c + k) * nd])
+        offsets[c : c + k] = (head @ offsets[c - 1]).reshape(k, nd) + offsets[:k]
+        c += k
+    return stack, offsets
+
+
 class _Piece(NamedTuple):
-    """The first ``rows`` rows of a stack from ``ClosedLoop.step_block`` (a
-    step map is a one-row stack), its end map x <- end @ x + offset, and the
-    rows of the samples that its occurrences start from."""
+    """The first ``rows`` rows of a stack (S, o) from ``_powers`` (a step
+    map is the one-row stack (P, q[None])), its end map
+    x <- end @ x + offset, and the rows of the samples that its occurrences
+    start from."""
 
     end: "np.ndarray | csr_matrix"
     offset: np.ndarray
@@ -75,33 +128,44 @@ class _Piece(NamedTuple):
 
 
 def _cut(
-    loop: ClosedLoop, h: float, steps: int, remainder: float, pieces: Dict[tuple, _Piece]
+    loop: ClosedLoop,
+    gid: int,
+    h: float,
+    steps: int,
+    remainder: float,
+    stacks: Dict[tuple, StepMap],
+    pieces: Dict[tuple, _Piece],
 ) -> List[Tuple[_Piece, int]]:
-    """One kind of span cut into pieces in time order, with repeat counts:
-    ``steps`` full steps in blocks of ``loop.step_block``'s m rows (the last
-    block shorter), then the shortened step if ``remainder`` is not 0.  A
-    piece is made once per (stack, rows); ``pieces`` keeps its stack alive, so
-    the id in the key stays unique.  Its end map is the stack's row block
-    ``rows``; an nd-row stack, a CSR P among them, is its own end map and is
-    never sliced."""
-    runs = []
-    if steps:
-        stack, offsets = loop.step_block(h, steps)
-        m = len(offsets)
-        runs.append((stack, offsets, m, steps // m))
-        if steps % m:
-            runs.append((stack, offsets, steps % m, 1))
-    if remainder:
-        p, q = loop.step_map(remainder)
-        runs.append((p, q[None, :], 1, 1))
+    """One kind of span on graph ``gid`` cut into pieces in time order, with
+    repeat counts: ``steps`` full steps in blocks of m rows (the last block
+    shorter), then the shortened step if ``remainder`` is not 0.  For a
+    step length, m = min(steps, STACK_BYTES // (nd^2 * 8)), and m = 1 when
+    P is CSR (its powers fill in) or too large for the budget.  Step maps
+    and stacks are built once per (gid, step length, m) into ``stacks``,
+    pieces once per (gid, step length, m, rows) into ``pieces``.  A piece's
+    end map is its stack's row block ``rows``; a one-row stack, a CSR P
+    among them, is its own end map and is never sliced."""
     cut = []
-    for stack, offsets, rows, reps in runs:
-        key = (id(stack), rows)
-        if key not in pieces:
-            nd = offsets.shape[1]
-            end = stack if stack.shape[0] == nd else stack[(rows - 1) * nd : rows * nd]
-            pieces[key] = _Piece(end, offsets[rows - 1], rows, stack, offsets, [])
-        cut.append((pieces[key], reps))
+    for length, count in ((h, steps), (remainder, 1 if remainder else 0)):
+        if not count:
+            continue
+        if (gid, length, 1) not in stacks:
+            p, q = _rk4_map(loop, length)
+            stacks[(gid, length, 1)] = (p, q[None, :])
+        p, q = stacks[(gid, length, 1)]
+        m = max(1, min(count, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
+        if (gid, length, m) not in stacks:
+            stacks[(gid, length, m)] = _powers(p, q[0], m)
+        stack, offsets = stacks[(gid, length, m)]
+        for rows, reps in ((m, count // m), (count % m, 1)):
+            if not rows:
+                continue
+            key = (gid, length, m, rows)
+            if key not in pieces:
+                nd = offsets.shape[1]
+                end = stack if m == 1 else stack[(rows - 1) * nd : rows * nd]
+                pieces[key] = _Piece(end, offsets[rows - 1], rows, stack, offsets, [])
+            cut.append((pieces[key], reps))
     return cut
 
 
@@ -143,6 +207,8 @@ def _march(
     nd = x.shape[0]
     states = np.empty((len(times), nd))
     states[0] = x
+    # the run's only cache: step maps and stacks, pieces, and each kind's cut
+    stacks: Dict[tuple, StepMap] = {}
     pieces: Dict[tuple, _Piece] = {}
     cuts: Dict[tuple, List[Tuple[_Piece, int]]] = {}
     row = 0
@@ -153,7 +219,8 @@ def _march(
             [span[2] for span in spans], full.tolist(), np.where(short, remainders, 0.0).tolist()
         ):
             if kind not in cuts:
-                cuts[kind] = _cut(loops[kind[0]], h, kind[1], kind[2], pieces)
+                gid, steps, remainder = kind
+                cuts[kind] = _cut(loops[gid], gid, h, steps, remainder, stacks, pieces)
             for (end, offset, rows, _, _, at), reps in cuts[kind]:
                 for _ in range(reps):
                     if rows > 1:
@@ -304,7 +371,9 @@ def convergence_report(
     """Judge convergence to the preset state: every sample in the trailing
     ``DEFAULT_WINDOW`` fraction of the run must be within ``DEFAULT_TOL`` of
     theta in the per-agent infinity norm."""
-    th = traj.theta if theta is None else np.asarray(theta, dtype=float)
+    th = traj.theta if theta is None else np.asarray(theta, dtype=float).reshape(-1)
+    if th.shape[0] != traj.d:
+        raise DimensionMismatchError(f"theta has dimension {th.shape[0]}, run has d={traj.d}")
     dev = np.abs(traj.states - np.tile(th, traj.n))
     per_sample = dev.reshape(len(traj.times), traj.n, traj.d).max(axis=(1, 2))
     horizon = traj.times[-1]

@@ -128,6 +128,24 @@ class TestDesign:
             main(["design", "--graph", _p("net_a.json"), "--theta", "--json"])
         assert "--theta: expected one argument" in capsys.readouterr().err
 
+    def test_text_output(self, capsys):
+        rc = main(["design", "--graph", _p("net_a.json"), "--v1", "1,2,3,4", "--theta", "1,2,-1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "C = 6.9495  delta = 7.0495"
+        assert lines[1].startswith("x0 = [ 1.2837  2.5674 -1.2837]")
+        assert lines[2].startswith("min real part = 0.9334  specOk = True  nullOk = True")
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--v1", "1,two,3", "cannot parse V1 list '1,two,3'"),
+        ("--theta", "1,x,3", "cannot parse theta '1,x,3'"),
+    ])
+    def test_unparsable_list_exit_2(self, capsys, option, value, message):
+        argv = ["design", "--graph", _p("net_a.json"), "--v1", "1,2,3,4", "--theta", "1,2,-1"]
+        argv[argv.index(option) + 1] = value
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_weak_variant_with_pinned_delta_not_ok(self, capsys):
         rc = main([
             "design", "--graph", _p("net_a_weak.json"), "--v1", "1,2,3,4",
@@ -288,6 +306,27 @@ class TestSimulate:
         assert rc == 2
         assert "--schedule needs a switching run" in capsys.readouterr().err
 
+    def test_schedule_with_one_of_graphs_exit_2(self, capsys):
+        rc = main([
+            "simulate", "--graphs", _p("net_a.json"), "--v1", "1,2,3,4",
+            "--theta", "1,2,-1", "--T", "0.05", "--schedule", _p("cycle_schedule.json"),
+        ])
+        assert rc == 2
+        assert "a switching run needs two or more graphs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--v1", "1,2,3,4;2,3;1,2,3;1"], "got 4 V1 lists for 3 graphs"),
+        (["--delta", "7", "--delta", "7"], "give one --delta per graph"),
+    ])
+    def test_per_graph_count_mismatch_exit_2(self, capsys, extra, message):
+        rc = main([
+            "simulate", "--graphs", _p("net_a.json"), _p("net_b.json"), _p("net_c.json"),
+            "--theta", "1,2,-1", "--T", "0.05", "--schedule", _p("cycle_schedule.json"),
+            *extra,
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_switching_without_schedule_exit_2(self):
         rc = main([
             "simulate",
@@ -297,7 +336,9 @@ class TestSimulate:
         assert rc == 2
 
 
-@pytest.mark.parametrize("command", [["check"], ["design", "--theta", "1,2,-1"]])
+@pytest.mark.parametrize("command", [
+    ["check"], ["design", "--theta", "1,2,-1"], ["simulate", "--theta", "1,2,-1"],
+])
 def test_no_graph_exit_2(capsys, command):
     assert main(command + ["--v1", "auto"]) == 2
     assert "no graph file given" in capsys.readouterr().err

@@ -117,6 +117,10 @@ class TestScheduleLoading:
         assert s.graph_ids == (0, 0, 1, 2, 2)
         assert s.repeat
 
+    def test_unknown_bundled_network_rejected(self):
+        with pytest.raises(KeyError, match="unknown bundled network 'net_z'"):
+            bundled_graph("net_z")
+
     def test_switching_dwell_is_the_bundled_schedules(self):
         s = load_schedule(bundled_path("cycle_schedule.json"))
         assert s.alpha == SWITCHING_DWELL
@@ -201,6 +205,14 @@ class TestScheduleLoading:
                                  "edges": [{"from": 1, "to": 2, "weight": [[10**400]]}]}))
         with pytest.raises(FileFormatError, match="too large"):
             load_graph(g)
+
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_unreadable_file_rejected(self, tmp_path, text):
+        p = tmp_path / "s.json"
+        if text is not None:
+            p.write_text(text)
+        with pytest.raises(FileFormatError, match="cannot read schedule file"):
+            load_schedule(p)
 
     def test_dt_list_length_mismatch(self, tmp_path):
         p = tmp_path / "s.json"

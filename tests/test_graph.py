@@ -180,6 +180,21 @@ class TestSignedGraph:
                 2, 2, False, {(1, 2): np.eye(2), (2, 1): 2 * np.eye(2)}
             )
 
+    @pytest.mark.parametrize(
+        "weight", [np.zeros((2, 2)), np.eye(2), np.ones(3), np.zeros((3, 3, 1))]
+    )
+    def test_weight_not_d_by_d_rejected(self, weight):
+        # a zero weight of the wrong shape is not dropped as "no edge"
+        edges = {(2, 1): -np.eye(3), (3, 2): weight}
+        with pytest.raises(DimensionMismatchError, match=r"edge \(2->3\).*expected \(3, 3\)"):
+            SignedGraph.from_edges(3, 3, True, edges)
+
+
+class TestDecomposition:
+    def test_empty_v1_rejected(self, net_a):
+        with pytest.raises(InvalidPartitionError, match="nonempty"):
+            Decomposition.of(net_a, [])
+
 
 def _negative_in(g):
     """Per vertex, the tails of its negative in-edges, read from the class codes."""
@@ -311,6 +326,15 @@ class TestSuggestDecomposition:
         g = SignedGraph.from_edges(2, 2, True, {(2, 1): np.eye(2)})
         dec = suggest_decomposition(g)
         assert dec is not None and dec.v1 == frozenset({1})
+
+    def test_undirected_takes_one_vertex_per_component(self):
+        # no dominance test on an undirected graph: only path cover counts
+        g = SignedGraph.from_edges(
+            5, 2, False, {(1, 2): -np.eye(2), (2, 3): np.eye(2), (4, 5): np.eye(2)}
+        )
+        dec = suggest_decomposition(g)
+        assert dec.v1 == frozenset({1, 4})
+        assert verify_assumption(g, dec).ok
 
     def test_several_hundred_vertices(self):
         g, expected = _condensation_network(np.random.default_rng(7))

@@ -34,7 +34,7 @@ from ntconsensus.errors import (
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 from ntconsensus.graph import classify_stack, in_out_gaps
 from ntconsensus import protocol
-from ntconsensus.protocol import STACK_BYTES
+from ntconsensus.simulate import STACK_BYTES, _cut, _rk4_map
 
 from conftest import (
     edge_codes,
@@ -142,6 +142,11 @@ class TestDesignFixed:
     def test_zero_theta_rejected(self, net_a, net_a_dec):
         with pytest.raises(ZeroThetaError):
             design_fixed(net_a, net_a_dec, np.zeros(3))
+
+    @pytest.mark.parametrize("theta", [(1.0, 2.0), (1.0, 2.0, -1.0, 4.0)])
+    def test_theta_of_wrong_length_rejected(self, net_a, net_a_dec, theta):
+        with pytest.raises(DimensionMismatchError, match="graph has d=3"):
+            design_fixed(net_a, net_a_dec, np.array(theta))
 
     @pytest.mark.parametrize("theta, margin, delta", [
         ((np.nan, 1.0, 1.0), 0.1, None),
@@ -412,6 +417,11 @@ class TestDesignSwitching:
         fixed = design_fixed(net_a, net_a_dec, THETA)
         assert sdesign.designs[0].delta == pytest.approx(fixed.delta)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.02])
+    def test_non_positive_dwell_rejected(self, net_a, net_a_dec, alpha):
+        with pytest.raises(DimensionMismatchError, match="dwell time must be positive"):
+            design_switching({0: net_a}, {0: net_a_dec}, THETA, alpha=alpha)
+
     def test_failing_graph_named_in_error(self, net_a, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError, match="graph 1"):
             design_switching(
@@ -523,9 +533,8 @@ class TestClosedLoop:
     def test_step_map_is_the_rk4_step(self, name, h, dense, tiled, rng):
         g, design = _designed(name, tiled)
         loop = closed_loop(g, design)
-        p, q = loop.step_map(h)
+        p, q = _rk4_map(loop, h)
         assert isinstance(p, np.ndarray) == dense
-        assert loop.step_map(h) is loop.step_map(h)
         lap = design_laplacians(g, design)[0].matrix
         for _ in range(3):
             x = rng.uniform(-5.0, 5.0, g.n * g.d)
@@ -533,17 +542,20 @@ class TestClosedLoop:
             assert np.linalg.norm(p @ x + q - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("name, h", [("net_a", 1e-2), ("tiled", 5e-2)])
-    def test_step_block_stacks_powers(self, name, h, tiled):
+    def test_cut_stacks_powers(self, name, h, tiled):
         g, design = _designed(name, tiled)
         loop = closed_loop(g, design)
-        p, q = loop.step_map(h)
+        p, q = _rk4_map(loop, h)
         nd = g.n * g.d
         # a dense P is stacked up to the byte budget; a CSR P is not stacked
         cap = STACK_BYTES // (nd * nd * 8) if isinstance(p, np.ndarray) else 1
         assert name == "tiled" or 5 < cap < 1000
         for steps in (5, 1000):
-            stack, offsets = loop.step_block(h, steps)
             m = min(steps, cap)
+            (piece, reps), *tail = _cut(loop, 0, h, steps, 0.0, {}, {})
+            assert piece.rows == m and reps == steps // m
+            assert [t.rows for t, _ in tail] == ([steps % m] if steps % m else [])
+            stack, offsets = piece.stack, piece.offsets
             assert offsets.shape == (m, nd) and stack.shape == (m * nd, nd)
             power, offset = np.eye(nd), np.zeros(nd)
             for k in range(m):
@@ -551,11 +563,13 @@ class TestClosedLoop:
                 row = stack[k * nd : (k + 1) * nd]
                 assert np.linalg.norm(row - power) <= 1e-13 * np.linalg.norm(power)
                 assert np.linalg.norm(offsets[k] - offset) <= 1e-13 * np.linalg.norm(offset)
-        # built once per (h, m): 1000 and 2000 steps share the capped stack
-        assert loop.step_block(h, 5) is loop.step_block(h, 5)
-        assert loop.step_block(h, 1000) is loop.step_block(h, 2000)
-        if name == "tiled":
-            assert loop.step_block(h, 1000)[0] is p
+        # within a run, the step map is the one-row stack and every (h, m)
+        # is built once: 1000 and 2000 steps share the capped stack
+        stacks, pieces = {}, {}
+        capped = _cut(loop, 0, h, 1000, 0.0, stacks, pieces)[0][0]
+        assert _cut(loop, 0, h, 2000, 0.0, stacks, pieces)[0][0] is capped
+        assert stacks[(0, h, 1)][1].shape == (1, nd)
+        assert len(stacks) == (1 if cap == 1 else 2)
 
     def test_sparse_operator_keeps_a_sparse_step_map(self, rng):
         # a directed path: L is under a quarter full, P = R(-hL) is not;
@@ -567,7 +581,7 @@ class TestClosedLoop:
         lap = csr_matrix(signed_laplacian(g) + np.eye(2 * n))
         loop = ClosedLoop(laplacian=lap, forcing=rng.normal(size=2 * n))
         assert 4 * lap.nnz < (2 * n) ** 2
-        p, q = loop.rk4_map(0.1)
+        p, q = _rk4_map(loop, 0.1)
         assert issparse(p) and 4 * p.nnz > (2 * n) ** 2
         x = rng.normal(size=2 * n)
         want = rk4_reference_step(lap.toarray(), loop.forcing, x, 0.1)

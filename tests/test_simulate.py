@@ -23,8 +23,8 @@ from ntconsensus.errors import (
     NonFiniteError,
     ScheduleExhaustedError,
 )
-from ntconsensus.protocol import STACK_BYTES, ClosedLoop
-from ntconsensus.simulate import DIVERGENCE_GUARD
+from ntconsensus import simulate
+from ntconsensus.simulate import DIVERGENCE_GUARD, STACK_BYTES, _cut, _rk4_map
 
 from conftest import random_directed_valid, rk4_reference_step, tiled_graph
 from test_acceptance import _switching_setup
@@ -108,7 +108,7 @@ class TestIntegrateFixed:
             traj = integrate_fixed(g, design, x, h=h, horizon=horizon)
             steps = int(np.floor(horizon / h + 1e-9))
             if horizon == BLOCKS_AND_A_SHORT_STEP and g is net_a:
-                assert len(loop.step_block(h, steps)[1]) < steps
+                assert _cut(loop, 0, h, steps, 0.0, {}, {})[0][0].rows < steps
             assert len(traj.times) == steps + 1 + (horizon > steps * h + 1e-12)
             assert traj.times[-1] == horizon
             assert np.array_equal(traj.times[: steps + 1], h * np.arange(steps + 1))
@@ -175,6 +175,12 @@ class TestIntegrateFixed:
         with pytest.raises(DimensionMismatchError):
             integrate_fixed(net_a, design, np.zeros(21), h=0.5, horizon=0.1)
 
+    @pytest.mark.parametrize("length", [20, 22])
+    def test_initial_state_of_wrong_length_rejected(self, net_a, net_a_dec, length):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        with pytest.raises(DimensionMismatchError, match=f"length {length}, expected 21"):
+            integrate_fixed(net_a, design, np.zeros(length), h=1e-3, horizon=0.1)
+
     def test_error_norm_consistent(self, net_a, net_a_dec, rng):
         design = design_fixed(net_a, net_a_dec, THETA)
         traj = integrate_fixed(net_a, design, rng.uniform(-1, 1, 21), h=1e-2, horizon=0.2)
@@ -206,6 +212,15 @@ class TestSwitchingSchedule:
         # the last interval is checked too
         with pytest.raises(DimensionMismatchError):
             SwitchingSchedule(lengths=(0.02, 0.01), graph_ids=(0, 1), alpha=0.02)
+
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="at least one interval"):
+            SwitchingSchedule(lengths=(), graph_ids=(), alpha=0.02)
+
+    @pytest.mark.parametrize("graph_ids", [(0,), (0, 1, 2)])
+    def test_graph_id_count_mismatch_rejected(self, graph_ids):
+        with pytest.raises(DimensionMismatchError, match="one graph id per interval"):
+            SwitchingSchedule(lengths=(0.02, 0.02), graph_ids=graph_ids, alpha=0.02)
 
 
 class TestIntegrateSwitching:
@@ -253,10 +268,10 @@ class TestIntegrateSwitching:
         spans = list(schedule.intervals(horizon))
         loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
         for gid, loop in loops.items():
-            p = loop.step_map(h)[0]
+            p = _rk4_map(loop, h)[0]
             assert isinstance(p, np.ndarray) == (case == "dense")
             if case == "dense":
-                assert len(loop.step_block(h, 80)[1]) < 80
+                assert _cut(loop, gid, h, 80, 0.0, {}, {})[0][0].rows < 80
         for start, end, _ in spans:
             steps = (end - start) / h
             assert abs(steps - round(steps)) > 1e-6
@@ -349,18 +364,20 @@ class TestIntegrateSwitching:
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
         x = rng.uniform(-5, 5, 21)
         built = []
-        rk4_map = ClosedLoop.rk4_map
+        rk4_map = simulate._rk4_map
 
         def counted(loop, h):
             built.append((id(loop), h))
             return rk4_map(loop, h)
 
-        monkeypatch.setattr(ClosedLoop, "rk4_map", counted)
+        monkeypatch.setattr(simulate, "_rk4_map", counted)
         traj = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
         # 100 intervals, each six 3e-3 steps and a shortened one
-        assert len(built) == len(set(built)) < 100
-        monkeypatch.setattr(ClosedLoop, "step_map", counted)
+        once = len(built)
+        assert once == len(set(built)) < 100
+        # nothing is kept across runs: the next run builds its own maps
         fresh = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
+        assert len(built) == 2 * once
         assert np.array_equal(traj.states, fresh.states)
         assert np.array_equal(traj.times, fresh.times)
 
@@ -415,3 +432,10 @@ class TestConvergenceReport:
         broken = replace(design, delta=1e-12)
         traj = integrate_fixed(g, broken, rng.uniform(1.5, 2.0, 8), h=1e-2, horizon=5.0)
         assert not convergence_report(traj, np.ones(2)).converged
+
+    @pytest.mark.parametrize("theta", [(1.0, 2.0), (1.0, 2.0, -1.0, 0.0)])
+    def test_theta_of_wrong_length_rejected(self, net_a, net_a_dec, theta):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        traj = integrate_fixed(net_a, design, np.zeros(21), h=1e-2, horizon=0.1)
+        with pytest.raises(DimensionMismatchError, match="run has d=3"):
+            convergence_report(traj, np.array(theta))

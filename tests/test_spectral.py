@@ -16,6 +16,8 @@ from ntconsensus import (
     laplacian_blocks,
 )
 
+from ntconsensus.errors import DimensionMismatchError
+
 from conftest import (
     edge_codes,
     edge_magnitudes,
@@ -112,6 +114,16 @@ class TestLaplacianBlocks:
         assert np.array_equal(
             laplacian_blocks(net_a, 0.0, informed, blocks)[0], rows[: e + n]
         )
+
+    @pytest.mark.parametrize("informed, blocks", [
+        ([2], np.zeros((2, 3, 3))),   # one vertex, two blocks
+        ([2], np.zeros((1, 2, 2))),   # blocks of the wrong d
+        ([8], np.zeros((1, 3, 3))),   # vertex outside 1..n
+        ([0], np.zeros((1, 3, 3))),
+    ])
+    def test_shape_mismatch_rejected(self, net_a, informed, blocks):
+        with pytest.raises(DimensionMismatchError, match="one 3 x 3 block each"):
+            laplacian_blocks(net_a, 1.0, np.array(informed), blocks)
 
 
 class TestGroundedLaplacian:
