@@ -55,6 +55,8 @@ def load_graph(path: PathLike) -> SignedGraph:
         edges: Dict[Tuple[int, int], np.ndarray] = {}
         for e in data["edges"]:
             key = (_integer(e["to"], "to"), _integer(e["from"], "from"))
+            if key in edges:
+                raise FileFormatError(f"edge {key[1]}->{key[0]} is listed more than once")
             edges[key] = np.array(
                 [[_number(v, "weight entry") for v in row] for row in e["weight"]], dtype=float
             )

@@ -77,7 +77,8 @@ def classify_stack(
 
 @dataclass(frozen=True, eq=False)
 class SignedGraph:
-    """Immutable signed matrix-weighted graph on vertices 1..n.
+    """Immutable signed matrix-weighted graph on vertices 1..n; its arrays
+    are read-only copies.
 
     Edge k carries the weight ``entries[k]`` from vertex ``tails[k] + 1`` to
     vertex ``heads[k] + 1``, of class code ``classes[k]`` (see
@@ -92,6 +93,14 @@ class SignedGraph:
     tails: np.ndarray    # (E,) 0-based sending vertex
     entries: np.ndarray  # (E, d, d) symmetric weights
     classes: np.ndarray  # (E,) class codes, never 0
+
+    def __post_init__(self) -> None:
+        # read-only copies: what the package keeps per graph object (see
+        # protocol._STORE) is true only while these cannot change
+        for name in ("heads", "tails", "entries", "classes"):
+            arr = np.array(getattr(self, name))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @staticmethod
     def from_edges(

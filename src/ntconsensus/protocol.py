@@ -3,13 +3,19 @@
 The design drives every agent of a signed matrix-weighted network to a preset
 nonzero state theta by coupling the antagonized vertices to a constant
 external signal x0 = k1 * theta with k1 = 1 + 2/delta.
+
+theta enters the closed loop only through x0, so everything else a design
+or a run needs depends on the graph, V1 and delta alone.  ``_STORE`` keeps
+those theta-free values for the last design on each graph object; a second
+design or run on the same graph object reuses them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
+import weakref
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -85,6 +91,46 @@ class SwitchingDesign:
     alpha: float
 
 
+def _read_only(a: Any) -> Any:
+    """a, made read-only in place: an array, or a CSR matrix's three arrays."""
+    for arr in (a.data, a.indices, a.indptr) if hasattr(a, "indptr") else (a,):
+        arr.flags.writeable = False
+    return a
+
+
+@dataclass(eq=False)
+class _Reuse:
+    """The theta-free values of one design, keyed by (delta, informed,
+    blocks), on one graph: the last ``design_fixed`` result and the
+    (decomposition, margin, delta) it was asked for, the closed loop's L_B
+    and signal column, simulate's step maps and stacks (``maps``, see
+    ``ClosedLoop``), the contraction factor's lambda_min and the augmented
+    Laplacian.  Each is filled on first use; every array is read-only."""
+
+    key: tuple
+    asked: Optional[tuple] = None
+    design: Optional[tuple] = None  # (delta, informed, blocks, C, per-vertex C)
+    loop: Optional[tuple] = None  # (L_B, signal rows, signal blocks)
+    maps: Dict[tuple, Any] = field(default_factory=dict)
+    lmin: Optional[float] = None
+    augmented: Optional[Laplacian] = None
+
+
+# one entry per graph object, dying with it; a design with other
+# (delta, informed, blocks) replaces the entry
+_STORE: "weakref.WeakKeyDictionary[SignedGraph, _Reuse]" = weakref.WeakKeyDictionary()
+
+
+def _reuse(g: SignedGraph, delta: float, informed: np.ndarray, blocks: np.ndarray) -> _Reuse:
+    """g's store entry for (delta, informed, blocks), compared by value."""
+    b = np.asarray(blocks, dtype=float)
+    key = (float(delta), np.asarray(informed, dtype=np.intp).tobytes(), b.shape, b.tobytes())
+    entry = _STORE.get(g)
+    if entry is None or entry.key != key:
+        entry = _STORE[g] = _Reuse(key)
+    return entry
+
+
 def _bound(
     gaps: np.ndarray, v1: Sequence[int], blocks: np.ndarray
 ) -> Tuple[Dict[int, float], float]:
@@ -148,7 +194,10 @@ def design_fixed(
     0.  An explicit ``delta`` overrides the margin rule (C is still
     reported); in that case a failed decomposition check is tolerated, since
     the caller takes responsibility for the coefficient and verify_design
-    delivers the operative spectral verdict.
+    delivers the operative spectral verdict.  ``margin`` must be finite and
+    positive either way.  The theta-free part is computed once per graph
+    object and (dec, margin, delta) (see ``_STORE``); ``informed`` and
+    ``blocks`` are read-only, and each design gets its own ``per_vertex_c``.
     """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.shape[0] != g.d:
@@ -159,6 +208,24 @@ def design_fixed(
         raise NonFiniteError("theta has NaN or infinite entries")
     if not np.any(theta):
         raise ZeroThetaError("the preset consensus state must be nonzero")
+    if not math.isfinite(margin):
+        raise NonFiniteError(f"margin must be finite, got {margin}")
+    if margin <= 0:
+        raise DegenerateCouplingError(f"margin must be positive, got {margin}")
+    entry = _STORE.get(g)
+    if entry is None or entry.asked != (dec, margin, delta):
+        entry = _design(g, dec, margin, delta)
+    chosen, informed, blocks, bound_c, per_vertex = entry.design
+    return ProtocolDesign(
+        theta=theta, delta=chosen, informed=informed, blocks=blocks,
+        bound_c=bound_c, per_vertex_c=dict(per_vertex),
+    )
+
+
+def _design(
+    g: SignedGraph, dec: Decomposition, margin: float, delta: Optional[float]
+) -> _Reuse:
+    """``design_fixed``'s theta-free work, stored in g's entry."""
     gaps = in_out_gaps(g) if g.directed else None
     report = verify_assumption(g, dec, gaps)
     if not report.ok and delta is None:
@@ -186,42 +253,64 @@ def design_fixed(
         raise NonFiniteError(f"coupling coefficient must be finite, got {chosen}")
     if chosen <= 0:
         raise DegenerateCouplingError(f"coupling coefficient must be positive, got {chosen}")
-    return ProtocolDesign(
-        theta=theta, delta=float(chosen), informed=informed, blocks=blocks,
-        bound_c=bound_c, per_vertex_c=per_vertex,
-    )
+    entry = _reuse(g, chosen, informed, blocks)
+    entry.asked = (dec, margin, delta)
+    entry.design = (float(chosen), _read_only(informed), _read_only(blocks), bound_c, per_vertex)
+    return entry
 
 
 def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian, Laplacian]:
     """Grounded and signal-augmented Laplacians realized by a design.  The
-    augmented one is assembled once; the grounded one is a view of its
-    leading nd x nd block."""
-    augmented = augmented_laplacian(g, design.delta, design.informed, design.blocks)
+    augmented one is assembled once per graph and design (see ``_STORE``)
+    and is read-only; the grounded one is a view of its leading nd x nd
+    block."""
+    entry = _reuse(g, design.delta, design.informed, design.blocks)
+    if entry.augmented is None:
+        entry.augmented = augmented_laplacian(g, design.delta, design.informed, design.blocks)
+        _read_only(entry.augmented.matrix)
     nd = g.n * g.d
-    return Laplacian(augmented.matrix[:nd, :nd]), augmented
+    return Laplacian(entry.augmented.matrix[:nd, :nd]), entry.augmented
 
 
 @dataclass(frozen=True)
 class ClosedLoop:
     """The closed loop xdot = -L_B x + f that a design realizes on a graph:
-    L_B in CSR form and the forcing f, whose block i is delta B_i x0."""
+    L_B in CSR form, read-only, and the forcing f, whose block i is
+    delta B_i x0.  ``maps`` holds the theta-free step maps and stacks that
+    ``simulate`` builds from L_B; every loop of one design on one graph
+    object shares it."""
 
     laplacian: "csr_matrix"
     forcing: np.ndarray
+    maps: Dict[tuple, Any] = field(default_factory=dict, repr=False)
 
 
 def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
-    """Assemble the design's closed loop on g once from the block triplets of
-    ``laplacian_blocks``: L_B from those in block columns below n, and the
-    forcing, minus the signal column times x0, from those in column n."""
+    """The design's closed loop on g.  L_B and the signal column are
+    assembled once per graph and design (see ``_STORE``) from the block
+    triplets of ``laplacian_blocks``: L_B from those in block columns below
+    n, the signal column from those in column n.  The forcing, minus the
+    signal column times x0, is computed on every call."""
+    entry = _reuse(g, design.delta, design.informed, design.blocks)
+    if entry.loop is None:
+        entry.loop = _operator(g, design)
+    lap, signal_rows, signal = entry.loop
+    forcing = np.zeros((g.n, g.d))
+    forcing[signal_rows] = -(signal @ design.x0)
+    return ClosedLoop(laplacian=lap, forcing=forcing.reshape(-1), maps=entry.maps)
+
+
+def _operator(
+    g: SignedGraph, design: ProtocolDesign
+) -> Tuple["csr_matrix", np.ndarray, np.ndarray]:
+    """L_B in CSR form and the signal column's block rows and blocks."""
     # imported here: scipy.sparse would add ~25 ms to importing the package
     from scipy.sparse import csr_matrix
 
     rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
     d, nd = g.d, g.n * g.d
     signal = cols == g.n
-    forcing = np.zeros((g.n, d))
-    forcing[rows[signal]] = -(data[signal] @ design.x0)
+    signal_rows, signal_blocks = rows[signal], data[signal]
     rows, cols, data = rows[~signal], cols[~signal], data[~signal]
     k = np.arange(d)
     r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
@@ -229,7 +318,7 @@ def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
     order = np.argsort(r * nd + c)
     indptr = np.searchsorted(r[order], np.arange(nd + 1))
     lap = csr_matrix((data.ravel()[order], c[order], indptr), shape=(nd, nd))
-    return ClosedLoop(laplacian=lap, forcing=forcing.reshape(nd))
+    return _read_only(lap), _read_only(signal_rows), _read_only(signal_blocks)
 
 
 @dataclass(frozen=True)
@@ -337,14 +426,17 @@ def contraction_factor(
     sdesign: SwitchingDesign, graphs: Mapping[int, SignedGraph]
 ) -> ContractionReport:
     """Lambda = max_i exp(-2 alpha lambda_min(S_i)) with S_i the symmetric
-    part of graph i's grounded Laplacian."""
+    part of graph i's grounded Laplacian; each lambda_min is computed once
+    per graph and design (see ``_STORE``)."""
     lmins: Dict[int, float] = {}
     for gid, design in sorted(sdesign.designs.items()):
-        lap = grounded_laplacian(
-            graphs[gid], design.delta, design.informed, design.blocks
-        ).matrix
-        sym = (lap + lap.T) / 2.0
-        lmins[gid] = float(np.min(np.linalg.eigvalsh(sym)))
+        entry = _reuse(graphs[gid], design.delta, design.informed, design.blocks)
+        if entry.lmin is None:
+            lap = grounded_laplacian(
+                graphs[gid], design.delta, design.informed, design.blocks
+            ).matrix
+            entry.lmin = float(np.min(np.linalg.eigvalsh((lap + lap.T) / 2.0)))
+        lmins[gid] = entry.lmin
     bad = [gid for gid, l in lmins.items() if l <= 0]
     if bad:
         raise NotContractingError(

@@ -2,12 +2,17 @@
 
 The closed loop is affine, xdot = -L_B x + Delta_B x0, so a classic RK4 step
 of constant length h is one affine map x <- P x + q (see ``_rk4_map``), and
-m steps are x_k = P^k x + o_k (see ``_powers``).  This module owns how the
-loop is stepped.  Both integrators march their spans, one for a fixed run and
-one per interval of a switching run, in two levels (``_march``): a chain of
-one matvec per piece of up to m steps takes the state from piece end to piece
-end, then one GEMM per distinct piece fills in the samples between.  Samples sit at t0 + k h, and each span
-ends with a shortened step that lands on its end exactly (a switch time or T).
+m steps are x_k = P^k x + o_k (see ``_powers`` and ``_offsets``).  This
+module owns how the loop is stepped.  P and its power stacks depend on L_B
+alone, so they are built once per graph object and design and kept in the
+loop's ``maps`` (see ``protocol.ClosedLoop``); q and the offsets follow the
+forcing, and so theta, and are computed on every run.  Both integrators
+march their spans, one for a fixed run and one per interval of a switching
+run, in two levels (``_march``): a chain of one matvec per piece of up to m
+steps takes the state from piece end to piece end, then one GEMM per
+distinct piece fills in the samples between.  Samples sit at t0 + k h, and
+each span ends with a shortened step that lands on its end exactly (a switch
+time or T).
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ from .errors import (
     ScheduleExhaustedError,
 )
 from .graph import SignedGraph
-from .protocol import ClosedLoop, ProtocolDesign, SwitchingDesign, _first_of_one_shape, closed_loop
+from .protocol import (
+    ClosedLoop, ProtocolDesign, SwitchingDesign, _first_of_one_shape, _read_only, closed_loop,
+)
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -61,24 +68,23 @@ def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.
     return x
 
 
-StepMap = Tuple["np.ndarray | csr_matrix", np.ndarray]  # (P, q), or a stack (S, o)
+StepMap = Tuple["np.ndarray | csr_matrix", "np.ndarray | csr_matrix"]  # (P, S(A)) or (P, q)
 
 # byte budget of one stack of step-map powers (see _cut)
 STACK_BYTES = 1 << 18
 
 
-def _rk4_map(loop: ClosedLoop, h: float) -> StepMap:
-    """(P, q) such that the classic RK4 step of length h is x <- P x + q.
+def _step_map(lap: "csr_matrix", h: float) -> StepMap:
+    """(P, S(A)) with A = -h L_B: the classic RK4 step of length h on
+    xdot = -L_B x + f is x <- P x + h S(A) f.
 
-    On an affine field the step is exactly this map: with A = -h L_B,
-    P = R(A) = I + A S(A) and q = h S(A) f, where
-    S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule.  The
+    On an affine field the step is exactly this map: P = R(A) = I + A S(A),
+    where S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule.  The
     storage follows L_B: when more than a quarter of its entries are
     nonzero the map is built and kept dense (P's pattern holds L_B's, so P
-    is at least as full), otherwise in CSR form."""
+    is at least as full), otherwise in CSR form.  Both are read-only."""
     import scipy.sparse
 
-    lap = loop.laplacian
     nd = lap.shape[0]
     if 4 * lap.nnz > nd * nd:
         lap, eye = lap.toarray(), np.eye(nd)
@@ -88,29 +94,50 @@ def _rk4_map(loop: ClosedLoop, h: float) -> StepMap:
     s = eye + a / 4.0
     s = eye + (a @ s) / 3.0
     s = eye + (a @ s) / 2.0
-    p = eye + a @ s
-    return p, h * (s @ loop.forcing)
+    return _read_only(eye + a @ s), _read_only(s)
 
 
-def _powers(p: np.ndarray, q: np.ndarray, m: int) -> StepMap:
-    """(S, o) such that m steps x <- P x + q from x land on the rows of
-    ``(S @ x).reshape(m, nd) + o``: S stacks [P; P^2; ...; P^m] and o holds
-    [q; Pq + q; ...]; the first r < m rows of both serve r steps.  Built by
-    doubling: with its first c rows done, k = min(c, m - c) more come from
-    one GEMM each, S[c:c+k] = S[:k] P^c and o[c:c+k] = S[:k] o_c + o[:k], so
-    ceil(log2 m) products in all.  An unstable P may overflow in its powers;
-    those rows come out inf or NaN and fail the caller's guard."""
-    nd = q.shape[0]
-    stack, offsets = np.empty((m * nd, nd)), np.empty((m, nd))
-    stack[:nd], offsets[0] = p, q
+def _rk4_map(loop: ClosedLoop, h: float) -> StepMap:
+    """(P, q) such that the classic RK4 step of length h is x <- P x + q,
+    with q = h S(A) f.  P and S(A) come from ``_step_map`` once per step
+    length into ``loop.maps``, under (h, 1) and (h, 0); q is computed on
+    every call."""
+    if (h, 1) not in loop.maps:
+        loop.maps[(h, 1)], loop.maps[(h, 0)] = _step_map(loop.laplacian, h)
+    return loop.maps[(h, 1)], h * (loop.maps[(h, 0)] @ loop.forcing)
+
+
+def _powers(p: np.ndarray, m: int) -> np.ndarray:
+    """The read-only stack S = [P; P^2; ...; P^m], by doubling: with its
+    first c rows done, k = min(c, m - c) more come from one GEMM,
+    S[c:c+k] = S[:k] P^c, so ceil(log2 m) products in all.  An unstable P
+    may overflow in its powers; those rows come out inf or NaN and fail the
+    caller's guard."""
+    nd = p.shape[0]
+    stack = np.empty((m * nd, nd))
+    stack[:nd] = p
     c = 1
     while c < m:
         k = min(c, m - c)
-        head, power = stack[: k * nd], stack[(c - 1) * nd : c * nd]
-        np.matmul(head, power, out=stack[c * nd : (c + k) * nd])
-        offsets[c : c + k] = (head @ offsets[c - 1]).reshape(k, nd) + offsets[:k]
+        np.matmul(stack[: k * nd], stack[(c - 1) * nd : c * nd], out=stack[c * nd : (c + k) * nd])
         c += k
-    return stack, offsets
+    return _read_only(stack)
+
+
+def _offsets(stack: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
+    """o = [q; Pq + q; ...] of m rows, such that m steps x <- P x + q from
+    x land on the rows of ``(S @ x).reshape(m, nd) + o`` with S the stack of
+    ``_powers``; the first r < m rows of both serve r steps.  By the same
+    doubling: o[c:c+k] = S[:k] o_c + o[:k]."""
+    nd = q.shape[0]
+    offsets = np.empty((m, nd))
+    offsets[0] = q
+    c = 1
+    while c < m:
+        k = min(c, m - c)
+        offsets[c : c + k] = (stack[: k * nd] @ offsets[c - 1]).reshape(k, nd) + offsets[:k]
+        c += k
+    return offsets
 
 
 class _Piece(NamedTuple):
@@ -133,38 +160,43 @@ def _cut(
     h: float,
     steps: int,
     remainder: float,
-    stacks: Dict[tuple, StepMap],
+    offsets: Dict[tuple, np.ndarray],
     pieces: Dict[tuple, _Piece],
 ) -> List[Tuple[_Piece, int]]:
     """One kind of span on graph ``gid`` cut into pieces in time order, with
     repeat counts: ``steps`` full steps in blocks of m rows (the last block
     shorter), then the shortened step if ``remainder`` is not 0.  For a
     step length, m = min(steps, STACK_BYTES // (nd^2 * 8)), and m = 1 when
-    P is CSR (its powers fill in) or too large for the budget.  Step maps
-    and stacks are built once per (gid, step length, m) into ``stacks``,
-    pieces once per (gid, step length, m, rows) into ``pieces``.  A piece's
-    end map is its stack's row block ``rows``; a one-row stack, a CSR P
-    among them, is its own end map and is never sliced."""
+    P is CSR (its powers fill in) or too large for the budget.  The step
+    map P is the one-row stack; it and each stack are built once per
+    (step length, m) into ``loop.maps``, which outlives the run.  The
+    offsets, q[None] for one row, follow the forcing, so they are computed
+    once per run and (gid, step length, m) into ``offsets``, and pieces
+    once per (gid, step length, m, rows) into ``pieces``.  A piece's end
+    map is its stack's row block ``rows``; a one-row stack, a CSR P among
+    them, is its own end map and is never sliced."""
     cut = []
     for length, count in ((h, steps), (remainder, 1 if remainder else 0)):
         if not count:
             continue
-        if (gid, length, 1) not in stacks:
-            p, q = _rk4_map(loop, length)
-            stacks[(gid, length, 1)] = (p, q[None, :])
-        p, q = stacks[(gid, length, 1)]
+        if (gid, length, 1) not in offsets:
+            offsets[(gid, length, 1)] = _rk4_map(loop, length)[1][None, :]
+        p = loop.maps[(length, 1)]
         m = max(1, min(count, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
-        if (gid, length, m) not in stacks:
-            stacks[(gid, length, m)] = _powers(p, q[0], m)
-        stack, offsets = stacks[(gid, length, m)]
+        if (length, m) not in loop.maps:
+            loop.maps[(length, m)] = _powers(p, m)
+        stack = loop.maps[(length, m)]
+        if (gid, length, m) not in offsets:
+            offsets[(gid, length, m)] = _offsets(stack, offsets[(gid, length, 1)][0], m)
+        o = offsets[(gid, length, m)]
         for rows, reps in ((m, count // m), (count % m, 1)):
             if not rows:
                 continue
             key = (gid, length, m, rows)
             if key not in pieces:
-                nd = offsets.shape[1]
+                nd = o.shape[1]
                 end = stack if m == 1 else stack[(rows - 1) * nd : rows * nd]
-                pieces[key] = _Piece(end, offsets[rows - 1], rows, stack, offsets, [])
+                pieces[key] = _Piece(end, o[rows - 1], rows, stack, o, [])
             cut.append((pieces[key], reps))
     return cut
 
@@ -207,8 +239,9 @@ def _march(
     nd = x.shape[0]
     states = np.empty((len(times), nd))
     states[0] = x
-    # the run's only cache: step maps and stacks, pieces, and each kind's cut
-    stacks: Dict[tuple, StepMap] = {}
+    # what follows theta lives for this run only: offsets, pieces, and each
+    # kind's cut; the step maps and stacks are in each loop's maps
+    offsets: Dict[tuple, np.ndarray] = {}
     pieces: Dict[tuple, _Piece] = {}
     cuts: Dict[tuple, List[Tuple[_Piece, int]]] = {}
     row = 0
@@ -220,7 +253,7 @@ def _march(
         ):
             if kind not in cuts:
                 gid, steps, remainder = kind
-                cuts[kind] = _cut(loops[gid], gid, h, steps, remainder, stacks, pieces)
+                cuts[kind] = _cut(loops[gid], gid, h, steps, remainder, offsets, pieces)
             for (end, offset, rows, _, _, at), reps in cuts[kind]:
                 for _ in range(reps):
                     if rows > 1:
@@ -228,11 +261,11 @@ def _march(
                     x = end @ x + offset
                     row += rows
                     states[row] = x
-        for _, _, rows, stack, offsets, at in pieces.values():
+        for _, _, rows, stack, o, at in pieces.values():
             if at:
                 at = np.array(at)
                 fill = (states[at] @ stack[: (rows - 1) * nd].T).reshape(len(at), rows - 1, nd)
-                fill += offsets[: rows - 1]
+                fill += o[: rows - 1]
                 states[at[:, None] + np.arange(1, rows)] = fill
     # max and min pass a NaN on, so a NaN state fails the test too; no
     # full-size temporary is made unless a sample fails and must be named

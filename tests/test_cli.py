@@ -56,6 +56,15 @@ class TestCheck:
         assert main(["check", "--graph", str(p), "--v1", "auto"]) == 2
         assert "directed must be true or false" in capsys.readouterr().err
 
+    def test_repeated_edge_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 2, "d": 1, "directed": True, "edges": [
+            {"from": 1, "to": 2, "weight": [[-1.0]]},
+            {"from": 1, "to": 2, "weight": [[5.0]]},
+        ]}))
+        assert main(["check", "--graph", str(p), "--v1", "auto"]) == 2
+        assert "edge 1->2 is listed more than once" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n, d", [(2.7, 2), (2, 1.5)])
     def test_non_integer_size_exit_2(self, tmp_path, capsys, n, d):
         p = tmp_path / "g.json"
@@ -94,6 +103,15 @@ class TestDesign:
         ])
         assert rc == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command, tail", [("design", ["--json"]), ("simulate", ["--T", "0.01"])],
+                             ids=["design", "simulate"])
+    def test_non_positive_margin_exit_1(self, capsys, tmp_path, command, tail):
+        # with --margin -0.5, delta = C - 0.5 would break delta > C
+        rc = main([command, "--graph", _p("net_a.json"), "--v1", "1,2,3,4", "--theta", "1,2,-1",
+                   "--margin", "-0.5", "--out", str(tmp_path), *tail])
+        assert rc == 1
+        assert "margin must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["-1,2,3", "-1e0,2,3", "-.5,2,3"])
     def test_theta_with_a_leading_minus(self, capsys, value):

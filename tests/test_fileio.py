@@ -100,6 +100,17 @@ class TestGraphRoundTrip:
         with pytest.raises(FileFormatError, match="weight entry must be a number"):
             load_graph(p)
 
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_repeated_edge_rejected(self, tmp_path, directed):
+        # keeping the last copy would flip the edge's sign without a word
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 2, "d": 1, "directed": directed, "edges": [
+            {"from": 1, "to": 2, "weight": [[-1.0]]},
+            {"from": 1, "to": 2, "weight": [[5.0]]},
+        ]}))
+        with pytest.raises(FileFormatError, match="edge 1->2 is listed more than once"):
+            load_graph(p)
+
     def test_wrong_weight_shape(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({

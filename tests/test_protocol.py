@@ -154,10 +154,17 @@ class TestDesignFixed:
         ((1.0, 2.0, -1.0), np.nan, None),
         ((1.0, 2.0, -1.0), 0.1, np.nan),
         ((1.0, 2.0, -1.0), 0.1, np.inf),
+        ((1.0, 2.0, -1.0), np.inf, None),
     ])
     def test_non_finite_input_rejected(self, net_a, net_a_dec, theta, margin, delta):
         with pytest.raises(NonFiniteError):
             design_fixed(net_a, net_a_dec, np.array(theta), margin=margin, delta=delta)
+
+    @pytest.mark.parametrize("margin, delta", [(-0.5, None), (0.0, None), (-0.5, 7.0495)])
+    def test_non_positive_margin_rejected(self, net_a, net_a_dec, margin, delta):
+        # C + margin with margin <= 0 would leave delta <= C
+        with pytest.raises(DegenerateCouplingError, match="margin must be positive"):
+            design_fixed(net_a, net_a_dec, THETA, margin=margin, delta=delta)
 
     def test_assumption_gate_without_explicit_delta(self, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError):
@@ -311,10 +318,10 @@ class TestStackedDesign:
         assert design.blocks[0, 0, 0] == big + 2.0
         assert in_out_gaps(g)[0, 0, 0] == big + 2.0
 
-    def test_design_linear_algebra_is_stacked(self, net_a, net_a_dec, monkeypatch):
+    def test_design_linear_algebra_is_stacked(self, net_a_dec, monkeypatch):
         """design_fixed makes as many eigvalsh and cholesky calls on the
         630-state tiled network as on net_a, so no per-vertex loop of them
-        is left."""
+        is left.  Both graphs are fresh objects, so no design is reused."""
         big, big_dec = tiled_graph(np.random.default_rng(3), 30)
         assert big.n * big.d == 630
 
@@ -332,7 +339,7 @@ class TestStackedDesign:
             monkeypatch.undo()
             return calls
 
-        small = counts(net_a, net_a_dec)
+        small = counts(bundled_graph("net_a"), net_a_dec)
         assert small == counts(big, big_dec)
         assert small["cholesky"] == 1
 
@@ -565,11 +572,14 @@ class TestClosedLoop:
                 assert np.linalg.norm(offsets[k] - offset) <= 1e-13 * np.linalg.norm(offset)
         # within a run, the step map is the one-row stack and every (h, m)
         # is built once: 1000 and 2000 steps share the capped stack
-        stacks, pieces = {}, {}
-        capped = _cut(loop, 0, h, 1000, 0.0, stacks, pieces)[0][0]
-        assert _cut(loop, 0, h, 2000, 0.0, stacks, pieces)[0][0] is capped
-        assert stacks[(0, h, 1)][1].shape == (1, nd)
-        assert len(stacks) == (1 if cap == 1 else 2)
+        offsets, pieces = {}, {}
+        capped = _cut(loop, 0, h, 1000, 0.0, offsets, pieces)[0][0]
+        assert _cut(loop, 0, h, 2000, 0.0, offsets, pieces)[0][0] is capped
+        assert offsets[(0, h, 1)].shape == (1, nd)
+        assert len(offsets) == (1 if cap == 1 else 2)
+        # the step map P and the stacks outlive the run in the loop's maps,
+        # under (h, m); P is the one-row stack (h, 1)
+        assert loop.maps[(h, cap)] is capped.stack
 
     def test_sparse_operator_keeps_a_sparse_step_map(self, rng):
         # a directed path: L is under a quarter full, P = R(-hL) is not;

@@ -10,6 +10,7 @@ from ntconsensus import (
     SignedGraph,
     SwitchingDesign,
     SwitchingSchedule,
+    bundled_graph,
     closed_loop,
     convergence_report,
     design_fixed,
@@ -359,27 +360,30 @@ class TestIntegrateSwitching:
             assert traj.times[at] == pytest.approx(0.02 * (k + 1), abs=1e-12)
             assert np.linalg.norm(traj.states[at] - x) <= 1e-13 * np.linalg.norm(x)
 
-    def test_shortened_step_map_built_once_per_length(self, net_a, net_b, net_c, rng,
-                                                       monkeypatch):
-        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+    def test_shortened_step_map_built_once_per_length(self, rng, monkeypatch):
+        # fresh graph objects, so no earlier test has built their maps
+        graphs, sdesign, schedule = _switching_setup(
+            *(bundled_graph(name) for name in ("net_a", "net_b", "net_c"))
+        )
         x = rng.uniform(-5, 5, 21)
         built = []
-        rk4_map = simulate._rk4_map
+        step_map = simulate._step_map
 
-        def counted(loop, h):
-            built.append((id(loop), h))
-            return rk4_map(loop, h)
+        def counted(lap, h):
+            built.append((id(lap), h))
+            return step_map(lap, h)
 
-        monkeypatch.setattr(simulate, "_rk4_map", counted)
+        monkeypatch.setattr(simulate, "_step_map", counted)
         traj = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
         # 100 intervals, each six 3e-3 steps and a shortened one
         once = len(built)
-        assert once == len(set(built)) < 100
-        # nothing is kept across runs: the next run builds its own maps
-        fresh = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
-        assert len(built) == 2 * once
-        assert np.array_equal(traj.states, fresh.states)
-        assert np.array_equal(traj.times, fresh.times)
+        assert 0 < once == len(set(built)) < 100
+        # the maps are kept with the graphs: a second run builds none and
+        # lands on the same states
+        again = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
+        assert len(built) == once
+        assert np.array_equal(traj.states, again.states)
+        assert np.array_equal(traj.times, again.times)
 
     @pytest.mark.parametrize("h, horizon, bad, error", [
         (np.nan, 1.0, None, NonFiniteError),
