@@ -211,15 +211,16 @@ def write_trajectory_csv(traj: Trajectory, path: PathLike) -> None:
     """Header t,x1_1,...,xN_d,errnorm; every value as '%.17g' would print it
     (full double precision).  Rows are formatted in vectorized chunks of
     about 8192 values, with a per-value '%.17g' fallback for the values the
-    vectorized path cannot prove, and each chunk is written as it is made."""
+    vectorized path cannot prove, and each chunk's ASCII bytes are written
+    as they are made, in binary mode."""
     cols = [f"x{i}_{k}" for i in range(1, traj.n + 1) for k in range(1, traj.d + 1)]
     header = ",".join(["t"] + cols + ["errnorm"])
     body = np.column_stack([traj.times, traj.states, traj.error_norm])
     step = max(1, _CHUNK_VALUES // body.shape[1])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode("ascii"))
         for start in range(0, body.shape[0], step):
-            fh.write(_format_rows(body[start : start + step]).decode("ascii"))
+            fh.write(_format_rows(body[start : start + step]))
 
 
 def read_trajectory_csv(path: PathLike) -> np.ndarray:

@@ -103,9 +103,10 @@ class _Reuse:
     """The theta-free values of one design, keyed by (delta, informed,
     blocks), on one graph: the last ``design_fixed`` result and the
     (decomposition, margin, delta) it was asked for, the closed loop's L_B
-    and signal column, simulate's step maps and stacks (``maps``, see
-    ``ClosedLoop``), the contraction factor's lambda_min and the augmented
-    Laplacian.  Each is filled on first use; every array is read-only."""
+    and signal column, simulate's step maps and stacks of one step length
+    (``maps``, see ``ClosedLoop``), the contraction factor's lambda_min and
+    the augmented Laplacian.  Each is filled on first use; every array is
+    read-only."""
 
     key: tuple
     asked: Optional[tuple] = None
@@ -277,8 +278,8 @@ class ClosedLoop:
     """The closed loop xdot = -L_B x + f that a design realizes on a graph:
     L_B in CSR form, read-only, and the forcing f, whose block i is
     delta B_i x0.  ``maps`` holds the theta-free step maps and stacks that
-    ``simulate`` builds from L_B; every loop of one design on one graph
-    object shares it."""
+    ``simulate`` builds from L_B for one full step length, the last used;
+    every loop of one design on one graph object shares it."""
 
     laplacian: "csr_matrix"
     forcing: np.ndarray
@@ -451,10 +452,20 @@ def necessary_condition_check(
 ) -> bool:
     """True when the candidate limit z lies in the null space of every
     recurring augmented Laplacian M, as a residual:
-    ||M z|| <= ``MEMBER_TOL`` ||z|| max(1, ||M||_2)."""
+    ||M z|| <= ``MEMBER_TOL`` ||z|| max(1, ||M||_2).
+
+    ||M||_2 takes a full SVD, so it is computed only when cheaper bounds
+    leave the verdict open.  With r = ||M z|| and s = ``MEMBER_TOL`` ||z||,
+    r <= s passes, since the right side is at least s; and, since
+    ||M||_2 <= ||M||_F, r > s max(1, ||M||_F) (1 + 1e-12) fails, the last
+    factor covering the rounding of both norms."""
     zstar = np.asarray(zstar, dtype=float).reshape(-1)
     scale = MEMBER_TOL * float(np.linalg.norm(zstar))
-    return all(
-        float(np.linalg.norm(m @ zstar)) <= scale * max(1.0, float(np.linalg.norm(m, 2)))
-        for m in augmented_matrices
-    )
+
+    def member(m: np.ndarray) -> bool:
+        r = float(np.linalg.norm(m @ zstar))
+        if scale < r <= scale * max(1.0, float(np.linalg.norm(m))) * (1.0 + 1e-12):
+            return r <= scale * max(1.0, float(np.linalg.norm(m, 2)))
+        return r <= scale
+
+    return all(member(m) for m in augmented_matrices)

@@ -4,12 +4,13 @@ The closed loop is affine, xdot = -L_B x + Delta_B x0, so a classic RK4 step
 of constant length h is one affine map x <- P x + q (see ``_rk4_map``), and
 m steps are x_k = P^k x + o_k (see ``_powers`` and ``_offsets``).  This
 module owns how the loop is stepped.  P and its power stacks depend on L_B
-alone, so they are built once per graph object and design and kept in the
-loop's ``maps`` (see ``protocol.ClosedLoop``); q and the offsets follow the
-forcing, and so theta, and are computed on every run.  Both integrators
-march their spans, one for a fixed run and one per interval of a switching
-run, in two levels (``_march``): a chain of one matvec per piece of up to m
-steps takes the state from piece end to piece end, then one GEMM per
+alone, so those of the full step are built once per graph object, design and
+step length and kept in the loop's ``maps`` (see ``protocol.ClosedLoop``),
+which hold one step length; q and the offsets follow the forcing, and so
+theta, and are computed on every run, as is the shortened step's map.  Both
+integrators march their spans, one for a fixed run and one per interval of a
+switching run, in two levels (``_march``): a chain of one matvec per piece of
+up to m steps takes the state from piece end to piece end, then one GEMM per
 distinct piece fills in the samples between.  Samples sit at t0 + k h, and
 each span ends with a shortened step that lands on its end exactly (a switch
 time or T).
@@ -72,6 +73,8 @@ StepMap = Tuple["np.ndarray | csr_matrix", "np.ndarray | csr_matrix"]  # (P, S(A
 
 # byte budget of one stack of step-map powers (see _cut)
 STACK_BYTES = 1 << 18
+# byte budget of one chunk of samples in a per-sample reduction (see _chunk_rows)
+_CHUNK_BYTES = 1 << 15
 
 
 def _step_map(lap: "csr_matrix", h: float) -> StepMap:
@@ -99,10 +102,12 @@ def _step_map(lap: "csr_matrix", h: float) -> StepMap:
 
 def _rk4_map(loop: ClosedLoop, h: float) -> StepMap:
     """(P, q) such that the classic RK4 step of length h is x <- P x + q,
-    with q = h S(A) f.  P and S(A) come from ``_step_map`` once per step
-    length into ``loop.maps``, under (h, 1) and (h, 0); q is computed on
-    every call."""
+    with q = h S(A) f.  P and S(A) come from ``_step_map`` into
+    ``loop.maps``, under (h, 1) and (h, 0).  The maps keep one step length,
+    the last used: a new h first drops the maps and stacks of the one
+    before.  q is computed on every call."""
     if (h, 1) not in loop.maps:
+        loop.maps.clear()
         loop.maps[(h, 1)], loop.maps[(h, 0)] = _step_map(loop.laplacian, h)
     return loop.maps[(h, 1)], h * (loop.maps[(h, 0)] @ loop.forcing)
 
@@ -140,6 +145,12 @@ def _offsets(stack: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
     return offsets
 
 
+def _chunk_rows(nd: int) -> int:
+    """Samples per chunk of a per-sample reduction over (samples, nd)
+    states: as many as fit in ``_CHUNK_BYTES``, and at least one."""
+    return max(1, _CHUNK_BYTES // (8 * nd))
+
+
 class _Piece(NamedTuple):
     """The first ``rows`` rows of a stack (S, o) from ``_powers`` (a step
     map is the one-row stack (P, q[None])), its end map
@@ -165,39 +176,46 @@ def _cut(
 ) -> List[Tuple[_Piece, int]]:
     """One kind of span on graph ``gid`` cut into pieces in time order, with
     repeat counts: ``steps`` full steps in blocks of m rows (the last block
-    shorter), then the shortened step if ``remainder`` is not 0.  For a
-    step length, m = min(steps, STACK_BYTES // (nd^2 * 8)), and m = 1 when
-    P is CSR (its powers fill in) or too large for the budget.  The step
-    map P is the one-row stack; it and each stack are built once per
-    (step length, m) into ``loop.maps``, which outlives the run.  The
-    offsets, q[None] for one row, follow the forcing, so they are computed
-    once per run and (gid, step length, m) into ``offsets``, and pieces
-    once per (gid, step length, m, rows) into ``pieces``.  A piece's end
-    map is its stack's row block ``rows``; a one-row stack, a CSR P among
-    them, is its own end map and is never sliced."""
+    shorter), then the shortened step if ``remainder`` is not 0.
+    m = min(steps, STACK_BYTES // (nd^2 * 8)), and m = 1 when P is CSR (its
+    powers fill in) or too large for the budget.  The step map P is the
+    one-row stack; it and each stack are built once per (h, m) into
+    ``loop.maps``, which outlives the run.  The offsets, q[None] for one
+    row, follow the forcing, so they are computed once per run and
+    (gid, h, m) into ``offsets``, and pieces once per (gid, h, m, rows) into
+    ``pieces``.  A piece's end map is its stack's row block ``rows``; a
+    one-row stack, a CSR P among them, is its own end map and is never
+    sliced.  The shortened step is the one-row piece of its own map, which
+    is built once per run and (gid, remainder) and is not kept: remainders
+    vary with T and the switch times, and the maps keep one step length."""
     cut = []
-    for length, count in ((h, steps), (remainder, 1 if remainder else 0)):
-        if not count:
-            continue
-        if (gid, length, 1) not in offsets:
-            offsets[(gid, length, 1)] = _rk4_map(loop, length)[1][None, :]
-        p = loop.maps[(length, 1)]
-        m = max(1, min(count, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
-        if (length, m) not in loop.maps:
-            loop.maps[(length, m)] = _powers(p, m)
-        stack = loop.maps[(length, m)]
-        if (gid, length, m) not in offsets:
-            offsets[(gid, length, m)] = _offsets(stack, offsets[(gid, length, 1)][0], m)
-        o = offsets[(gid, length, m)]
-        for rows, reps in ((m, count // m), (count % m, 1)):
+    if steps:
+        if (gid, h, 1) not in offsets:
+            offsets[(gid, h, 1)] = _rk4_map(loop, h)[1][None, :]
+        p = loop.maps[(h, 1)]
+        m = max(1, min(steps, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
+        if (h, m) not in loop.maps:
+            loop.maps[(h, m)] = _powers(p, m)
+        stack = loop.maps[(h, m)]
+        if (gid, h, m) not in offsets:
+            offsets[(gid, h, m)] = _offsets(stack, offsets[(gid, h, 1)][0], m)
+        o = offsets[(gid, h, m)]
+        for rows, reps in ((m, steps // m), (steps % m, 1)):
             if not rows:
                 continue
-            key = (gid, length, m, rows)
+            key = (gid, h, m, rows)
             if key not in pieces:
                 nd = o.shape[1]
                 end = stack if m == 1 else stack[(rows - 1) * nd : rows * nd]
                 pieces[key] = _Piece(end, o[rows - 1], rows, stack, o, [])
             cut.append((pieces[key], reps))
+    if remainder:
+        key = (gid, remainder, 1, 1)
+        if key not in pieces:
+            p, s = _step_map(loop.laplacian, remainder)
+            q = remainder * (s @ loop.forcing)
+            pieces[key] = _Piece(p, q, 1, p, q[None, :], [])
+        cut.append((pieces[key], 1))
     return cut
 
 
@@ -219,7 +237,11 @@ def _march(
     occurrences from their start states.  A CSR map has one-row pieces, so
     its states are those of stepping x <- P x + q; elsewhere they agree with
     stage-by-stage RK4 to about 1e-14 relative.  The guard checks every
-    sample once and names the first that fails."""
+    sample once and names the first that fails.  The error norm is taken in
+    chunks of samples (``_chunk_rows``), so that no temporary spans the
+    run; a sample's norm does not depend on the samples beside it.  The fill
+    stays one GEMM per piece: its results depend on the GEMM's row count,
+    so filling in chunks would change the states in their last bits."""
     starts = np.array([span[0] for span in spans])
     ends = np.array([span[1] for span in spans])
     lengths = ends - starts
@@ -275,7 +297,11 @@ def _march(
             f"state exceeded {DIVERGENCE_GUARD:g} or became NaN"
             f" at t={times[1 + np.argmin(ok)]:.6g}"
         )
-    err = np.linalg.norm(states - np.tile(theta, g.n), axis=1)
+    target = np.tile(theta, g.n)
+    err = np.empty(len(times))
+    rows = _chunk_rows(nd)
+    for a in range(0, len(times), rows):
+        err[a : a + rows] = np.linalg.norm(states[a : a + rows] - target, axis=1)
     return Trajectory(times=times, states=states, error_norm=err, n=g.n, d=g.d, theta=theta)
 
 
@@ -403,21 +429,36 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Judge convergence to the preset state: every sample in the trailing
     ``DEFAULT_WINDOW`` fraction of the run must be within ``DEFAULT_TOL`` of
-    theta in the per-agent infinity norm."""
+    theta in the per-agent infinity norm.
+
+    A sample fails when any |x - theta| is not below the tolerance.  The
+    settle time is the time of the sample after the last failing one, and
+    the run has converged when no failing sample lies in the window.  The
+    states are read in the chunks of ``_march``'s error norm, from the last
+    backwards, and only until the last failing sample and the window's
+    verdict are known; no temporary spans the run."""
     th = traj.theta if theta is None else np.asarray(theta, dtype=float).reshape(-1)
     if th.shape[0] != traj.d:
         raise DimensionMismatchError(f"theta has dimension {th.shape[0]}, run has d={traj.d}")
-    dev = np.abs(traj.states - np.tile(th, traj.n))
-    per_sample = dev.reshape(len(traj.times), traj.n, traj.d).max(axis=(1, 2))
-    horizon = traj.times[-1]
-    tail = traj.times >= (1.0 - DEFAULT_WINDOW) * horizon
-    converged = bool(np.all(per_sample[tail] < DEFAULT_TOL))
+    target = np.tile(th, traj.n)
+    times = traj.times
+    window = times >= (1.0 - DEFAULT_WINDOW) * times[-1]
+    first = int(np.argmax(window)) if window.any() else len(times)  # the window's first sample
+    rows = _chunk_rows(target.shape[0])
+    buffer = np.empty((rows, target.shape[0]))
+    last_bad, converged = -1, True
+    for a in range((len(times) - 1) // rows * rows, -1, -rows):
+        if last_bad >= 0 and (not converged or a + rows <= first):
+            break
+        chunk = traj.states[a : a + rows]
+        dev = np.subtract(chunk, target, out=buffer[: len(chunk)])
+        np.abs(dev, out=dev)
+        bad = a + np.flatnonzero(~(dev < DEFAULT_TOL).all(axis=1))
+        if bad.size:
+            last_bad = max(last_bad, int(bad[-1]))
+            converged = converged and not window[bad].any()
+    final = float(np.abs(traj.states[-1] - target).max())
     settle: Optional[float] = None
-    if per_sample[-1] < DEFAULT_TOL:
-        bad = np.nonzero(per_sample >= DEFAULT_TOL)[0]
-        settle = 0.0 if bad.size == 0 else float(traj.times[min(bad[-1] + 1, len(traj.times) - 1)])
-    return ConvergenceReport(
-        converged=converged,
-        final_error=float(per_sample[-1]),
-        settle_time=settle,
-    )
+    if final < DEFAULT_TOL:
+        settle = 0.0 if last_bad < 0 else float(times[last_bad + 1])
+    return ConvergenceReport(converged=converged, final_error=final, settle_time=settle)

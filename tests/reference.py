@@ -3,18 +3,30 @@
 The mirrored lifting, the quadratic-form bound and the logarithmic norm are
 devices of the paper's proofs, and the SVD null space with its principal
 angles is the reference that ``verify_design``'s singular-value test is
-checked against.  None of them is part of checking, designing or
+checked against.  The whole-run convergence report and the necessary
+condition with an SVD on every matrix are the plain formulas that
+``convergence_report`` and ``necessary_condition_check`` compute in chunks
+and behind cheap bounds.  None of them is part of checking, designing or
 simulating, so they live here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ntconsensus import ConsensusError, Laplacian, SignedGraph, grounded_laplacian
+from ntconsensus import (
+    ConsensusError,
+    ConvergenceReport,
+    Laplacian,
+    SignedGraph,
+    Trajectory,
+    grounded_laplacian,
+)
 from ntconsensus.graph import in_out_gaps
+from ntconsensus.protocol import MEMBER_TOL
+from ntconsensus.simulate import DEFAULT_TOL, DEFAULT_WINDOW
 from ntconsensus.spectral import RANK_TOL
 
 
@@ -105,3 +117,32 @@ def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     sigma = np.linalg.svd(a.T @ b, compute_uv=False)
     return float(np.arccos(np.clip(sigma.min(), -1.0, 1.0)))
+
+
+def whole_run_report(traj: Trajectory, theta: Optional[np.ndarray] = None) -> ConvergenceReport:
+    """The convergence report from the per-sample maximum deviation of the
+    whole run, taken at once."""
+    th = traj.theta if theta is None else np.asarray(theta, dtype=float).reshape(-1)
+    dev = np.abs(traj.states - np.tile(th, traj.n))
+    per_sample = dev.reshape(len(traj.times), traj.n, traj.d).max(axis=(1, 2))
+    tail = traj.times >= (1.0 - DEFAULT_WINDOW) * traj.times[-1]
+    settle = None
+    if per_sample[-1] < DEFAULT_TOL:
+        bad = np.nonzero(per_sample >= DEFAULT_TOL)[0]
+        settle = 0.0 if bad.size == 0 else float(traj.times[min(bad[-1] + 1, len(traj.times) - 1)])
+    return ConvergenceReport(
+        converged=bool(np.all(per_sample[tail] < DEFAULT_TOL)),
+        final_error=float(per_sample[-1]),
+        settle_time=settle,
+    )
+
+
+def necessary_condition_svd(zstar: np.ndarray, matrices: Sequence[np.ndarray]) -> bool:
+    """||M z|| <= ``MEMBER_TOL`` ||z|| max(1, ||M||_2) for every M, with an
+    SVD for every ||M||_2."""
+    zstar = np.asarray(zstar, dtype=float).reshape(-1)
+    scale = MEMBER_TOL * float(np.linalg.norm(zstar))
+    return all(
+        float(np.linalg.norm(m @ zstar)) <= scale * max(1.0, float(np.linalg.norm(m, 2)))
+        for m in matrices
+    )

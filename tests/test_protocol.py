@@ -46,7 +46,7 @@ from conftest import (
     rk4_reference_step,
     tiled_graph,
 )
-from reference import signed_laplacian
+from reference import necessary_condition_svd, signed_laplacian
 from test_graph import _random_signed_digraph
 
 THETA = np.array([1.0, 2.0, -1.0])
@@ -504,6 +504,87 @@ class TestNecessaryCondition:
         # k1 differs per graph, so no common augmented direction survives
         z = consensus_space(7, 3, 1.0, sdesign.designs[0].k1) @ THETA
         assert not necessary_condition_check(z, mats)
+
+    def test_switching_verdict_takes_no_svd(self, net_a, net_b, net_c, monkeypatch):
+        sdesign = TestDesignSwitching()._designs(net_a, net_b, net_c)
+        mats = [
+            design_laplacians(g, sdesign.designs[gid])[1].matrix
+            for gid, g in {0: net_a, 1: net_b, 2: net_c}.items()
+        ]
+        from ntconsensus import consensus_space
+
+        svds = _count_svds(monkeypatch)
+        for gid, design in sdesign.designs.items():
+            z = consensus_space(7, 3, 1.0, design.k1) @ THETA
+            # graph gid's own direction passes on it, and every direction
+            # fails on some other graph, each by a cheap bound
+            assert necessary_condition_check(z, [mats[gid]])
+            assert not necessary_condition_check(z, mats)
+        assert svds == []
+
+    @pytest.mark.parametrize("rank_one", [False, True])
+    @pytest.mark.parametrize("scale", [0.05, 1.0, 30.0])
+    def test_matches_the_svd_formula_either_side_of_each_bound(self, rank_one, scale, monkeypatch):
+        rng = np.random.default_rng(17 + 3 * rank_one + int(scale * 100))
+        for _ in range(6):
+            k = int(rng.integers(3, 13))
+            if rank_one:  # ||M||_2 = ||M||_F
+                m = np.outer(rng.normal(size=k), rng.normal(size=k))
+            else:
+                m = rng.normal(size=(k, k))
+            m[:, 0] = 0.0  # so e_1 is a null vector
+            m *= scale / np.linalg.norm(m, 2)
+            sigma = max(1.0, float(np.linalg.norm(m, 2)))
+            frobenius = max(1.0, float(np.linalg.norm(m))) * (1.0 + 1e-12)
+            w = rng.normal(size=k)
+            w[0] = 0.0
+            svds = _count_svds(monkeypatch)
+            for bound, decided in ((1.0, True), (sigma, False), (frobenius, True)):
+                for side in (1.0 - 1e-9, 1.0 + 1e-9):
+                    z = _residual_at(m, w, bound * side)
+                    before = len(svds)
+                    got = necessary_condition_check(z, [m])
+                    took_svd = len(svds) > before
+                    assert got == necessary_condition_svd(z, [m])
+                    if bound == sigma:
+                        assert got == (side < 1.0)
+                    # a cheap bound decides outside (s, s max(1, ||M||_F) (1 + 1e-12)]
+                    if decided and ((bound == 1.0) == (side < 1.0)):
+                        assert not took_svd
+            for factor in (0.5, 2.0 * frobenius):
+                z = _residual_at(m, w, factor)
+                before = len(svds)
+                assert necessary_condition_check(z, [m]) == (factor < 1.0)
+                assert len(svds) == before
+
+
+def _count_svds(monkeypatch):
+    """A list that gets one entry per spectral norm np.linalg.norm(m, 2)
+    taken from now on."""
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(1)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
+def _residual_at(m, w, factor):
+    """z = e_1 + lam w with ||m z|| = factor 1e-6 ||z|| to within rounding,
+    for m whose first column is zero and w with w[0] = 0."""
+    z = np.zeros(m.shape[1])
+    z[0] = 1.0
+    mw = np.linalg.norm(m @ w)
+    for _ in range(4):
+        lam = factor * protocol.MEMBER_TOL * np.linalg.norm(z) / mw
+        z = np.zeros(m.shape[1])
+        z[0] = 1.0
+        z = z + lam * w
+    return z
 
 
 def _designed(name, tiled):

@@ -1,8 +1,8 @@
 """The per-graph store of theta-free values: a second design or run on the
-same graph object reuses the design, the closed-loop operator, the step maps
-and stacks, lambda_min and the augmented Laplacian, and gives the same bytes
-as a fresh graph; stored values cannot be written; entries die with their
-graph."""
+same graph object reuses the design, the closed-loop operator, the full
+step's maps and stacks, lambda_min and the augmented Laplacian, and gives the
+same bytes as a fresh graph; stored values cannot be written; the maps keep
+one step length; entries die with their graph."""
 
 import dataclasses
 import gc
@@ -76,10 +76,11 @@ def test_second_request_matches_a_fresh_graph(case, tmp_path):
     _outputs(graphs, decs, schedule, rng.uniform(-2, 2, 3), rng.uniform(-5, 5, n3), tmp_path)
     theta, x = rng.uniform(-2, 2, 3), rng.uniform(-5, 5, n3)
     maps = {gid: dict(protocol._STORE[g].maps) for gid, g in graphs.items()}
-    # the shortened steps' maps are among those kept
-    assert all(len(m) > 3 for m in maps.values())
+    # the full step's P, S(A) and stacks are kept, the shortened steps' maps
+    # are not
+    assert all(len(m) >= 2 and {k[0] for k in m} == {H} for m in maps.values())
     reused = _outputs(graphs, decs, schedule, theta, x, tmp_path)
-    # the second request built no map and no stack
+    # the second request built no full-step map and no stack
     for gid, g in graphs.items():
         assert protocol._STORE[g].maps.keys() == maps[gid].keys()
         assert all(protocol._STORE[g].maps[k] is v for k, v in maps[gid].items())
@@ -116,12 +117,28 @@ def test_store_holds_one_design_per_graph_and_dies_with_it(rng):
     entry = protocol._STORE[g]
     assert entry is entries[-1]() and entry.design[0] == 50.0
     assert all(ref() is None for ref in entries[:-1])
-    # one run's step maps: S(A) and P for the full and the shortened step,
-    # and the stack of ten full steps
-    short = 0.0105 - 10 * H
-    assert sorted(entry.maps) == sorted([(H, 0), (H, 1), (H, 10), (short, 0), (short, 1)])
+    # one run's full step: S(A), P and the stack of ten steps; the shortened
+    # step's maps are not kept
+    assert sorted(entry.maps) == [(H, 0), (H, 1), (H, 10)]
     ref = weakref.ref(g)
     del g, entry
     gc.collect()
     assert ref() is None
     assert len(protocol._STORE) == stored
+
+
+def test_store_keeps_the_maps_of_one_step_length(net_a_dec, rng):
+    g = bundled_graph("net_a")
+    design = design_fixed(g, net_a_dec, np.array([1.0, 2.0, -1.0]))
+    x = rng.uniform(-5, 5, g.n * g.d)
+    first = integrate_fixed(g, design, x, h=1e-3, horizon=0.0101)
+    # 50 horizons, so 50 shortened steps, for each of 3 step lengths
+    for h in (1e-3, 7e-4, 2e-3):
+        for k in range(50):
+            integrate_fixed(g, design, x, h=h, horizon=0.0101 + k * 1e-5)
+    # P, S(A) and the stack of five steps of the last step length
+    assert sorted(protocol._STORE[g].maps) == [(2e-3, 0), (2e-3, 1), (2e-3, 5)]
+    # a step length whose maps were dropped is built again, to the same bytes
+    again = integrate_fixed(g, design, x, h=1e-3, horizon=0.0101)
+    assert again.states.tobytes() == first.states.tobytes()
+    assert sorted(protocol._STORE[g].maps) == [(1e-3, 0), (1e-3, 1), (1e-3, 10)]

@@ -1,5 +1,6 @@
 """Fixed-step integration, switching schedules, and convergence judging."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from ntconsensus import (
     SignedGraph,
     SwitchingDesign,
     SwitchingSchedule,
+    Trajectory,
     bundled_graph,
     closed_loop,
     convergence_report,
@@ -28,9 +30,12 @@ from ntconsensus import simulate
 from ntconsensus.simulate import DIVERGENCE_GUARD, STACK_BYTES, _cut, _rk4_map
 
 from conftest import random_directed_valid, rk4_reference_step, tiled_graph
+from reference import whole_run_report
 from test_acceptance import _switching_setup
 
 THETA = np.array([1.0, 2.0, -1.0])
+# samples per chunk of the per-sample reductions on a 7-agent, d = 3 run
+CHUNK = simulate._chunk_rows(21)
 # two full blocks of net_a's stacked step map at h = 1e-3, ten more steps and
 # a shortened one
 BLOCKS_AND_A_SHORT_STEP = (2 * (STACK_BYTES // (21 * 21 * 8)) + 10.5) * 1e-3
@@ -187,6 +192,17 @@ class TestIntegrateFixed:
         traj = integrate_fixed(net_a, design, rng.uniform(-1, 1, 21), h=1e-2, horizon=0.2)
         recomputed = np.linalg.norm(traj.states - np.tile(THETA, 7), axis=1)
         assert np.allclose(traj.error_norm, recomputed, atol=1e-12)
+
+    @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_error_norm_of_chunks_is_the_whole_run_norm(self, net_a, net_a_dec, rng, samples):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        traj = integrate_fixed(
+            net_a, design, rng.uniform(-1, 1, 21), h=1e-2, horizon=(samples - 1) * 1e-2
+        )
+        assert len(traj.times) == samples
+        # the chunked norm is the whole run's, to the bit
+        recomputed = np.linalg.norm(traj.states - np.tile(THETA, 7), axis=1)
+        assert traj.error_norm.tobytes() == recomputed.tobytes()
 
 
 class TestSwitchingSchedule:
@@ -375,13 +391,16 @@ class TestIntegrateSwitching:
 
         monkeypatch.setattr(simulate, "_step_map", counted)
         traj = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
-        # 100 intervals, each six 3e-3 steps and a shortened one
+        # 100 intervals, each six 3e-3 steps and a shortened one; one full
+        # step map per graph
         once = len(built)
         assert 0 < once == len(set(built)) < 100
-        # the maps are kept with the graphs: a second run builds none and
+        assert sum(length == 3e-3 for _, length in built) == 3
+        # only the full step's maps are kept with the graphs: a second run
+        # builds the shortened steps' maps again, the full step's none, and
         # lands on the same states
         again = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
-        assert len(built) == once
+        assert sorted(built[once:]) == sorted(b for b in built[:once] if b[1] != 3e-3)
         assert np.array_equal(traj.states, again.states)
         assert np.array_equal(traj.times, again.times)
 
@@ -443,3 +462,84 @@ class TestConvergenceReport:
         traj = integrate_fixed(net_a, design, np.zeros(21), h=1e-2, horizon=0.1)
         with pytest.raises(DimensionMismatchError, match="run has d=3"):
             convergence_report(traj, np.array(theta))
+
+
+def _run_about(rng, samples, theta=THETA, n=7):
+    """A hand-made run of ``samples`` samples about theta.  Before a random
+    sample, each sample fails the tolerance with probability 1/2 in one
+    random entry; after it every sample passes, and the last one fails with
+    probability 1/4.  Half of the runs have their times shuffled."""
+    nd = n * theta.size
+    states = np.tile(theta, n) + rng.uniform(-0.5, 0.5, (samples, nd)) * simulate.DEFAULT_TOL
+    settle = rng.integers(0, samples + 1)
+    bad = (np.arange(samples) < settle) & (rng.random(samples) < 0.5)
+    bad[-1] |= rng.random() < 0.25
+    rows = np.flatnonzero(bad)
+    states[rows, rng.integers(0, nd, rows.size)] += (
+        rng.choice([-1.0, 1.0], rows.size) * rng.uniform(1.0, 2.0, rows.size) * simulate.DEFAULT_TOL
+    )
+    times = np.linspace(0.0, 1.0, samples)
+    if rng.random() < 0.5:
+        times = rng.permutation(times)
+    return Trajectory(times=times, states=states, error_norm=np.zeros(samples),
+                      n=n, d=theta.size, theta=theta)
+
+
+class TestChunkedConvergenceReport:
+    """``convergence_report`` reads the states in chunks from the end and
+    stops early; it gives the whole-run report of ``reference``."""
+
+    @pytest.mark.parametrize(
+        "samples", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 3 * CHUNK + 7]
+    )
+    def test_matches_whole_run_report_on_random_runs(self, samples):
+        rng = np.random.default_rng(samples)
+        for _ in range(25):
+            traj = _run_about(rng, samples)
+            for theta in (None, THETA + 6e-4, rng.uniform(-2, 2, 3)):
+                assert convergence_report(traj, theta) == whole_run_report(traj, theta)
+
+    @pytest.mark.parametrize(
+        "last_bad", [0, CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 3 * CHUNK - 2]
+    )
+    def test_settle_time_on_a_chunk_boundary(self, last_bad):
+        traj = _run_about(np.random.default_rng(1), 3 * CHUNK)
+        traj.states[:] = np.tile(THETA, 7)
+        traj.times[:] = np.linspace(0.0, 1.0, 3 * CHUNK)
+        traj.states[last_bad, 5] += 2 * simulate.DEFAULT_TOL
+        report = convergence_report(traj)
+        assert report == whole_run_report(traj)
+        assert report.settle_time == traj.times[last_bad + 1]
+        # only the last failing sample lies in the window
+        assert report.converged == (last_bad == 0 or last_bad < 2 * CHUNK)
+        # another theta moves every sample out of the tolerance
+        other = convergence_report(traj, THETA + 2e-3)
+        assert other == whole_run_report(traj, THETA + 2e-3)
+        assert not other.converged and other.settle_time is None
+
+    def test_run_that_never_settles(self, net_a, net_b, net_c, rng):
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        x = rng.uniform(-5, 5, 21)
+        traj = integrate_switching(schedule, sdesign, graphs, x, h=1e-3, horizon=2.0)
+        for theta in (None, THETA, -THETA):
+            report = convergence_report(traj, theta)
+            assert report == whole_run_report(traj, theta)
+            assert not report.converged and report.settle_time is None
+
+    def test_report_allocates_under_a_quarter_of_the_states(self, net_a, net_b, net_c, rng):
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        x = rng.uniform(-5, 5, 21)
+        run = integrate_switching(schedule, sdesign, graphs, x, h=1e-3, horizon=2.0)
+        # the bundled run, and one at its target, which is read to its start
+        settled = Trajectory(times=run.times, states=np.tile(THETA, (len(run.times), 7)),
+                             error_norm=run.error_norm, n=7, d=3, theta=THETA)
+        for traj in (run, settled):
+            tracemalloc.start()
+            try:
+                report = convergence_report(traj)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < traj.states.nbytes / 4
+            assert report == whole_run_report(traj)
+        assert report.settle_time == 0.0
