@@ -46,6 +46,7 @@ from .simulate import (
     ConvergenceReport,
     SwitchingSchedule,
     Trajectory,
+    check_step,
     convergence_report,
     integrate_fixed,
     integrate_switching,

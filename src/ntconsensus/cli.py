@@ -19,12 +19,13 @@ from .errors import ConsensusError, FileFormatError
 from .fileio import load_graph, load_schedule, write_trajectory_csv
 from .graph import Decomposition, SignedGraph, suggest_decomposition, verify_assumption
 from .protocol import (
+    closed_loop,
     contraction_factor,
     design_fixed,
     design_switching,
     verify_design,
 )
-from .simulate import convergence_report, integrate_fixed, integrate_switching
+from .simulate import check_step, convergence_report, integrate_fixed, integrate_switching
 
 
 def _parse_v1(spec: str, g: SignedGraph) -> Decomposition:
@@ -150,6 +151,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             graphs, decs, theta, alpha=schedule.alpha, margin=args.margin, deltas=deltas
         )
         contraction = contraction_factor(sdesign, graphs)
+        for gid, design in sorted(sdesign.designs.items()):
+            check_step(closed_loop(graphs[gid], design), args.h)
         traj = integrate_switching(schedule, sdesign, graphs, x_init, h=args.h, horizon=args.T)
         lam: Optional[float] = contraction.factor
     else:
@@ -158,6 +161,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "--schedule needs a switching run, and a switching run needs two or more graphs"
             )
         design = design_fixed(first, decs[0], theta, margin=args.margin, delta=_single_delta(args))
+        check_step(closed_loop(first, design), args.h)
         traj = integrate_fixed(first, design, x_init, h=args.h, horizon=args.T)
         lam = None
 

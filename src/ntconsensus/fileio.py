@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
@@ -107,22 +110,51 @@ def load_schedule(path: PathLike) -> SwitchingSchedule:
     )
 
 
-# '%.17g' in vectorized chunks.  A value |x| in [1e-11, 1e17) is scaled by an
-# exact power of ten to y = |x| 10^k in [1e16, 1e17] with one rounding in long
-# double; D = rint(y) is its correctly rounded 17-digit significand whenever
-# y is farther than y eps from a tie, and the text is laid out from D and the
-# decimal exponent in fixed NUL-padded columns, one array row per column so
-# that every operation runs along the chunk.  Every other value (zero,
-# non-finite, out of range, a near-tie, or all of them where long double is a
-# plain double) goes through '%.17g' itself.
+# '%.17g' in vectorized chunks, in plain float64.  A value |x| in [1e-11, 1e17)
+# with decimal exponent X is scaled by 10^k, k = 16 - X, and |x| 10^k in
+# [1e16, 1e17) is held exactly as y + e: y = fl(|x| p) for the double p
+# nearest 10^k, and e = |x| p - y by Dekker's TwoProduct.  Its halves are
+# |x| = xh + xl, xh the top 26 bits and xl < 2^27 units of |x|'s last
+# place, and Veltkamp's p = ph + pl, |pl| <= 2^26 units of p's; each
+# partial product is then exact, and so is each partial sum in the order
+# xh ph - y, + xl ph, + xh pl, + xl pl.  As y >= 2^53 is an integer, the
+# correctly rounded 17-digit significand is D = y + rint(e), and an exact
+# tie is |e - rint(e)| = 1/2, both exact.  10^k is a double up to k = 22.
+# Above, 10^k = p + r exactly, since 5^27 < 2^63, and e gains fl(|x| r):
+# with |x| 10^k < 2^57, TwoProduct's |e| <= 8 and |x r| <= 2^57 u, u = 2^-53,
+# so the roundings of |x| r and of the sum leave e within 16u + 25u of the
+# exact remainder, inside _GUARD = 64u, and such a value falls back when
+# |e - rint(e)| lies within _GUARD of 1/2.  D and X are laid out in fixed
+# NUL-padded columns, one array row per column so that every operation runs
+# along the chunk.  Zeros, non-finite values, magnitudes out of range, exact
+# ties and values inside the guard go through '%.17g' itself.
 _CHUNK_VALUES = 8192
-_EPS = float(np.finfo(np.longdouble).eps)
-_POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))  # 10^0..10^27, exact
+_X_MIN, _X_MAX = -11, 17
+_HIGH = np.uint64(~(2**27 - 1) & (2**64 - 1))  # sign, exponent, top 26 significant bits
+_INEXACT = 16 - 22 - _X_MIN  # 10^k is a double for k <= 22: X >= -6
+_GUARD = 2.0**-47
+
+
+def _scales() -> tuple:
+    """Per decimal exponent X: the least double not below 10^X, for X in
+    [_X_MIN, _X_MAX]; and for X up to 16, with k = 16 - X, 10^k as the
+    double p nearest it with Veltkamp's halves of p, and the rest 10^k - p,
+    which is exact, and 0 for k <= 22."""
+    exact = [Fraction(10) ** x for x in range(_X_MIN, _X_MAX + 1)]
+    least = [float(v) if float(v) >= v else math.nextafter(float(v), math.inf) for v in exact]
+    powers = [10 ** (16 - x) for x in range(_X_MIN, 17)]
+    nearest = np.array(powers, dtype=float)
+    c = nearest * 134217729.0  # 2^27 + 1
+    high = c - (c - nearest)
+    rest = np.array([q - int(p) for q, p in zip(powers, nearest.tolist())], dtype=float)
+    return np.array(least), np.stack([nearest, high, nearest - high]), rest
+
+
+_DECADES, _SCALES, _REST = _scales()
 # the ASCII digits of 0..9999, four bytes to a word
 _QUADS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(
     np.uint8
 ).view(np.uint32).ravel()
-_X_MIN, _X_MAX = -11, 17
 _FIELD = 28  # sign 1, prefix 5, digits and point 18, suffix 4; the longest '%.17g' is 24
 _ROW = np.arange(18, dtype=np.uint8)[:, None]
 
@@ -157,21 +189,38 @@ def _format_rows(body: np.ndarray) -> bytes:
     cols = body.shape[1]
     x = body.ravel()
     a = np.abs(x)
-    fast = (a >= 1e-11) & (a < 1e17)
+    fast = (a >= _DECADES[0]) & (a < 1e17)
     a = np.where(fast, a, 1.0)
-    # k = 16 - floor(log10 |x|), or one more where log10 rounds up to an integer:
-    # then y >= 1e17, and only y = 1e17 (a carry) is kept
-    k = np.minimum((17 - np.log10(a)).astype(np.intp), 27)
-    y = _POW10[k] * a
-    floor = y.astype(np.int64)
-    frac = (y - floor).astype(np.float64)  # exact
-    # |y - D| < 1/2 - y eps/2 bounds the scaling's one rounding; floor eps is more
-    fast &= (floor >= 10**16) & (np.abs(frac - 0.5) > floor * _EPS)
-    sig = floor + (frac > 0.5)
-    fast &= sig <= 10**17
+    # i = X - _X_MIN.  np.log10 rounds some values just under 10^X up to X,
+    # and the least double not below 10^X tells those apart; one that it
+    # rounds down past X gets a k one too large and D > 10^17, and falls back
+    i = np.log10(a)
+    i -= _X_MIN
+    i = i.astype(np.intp)  # truncated, so in [0, _X_MAX - _X_MIN]
+    i -= a < _DECADES.take(i)
+    p, p_hi, p_lo = _SCALES.take(i, axis=1)
+    y = a * p
+    a_hi = (a.view(np.uint64) & _HIGH).view(np.float64)
+    a_lo = a - a_hi
+    e = a_hi * p_hi
+    e -= y
+    e += np.multiply(a_lo, p_hi, out=p_hi)
+    e += np.multiply(a_hi, p_lo, out=a_hi)
+    e += np.multiply(a_lo, p_lo, out=p_lo)
+    deep = np.flatnonzero(i < _INEXACT) if i.min() < _INEXACT else None
+    if deep is not None:
+        e[deep] += a[deep] * _REST.take(i[deep])
+    near = np.rint(e)
+    sig = y.astype(np.int64)
+    sig += near.astype(np.int64)
+    e -= near
+    tie = np.abs(e, out=e)
+    fast &= (tie != 0.5) & (sig <= 10**17)
+    if deep is not None:
+        fast[deep] &= tie[deep] < 0.5 - _GUARD
     carry = sig == 10**17
     sig[carry] = 10**16
-    layout = 16 - _X_MIN - k + carry
+    layout = i + carry
     # digit groups by floor division alone, which NumPy vectorizes and % it does not
     pair = np.empty((2, x.size), dtype=np.int64)
     pair[0] = sig // 10**8
@@ -185,8 +234,8 @@ def _format_rows(body: np.ndarray) -> bytes:
     digits[1:17] = quads.view(np.uint8).reshape(4, x.size, 4).transpose(0, 2, 1).reshape(16, -1)
     digits[17] = 0
     span = ((_ROW[:17] + 1) * (digits[:17] != 48)).max(axis=0)  # up to the last nonzero digit
-    digits *= _ROW < np.maximum(span, _WHOLE[layout])
-    point = _POINT[layout]
+    digits *= _ROW < np.maximum(span, _WHOLE.take(layout))
+    point = _POINT.take(layout)
     out = np.empty((_FIELD + 1, x.size), dtype=np.uint8)
     out[0] = (x < 0) * np.uint8(45)
     out[1:6] = _PREFIX.take(layout, axis=1)
@@ -197,7 +246,10 @@ def _format_rows(body: np.ndarray) -> bytes:
     digits -= area
     digits *= _ROW < point
     area += digits
-    area[point, np.arange(x.size)] = (span > point) * np.uint8(46)
+    # the point by a flat index, which NumPy takes in half the time of (point, arange)
+    out.reshape(-1)[(6 + point.astype(np.intp)) * x.size + np.arange(x.size)] = (
+        (span > point) * np.uint8(46)
+    )
     out[24:28] = _SUFFIX.take(layout, axis=1)
     out[_FIELD] = 44
     out[_FIELD, cols - 1 :: cols] = 10
@@ -207,18 +259,23 @@ def _format_rows(body: np.ndarray) -> bytes:
     return out.T.tobytes().translate(None, b"\0")
 
 
+@functools.lru_cache(maxsize=8)
+def _header(n: int, d: int) -> bytes:
+    """The CSV header line t,x1_1,...,xN_d,errnorm, built once per (n, d)."""
+    cols = [f"x{i}_{k}" for i in range(1, n + 1) for k in range(1, d + 1)]
+    return (",".join(["t"] + cols + ["errnorm"]) + "\n").encode("ascii")
+
+
 def write_trajectory_csv(traj: Trajectory, path: PathLike) -> None:
     """Header t,x1_1,...,xN_d,errnorm; every value as '%.17g' would print it
     (full double precision).  Rows are formatted in vectorized chunks of
-    about 8192 values, with a per-value '%.17g' fallback for the values the
-    vectorized path cannot prove, and each chunk's ASCII bytes are written
-    as they are made, in binary mode."""
-    cols = [f"x{i}_{k}" for i in range(1, traj.n + 1) for k in range(1, traj.d + 1)]
-    header = ",".join(["t"] + cols + ["errnorm"])
+    about 8192 values, with a per-value '%.17g' fallback for the few values
+    the vectorized path leaves to it, and each chunk's ASCII bytes are
+    written as they are made, in binary mode."""
     body = np.column_stack([traj.times, traj.states, traj.error_norm])
     step = max(1, _CHUNK_VALUES // body.shape[1])
     with open(path, "wb") as fh:
-        fh.write((header + "\n").encode("ascii"))
+        fh.write(_header(traj.n, traj.d))
         for start in range(0, body.shape[0], step):
             fh.write(_format_rows(body[start : start + step]))
 

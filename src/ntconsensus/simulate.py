@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NonFiniteError,
+    NotContractingError,
     ScheduleExhaustedError,
 )
 from .graph import SignedGraph
@@ -43,6 +44,9 @@ DIVERGENCE_GUARD = 1e12
 DEFAULT_STEP = 1e-3
 DEFAULT_TOL = 1e-3
 DEFAULT_WINDOW = 0.05
+# the radius of the closed left half-disc in classic RK4's stability region
+# |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1; the largest is 2.61559 to five places
+RK4_RADIUS = 2.6155
 
 
 @dataclass(frozen=True)
@@ -104,12 +108,44 @@ def _rk4_map(loop: ClosedLoop, h: float) -> StepMap:
     """(P, q) such that the classic RK4 step of length h is x <- P x + q,
     with q = h S(A) f.  P and S(A) come from ``_step_map`` into
     ``loop.maps``, under (h, 1) and (h, 0).  The maps keep one step length,
-    the last used: a new h first drops the maps and stacks of the one
-    before.  q is computed on every call."""
+    the last used: a new h first drops the maps, stacks and step verdict of
+    the one before.  q is computed on every call."""
     if (h, 1) not in loop.maps:
         loop.maps.clear()
         loop.maps[(h, 1)], loop.maps[(h, 0)] = _step_map(loop.laplacian, h)
     return loop.maps[(h, 1)], h * (loop.maps[(h, 0)] @ loop.forcing)
+
+
+def check_step(loop: ClosedLoop, h: float) -> None:
+    """Raise ``NotContractingError`` when the classic RK4 step of length h
+    is unstable on the loop (its step map P has spectral radius above 1),
+    naming the largest step that the cheap test certifies.
+
+    Every eigenvalue of L_B has a positive real part (delta > C) and
+    modulus at most ||L_B||_inf, and RK4's stability region holds the left
+    half-disc of radius ``RK4_RADIUS``; so h ||L_B||_inf <= ``RK4_RADIUS``
+    certifies the step in O(nnz).  Only where it fails is rho(P) computed,
+    from a dense P.  The verdict is kept with P in the loop's maps.  The
+    integrators do not call this: on an unstable step their guard names
+    the first sample that fails."""
+    if not 0 < h < math.inf:
+        return  # the integrators reject it
+    p = _rk4_map(loop, h)[0]
+    if (h, "rho") not in loop.maps:
+        norm = float(abs(loop.laplacian).sum(axis=1).max())
+        rho = 0.0
+        if h * norm > RK4_RADIUS:
+            dense = p if isinstance(p, np.ndarray) else p.toarray()
+            rho = float(np.abs(np.linalg.eigvals(dense)).max())
+        loop.maps[(h, "rho")] = (rho, RK4_RADIUS / norm if norm else math.inf)
+    rho, certified = loop.maps[(h, "rho")]
+    if rho > 1.0:
+        scale = 10.0 ** (3 - math.floor(math.log10(certified)))  # four digits, rounded down
+        raise NotContractingError(
+            f"the RK4 step h={h:g} is unstable: its step map has spectral radius"
+            f" {rho:.6g} > 1; steps up to h={math.floor(certified * scale) / scale:.4g}"
+            f" are certified stable (h ||L_B||_inf <= {RK4_RADIUS})"
+        )
 
 
 def _powers(p: np.ndarray, m: int) -> np.ndarray:
@@ -297,11 +333,18 @@ def _march(
             f"state exceeded {DIVERGENCE_GUARD:g} or became NaN"
             f" at t={times[1 + np.argmin(ok)]:.6g}"
         )
+    # the error norm as np.linalg.norm(axis=1) takes it, square, add.reduce
+    # and sqrt, in one reused buffer
     target = np.tile(theta, g.n)
     err = np.empty(len(times))
     rows = _chunk_rows(nd)
+    buffer = np.empty((rows, nd))
     for a in range(0, len(times), rows):
-        err[a : a + rows] = np.linalg.norm(states[a : a + rows] - target, axis=1)
+        chunk = states[a : a + rows]
+        dev = np.subtract(chunk, target, out=buffer[: len(chunk)])
+        np.multiply(dev, dev, out=dev)
+        np.add.reduce(dev, axis=1, out=err[a : a + rows])
+    np.sqrt(err, out=err)
     return Trajectory(times=times, states=states, error_norm=err, n=g.n, d=g.d, theta=theta)
 
 

@@ -316,6 +316,34 @@ class TestSimulate:
         assert rc == 1
         assert "NonFiniteError" in capsys.readouterr().err
 
+    def test_unstable_step_exit_1_before_stepping(self, capsys, monkeypatch):
+        """h = 0.05 on net_a is outside RK4's stability region: the run
+        exits 1 before any step and names the largest certified step."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run was stepped")
+
+        monkeypatch.setattr(cli, "integrate_fixed", no_run)
+        rc = main([
+            "simulate", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",
+            "--theta", "1,2,-1", "--h", "0.05", "--T", "40",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "NotContractingError" in err and "h=0.03612 are certified stable" in err
+
+    def test_unstable_switching_step_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "integrate_switching", None)
+        rc = main([
+            "simulate",
+            "--graphs", _p("net_a.json"), _p("net_b.json"), _p("net_c.json"),
+            "--v1", "1,2,3,4;2,3;1,2,3",
+            "--theta", "1,2,-1",
+            "--delta", "7.0495", "--delta", "7.2440", "--delta", "3.1",
+            "--schedule", _p("cycle_schedule.json"), "--h", "0.05",
+        ])
+        assert rc == 1
+        assert "NotContractingError: the RK4 step h=0.05 is unstable" in capsys.readouterr().err
+
     def test_schedule_on_one_graph_exit_2(self, capsys):
         rc = main([
             "simulate", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",

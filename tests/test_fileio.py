@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -298,7 +300,66 @@ def _edge_cases():
     for j in range(-30, 31):
         p = 10.0 ** j
         values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p]
-    return np.array(values)
+    return np.array(values + _exact_ties() + _near_ties())
+
+
+def _exact_ties():
+    """Exact 17th-digit ties (2D + 1)/2 10^-k with 10^16 <= D < 10^17: the
+    least, a middle and the greatest D of each k = 0..27 whose tie is a
+    double.  With 2D + 1 = m 5^k, m odd, the tie is m 2^-(k + 1), a double
+    for m < 2^53, so k = 0 has none; nor has any k > 24, where 5^k > 2 10^17."""
+    ties = []
+    for k in range(28):
+        low = -(-(2 * 10**16 + 1) // 5**k) | 1
+        high = (2 * 10**17 - 1) // 5**k
+        high -= high % 2 == 0
+        for m in sorted({low, (low + high) // 4 * 2 + 1, high}):
+            if low <= m <= high and m < 2**53:
+                ties.append(m / 2.0 ** (k + 1))
+    return ties
+
+
+def _near_ties():
+    """Values |x| with |x| 10^k = N + 1/2 + r 2^-s for k = 23..27, where 10^k
+    is not a double, 0 < |r| <= 40 and |r| < 2^(s - 50): within 2^-50 of a
+    17th-digit tie, inside the guard.  |x| = m 2^-(s + k) with
+    m 5^k = 2^(s - 1) + r modulo 2^s, for the m that are 53-bit."""
+    values = []
+    for k in range(23, 28):
+        for s in range(45, 75):
+            inverse = pow(5**k, -1, 2**s)
+            for r in (r for r in range(-40, 41) if 0 < abs(r) < 2 ** (s - 50)):
+                m = (2 ** (s - 1) + r) * inverse % 2**s
+                if 2**52 <= m < 2**53 and 10**16 * 2**s <= m * 5**k < 10**17 * 2**s:
+                    values.append(math.ldexp(m, -(s + k)))
+    return values
+
+
+def _exact_decade(a):
+    """floor(log10 a) of a positive Fraction."""
+    x = math.floor(math.log10(a))
+    x -= Fraction(10) ** x > a
+    x += Fraction(10) ** (x + 1) <= a
+    return x
+
+
+def _falls_back(v):
+    """Whether the formatter must give v to '%.17g' (True), may (None: at the
+    edge of the guard of a tie where 10^k is not a double), or must not
+    (False)."""
+    a = Fraction(abs(v)) if math.isfinite(v) else None
+    if a is None or not Fraction(1, 10**11) <= a < 10**17:
+        return True
+    k = 16 - _exact_decade(a)
+    frac = a * 10**k % 1
+    if frac == Fraction(1, 2):
+        return True
+    # e is off by at most 41 units of 2^-53 where 10^k is not a double
+    if k > 22 and abs(frac - Fraction(1, 2)) <= fileio._GUARD - Fraction(41, 2**53):
+        return True
+    if k > 22 and abs(frac - Fraction(1, 2)) <= fileio._GUARD + Fraction(41, 2**53):
+        return None
+    return False
 
 
 class TestCsvFormatter:
@@ -326,22 +387,73 @@ class TestCsvFormatter:
         body = values.reshape(-1, 10)
         assert fileio._format_rows(body) == _percent_g(body)
 
-    def test_without_extended_precision_every_value_falls_back(self, monkeypatch):
-        """Where long double is a plain double the tie test rejects every
-        value, and the output is still '%.17g'."""
-        monkeypatch.setattr(fileio, "_EPS", float(np.finfo(np.float64).eps))
+    def test_only_the_documented_values_fall_back(self, monkeypatch):
+        """Zeros, non-finite values, magnitudes outside [1e-11, 1e17), exact
+        ties and, where 10^k is not a double, values inside the guard of a
+        tie go through '%.17g', and no other value: checked on a bundled
+        fixed run, on random data and on the edge cases, against exact
+        rational arithmetic."""
         fallback = []
         columns = fileio._columns
 
         def counted(texts, width):
-            fallback.append(len(texts))
+            fallback.extend(texts)
             return columns(texts, width)
 
         monkeypatch.setattr(fileio, "_columns", counted)
-        values = np.concatenate([_edge_cases(), np.random.default_rng(3).uniform(-5, 5, 500)])
-        body = values[: values.size // 3 * 3].reshape(-1, 3)
-        assert fileio._format_rows(body) == _percent_g(body)
-        assert fallback == [body.size]
+        g = bundled_graph("net_a")
+        design = design_fixed(g, Decomposition.of(g, BUNDLED_V1["net_a"]), np.array([1.0, 2.0, -1.0]))
+        traj = integrate_fixed(g, design, np.random.default_rng(4).uniform(-5, 5, 21),
+                               h=1e-3, horizon=0.1)
+        rng = np.random.default_rng(5)
+        bodies = [
+            np.column_stack([traj.times, traj.states, traj.error_norm]),
+            (rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-12, 18, 3000)).reshape(-1, 6),
+            rng.integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64).reshape(-1, 5),
+            _edge_cases()[:, None],
+        ]
+        for body in bodies:
+            fallback.clear()
+            assert fileio._format_rows(body) == _percent_g(body)
+            values = body.ravel().tolist()
+            rule = [_falls_back(v) for v in values]
+            assert None not in rule  # so the fallbacks are known exactly
+            assert fallback == ["%.17g" % v for v, r in zip(values, rule) if r]
+        # of the run's values, t = 0 alone
+        assert [_falls_back(v) for v in bodies[0].ravel().tolist()].count(True) == 1
+
+    @pytest.mark.parametrize("units", [-2, 2])
+    def test_log10_off_by_units_in_the_last_place(self, monkeypatch, units):
+        """An np.log10 that errs by a few units in the last place still gives
+        '%.17g': one rounded up past a whole number is taken back by the
+        decade table, and one rounded down gives D > 10^17 and falls back."""
+        log10 = np.log10
+
+        def off(a):
+            out = log10(a)
+            for _ in range(abs(units)):
+                out = np.nextafter(out, np.copysign(np.inf, units))
+            return out
+
+        monkeypatch.setattr(np, "log10", off)
+        values = np.concatenate([_edge_cases(), 10.0 ** np.arange(-11, 17)])
+        assert fileio._format_rows(values[:, None]) == _percent_g(values[:, None])
+
+    def test_scale_tables_are_exact(self):
+        """Per exponent X: the least double not below 10^X, and 10^k,
+        k = 16 - X, as the nearest double p, halves that sum to p, the
+        first of 26 bits and the second within 2^26 units of p's last
+        place, and a rest, 0 for k <= 22, with p + rest = 10^k."""
+        xs = range(fileio._X_MIN, fileio._X_MAX + 1)
+        for x, least in zip(xs, fileio._DECADES.tolist()):
+            assert Fraction(least) >= Fraction(10) ** x > Fraction(np.nextafter(least, 0.0))
+        for x, (p, hi, lo), rest in zip(xs, fileio._SCALES.T.tolist(), fileio._REST.tolist()):
+            k = 16 - x
+            assert p == float(10**k) and hi + lo == p
+            assert math.frexp(hi)[0] * 2**26 % 1 == 0
+            assert abs(lo) <= 2.0 ** (math.frexp(p)[1] - 53 + 26)
+            assert Fraction(p) + Fraction(rest) == 10**k
+            assert (rest == 0) == (k <= 22)
 
     @pytest.mark.parametrize("horizon", [1.0, 0.013])
     def test_writer_bytes_match_the_row_loop(self, tmp_path, horizon):

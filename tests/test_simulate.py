@@ -24,10 +24,12 @@ from ntconsensus import (
 from ntconsensus.errors import (
     DimensionMismatchError,
     NonFiniteError,
+    NotContractingError,
     ScheduleExhaustedError,
 )
 from ntconsensus import simulate
-from ntconsensus.simulate import DIVERGENCE_GUARD, STACK_BYTES, _cut, _rk4_map
+from ntconsensus.networks import BUNDLED_V1
+from ntconsensus.simulate import DIVERGENCE_GUARD, RK4_RADIUS, STACK_BYTES, _cut, _rk4_map, check_step
 
 from conftest import random_directed_valid, rk4_reference_step, tiled_graph
 from reference import whole_run_report
@@ -203,6 +205,78 @@ class TestIntegrateFixed:
         # the chunked norm is the whole run's, to the bit
         recomputed = np.linalg.norm(traj.states - np.tile(THETA, 7), axis=1)
         assert traj.error_norm.tobytes() == recomputed.tobytes()
+
+
+def _certified(loop):
+    """RK4_RADIUS / ||L_B||_inf, from a dense L_B."""
+    return RK4_RADIUS / np.abs(loop.laplacian.toarray()).sum(axis=1).max()
+
+
+class TestCheckStep:
+    def test_rk4_half_disc(self):
+        """|R(z)| <= 1 on the boundary of the left half-disc of radius
+        RK4_RADIUS, and so inside it; just beyond, it is not."""
+        def worst(r):
+            z = np.concatenate([r * np.exp(1j * np.linspace(np.pi / 2, 3 * np.pi / 2, 200_001)),
+                                1j * np.linspace(-r, r, 20_001)])
+            return np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max()
+
+        assert worst(RK4_RADIUS) <= 1.0 + 1e-15
+        assert worst(2.6156) > 1.0
+
+    def _eigvals_counted(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        return calls
+
+    def test_default_step_certified_in_o_nnz(self, monkeypatch, tiled):
+        """Every bundled network and the tiled one pass the cheap test at
+        the default step, and no eigenvalue is computed."""
+        calls = self._eigvals_counted(monkeypatch)
+        for name in BUNDLED_V1:
+            g = bundled_graph(name)
+            design = design_fixed(g, Decomposition.of(g, BUNDLED_V1[name]), THETA, delta=20.0)
+            check_step(closed_loop(g, design), simulate.DEFAULT_STEP)
+        check_step(closed_loop(tiled[0], design_fixed(*tiled, THETA)), simulate.DEFAULT_STEP)
+        assert calls == []
+
+    def test_unstable_step_rejected_naming_the_certified_step(self, monkeypatch):
+        """On net_a, h = 0.05 gives rho(P) = 1.081; h = 0.045 is stable
+        although the cheap test does not certify it, and its rho(P) is
+        computed once per step length."""
+        g = bundled_graph("net_a")  # a fresh object: no earlier verdict
+        loop = closed_loop(g, design_fixed(g, Decomposition.of(g, BUNDLED_V1["net_a"]), THETA))
+        limit = _certified(loop)
+        assert 0.036 < limit < 0.045
+        calls = self._eigvals_counted(monkeypatch)
+        check_step(loop, 0.045)
+        check_step(loop, 0.045)
+        assert calls == [(21, 21)]
+        with pytest.raises(NotContractingError, match=r"spectral radius 1\.08\d* > 1; "
+                           rf"steps up to h={np.floor(limit * 1e5) / 1e5:.4g} are certified"):
+            check_step(loop, 0.05)
+        check_step(loop, limit * (1.0 - 1e-12))
+        assert len(calls) == 2
+
+    def test_certified_steps_contract(self, rng):
+        """On random graphs, rho(P) < 1 at the certified limit."""
+        for _ in range(20):
+            g, dec = random_directed_valid(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
+            loop = closed_loop(g, design_fixed(g, dec, rng.uniform(-2, 2, g.d) + 3.0))
+            p = simulate._step_map(loop.laplacian, _certified(loop))[0]
+            dense = p if isinstance(p, np.ndarray) else p.toarray()
+            assert np.abs(np.linalg.eigvals(dense)).max() < 1.0
+
+    def test_invalid_step_left_to_the_integrators(self, net_a, net_a_dec):
+        loop = closed_loop(net_a, design_fixed(net_a, net_a_dec, THETA))
+        for h in (np.nan, np.inf, 0.0, -1.0):
+            check_step(loop, h)
 
 
 class TestSwitchingSchedule:
