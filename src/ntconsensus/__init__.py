@@ -46,7 +46,6 @@ from .simulate import (
     ConvergenceReport,
     SwitchingSchedule,
     Trajectory,
-    check_step,
     convergence_report,
     integrate_fixed,
     integrate_switching,
@@ -56,7 +55,6 @@ from .spectral import (
     augmented_laplacian,
     consensus_space,
     eigenvalues_sorted,
-    grounded_laplacian,
     laplacian_blocks,
 )
 

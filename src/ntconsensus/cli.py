@@ -18,14 +18,8 @@ import numpy as np
 from .errors import ConsensusError, FileFormatError
 from .fileio import load_graph, load_schedule, write_trajectory_csv
 from .graph import Decomposition, SignedGraph, suggest_decomposition, verify_assumption
-from .protocol import (
-    closed_loop,
-    contraction_factor,
-    design_fixed,
-    design_switching,
-    verify_design,
-)
-from .simulate import check_step, convergence_report, integrate_fixed, integrate_switching
+from .protocol import contraction_factor, design_fixed, design_switching, verify_design
+from .simulate import convergence_report, integrate_fixed, integrate_switching
 
 
 def _parse_v1(spec: str, g: SignedGraph) -> Decomposition:
@@ -128,6 +122,8 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise FileFormatError(f"--seed must be a non-negative integer, got {args.seed}")
     paths = _graph_args(args)
     graphs = {k: load_graph(p) for k, p in enumerate(paths)}
     v1s = _v1_specs(args.v1, len(paths))
@@ -151,8 +147,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             graphs, decs, theta, alpha=schedule.alpha, margin=args.margin, deltas=deltas
         )
         contraction = contraction_factor(sdesign, graphs)
-        for gid, design in sorted(sdesign.designs.items()):
-            check_step(closed_loop(graphs[gid], design), args.h)
         traj = integrate_switching(schedule, sdesign, graphs, x_init, h=args.h, horizon=args.T)
         lam: Optional[float] = contraction.factor
     else:
@@ -161,7 +155,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "--schedule needs a switching run, and a switching run needs two or more graphs"
             )
         design = design_fixed(first, decs[0], theta, margin=args.margin, delta=_single_delta(args))
-        check_step(closed_loop(first, design), args.h)
         traj = integrate_fixed(first, design, x_init, h=args.h, horizon=args.T)
         lam = None
 

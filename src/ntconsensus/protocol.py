@@ -6,8 +6,9 @@ external signal x0 = k1 * theta with k1 = 1 + 2/delta.
 
 theta enters the closed loop only through x0, so everything else a design
 or a run needs depends on the graph, V1 and delta alone.  ``_STORE`` keeps
-those theta-free values for the last design on each graph object; a second
-design or run on the same graph object reuses them.
+those theta-free values for the last design that ``design_fixed`` made on
+each graph object; a second such design, or a run of it, on the same graph
+object reuses them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .spectral import (
     augmented_laplacian,
     consensus_space,
     eigenvalues_sorted,
-    grounded_laplacian,
     laplacian_blocks,
     null_dimension,
 )
@@ -100,15 +100,14 @@ def _read_only(a: Any) -> Any:
 
 @dataclass(eq=False)
 class _Reuse:
-    """The theta-free values of one design, keyed by (delta, informed,
-    blocks), on one graph: the last ``design_fixed`` result and the
-    (decomposition, margin, delta) it was asked for, the closed loop's L_B
-    and signal column, simulate's step maps and stacks of one step length
-    (``maps``, see ``ClosedLoop``), the contraction factor's lambda_min and
-    the augmented Laplacian.  Each is filled on first use; every array is
-    read-only."""
+    """The theta-free values of one design on one graph: the
+    (decomposition, margin, delta) that ``design_fixed`` was asked for and
+    its result without theta, the closed loop's L_B and signal column,
+    simulate's step maps and stacks of one step length with the step's
+    stability verdict (``maps``, see ``ClosedLoop``), the contraction
+    factor's lambda_min and the augmented Laplacian.  Each is filled on
+    first use; every array is read-only."""
 
-    key: tuple
     asked: Optional[tuple] = None
     design: Optional[tuple] = None  # (delta, informed, blocks, C, per-vertex C)
     loop: Optional[tuple] = None  # (L_B, signal rows, signal blocks)
@@ -117,19 +116,22 @@ class _Reuse:
     augmented: Optional[Laplacian] = None
 
 
-# one entry per graph object, dying with it; a design with other
-# (delta, informed, blocks) replaces the entry
+# one entry per graph object, dying with it; only ``design_fixed`` writes
+# it, and its next design on the graph replaces the entry
 _STORE: "weakref.WeakKeyDictionary[SignedGraph, _Reuse]" = weakref.WeakKeyDictionary()
 
 
-def _reuse(g: SignedGraph, delta: float, informed: np.ndarray, blocks: np.ndarray) -> _Reuse:
-    """g's store entry for (delta, informed, blocks), compared by value."""
-    b = np.asarray(blocks, dtype=float)
-    key = (float(delta), np.asarray(informed, dtype=np.intp).tobytes(), b.shape, b.tobytes())
+def _reuse(g: SignedGraph, design: ProtocolDesign) -> _Reuse:
+    """g's store entry when it holds ``design``: the same delta, with
+    ``informed`` and ``blocks`` that are the entry's own read-only arrays.
+    Any other design gets a fresh entry that is not stored, since the
+    values of a writable array may change under the same identity."""
     entry = _STORE.get(g)
-    if entry is None or entry.key != key:
-        entry = _STORE[g] = _Reuse(key)
-    return entry
+    if entry is not None:
+        delta, informed, blocks = entry.design[:3]
+        if design.delta == delta and design.informed is informed and design.blocks is blocks:
+            return entry
+    return _Reuse()
 
 
 def _bound(
@@ -254,10 +256,11 @@ def _design(
         raise NonFiniteError(f"coupling coefficient must be finite, got {chosen}")
     if chosen <= 0:
         raise DegenerateCouplingError(f"coupling coefficient must be positive, got {chosen}")
-    entry = _reuse(g, chosen, informed, blocks)
-    entry.asked = (dec, margin, delta)
-    entry.design = (float(chosen), _read_only(informed), _read_only(blocks), bound_c, per_vertex)
-    return entry
+    _STORE[g] = _Reuse(
+        asked=(dec, margin, delta),
+        design=(float(chosen), _read_only(informed), _read_only(blocks), bound_c, per_vertex),
+    )
+    return _STORE[g]
 
 
 def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian, Laplacian]:
@@ -265,7 +268,7 @@ def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian
     augmented one is assembled once per graph and design (see ``_STORE``)
     and is read-only; the grounded one is a view of its leading nd x nd
     block."""
-    entry = _reuse(g, design.delta, design.informed, design.blocks)
+    entry = _reuse(g, design)
     if entry.augmented is None:
         entry.augmented = augmented_laplacian(g, design.delta, design.informed, design.blocks)
         _read_only(entry.augmented.matrix)
@@ -277,9 +280,10 @@ def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian
 class ClosedLoop:
     """The closed loop xdot = -L_B x + f that a design realizes on a graph:
     L_B in CSR form, read-only, and the forcing f, whose block i is
-    delta B_i x0.  ``maps`` holds the theta-free step maps and stacks that
-    ``simulate`` builds from L_B for one full step length, the last used;
-    every loop of one design on one graph object shares it."""
+    delta B_i x0.  ``maps`` holds the theta-free step maps, their stability
+    verdict and the stacks that ``simulate`` builds from L_B for one full
+    step length, the last used; every loop of one design on one graph
+    object shares it."""
 
     laplacian: "csr_matrix"
     forcing: np.ndarray
@@ -292,7 +296,7 @@ def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
     triplets of ``laplacian_blocks``: L_B from those in block columns below
     n, the signal column from those in column n.  The forcing, minus the
     signal column times x0, is computed on every call."""
-    entry = _reuse(g, design.delta, design.informed, design.blocks)
+    entry = _reuse(g, design)
     if entry.loop is None:
         entry.loop = _operator(g, design)
     lap, signal_rows, signal = entry.loop
@@ -399,6 +403,8 @@ def design_switching(
     jump with the topology.  ``deltas`` optionally pins per-graph coefficients.
     Every graph must have the vertex count n and weight dimension d of the
     graph with the smallest id."""
+    if not math.isfinite(alpha):
+        raise NonFiniteError(f"dwell time must be finite, got {alpha}")
     if alpha <= 0:
         raise DimensionMismatchError(f"dwell time must be positive, got {alpha}")
     _first_of_one_shape(graphs)
@@ -427,15 +433,14 @@ def contraction_factor(
     sdesign: SwitchingDesign, graphs: Mapping[int, SignedGraph]
 ) -> ContractionReport:
     """Lambda = max_i exp(-2 alpha lambda_min(S_i)) with S_i the symmetric
-    part of graph i's grounded Laplacian; each lambda_min is computed once
-    per graph and design (see ``_STORE``)."""
+    part of graph i's grounded Laplacian, the leading block of
+    ``design_laplacians``; each lambda_min is computed once per graph and
+    design (see ``_STORE``)."""
     lmins: Dict[int, float] = {}
     for gid, design in sorted(sdesign.designs.items()):
-        entry = _reuse(graphs[gid], design.delta, design.informed, design.blocks)
+        entry = _reuse(graphs[gid], design)
         if entry.lmin is None:
-            lap = grounded_laplacian(
-                graphs[gid], design.delta, design.informed, design.blocks
-            ).matrix
+            lap = design_laplacians(graphs[gid], design)[0].matrix
             entry.lmin = float(np.min(np.linalg.eigvalsh((lap + lap.T) / 2.0)))
         lmins[gid] = entry.lmin
     bad = [gid for gid, l in lmins.items() if l <= 0]

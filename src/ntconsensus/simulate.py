@@ -6,9 +6,10 @@ m steps are x_k = P^k x + o_k (see ``_powers`` and ``_offsets``).  This
 module owns how the loop is stepped.  P and its power stacks depend on L_B
 alone, so those of the full step are built once per graph object, design and
 step length and kept in the loop's ``maps`` (see ``protocol.ClosedLoop``),
-which hold one step length; q and the offsets follow the forcing, and so
-theta, and are computed on every run, as is the shortened step's map.  Both
-integrators march their spans, one for a fixed run and one per interval of a
+which hold one step length, with the verdict on whether the step is stable
+(``_full_step``); q and the offsets follow the forcing, and so theta, and are
+computed on every run, as is the shortened step's map.  Both integrators
+march their spans, one for a fixed run and one per interval of a
 switching run, in two levels (``_march``): a chain of one matvec per piece of
 up to m steps takes the state from piece end to piece end, then one GEMM per
 distinct piece fills in the samples between.  Samples sit at t0 + k h, and
@@ -104,48 +105,49 @@ def _step_map(lap: "csr_matrix", h: float) -> StepMap:
     return _read_only(eye + a @ s), _read_only(s)
 
 
-def _rk4_map(loop: ClosedLoop, h: float) -> StepMap:
-    """(P, q) such that the classic RK4 step of length h is x <- P x + q,
-    with q = h S(A) f.  P and S(A) come from ``_step_map`` into
-    ``loop.maps``, under (h, 1) and (h, 0).  The maps keep one step length,
-    the last used: a new h first drops the maps, stacks and step verdict of
-    the one before.  q is computed on every call."""
-    if (h, 1) not in loop.maps:
-        loop.maps.clear()
-        loop.maps[(h, 1)], loop.maps[(h, 0)] = _step_map(loop.laplacian, h)
-    return loop.maps[(h, 1)], h * (loop.maps[(h, 0)] @ loop.forcing)
-
-
-def check_step(loop: ClosedLoop, h: float) -> None:
-    """Raise ``NotContractingError`` when the classic RK4 step of length h
-    is unstable on the loop (its step map P has spectral radius above 1),
-    naming the largest step that the cheap test certifies.
+def _full_step(loop: ClosedLoop, h: float) -> StepMap:
+    """(P, S(A)) of the full step h, from ``_step_map`` into ``loop.maps``
+    under (h, 1) and (h, 0); raises ``NotContractingError`` when the step is
+    unstable on the loop (P has spectral radius above 1), naming the largest
+    step that the cheap test certifies.
 
     Every eigenvalue of L_B has a positive real part (delta > C) and
     modulus at most ||L_B||_inf, and RK4's stability region holds the left
     half-disc of radius ``RK4_RADIUS``; so h ||L_B||_inf <= ``RK4_RADIUS``
     certifies the step in O(nnz).  Only where it fails is rho(P) computed,
-    from a dense P.  The verdict is kept with P in the loop's maps.  The
-    integrators do not call this: on an unstable step their guard names
-    the first sample that fails."""
-    if not 0 < h < math.inf:
-        return  # the integrators reject it
-    p = _rk4_map(loop, h)[0]
-    if (h, "rho") not in loop.maps:
+    from a dense P.  The verdict, the error's message or "", is decided
+    where P is built and kept with S(A).  The maps keep one step length,
+    the last used: a new h first drops the maps, stacks and verdict of the
+    one before."""
+    if (h, 1) not in loop.maps:
+        loop.maps.clear()
+        p, s = _step_map(loop.laplacian, h)
         norm = float(abs(loop.laplacian).sum(axis=1).max())
-        rho = 0.0
+        unstable = ""
         if h * norm > RK4_RADIUS:
             dense = p if isinstance(p, np.ndarray) else p.toarray()
             rho = float(np.abs(np.linalg.eigvals(dense)).max())
-        loop.maps[(h, "rho")] = (rho, RK4_RADIUS / norm if norm else math.inf)
-    rho, certified = loop.maps[(h, "rho")]
-    if rho > 1.0:
-        scale = 10.0 ** (3 - math.floor(math.log10(certified)))  # four digits, rounded down
-        raise NotContractingError(
-            f"the RK4 step h={h:g} is unstable: its step map has spectral radius"
-            f" {rho:.6g} > 1; steps up to h={math.floor(certified * scale) / scale:.4g}"
-            f" are certified stable (h ||L_B||_inf <= {RK4_RADIUS})"
-        )
+            if rho > 1.0:
+                certified = RK4_RADIUS / norm  # named to four digits, rounded down
+                scale = 10.0 ** (3 - math.floor(math.log10(certified)))
+                unstable = (
+                    f"the RK4 step h={h:g} is unstable: its step map has spectral radius"
+                    f" {rho:.6g} > 1; steps up to h={math.floor(certified * scale) / scale:.4g}"
+                    f" are certified stable (h ||L_B||_inf <= {RK4_RADIUS})"
+                )
+        loop.maps[(h, 1)], loop.maps[(h, 0)] = p, (s, unstable)
+    s, unstable = loop.maps[(h, 0)]
+    if unstable:
+        raise NotContractingError(unstable)
+    return loop.maps[(h, 1)], s
+
+
+def _rk4_map(loop: ClosedLoop, h: float) -> StepMap:
+    """(P, q) such that the classic RK4 step of length h is x <- P x + q,
+    with q = h S(A) f and P, S(A) from ``_full_step``.  q is computed on
+    every call."""
+    p, s = _full_step(loop, h)
+    return p, h * (s @ loop.forcing)
 
 
 def _powers(p: np.ndarray, m: int) -> np.ndarray:
@@ -355,9 +357,13 @@ def integrate_fixed(
     h: float = DEFAULT_STEP,
     horizon: float = 1.0,
 ) -> Trajectory:
-    """Classic fourth-order fixed-step run of the fixed-topology loop."""
+    """Classic fourth-order fixed-step run of the fixed-topology loop.  A
+    step h that is unstable on the loop raises ``NotContractingError``
+    before any step (see ``_full_step``)."""
     x = _initial_state(x_init, g.n * g.d, h, horizon)
-    return _march(g, design.theta, {0: closed_loop(g, design)}, [(0.0, horizon, 0)], x, h)
+    loop = closed_loop(g, design)
+    _full_step(loop, h)
+    return _march(g, design.theta, {0: loop}, [(0.0, horizon, 0)], x, h)
 
 
 @dataclass(frozen=True)
@@ -434,17 +440,21 @@ def integrate_switching(
     """Piecewise integration with steps aligned to every switch time.  Every
     graph must have the (n, d) of the graph with the smallest id, and every
     graph id of the design must be in ``graphs``; otherwise this raises
-    ``DimensionMismatchError`` before any step."""
+    ``DimensionMismatchError`` before any step.  A step h that is unstable
+    on any of the design's loops raises ``NotContractingError``, also
+    before any step (see ``_full_step``)."""
     first = _first_of_one_shape(graphs)
     for gid in sdesign.designs:
         if gid not in graphs:
             raise DimensionMismatchError(f"the design has graph id {gid}, which has no graph")
     x = _initial_state(x_init, first.n * first.d, h, horizon)
+    loops = {gid: closed_loop(graphs[gid], design) for gid, design in sdesign.designs.items()}
+    for loop in loops.values():
+        _full_step(loop, h)
     if h > schedule.alpha / 4.0 + 1e-15:
         raise DimensionMismatchError(
             f"step h={h:g} must not exceed a quarter of the dwell time {schedule.alpha:g}"
         )
-    loops = {gid: closed_loop(graphs[gid], design) for gid, design in sdesign.designs.items()}
     spans = list(schedule.intervals(horizon))
     for _, _, gid in spans:
         if gid not in loops:

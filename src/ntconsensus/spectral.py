@@ -57,34 +57,20 @@ def laplacian_blocks(
     )
 
 
-def _dense(
-    g: SignedGraph, delta: float, informed: np.ndarray, blocks: np.ndarray, order: int
-) -> Laplacian:
-    """The ``laplacian_blocks`` triplets with block column below ``order``,
-    scattered into a zero (order d) x (order d) matrix."""
-    rows, cols, data = laplacian_blocks(g, delta, informed, blocks)
-    keep = cols < order
-    m = np.zeros((order, g.d, order, g.d))
-    m[rows[keep], :, cols[keep], :] = data[keep]
-    return Laplacian(m.reshape(order * g.d, order * g.d))
-
-
-def grounded_laplacian(
-    g: SignedGraph, delta: float, informed: np.ndarray, blocks: np.ndarray
-) -> Laplacian:
-    """The signed Laplacian of g plus the block-diagonal grounding
-    delta B_i.  With no informed vertex it is the signed Laplacian: diagonal
-    block i is the sum of |A_ik| over in-neighbors, off-diagonal block (i, j)
-    is -A_ij."""
-    return _dense(g, delta, informed, blocks, g.n)
-
-
 def augmented_laplacian(
     g: SignedGraph, delta: float, informed: np.ndarray, blocks: np.ndarray
 ) -> Laplacian:
-    """The grounded Laplacian of g with the external-signal block column
-    -delta B_i adjoined; the bottom block row is zero."""
-    return _dense(g, delta, informed, blocks, g.n + 1)
+    """The ``laplacian_blocks`` triplets scattered into a zero (n+1)d x (n+1)d
+    matrix: the grounded Laplacian of g (its leading nd x nd block) with the
+    external-signal block column -delta B_i adjoined; the bottom block row
+    is zero.  With no informed vertex the grounded Laplacian is the signed
+    Laplacian: diagonal block i is the sum of |A_ik| over in-neighbors,
+    off-diagonal block (i, j) is -A_ij."""
+    rows, cols, data = laplacian_blocks(g, delta, informed, blocks)
+    order = g.n + 1
+    m = np.zeros((order, g.d, order, g.d))
+    m[rows, :, cols, :] = data
+    return Laplacian(m.reshape(order * g.d, order * g.d))
 
 
 def eigenvalues_sorted(m: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from ntconsensus import (
     Laplacian,
     SignedGraph,
     Trajectory,
-    grounded_laplacian,
+    augmented_laplacian,
 )
 from ntconsensus.graph import in_out_gaps
 from ntconsensus.protocol import MEMBER_TOL
@@ -34,9 +34,17 @@ class NotNonnegativeWeightsError(ConsensusError):
     pass
 
 
+def grounded_block(
+    g: SignedGraph, delta: float, informed: np.ndarray, blocks: np.ndarray
+) -> np.ndarray:
+    """The grounded Laplacian: the augmented one's leading nd x nd block."""
+    nd = g.n * g.d
+    return augmented_laplacian(g, delta, informed, blocks).matrix[:nd, :nd]
+
+
 def signed_laplacian(g: SignedGraph) -> np.ndarray:
     """The grounded Laplacian with nothing grounded."""
-    return grounded_laplacian(g, 0.0, np.zeros(0, dtype=np.intp), np.zeros((0, g.d, g.d))).matrix
+    return grounded_block(g, 0.0, np.zeros(0, dtype=np.intp), np.zeros((0, g.d, g.d)))
 
 
 def expand_system(
@@ -62,11 +70,11 @@ def expand_system(
             edges[(i, j + g.n)] = -w
     expanded = SignedGraph.from_edges(2 * g.n, g.d, g.directed, edges)
     informed = np.asarray(informed, dtype=np.intp)
-    lifted = grounded_laplacian(
+    lifted = grounded_block(
         expanded, delta, np.concatenate([informed, informed + g.n]),
         np.concatenate([blocks, blocks]),
     )
-    return expanded, lifted
+    return expanded, Laplacian(lifted)
 
 
 def quadratic_form_gap(g: SignedGraph, x: np.ndarray) -> float:

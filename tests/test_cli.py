@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ntconsensus import bundled_path, cli
+from ntconsensus import bundled_path, cli, simulate
 from ntconsensus.cli import main
 
 
@@ -318,11 +318,12 @@ class TestSimulate:
 
     def test_unstable_step_exit_1_before_stepping(self, capsys, monkeypatch):
         """h = 0.05 on net_a is outside RK4's stability region: the run
-        exits 1 before any step and names the largest certified step."""
+        exits 1 before any step (no span is cut into pieces) and names the
+        largest certified step."""
         def no_run(*args, **kwargs):
             raise AssertionError("the run was stepped")
 
-        monkeypatch.setattr(cli, "integrate_fixed", no_run)
+        monkeypatch.setattr(simulate, "_cut", no_run)
         rc = main([
             "simulate", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",
             "--theta", "1,2,-1", "--h", "0.05", "--T", "40",
@@ -332,7 +333,7 @@ class TestSimulate:
         assert "NotContractingError" in err and "h=0.03612 are certified stable" in err
 
     def test_unstable_switching_step_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "integrate_switching", None)
+        monkeypatch.setattr(simulate, "_cut", None)
         rc = main([
             "simulate",
             "--graphs", _p("net_a.json"), _p("net_b.json"), _p("net_c.json"),
@@ -343,6 +344,16 @@ class TestSimulate:
         ])
         assert rc == 1
         assert "NotContractingError: the RK4 step h=0.05 is unstable" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, capsys):
+        rc = main([
+            "simulate", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",
+            "--theta", "1,2,-1", "--seed", "-1",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --seed must be a non-negative integer, got -1\n"
+        )
 
     def test_schedule_on_one_graph_exit_2(self, capsys):
         rc = main([

@@ -17,7 +17,6 @@ from ntconsensus import (
     design_laplacians,
     design_switching,
     necessary_condition_check,
-    grounded_laplacian,
     suggest_decomposition,
     verify_assumption,
     verify_design,
@@ -46,7 +45,7 @@ from conftest import (
     rk4_reference_step,
     tiled_graph,
 )
-from reference import necessary_condition_svd, signed_laplacian
+from reference import grounded_block, necessary_condition_svd, signed_laplacian
 from test_graph import _random_signed_digraph
 
 THETA = np.array([1.0, 2.0, -1.0])
@@ -397,7 +396,7 @@ class TestVerifyDesign:
 
 
 class TestDesignSwitching:
-    def _designs(self, net_a, net_b, net_c):
+    def _designs(self, net_a, net_b, net_c, alpha=0.02):
         graphs = {0: net_a, 1: net_b, 2: net_c}
         decs = {
             0: Decomposition.of(net_a, BUNDLED_V1["net_a"]),
@@ -409,7 +408,7 @@ class TestDesignSwitching:
             1: SWITCHING_DELTAS["net_b"],
             2: SWITCHING_DELTAS["net_c"],
         }
-        return design_switching(graphs, decs, THETA, alpha=0.02, deltas=deltas)
+        return design_switching(graphs, decs, THETA, alpha=alpha, deltas=deltas)
 
     def test_benchmark_switching_designs(self, net_a, net_b, net_c):
         sdesign = self._designs(net_a, net_b, net_c)
@@ -428,6 +427,13 @@ class TestDesignSwitching:
     def test_non_positive_dwell_rejected(self, net_a, net_a_dec, alpha):
         with pytest.raises(DimensionMismatchError, match="dwell time must be positive"):
             design_switching({0: net_a}, {0: net_a_dec}, THETA, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_dwell_rejected(self, net_a, net_b, net_c, alpha):
+        # unchecked, the bundled cycle's Lambda came out NaN for a NaN dwell
+        # and 0.0 for an infinite one
+        with pytest.raises(NonFiniteError, match="dwell time must be finite"):
+            self._designs(net_a, net_b, net_c, alpha=alpha)
 
     def test_failing_graph_named_in_error(self, net_a, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError, match="graph 1"):
@@ -603,7 +609,7 @@ class TestClosedLoop:
     def test_grounded_is_the_augmented_leading_block(self, name, tiled):
         g, design = _designed(name, tiled)
         grounded, _ = design_laplacians(g, design)
-        alone = grounded_laplacian(g, design.delta, design.informed, design.blocks).matrix
+        alone = grounded_block(g, design.delta, design.informed, design.blocks)
         assert np.ascontiguousarray(grounded.matrix).tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak", "tiled"])

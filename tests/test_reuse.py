@@ -142,3 +142,32 @@ def test_store_keeps_the_maps_of_one_step_length(net_a_dec, rng):
     again = integrate_fixed(g, design, x, h=1e-3, horizon=0.0101)
     assert again.states.tobytes() == first.states.tobytes()
     assert sorted(protocol._STORE[g].maps) == [(1e-3, 0), (1e-3, 1), (1e-3, 10)]
+
+
+def test_only_the_stored_design_is_reused(net_a_dec, rng):
+    """The store answers only for the design that ``design_fixed`` stored:
+    a design built or altered by hand, even one of equal values, and a
+    replaced design get values assembled afresh, which are not kept and
+    leave the stored entry as it was."""
+    g = bundled_graph("net_a")
+    theta, x = np.array([1.0, 2.0, -1.0]), rng.uniform(-5, 5, 21)
+    design = design_fixed(g, net_a_dec, theta)
+    first = integrate_fixed(g, design, x, h=H, horizon=0.0105)
+    entry = protocol._STORE[g]
+    kept = dict(entry.maps)
+    by_hand = dataclasses.replace(design, blocks=design.blocks.copy())
+    assert closed_loop(g, by_hand).maps is not entry.maps
+    assert integrate_fixed(g, by_hand, x, h=H, horizon=0.0105).states.tobytes() \
+        == first.states.tobytes()
+    augmented = design_laplacians(g, by_hand)[1].matrix.copy()
+    # a hand-built array may change under the same identity
+    by_hand.blocks[0] *= 2.0
+    assert not np.array_equal(design_laplacians(g, by_hand)[1].matrix, augmented)
+    other = dataclasses.replace(design, delta=design.delta + 1.0)
+    assert closed_loop(g, other).maps is not closed_loop(g, other).maps
+    assert protocol._STORE[g] is entry and entry.maps == kept
+    assert closed_loop(g, design).maps is entry.maps
+    # a second design_fixed design replaces the entry; the first is not reused
+    design_fixed(g, net_a_dec, theta, delta=design.delta + 1.0)
+    assert protocol._STORE[g] is not entry
+    assert closed_loop(g, design).maps is not closed_loop(g, design).maps

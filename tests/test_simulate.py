@@ -1,5 +1,6 @@
 """Fixed-step integration, switching schedules, and convergence judging."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from ntconsensus import (
+    ClosedLoop,
     Decomposition,
     SignedGraph,
     SwitchingDesign,
@@ -14,6 +16,7 @@ from ntconsensus import (
     Trajectory,
     bundled_graph,
     closed_loop,
+    contraction_factor,
     convergence_report,
     design_fixed,
     design_laplacians,
@@ -28,10 +31,12 @@ from ntconsensus.errors import (
     ScheduleExhaustedError,
 )
 from ntconsensus import simulate
-from ntconsensus.networks import BUNDLED_V1
-from ntconsensus.simulate import DIVERGENCE_GUARD, RK4_RADIUS, STACK_BYTES, _cut, _rk4_map, check_step
+from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
+from ntconsensus.simulate import DIVERGENCE_GUARD, RK4_RADIUS, STACK_BYTES, _cut, _march, _rk4_map
 
-from conftest import random_directed_valid, rk4_reference_step, tiled_graph
+from conftest import (
+    random_directed_valid, random_undirected_valid, rk4_reference_step, tiled_graph,
+)
 from reference import whole_run_report
 from test_acceptance import _switching_setup
 
@@ -137,23 +142,26 @@ class TestIntegrateFixed:
         assert np.all(traj.error_norm <= bound * (1 + 1e-6))
 
     def test_divergence_guard(self, net_a, net_a_dec, tiled):
-        # a step far beyond the stability limit makes the scheme blow up; the
-        # powers of the step map overflow inside a block, and only the guard
-        # may report it, at the first time a stage-by-stage run fails
-        h = 1.0
+        # a loop that truly diverges, xdot = L_B x + f, stepped at nearly the
+        # largest step that the cheap test certifies (it assumes a stable
+        # L_B): the chain and the fill overflow before the run ends, and
+        # only the guard may report it, at the first time a stage-by-stage
+        # run fails
         for g, dec in ((net_a, net_a_dec), tiled):
-            design = design_fixed(g, dec, THETA)
-            loop = closed_loop(g, design)
+            stable = closed_loop(g, design_fixed(g, dec, THETA))
+            loop = ClosedLoop(laplacian=-stable.laplacian, forcing=stable.forcing)
+            h = 0.99 * _certified(loop)
             lap = loop.laplacian.toarray()
             x = 1e3 * np.ones(g.n * g.d)
             k = 0
             while np.abs(x).max() <= DIVERGENCE_GUARD:
                 x = rk4_reference_step(lap, loop.forcing, x, h)
                 k += 1
+            assert k < 100
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NonFiniteError, match=rf"at t={k * h:.6g}$"):
-                    integrate_fixed(g, design, 1e3 * np.ones(g.n * g.d), h=h, horizon=100.0)
+                    _march(g, THETA, {0: loop}, [(0.0, 600 * h, 0)], 1e3 * np.ones(g.n * g.d), h)
 
     def test_divergence_guard_catches_nan(self, net_a, net_a_dec):
         from dataclasses import replace
@@ -235,34 +243,65 @@ class TestCheckStep:
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         return calls
 
+    def _no_piece_cut(self, monkeypatch):
+        """Make cutting a span into pieces, which comes before any step,
+        fail the test."""
+        def no_cut(*args, **kwargs):
+            raise AssertionError("the run was stepped")
+
+        monkeypatch.setattr(simulate, "_cut", no_cut)
+
     def test_default_step_certified_in_o_nnz(self, monkeypatch, tiled):
         """Every bundled network and the tiled one pass the cheap test at
         the default step, and no eigenvalue is computed."""
-        calls = self._eigvals_counted(monkeypatch)
+        runs = []
         for name in BUNDLED_V1:
             g = bundled_graph(name)
-            design = design_fixed(g, Decomposition.of(g, BUNDLED_V1[name]), THETA, delta=20.0)
-            check_step(closed_loop(g, design), simulate.DEFAULT_STEP)
-        check_step(closed_loop(tiled[0], design_fixed(*tiled, THETA)), simulate.DEFAULT_STEP)
+            runs.append((g, design_fixed(g, Decomposition.of(g, BUNDLED_V1[name]), THETA,
+                                         delta=20.0)))
+        g = dataclasses.replace(tiled[0])  # a fresh object: no earlier verdict
+        runs.append((g, design_fixed(g, tiled[1], THETA)))
+        calls = self._eigvals_counted(monkeypatch)
+        for g, design in runs:
+            integrate_fixed(g, design, np.zeros(g.n * g.d), h=simulate.DEFAULT_STEP,
+                            horizon=2 * simulate.DEFAULT_STEP)
         assert calls == []
 
     def test_unstable_step_rejected_naming_the_certified_step(self, monkeypatch):
         """On net_a, h = 0.05 gives rho(P) = 1.081; h = 0.045 is stable
         although the cheap test does not certify it, and its rho(P) is
-        computed once per step length."""
+        computed once per step length, where P is built."""
         g = bundled_graph("net_a")  # a fresh object: no earlier verdict
-        loop = closed_loop(g, design_fixed(g, Decomposition.of(g, BUNDLED_V1["net_a"]), THETA))
-        limit = _certified(loop)
+        design = design_fixed(g, Decomposition.of(g, BUNDLED_V1["net_a"]), THETA)
+        limit = _certified(closed_loop(g, design))
         assert 0.036 < limit < 0.045
+        x = np.zeros(21)
         calls = self._eigvals_counted(monkeypatch)
-        check_step(loop, 0.045)
-        check_step(loop, 0.045)
+        integrate_fixed(g, design, x, h=0.045, horizon=0.1)
+        integrate_fixed(g, design, x, h=0.045, horizon=0.2)
         assert calls == [(21, 21)]
-        with pytest.raises(NotContractingError, match=r"spectral radius 1\.08\d* > 1; "
-                           rf"steps up to h={np.floor(limit * 1e5) / 1e5:.4g} are certified"):
-            check_step(loop, 0.05)
-        check_step(loop, limit * (1.0 - 1e-12))
+        self._no_piece_cut(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NotContractingError, match=r"spectral radius 1\.08\d* > 1; "
+                               rf"steps up to h={np.floor(limit * 1e5) / 1e5:.4g} are certified"):
+                integrate_fixed(g, design, x, h=0.05, horizon=40.0)
         assert len(calls) == 2
+        monkeypatch.undo()
+        calls = self._eigvals_counted(monkeypatch)
+        integrate_fixed(g, design, x, h=limit * (1.0 - 1e-12), horizon=0.1)
+        assert calls == []
+
+    def test_unstable_step_on_one_mode_rejected_before_any_step(self, monkeypatch):
+        """h = 0.05 is stable on net_b and net_c and unstable on net_a, which
+        comes last in the schedule; the run is rejected before any step."""
+        graphs = {0: bundled_graph("net_a"), 1: bundled_graph("net_b"), 2: bundled_graph("net_c")}
+        decs = {k: Decomposition.of(g, BUNDLED_V1[f"net_{'abc'[k]}"]) for k, g in graphs.items()}
+        sdesign = design_switching(graphs, decs, THETA, alpha=0.25,
+                                   deltas={k: SWITCHING_DELTAS[f"net_{'abc'[k]}"] for k in graphs})
+        schedule = SwitchingSchedule.uniform(0.25, [1, 2, 0], repeat=True)
+        self._no_piece_cut(monkeypatch)
+        with pytest.raises(NotContractingError, match=r"h=0\.05 is unstable.*h=0\.03612 are"):
+            integrate_switching(schedule, sdesign, graphs, np.zeros(21), h=0.05, horizon=1.0)
 
     def test_certified_steps_contract(self, rng):
         """On random graphs, rho(P) < 1 at the certified limit."""
@@ -273,10 +312,16 @@ class TestCheckStep:
             dense = p if isinstance(p, np.ndarray) else p.toarray()
             assert np.abs(np.linalg.eigvals(dense)).max() < 1.0
 
-    def test_invalid_step_left_to_the_integrators(self, net_a, net_a_dec):
-        loop = closed_loop(net_a, design_fixed(net_a, net_a_dec, THETA))
-        for h in (np.nan, np.inf, 0.0, -1.0):
-            check_step(loop, h)
+    def test_invalid_step_left_to_the_integrators(self, net_a, net_a_dec, monkeypatch):
+        """A step that is not finite and positive fails the integrators'
+        input check, before the step check builds a map."""
+        design = design_fixed(net_a, net_a_dec, THETA)
+        self._no_piece_cut(monkeypatch)
+        monkeypatch.setattr(simulate, "_step_map", None)
+        for h, error in ((np.nan, NonFiniteError), (np.inf, NonFiniteError),
+                         (0.0, DimensionMismatchError), (-1.0, DimensionMismatchError)):
+            with pytest.raises(error):
+                integrate_fixed(net_a, design, np.zeros(21), h=h, horizon=1.0)
 
 
 class TestSwitchingSchedule:
@@ -374,18 +419,59 @@ class TestIntegrateSwitching:
         rel = np.linalg.norm(traj.states - states, axis=1) / np.linalg.norm(states, axis=1)
         assert rel.max() <= 1e-13
 
+    def test_contraction_bound_on_random_switching_sets(self):
+        """Wherever Lambda < 1 on a random switching set (one (n, d), a
+        uniform dwell alpha and a random pattern), the squared error decays
+        by at least Lambda per dwell: e(k alpha)^2 <= Lambda^k e(0)^2 at
+        every switch time."""
+        rng = np.random.default_rng(18)
+        alpha, h, intervals = 0.05, 1e-3, 40
+        checked, worst = 0, 0.0
+        for _ in range(60):
+            n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            made = [(random_directed_valid if rng.random() < 0.5 else random_undirected_valid)(
+                rng, n, d) for _ in range(int(rng.integers(2, 4)))]
+            graphs = {k: g for k, (g, _) in enumerate(made)}
+            decs = {k: dec for k, (_, dec) in enumerate(made)}
+            theta = rng.uniform(-2.0, 2.0, d) + 3.0
+            sdesign = design_switching(graphs, decs, theta, alpha=alpha)
+            try:
+                factor = contraction_factor(sdesign, graphs).factor
+            except NotContractingError:
+                continue
+            assert factor < 1.0
+            pattern = rng.integers(0, len(graphs), intervals).tolist()
+            schedule = SwitchingSchedule.uniform(alpha, pattern)
+            x = rng.uniform(-5.0, 5.0, n * d)
+            traj = integrate_switching(schedule, sdesign, graphs, x, h=h,
+                                       horizon=intervals * alpha)
+            e0sq = traj.error_norm[0] ** 2
+            for k in range(1, intervals + 1):
+                idx = int(np.argmin(np.abs(traj.times - k * alpha)))
+                assert abs(traj.times[idx] - k * alpha) < 1e-9
+                ratio = traj.error_norm[idx] ** 2 / (factor**k * e0sq)
+                assert ratio <= 1.0 + 1e-9
+                worst = max(worst, ratio)
+            checked += 1
+        assert checked >= 30 and worst > 0.5
+
     def test_divergence_guard(self, net_a, net_b, net_c):
-        # h far beyond the stability limit, with dwells of four full steps
-        # and a shortened one: the chain, the powers and the fill overflow,
-        # and only the guard may report it, at the first time a
-        # stage-by-stage run fails, two switches into the run
+        # loops that truly diverge, xdot = L_B x + f, at nearly the largest
+        # step that the cheap test certifies on all three, with dwells of
+        # four full steps and a shortened one: only the guard may report it,
+        # at the first time a stage-by-stage run fails, two switches into
+        # the run
         graphs, sdesign, _ = _switching_setup(net_a, net_b, net_c)
-        schedule = SwitchingSchedule.uniform(0.85, [0, 1, 2], repeat=True)
-        h = 0.2
-        loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+        loops = {}
+        for gid, design in sdesign.designs.items():
+            stable = closed_loop(graphs[gid], design)
+            loops[gid] = ClosedLoop(laplacian=-stable.laplacian, forcing=stable.forcing)
+        h = 0.99 * min(_certified(loop) for loop in loops.values())
+        dwell = 4.25 * h
+        schedule = SwitchingSchedule.uniform(dwell, [0, 1, 2], repeat=True)
         x = np.ones(21)
         failed = None
-        for start, end, gid in schedule.intervals(100.0):
+        for start, end, gid in schedule.intervals(100 * dwell):
             lap, forcing = loops[gid].laplacian.toarray(), loops[gid].forcing
             for j in range(1, 6):
                 x = rk4_reference_step(lap, forcing, x, h if j < 5 else end - start - 4 * h)
@@ -394,11 +480,12 @@ class TestIntegrateSwitching:
                     break
             if failed is not None:
                 break
-        assert failed is not None and failed > 2 * 0.85
+        assert failed is not None and failed > 2 * dwell
+        spans = list(schedule.intervals(100 * dwell))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match=rf"at t={failed:.6g}$"):
-                integrate_switching(schedule, sdesign, graphs, np.ones(21), h=h, horizon=100.0)
+                _march(graphs[0], THETA, loops, spans, np.ones(21), h)
 
     def test_graphs_of_different_sizes_rejected(self, net_a, net_a_dec):
         small = SignedGraph.from_edges(2, 3, True, {(1, 2): -np.eye(3), (2, 1): -np.eye(3)})

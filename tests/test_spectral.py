@@ -12,7 +12,6 @@ from ntconsensus import (
     bundled_graph,
     consensus_space,
     eigenvalues_sorted,
-    grounded_laplacian,
     laplacian_blocks,
 )
 
@@ -30,6 +29,7 @@ from conftest import (
 from reference import (
     NotNonnegativeWeightsError,
     expand_system,
+    grounded_block,
     log_norm2,
     null_space,
     principal_angle,
@@ -129,13 +129,13 @@ class TestLaplacianBlocks:
 class TestGroundedLaplacian:
     def test_zero_deltas_is_identity(self, net_a):
         lap = signed_laplacian(net_a)
-        grounded = grounded_laplacian(net_a, 0.0, *_blocks_of({1: np.eye(3)}))
-        assert np.allclose(grounded.matrix, lap)
+        grounded = grounded_block(net_a, 0.0, *_blocks_of({1: np.eye(3)}))
+        assert np.allclose(grounded, lap)
 
     def test_single_node_grounding(self):
         g = SignedGraph.from_edges(1, 3, True, {})
-        grounded = grounded_laplacian(g, 2.0, *_blocks_of({1: np.eye(3)}))
-        assert np.allclose(grounded.matrix, 2 * np.eye(3))
+        grounded = grounded_block(g, 2.0, *_blocks_of({1: np.eye(3)}))
+        assert np.allclose(grounded, 2 * np.eye(3))
 
 
 class TestAugmentedLaplacian:
@@ -146,10 +146,9 @@ class TestAugmentedLaplacian:
 
     def test_zero_delta_block_form(self):
         g = SignedGraph.from_edges(2, 2, True, {(1, 2): -np.eye(2)})
-        grounded = grounded_laplacian(g, 0.0, *_ungrounded(2))
         aug = augmented_laplacian(g, 0.0, *_ungrounded(2))
         assert np.allclose(aug.matrix[:4, 4:], 0.0)
-        assert np.allclose(aug.matrix[:4, :4], grounded.matrix)
+        assert np.allclose(aug.matrix[:4, :4], _edge_loop_laplacian(g))
 
 
 class TestExpandSystem:
@@ -174,9 +173,9 @@ class TestExpandSystem:
     def test_spectrum_contains_original(self, net_a):
         """The lifted spectrum contains the original grounded spectrum."""
         blocks = _blocks_of({1: np.eye(3), 2: np.eye(3)})
-        grounded = grounded_laplacian(net_a, 2.0, *blocks)
+        grounded = grounded_block(net_a, 2.0, *blocks)
         _, lifted = expand_system(net_a, 2.0, *blocks)
-        small = eigenvalues_sorted(grounded.matrix)
+        small = eigenvalues_sorted(grounded)
         big = eigenvalues_sorted(lifted.matrix)
         for lam in small:
             assert np.min(np.abs(big - lam)) < 1e-7
