@@ -137,6 +137,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if not args.schedule:
             raise FileFormatError("switching simulation needs --schedule")
         schedule = load_schedule(args.schedule)
+        for gid in schedule.graph_ids:
+            if not 0 <= gid < len(paths):
+                raise FileFormatError(
+                    f"schedule file {args.schedule}: pattern entry {gid} is not an index into"
+                    f" --graphs (0..{len(paths) - 1})"
+                )
         deltas: Optional[Dict[int, float]] = None
         if args.delta:
             if len(args.delta) not in (1, len(paths)):

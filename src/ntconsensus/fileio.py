@@ -96,6 +96,8 @@ def load_schedule(path: PathLike) -> SwitchingSchedule:
     try:
         alpha = _number(data["alpha"], "alpha")
         pattern = [_integer(x, "pattern entry") for x in data["pattern"]]
+        if not pattern:
+            raise FileFormatError(f"schedule file {path}: pattern is empty")
         repeat = _boolean(data.get("repeat", False), "repeat")
         dt = data.get("dt", alpha)
         if not isinstance(dt, list):

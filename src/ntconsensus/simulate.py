@@ -8,18 +8,21 @@ alone, so those of the full step are built once per graph object, design and
 step length and kept in the loop's ``maps`` (see ``protocol.ClosedLoop``),
 which hold one step length, with the verdict on whether the step is stable
 (``_full_step``); q and the offsets follow the forcing, and so theta, and are
-computed on every run, as is the shortened step's map.  Both integrators
-march their spans, one for a fixed run and one per interval of a
-switching run, in two levels (``_march``): a chain of one matvec per piece of
-up to m steps takes the state from piece end to piece end, then one GEMM per
-distinct piece fills in the samples between.  Samples sit at t0 + k h, and
-each span ends with a shortened step that lands on its end exactly (a switch
-time or T).
+computed on every run, as is the shortened step's map.  A run's layout,
+its spans (one for a fixed run and one per interval of a switching run) and
+sample times, depends on (schedule, T, h) alone; it is planned once and kept
+(``_plan``).  Both integrators march the plan's spans in two levels
+(``_march``): a chain of one matvec per piece of up to m steps takes the
+state from piece end to piece end, then one GEMM per distinct piece fills in
+the samples between.  Samples sit at t0 + k h, and each span ends with a
+shortened step that lands on its end exactly (a switch time or T).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
@@ -257,31 +260,58 @@ def _cut(
     return cut
 
 
-def _march(
-    g: SignedGraph,
-    theta: np.ndarray,
-    loops: Mapping[int, ClosedLoop],
-    spans: Sequence[Tuple[float, float, int]],
-    x: np.ndarray,
-    h: float,
-) -> Trajectory:
-    """March x through the spans (start, end, key of its loop) in order,
-    sampling after every step: floor((end - start) / h) full steps at
-    start + j h, then, if more than 1e-12 is left, a shortened step that
-    lands on end exactly.  Each kind of span (loop, full steps, remainder) is
-    cut into pieces once (``_cut``).  A chain of one matvec per piece with
-    its end map takes the state from piece end to piece end in time order;
-    then one GEMM per distinct piece fills the interior samples of all its
-    occurrences from their start states.  A CSR map has one-row pieces, so
-    its states are those of stepping x <- P x + q; elsewhere they agree with
-    stage-by-stage RK4 to about 1e-14 relative.  The guard checks every
-    sample once and names the first that fails.  The error norm is taken in
-    chunks of samples (``_chunk_rows``), so that no temporary spans the
-    run; a sample's norm does not depend on the samples beside it.  The fill
-    stays one GEMM per piece: its results depend on the GEMM's row count,
-    so filling in chunks would change the states in their last bits."""
-    starts = np.array([span[0] for span in spans])
-    ends = np.array([span[1] for span in spans])
+class _Plan(NamedTuple):
+    """A run's layout, which follows (schedule, T, h) alone (see ``_plan``):
+    the sample times, read-only, with row 0 at t = 0 for the initial state,
+    and each span's kind (graph id, full steps, the shortened step's length
+    or 0.0), in time order.  A span's sample count is its full steps, and
+    one more for a shortened step."""
+
+    times: np.ndarray
+    kinds: Tuple[Tuple[int, int, float], ...]
+
+
+def _expand(
+    schedule: SwitchingSchedule, horizon: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The intervals of ``schedule`` that cover [0, horizon], as arrays of
+    starts, ends and graph ids, and empty for a horizon <= 0.  Pass k of
+    the pattern is offset by the period added k times left to right (as
+    ``np.cumsum`` adds), each interval runs from offset + edge to offset +
+    next edge, and the first interval to reach the horizon is the last, cut
+    at it.  A schedule that does not repeat and ends before the horizon
+    raises ``ScheduleExhaustedError``; a repeating one needs a finite
+    horizon."""
+    edges = np.array(schedule._edges())
+    period = edges[-1]
+    passes = 1
+    if schedule.repeat:
+        if not math.isfinite(horizon):
+            raise NonFiniteError(f"a repeating schedule needs a finite horizon, got T={horizon}")
+        passes = max(1, int(horizon // period) + 2)
+    elif not period >= horizon:
+        raise ScheduleExhaustedError(
+            f"schedule ends at t={period:g} < T={horizon:g} and does not repeat"
+        )
+    while True:
+        offsets = np.zeros((passes, 1))
+        np.cumsum(np.full(passes - 1, period), out=offsets[1:, 0])
+        ends = (offsets + edges[1:]).ravel()
+        if ends[-1] >= horizon:
+            break
+        passes *= 2  # the rounded offsets fell short of the horizon
+    count = 0 if horizon <= 0 else int(np.argmax(ends >= horizon)) + 1
+    ends = ends[:count]
+    if count:
+        ends[-1] = min(ends[-1], horizon)
+    starts = (offsets + edges[:-1]).ravel()[:count]
+    return starts, ends, np.tile(schedule.graph_ids, passes)[:count]
+
+
+def _layout(starts: np.ndarray, ends: np.ndarray, gids: np.ndarray, h: float) -> _Plan:
+    """The plan of a run over spans (start, end, graph id) in time order:
+    floor((end - start) / h) full steps sampled at start + j h, then, if
+    more than 1e-12 is left, a shortened step that lands on end exactly."""
     lengths = ends - starts
     full = np.floor(lengths / h + 1e-9).astype(np.int64)
     remainders = lengths - full * h
@@ -295,7 +325,46 @@ def _march(
         np.arange(1, last[-1] + 1) - np.repeat(first, counts)
     )
     times[last[counts > 0]] = ends[counts > 0]
+    kinds = zip(gids.tolist(), full.tolist(), np.where(short, remainders, 0.0).tolist())
+    return _Plan(_read_only(times), tuple(kinds))
 
+
+@functools.lru_cache(maxsize=8)
+def _plan(schedule: Optional[SwitchingSchedule], horizon: float, h: float) -> _Plan:
+    """The plan of a run to ``horizon`` with step ``h``: over the intervals
+    of ``schedule`` (see ``_expand``), or over the one span [0, horizon] on
+    graph 0 for ``None``, a fixed run.  Plans are kept by value, the last 8
+    (schedule, horizon, h) used, so equal schedules share one; they hold
+    no graph, loop or theta."""
+    if schedule is None:
+        return _layout(np.zeros(1), np.array([horizon], dtype=float), np.zeros(1, np.int64), h)
+    return _layout(*_expand(schedule, horizon), h)
+
+
+def _march(
+    g: SignedGraph,
+    theta: np.ndarray,
+    loops: Mapping[int, ClosedLoop],
+    plan: _Plan,
+    x: np.ndarray,
+    h: float,
+) -> Trajectory:
+    """March x through the spans of ``plan`` in order, sampling after every
+    step, on the loops that the spans' graph ids key.  Each kind of span
+    (loop, full steps, remainder) is cut into pieces once (``_cut``).  A
+    chain of one matvec per piece with its end map takes the state from
+    piece end to piece end in time order; then one GEMM per distinct piece
+    fills the interior samples of all its occurrences from their start
+    states.  A CSR map has one-row pieces, so its states are those of
+    stepping x <- P x + q; elsewhere they agree with stage-by-stage RK4 to
+    about 1e-14 relative.  The guard checks every sample once and names the
+    first that fails.  The error norm is taken in chunks of samples
+    (``_chunk_rows``), so that no temporary spans the run; a sample's norm
+    does not depend on the samples beside it.  The fill stays one GEMM per
+    piece: its results depend on the GEMM's row count, so filling in chunks
+    would change the states in their last bits.  The run gets its own copy
+    of the plan's times."""
+    times = plan.times.copy()
     nd = x.shape[0]
     states = np.empty((len(times), nd))
     states[0] = x
@@ -308,9 +377,7 @@ def _march(
     # an unstable map overflows in the chain or in its powers; the guard
     # reports it instead
     with np.errstate(over="ignore", invalid="ignore"):
-        for kind in zip(
-            [span[2] for span in spans], full.tolist(), np.where(short, remainders, 0.0).tolist()
-        ):
+        for kind in plan.kinds:
             if kind not in cuts:
                 gid, steps, remainder = kind
                 cuts[kind] = _cut(loops[gid], gid, h, steps, remainder, offsets, pieces)
@@ -363,7 +430,7 @@ def integrate_fixed(
     x = _initial_state(x_init, g.n * g.d, h, horizon)
     loop = closed_loop(g, design)
     _full_step(loop, h)
-    return _march(g, design.theta, {0: loop}, [(0.0, horizon, 0)], x, h)
+    return _march(g, design.theta, {0: loop}, _plan(None, horizon, h), x, h)
 
 
 @dataclass(frozen=True)
@@ -378,7 +445,12 @@ class SwitchingSchedule:
     repeat: bool = False
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and np.all(np.isfinite(self.lengths))):
+        # tuples of Python numbers, so that equal schedules are equal and
+        # hash alike whatever sequences they were given (see ``_plan``);
+        # operator.index rejects a graph id such as 0.5 instead of truncating it
+        object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
+        object.__setattr__(self, "graph_ids", tuple(operator.index(k) for k in self.graph_ids))
+        if not (math.isfinite(self.alpha) and all(map(math.isfinite, self.lengths))):
             raise NonFiniteError("dwell time and interval lengths must be finite")
         if self.alpha <= 0:
             raise DimensionMismatchError(f"dwell time must be positive, got {self.alpha}")
@@ -386,7 +458,7 @@ class SwitchingSchedule:
             raise DimensionMismatchError("a schedule needs at least one interval")
         if len(self.graph_ids) != len(self.lengths):
             raise DimensionMismatchError("need one graph id per interval")
-        if min(self.lengths) < self.alpha - 1e-12:
+        if min(self.lengths) < self.alpha - 1e-12 or min(self.lengths) <= 0:
             raise DimensionMismatchError("an interval is shorter than the dwell time")
 
     @staticmethod
@@ -395,7 +467,7 @@ class SwitchingSchedule:
     ) -> "SwitchingSchedule":
         return SwitchingSchedule(
             lengths=(dt,) * len(graph_ids),
-            graph_ids=tuple(graph_ids),
+            graph_ids=graph_ids,
             alpha=dt if alpha is None else alpha,
             repeat=repeat,
         )
@@ -409,24 +481,9 @@ class SwitchingSchedule:
         return self._edges()[-1]
 
     def intervals(self, horizon: float) -> Iterator[Tuple[float, float, int]]:
-        """Yield (start, end, graph_id) covering [0, horizon]."""
-        edges = self._edges()
-        period = edges[-1]
-        offset = 0.0
-        while True:
-            for idx, gid in enumerate(self.graph_ids):
-                start = offset + edges[idx]
-                end = offset + edges[idx + 1]
-                if start >= horizon:
-                    return
-                yield start, min(end, horizon), gid
-                if end >= horizon:
-                    return
-            if not self.repeat:
-                raise ScheduleExhaustedError(
-                    f"schedule ends at t={period:g} < T={horizon:g} and does not repeat"
-                )
-            offset += period
+        """(start, end, graph_id) covering [0, horizon], as ``_expand``
+        lays them out; raises at once when the schedule cannot cover it."""
+        return zip(*(a.tolist() for a in _expand(self, horizon)))
 
 
 def integrate_switching(
@@ -455,12 +512,12 @@ def integrate_switching(
         raise DimensionMismatchError(
             f"step h={h:g} must not exceed a quarter of the dwell time {schedule.alpha:g}"
         )
-    spans = list(schedule.intervals(horizon))
-    for _, _, gid in spans:
+    plan = _plan(schedule, horizon, h)
+    for gid, _, _ in plan.kinds:
         if gid not in loops:
             raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")
     theta = next(iter(sdesign.designs.values())).theta
-    return _march(first, theta, loops, spans, x, h)
+    return _march(first, theta, loops, plan, x, h)
 
 
 @dataclass(frozen=True)

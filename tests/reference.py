@@ -6,13 +6,15 @@ angles is the reference that ``verify_design``'s singular-value test is
 checked against.  The whole-run convergence report and the necessary
 condition with an SVD on every matrix are the plain formulas that
 ``convergence_report`` and ``necessary_condition_check`` compute in chunks
-and behind cheap bounds.  None of them is part of checking, designing or
-simulating, so they live here.
+and behind cheap bounds.  The interval generator and the per-span layout
+are the plain loops that ``simulate._expand`` and ``simulate._layout`` lay
+out as arrays.  None of them is part of checking, designing or simulating,
+so they live here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,9 +23,11 @@ from ntconsensus import (
     ConvergenceReport,
     Laplacian,
     SignedGraph,
+    SwitchingSchedule,
     Trajectory,
     augmented_laplacian,
 )
+from ntconsensus.errors import ScheduleExhaustedError
 from ntconsensus.graph import in_out_gaps
 from ntconsensus.protocol import MEMBER_TOL
 from ntconsensus.simulate import DEFAULT_TOL, DEFAULT_WINDOW
@@ -154,3 +158,46 @@ def necessary_condition_svd(zstar: np.ndarray, matrices: Sequence[np.ndarray]) -
         float(np.linalg.norm(m @ zstar)) <= scale * max(1.0, float(np.linalg.norm(m, 2)))
         for m in matrices
     )
+
+
+def schedule_intervals(
+    schedule: SwitchingSchedule, horizon: float
+) -> Iterator[Tuple[float, float, int]]:
+    """Yield (start, end, graph_id) covering [0, horizon], one pass of the
+    pattern after another, each offset by the period added once more."""
+    edges = schedule._edges()
+    period = edges[-1]
+    offset = 0.0
+    while True:
+        for idx, gid in enumerate(schedule.graph_ids):
+            start = offset + edges[idx]
+            end = offset + edges[idx + 1]
+            if start >= horizon:
+                return
+            yield start, min(end, horizon), gid
+            if end >= horizon:
+                return
+        if not schedule.repeat:
+            raise ScheduleExhaustedError(
+                f"schedule ends at t={period:g} < T={horizon:g} and does not repeat"
+            )
+        offset += period
+
+
+def span_layout(
+    spans: Sequence[Tuple[float, float, int]], h: float
+) -> Tuple[List[float], List[Tuple[int, int, float]]]:
+    """The sample times of a run over ``spans`` and each span's kind (graph
+    id, full steps, the shortened step's length or 0.0), span by span: full
+    steps sampled at start + j h, then a shortened step if more than 1e-12
+    is left, and a span's last sample, if it has one, exactly at its end."""
+    times, kinds = [0.0], []
+    for start, end, gid in spans:
+        full = int(np.floor((end - start) / h + 1e-9))
+        remainder = (end - start) - full * h
+        short = remainder > 1e-12
+        times += [start + h * j for j in range(1, full + 1 + short)]
+        if full + short:
+            times[-1] = float(end)
+        kinds.append((gid, full, remainder if short else 0.0))
+    return times, kinds

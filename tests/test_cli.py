@@ -384,6 +384,38 @@ class TestSimulate:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pattern, entry", [([0, 5, 1], "5"), ([0, -1], "-1"), ([3], "3")])
+    def test_pattern_entry_outside_graphs_exit_2_before_design(
+        self, capsys, monkeypatch, tmp_path, pattern, entry
+    ):
+        def no_design(*args, **kwargs):
+            raise AssertionError("a design was built")
+
+        monkeypatch.setattr(cli, "design_switching", no_design)
+        schedule = tmp_path / "s.json"
+        schedule.write_text(json.dumps({"alpha": 0.02, "pattern": pattern, "repeat": True}))
+        rc = main([
+            "simulate", "--graphs", _p("net_a.json"), _p("net_b.json"), _p("net_c.json"),
+            "--v1", "1,2,3,4;2,3;1,2,3", "--theta", "1,2,-1", "--T", "0.05",
+            "--schedule", str(schedule),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: schedule file {schedule}: pattern entry {entry} is not an index into"
+            " --graphs (0..2)\n"
+        )
+
+    def test_empty_pattern_exit_2(self, capsys, tmp_path):
+        schedule = tmp_path / "s.json"
+        schedule.write_text(json.dumps({"alpha": 0.02, "pattern": [], "dt": 0.02}))
+        rc = main([
+            "simulate", "--graphs", _p("net_a.json"), _p("net_b.json"),
+            "--v1", "1,2,3,4;2,3", "--theta", "1,2,-1", "--T", "0.05",
+            "--schedule", str(schedule),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: schedule file {schedule}: pattern is empty\n"
+
     def test_switching_without_schedule_exit_2(self):
         rc = main([
             "simulate",

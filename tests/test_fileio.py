@@ -227,6 +227,13 @@ class TestScheduleLoading:
         with pytest.raises(FileFormatError, match="cannot read schedule file"):
             load_schedule(p)
 
+    @pytest.mark.parametrize("dt", [0.1, []])
+    def test_empty_pattern_rejected(self, tmp_path, dt):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"alpha": 0.1, "pattern": [], "dt": dt}))
+        with pytest.raises(FileFormatError, match="pattern is empty"):
+            load_schedule(p)
+
     def test_dt_list_length_mismatch(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text(json.dumps({"alpha": 0.1, "pattern": [0, 1], "dt": [0.1]}))

@@ -1,6 +1,7 @@
 """Fixed-step integration, switching schedules, and convergence judging."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -32,11 +33,14 @@ from ntconsensus.errors import (
 )
 from ntconsensus import simulate
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
-from ntconsensus.simulate import DIVERGENCE_GUARD, RK4_RADIUS, STACK_BYTES, _cut, _march, _rk4_map
+from ntconsensus.simulate import (
+    DIVERGENCE_GUARD, RK4_RADIUS, STACK_BYTES, _cut, _march, _plan, _rk4_map,
+)
 
 from conftest import (
     random_directed_valid, random_undirected_valid, rk4_reference_step, tiled_graph,
 )
+import reference
 from reference import whole_run_report
 from test_acceptance import _switching_setup
 
@@ -161,7 +165,8 @@ class TestIntegrateFixed:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NonFiniteError, match=rf"at t={k * h:.6g}$"):
-                    _march(g, THETA, {0: loop}, [(0.0, 600 * h, 0)], 1e3 * np.ones(g.n * g.d), h)
+                    _march(g, THETA, {0: loop}, _plan(None, 600 * h, h),
+                           1e3 * np.ones(g.n * g.d), h)
 
     def test_divergence_guard_catches_nan(self, net_a, net_a_dec):
         from dataclasses import replace
@@ -358,6 +363,154 @@ class TestSwitchingSchedule:
         with pytest.raises(DimensionMismatchError, match="one graph id per interval"):
             SwitchingSchedule(lengths=(0.02, 0.02), graph_ids=graph_ids, alpha=0.02)
 
+    def test_sequence_inputs_give_equal_hashable_schedules(self):
+        made = [
+            SwitchingSchedule(lengths=lengths, graph_ids=ids, alpha=0.02, repeat=True)
+            for lengths, ids in (
+                ([0.02, 0.03], [0, 1]),
+                ((0.02, 0.03), (0, 1)),
+                (np.array([0.02, 0.03]), np.array([0, 1])),
+            )
+        ]
+        assert all(s == made[0] for s in made)
+        assert len({hash(s) for s in made}) == 1
+        for s in made:
+            assert s.lengths == (0.02, 0.03) and s.graph_ids == (0, 1)
+            assert [type(v) for v in s.lengths + s.graph_ids] == [float, float, int, int]
+
+    def test_fractional_graph_id_rejected(self):
+        with pytest.raises(TypeError):
+            SwitchingSchedule(lengths=(0.02, 0.02), graph_ids=(0, 0.5), alpha=0.02)
+
+    def test_expansion_matches_the_generator(self):
+        """The array expansion gives the generator's intervals float for
+        float on random schedules, with T on a switch time, one ulp either
+        side of it, inside the first interval, on a multiple of the period
+        and at or below 0; a schedule that does not repeat fails the same
+        way."""
+        rng = np.random.default_rng(19)
+        checked = exhausted = 0
+        for case in range(40):
+            k = int(rng.integers(1, 7))
+            ids = rng.integers(0, 3, k).tolist()
+            if case % 2:
+                lengths = rng.uniform(0.013, 0.17, k).tolist()
+                alpha = min(lengths)
+            else:
+                lengths = [float(rng.uniform(0.01, 0.3))] * k
+                alpha = lengths[0]
+            for repeat in (True, False):
+                s = SwitchingSchedule(lengths=lengths, graph_ids=ids, alpha=alpha, repeat=repeat)
+                ends = [e for _, e, _ in reference.schedule_intervals(
+                    dataclasses.replace(s, repeat=True), 7.3 * s.period)]
+                switch = ends[int(rng.integers(0, len(ends) - 1))]
+                for horizon in (
+                    switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf),
+                    switch + 1e-13, lengths[0] / 3.0, 3 * s.period, 5.0 * s.period, s.period,
+                    0.0, -s.period,
+                ):
+                    try:
+                        want = list(reference.schedule_intervals(s, horizon))
+                    except ScheduleExhaustedError as exc:
+                        with pytest.raises(ScheduleExhaustedError, match=re.escape(str(exc))):
+                            s.intervals(horizon)
+                        exhausted += 1
+                        continue
+                    assert list(s.intervals(horizon)) == want
+                    checked += 1
+        assert checked > 400 and exhausted > 100
+
+
+class TestPlan:
+    """A run's layout is planned once per (schedule, T, h) value and kept."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The count of plans built, from an empty cache."""
+        simulate._plan.cache_clear()
+        calls = []
+        layout = simulate._layout
+
+        def counted(*args):
+            calls.append(args[-1])
+            return layout(*args)
+
+        monkeypatch.setattr(simulate, "_layout", counted)
+        yield calls
+        simulate._plan.cache_clear()
+
+    def test_march_matches_the_reference_layout(self, net_a, net_b, net_c, rng):
+        """integrate_switching gives the times, states and error norm of a
+        march over a plan laid out span by span from the generator's
+        intervals, byte for byte, with T on, just off (a last step below
+        and above the 1e-12 cut-off) and between switch times, and on
+        uniform and varying interval lengths."""
+        graphs, sdesign, cycle = _switching_setup(net_a, net_b, net_c)
+        loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+        varied = SwitchingSchedule(lengths=[0.021, 0.0334, 0.02, 0.05731, 0.0249],
+                                   graph_ids=[2, 0, 1, 0, 2], alpha=0.02, repeat=True)
+        h = 1e-3
+        for schedule in (cycle, varied):
+            for horizon in (0.4, np.nextafter(0.4, 0.0), 0.4 + 1e-13, 0.4 + 1e-10, 0.4137, 2.0,
+                            0.0157):
+                x = rng.uniform(-5.0, 5.0, 21)
+                traj = integrate_switching(schedule, sdesign, graphs, x, h=h, horizon=horizon)
+                times, kinds = reference.span_layout(
+                    list(reference.schedule_intervals(schedule, horizon)), h)
+                plan = simulate._Plan(np.array(times), tuple(kinds))
+                ref = _march(graphs[0], THETA, loops, plan, x, h)
+                for name in ("times", "states", "error_norm"):
+                    assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_fixed_run_is_one_span(self, net_a, net_a_dec, rng):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        for horizon in (0.0105, 0.1, 0.3 + 1e-13):
+            x = rng.uniform(-5.0, 5.0, 21)
+            traj = integrate_fixed(net_a, design, x, h=1e-3, horizon=horizon)
+            times, kinds = reference.span_layout([(0.0, horizon, 0)], 1e-3)
+            plan = simulate._Plan(np.array(times), tuple(kinds))
+            ref = _march(net_a, THETA, {0: closed_loop(net_a, design)}, plan, x, 1e-3)
+            assert traj.times.tobytes() == ref.times.tobytes()
+            assert traj.states.tobytes() == ref.states.tobytes()
+
+    def test_equal_schedules_share_a_plan(self, builds, net_a, net_b, net_c):
+        graphs, sdesign, cycle = _switching_setup(net_a, net_b, net_c)
+        copies = [cycle, dataclasses.replace(cycle), SwitchingSchedule(
+            lengths=np.array(cycle.lengths), graph_ids=list(cycle.graph_ids), alpha=cycle.alpha,
+            repeat=True)]
+        assert copies[1] is not cycle
+        for schedule in copies:
+            integrate_switching(schedule, sdesign, graphs, np.zeros(21), h=1e-3, horizon=0.2)
+        assert builds == [1e-3]
+        # another horizon or another step gets a plan of its own, once
+        for horizon, h in ((0.3, 1e-3), (0.2, 5e-4), (0.3, 1e-3), (0.2, 5e-4)):
+            integrate_switching(cycle, sdesign, graphs, np.zeros(21), h=h, horizon=horizon)
+        assert builds == [1e-3, 1e-3, 5e-4]
+
+    def test_plans_kept_are_bounded(self, builds, net_a, net_a_dec):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        for k in range(50):
+            integrate_fixed(net_a, design, np.zeros(21), h=1e-3, horizon=0.01 + 1e-3 * k)
+        info = simulate._plan.cache_info()
+        assert len(builds) == 50
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize <= 8
+
+    def test_kept_arrays_are_read_only_and_runs_get_their_own_times(self, net_a, net_a_dec):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        plan = simulate._plan(None, 0.05, 1e-3)
+        assert not plan.times.flags.writeable
+        with pytest.raises(ValueError):
+            plan.times[1] = 0.0
+        assert isinstance(plan.kinds, tuple)
+        a, b = (integrate_fixed(net_a, design, np.zeros(21), h=1e-3, horizon=0.05)
+                for _ in range(2))
+        assert simulate._plan(None, 0.05, 1e-3) is plan
+        assert a.times.flags.writeable and b.times.flags.writeable
+        assert not np.shares_memory(a.times, b.times)
+        assert not np.shares_memory(a.times, plan.times)
+        a.times[1] = -1.0
+        assert b.times[1] == plan.times[1] == 1e-3
+
 
 class TestIntegrateSwitching:
     def test_single_interval_matches_fixed(self, net_a, net_a_dec, rng):
@@ -481,11 +634,10 @@ class TestIntegrateSwitching:
             if failed is not None:
                 break
         assert failed is not None and failed > 2 * dwell
-        spans = list(schedule.intervals(100 * dwell))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match=rf"at t={failed:.6g}$"):
-                _march(graphs[0], THETA, loops, spans, np.ones(21), h)
+                _march(graphs[0], THETA, loops, _plan(schedule, 100 * dwell, h), np.ones(21), h)
 
     def test_graphs_of_different_sizes_rejected(self, net_a, net_a_dec):
         small = SignedGraph.from_edges(2, 3, True, {(1, 2): -np.eye(3), (2, 1): -np.eye(3)})
