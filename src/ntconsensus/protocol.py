@@ -102,15 +102,15 @@ def _read_only(a: Any) -> Any:
 class _Reuse:
     """The theta-free values of one design on one graph: the
     (decomposition, margin, delta) that ``design_fixed`` was asked for and
-    its result without theta, the closed loop's L_B and signal column,
-    simulate's step maps and stacks of one step length with the step's
-    stability verdict (``maps``, see ``ClosedLoop``), the contraction
-    factor's lambda_min and the augmented Laplacian.  Each is filled on
-    first use; every array is read-only."""
+    its result without theta, the closed loop's L_B and signal scatter F,
+    simulate's step maps and stacks of one step length with their offset
+    columns and the step's stability verdict (``maps``, see
+    ``ClosedLoop``), the contraction factor's lambda_min and the augmented
+    Laplacian.  Each is filled on first use; every array is read-only."""
 
     asked: Optional[tuple] = None
     design: Optional[tuple] = None  # (delta, informed, blocks, C, per-vertex C)
-    loop: Optional[tuple] = None  # (L_B, signal rows, signal blocks)
+    loop: Optional[tuple] = None  # (L_B, F)
     maps: Dict[tuple, Any] = field(default_factory=dict)
     lmin: Optional[float] = None
     augmented: Optional[Laplacian] = None
@@ -278,44 +278,47 @@ def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """The closed loop xdot = -L_B x + f that a design realizes on a graph:
-    L_B in CSR form, read-only, and the forcing f, whose block i is
-    delta B_i x0.  ``maps`` holds the theta-free step maps, their stability
-    verdict and the stacks that ``simulate`` builds from L_B for one full
-    step length, the last used; every loop of one design on one graph
-    object shares it."""
+    """The closed loop xdot = -L_B x + F x0 that a design realizes on a
+    graph: L_B in CSR form and the signal scatter F, an (nd, d) array whose
+    block i is delta B_i, both read-only and theta-free, and the signal x0.
+    ``maps`` holds the theta-free step maps, their stability verdict and the
+    stacks with their offset columns that ``simulate`` builds from L_B and F
+    for one full step length, the last used; every loop of one design on
+    one graph object shares it."""
 
     laplacian: "csr_matrix"
-    forcing: np.ndarray
+    signal: np.ndarray
+    x0: np.ndarray
     maps: Dict[tuple, Any] = field(default_factory=dict, repr=False)
+
+    @property
+    def forcing(self) -> np.ndarray:
+        """The forcing f = F x0, computed on every call."""
+        return self.signal @ self.x0
 
 
 def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
-    """The design's closed loop on g.  L_B and the signal column are
-    assembled once per graph and design (see ``_STORE``) from the block
-    triplets of ``laplacian_blocks``: L_B from those in block columns below
-    n, the signal column from those in column n.  The forcing, minus the
-    signal column times x0, is computed on every call."""
+    """The design's closed loop on g.  L_B and F are assembled once per
+    graph and design (see ``_STORE``) from the block triplets of
+    ``laplacian_blocks``: L_B from those in block columns below n, F from
+    those in column n, negated."""
     entry = _reuse(g, design)
     if entry.loop is None:
         entry.loop = _operator(g, design)
-    lap, signal_rows, signal = entry.loop
-    forcing = np.zeros((g.n, g.d))
-    forcing[signal_rows] = -(signal @ design.x0)
-    return ClosedLoop(laplacian=lap, forcing=forcing.reshape(-1), maps=entry.maps)
+    lap, signal = entry.loop
+    return ClosedLoop(laplacian=lap, signal=signal, x0=design.x0, maps=entry.maps)
 
 
-def _operator(
-    g: SignedGraph, design: ProtocolDesign
-) -> Tuple["csr_matrix", np.ndarray, np.ndarray]:
-    """L_B in CSR form and the signal column's block rows and blocks."""
+def _operator(g: SignedGraph, design: ProtocolDesign) -> Tuple["csr_matrix", np.ndarray]:
+    """L_B in CSR form and the signal scatter F."""
     # imported here: scipy.sparse would add ~25 ms to importing the package
     from scipy.sparse import csr_matrix
 
     rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
     d, nd = g.d, g.n * g.d
     signal = cols == g.n
-    signal_rows, signal_blocks = rows[signal], data[signal]
+    scatter = np.zeros((g.n, d, d))
+    scatter[rows[signal]] = -data[signal]
     rows, cols, data = rows[~signal], cols[~signal], data[~signal]
     k = np.arange(d)
     r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
@@ -323,7 +326,7 @@ def _operator(
     order = np.argsort(r * nd + c)
     indptr = np.searchsorted(r[order], np.arange(nd + 1))
     lap = csr_matrix((data.ravel()[order], c[order], indptr), shape=(nd, nd))
-    return _read_only(lap), _read_only(signal_rows), _read_only(signal_blocks)
+    return _read_only(lap), _read_only(scatter.reshape(nd, d))
 
 
 @dataclass(frozen=True)

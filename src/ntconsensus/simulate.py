@@ -1,19 +1,22 @@
 """Deterministic fixed-step integration of the coupled dynamics.
 
-The closed loop is affine, xdot = -L_B x + Delta_B x0, so a classic RK4 step
-of constant length h is one affine map x <- P x + q (see ``_rk4_map``), and
-m steps are x_k = P^k x + o_k (see ``_powers`` and ``_offsets``).  This
-module owns how the loop is stepped.  P and its power stacks depend on L_B
-alone, so those of the full step are built once per graph object, design and
-step length and kept in the loop's ``maps`` (see ``protocol.ClosedLoop``),
-which hold one step length, with the verdict on whether the step is stable
-(``_full_step``); q and the offsets follow the forcing, and so theta, and are
-computed on every run, as is the shortened step's map.  A run's layout,
-its spans (one for a fixed run and one per interval of a switching run) and
-sample times, depends on (schedule, T, h) alone; it is planned once and kept
-(``_plan``).  Both integrators march the plan's spans in two levels
-(``_march``): a chain of one matvec per piece of up to m steps takes the
-state from piece end to piece end, then one GEMM per distinct piece fills in
+The closed loop is affine, xdot = -L_B x + F x0, so a classic RK4 step of
+constant length h is one affine map x <- P x + q (see ``_step_map``), and m
+steps are x_k = P^k x + o_k (see ``_powers`` and ``_offsets``).  This module
+owns how the loop is stepped.  P, its power stacks and their offset columns,
+the offsets per unit of x0, depend on L_B and F alone, so those of the full
+step are built once per graph object, design and step length and kept in the
+loop's ``maps`` (see ``protocol.ClosedLoop``), which hold one step length,
+with the verdict on whether the step is stable (``_full_step``); the offsets
+themselves follow x0, and so theta, and are one product with x0 per stack and
+run, and the shortened step's map is built on every run.  A run's layout,
+its spans (one for a fixed run and one per interval of a switching run), its
+sample times and its passes, the leading passes of the schedule that repeat
+the first span for span, depends on (schedule, T, h) alone; it is planned
+once and kept (``_plan``).  Both integrators march the plan in three levels
+(``_march``): passes, pieces of up to m steps, and steps.  The state goes
+from pass start to pass start by the composed map of one pass, where the
+maps are dense, and from piece end to piece end elsewhere; GEMMs fill in
 the samples between.  Samples sit at t0 + k h, and each span ends with a
 shortened step that lands on its end exactly (a switch time or T).
 """
@@ -53,6 +56,17 @@ DEFAULT_WINDOW = 0.05
 RK4_RADIUS = 2.6155
 
 
+class Work(NamedTuple):
+    """What ``_march`` did in a run: the chain's matvecs (one per pass
+    stepped by a composed pass map, one per piece elsewhere), the passes
+    stepped by a composed pass map, and the GEMMs that filled in the
+    samples between the chain's."""
+
+    chain: int = 0
+    passes: int = 0
+    fills: int = 0
+
+
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray        # (m,)
@@ -61,6 +75,7 @@ class Trajectory:
     n: int
     d: int
     theta: np.ndarray
+    work: Work = Work()
 
 
 def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.ndarray:
@@ -77,7 +92,8 @@ def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.
     return x
 
 
-StepMap = Tuple["np.ndarray | csr_matrix", "np.ndarray | csr_matrix"]  # (P, S(A)) or (P, q)
+# (P, S(A)), or (P, h S(A) F), P's offset columns
+StepMap = Tuple["np.ndarray | csr_matrix", "np.ndarray | csr_matrix"]
 
 # byte budget of one stack of step-map powers (see _cut)
 STACK_BYTES = 1 << 18
@@ -109,19 +125,20 @@ def _step_map(lap: "csr_matrix", h: float) -> StepMap:
 
 
 def _full_step(loop: ClosedLoop, h: float) -> StepMap:
-    """(P, S(A)) of the full step h, from ``_step_map`` into ``loop.maps``
-    under (h, 1) and (h, 0); raises ``NotContractingError`` when the step is
-    unstable on the loop (P has spectral radius above 1), naming the largest
-    step that the cheap test certifies.
+    """(P, h S(A) F) of the full step h: P from ``_step_map`` and the offset
+    columns of one step, kept in ``loop.maps`` under (h, 1), with the
+    step's verdict under (h, 0); raises ``NotContractingError`` when the
+    step is unstable on the loop (P has spectral radius above 1), naming
+    the largest step that the cheap test certifies.
 
     Every eigenvalue of L_B has a positive real part (delta > C) and
     modulus at most ||L_B||_inf, and RK4's stability region holds the left
     half-disc of radius ``RK4_RADIUS``; so h ||L_B||_inf <= ``RK4_RADIUS``
     certifies the step in O(nnz).  Only where it fails is rho(P) computed,
     from a dense P.  The verdict, the error's message or "", is decided
-    where P is built and kept with S(A).  The maps keep one step length,
-    the last used: a new h first drops the maps, stacks and verdict of the
-    one before."""
+    where P is built and kept with it.  The maps keep one step length, the
+    last used: a new h first drops the maps, stacks, offset columns and
+    verdict of the one before."""
     if (h, 1) not in loop.maps:
         loop.maps.clear()
         p, s = _step_map(loop.laplacian, h)
@@ -138,19 +155,11 @@ def _full_step(loop: ClosedLoop, h: float) -> StepMap:
                     f" {rho:.6g} > 1; steps up to h={math.floor(certified * scale) / scale:.4g}"
                     f" are certified stable (h ||L_B||_inf <= {RK4_RADIUS})"
                 )
-        loop.maps[(h, 1)], loop.maps[(h, 0)] = p, (s, unstable)
-    s, unstable = loop.maps[(h, 0)]
-    if unstable:
-        raise NotContractingError(unstable)
-    return loop.maps[(h, 1)], s
-
-
-def _rk4_map(loop: ClosedLoop, h: float) -> StepMap:
-    """(P, q) such that the classic RK4 step of length h is x <- P x + q,
-    with q = h S(A) f and P, S(A) from ``_full_step``.  q is computed on
-    every call."""
-    p, s = _full_step(loop, h)
-    return p, h * (s @ loop.forcing)
+        loop.maps[(h, 1)] = p, _read_only(h * (s @ loop.signal))
+        loop.maps[(h, 0)] = unstable
+    if loop.maps[(h, 0)]:
+        raise NotContractingError(loop.maps[(h, 0)])
+    return loop.maps[(h, 1)]
 
 
 def _powers(p: np.ndarray, m: int) -> np.ndarray:
@@ -171,19 +180,21 @@ def _powers(p: np.ndarray, m: int) -> np.ndarray:
 
 
 def _offsets(stack: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
-    """o = [q; Pq + q; ...] of m rows, such that m steps x <- P x + q from
-    x land on the rows of ``(S @ x).reshape(m, nd) + o`` with S the stack of
-    ``_powers``; the first r < m rows of both serve r steps.  By the same
-    doubling: o[c:c+k] = S[:k] o_c + o[:k]."""
+    """The read-only offset columns O = [Q; P Q + Q; ...] of the stack S
+    of ``_powers``, in m row blocks, from the one-step columns
+    Q = h S(A) F: m steps x <- P x + Q x0 from x land on the row blocks of
+    S x + O x0, and the first r < m blocks of both serve r steps.  By the
+    same doubling: O[c:c+k] = S[:k] O_c + O[:k]."""
     nd = q.shape[0]
-    offsets = np.empty((m, nd))
-    offsets[0] = q
+    offsets = np.empty((m * nd, q.shape[1]))
+    offsets[:nd] = q
     c = 1
     while c < m:
         k = min(c, m - c)
-        offsets[c : c + k] = (stack[: k * nd] @ offsets[c - 1]).reshape(k, nd) + offsets[:k]
+        np.add(stack[: k * nd] @ offsets[(c - 1) * nd : c * nd], offsets[: k * nd],
+               out=offsets[c * nd : (c + k) * nd])
         c += k
-    return offsets
+    return _read_only(offsets)
 
 
 def _chunk_rows(nd: int) -> int:
@@ -196,7 +207,7 @@ class _Piece(NamedTuple):
     """The first ``rows`` rows of a stack (S, o) from ``_powers`` (a step
     map is the one-row stack (P, q[None])), its end map
     x <- end @ x + offset, and the rows of the samples that its occurrences
-    start from."""
+    start from on the piece route."""
 
     end: "np.ndarray | csr_matrix"
     offset: np.ndarray
@@ -221,25 +232,25 @@ def _cut(
     m = min(steps, STACK_BYTES // (nd^2 * 8)), and m = 1 when P is CSR (its
     powers fill in) or too large for the budget.  The step map P is the
     one-row stack; it and each stack are built once per (h, m) into
-    ``loop.maps``, which outlives the run.  The offsets, q[None] for one
-    row, follow the forcing, so they are computed once per run and
-    (gid, h, m) into ``offsets``, and pieces once per (gid, h, m, rows) into
-    ``pieces``.  A piece's end map is its stack's row block ``rows``; a
-    one-row stack, a CSR P among them, is its own end map and is never
-    sliced.  The shortened step is the one-row piece of its own map, which
-    is built once per run and (gid, remainder) and is not kept: remainders
-    vary with T and the switch times, and the maps keep one step length."""
+    ``loop.maps`` with their offset columns (``_offsets``), and outlive the
+    run.  The offsets follow x0: each stack's are one product of its
+    columns with x0, made once per run and (gid, h, m) into ``offsets``,
+    and pieces once per (gid, h, m, rows) into ``pieces``.  A piece's end
+    map is its stack's row block ``rows``; a one-row stack, a CSR P among
+    them, is its own end map and is never sliced.  The shortened step is
+    the one-row piece of its own map, which is built once per run and
+    (gid, remainder) and is not kept: remainders vary with T and the
+    switch times, and the maps keep one step length."""
     cut = []
     if steps:
-        if (gid, h, 1) not in offsets:
-            offsets[(gid, h, 1)] = _rk4_map(loop, h)[1][None, :]
-        p = loop.maps[(h, 1)]
+        p, columns = _full_step(loop, h)
         m = max(1, min(steps, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
         if (h, m) not in loop.maps:
-            loop.maps[(h, m)] = _powers(p, m)
-        stack = loop.maps[(h, m)]
+            stack = _powers(p, m)
+            loop.maps[(h, m)] = stack, _offsets(stack, columns, m)
+        stack, columns = loop.maps[(h, m)]
         if (gid, h, m) not in offsets:
-            offsets[(gid, h, m)] = _offsets(stack, offsets[(gid, h, 1)][0], m)
+            offsets[(gid, h, m)] = (columns @ loop.x0).reshape(m, -1)
         o = offsets[(gid, h, m)]
         for rows, reps in ((m, steps // m), (steps % m, 1)):
             if not rows:
@@ -262,13 +273,19 @@ def _cut(
 
 class _Plan(NamedTuple):
     """A run's layout, which follows (schedule, T, h) alone (see ``_plan``):
-    the sample times, read-only, with row 0 at t = 0 for the initial state,
-    and each span's kind (graph id, full steps, the shortened step's length
-    or 0.0), in time order.  A span's sample count is its full steps, and
-    one more for a shortened step."""
+    the sample times, read-only, with row 0 at t = 0 for the initial state;
+    each span's kind (graph id, full steps, the shortened step's length or
+    0.0), in time order; the spans per pass of the schedule, ``unit``; and
+    ``passes``, the count of leading passes that repeat the first pass kind
+    for kind.  ``passes`` is 1 when the second pass differs, as when a
+    remainder rounds differently; a last pass that T cuts short, and any
+    pass after the first that differs, end the count.  A span's sample
+    count is its full steps, and one more for a shortened step."""
 
     times: np.ndarray
     kinds: Tuple[Tuple[int, int, float], ...]
+    unit: int
+    passes: int
 
 
 def _expand(
@@ -308,10 +325,13 @@ def _expand(
     return starts, ends, np.tile(schedule.graph_ids, passes)[:count]
 
 
-def _layout(starts: np.ndarray, ends: np.ndarray, gids: np.ndarray, h: float) -> _Plan:
-    """The plan of a run over spans (start, end, graph id) in time order:
-    floor((end - start) / h) full steps sampled at start + j h, then, if
-    more than 1e-12 is left, a shortened step that lands on end exactly."""
+def _layout(
+    starts: np.ndarray, ends: np.ndarray, gids: np.ndarray, h: float, unit: int
+) -> _Plan:
+    """The plan of a run over spans (start, end, graph id) in time order,
+    ``unit`` of them per pass: floor((end - start) / h) full steps sampled
+    at start + j h, then, if more than 1e-12 is left, a shortened step that
+    lands on end exactly."""
     lengths = ends - starts
     full = np.floor(lengths / h + 1e-9).astype(np.int64)
     remainders = lengths - full * h
@@ -325,20 +345,85 @@ def _layout(starts: np.ndarray, ends: np.ndarray, gids: np.ndarray, h: float) ->
         np.arange(1, last[-1] + 1) - np.repeat(first, counts)
     )
     times[last[counts > 0]] = ends[counts > 0]
-    kinds = zip(gids.tolist(), full.tolist(), np.where(short, remainders, 0.0).tolist())
-    return _Plan(_read_only(times), tuple(kinds))
+    kinds = tuple(zip(gids.tolist(), full.tolist(), np.where(short, remainders, 0.0).tolist()))
+    first, passes = kinds[:unit], 1
+    while kinds[passes * unit : (passes + 1) * unit] == first:
+        passes += 1
+    return _Plan(_read_only(times), kinds, unit, passes)
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(schedule: Optional[SwitchingSchedule], horizon: float, h: float) -> _Plan:
     """The plan of a run to ``horizon`` with step ``h``: over the intervals
-    of ``schedule`` (see ``_expand``), or over the one span [0, horizon] on
-    graph 0 for ``None``, a fixed run.  Plans are kept by value, the last 8
-    (schedule, horizon, h) used, so equal schedules share one; they hold
-    no graph, loop or theta."""
+    of ``schedule`` (see ``_expand``), a pass per run of its pattern, or
+    over the one span [0, horizon] on graph 0 for ``None``, a fixed run of
+    one pass.  Plans are kept by value, the last 8 (schedule, horizon, h)
+    used, so equal schedules share one; they hold no graph, loop or
+    theta."""
     if schedule is None:
-        return _layout(np.zeros(1), np.array([horizon], dtype=float), np.zeros(1, np.int64), h)
-    return _layout(*_expand(schedule, horizon), h)
+        return _layout(np.zeros(1), np.array([horizon], dtype=float), np.zeros(1, np.int64), h, 1)
+    return _layout(*_expand(schedule, horizon), h, len(schedule.graph_ids))
+
+
+def _composes(unit: List[_Piece], nd: int, passes: int) -> bool:
+    """Whether ``passes`` passes of the pieces ``unit`` take the pass route
+    (``_march_passes``): every end map is dense, the pass's prefix maps fit
+    in ``STACK_BYTES`` as a stack does, and 2 passes >= nd.  Composing
+    costs about nd^3 flops per piece and saves passes - 1 matvecs of about
+    nd^2 flops and a call each; on one core the pass route measured faster
+    from about passes >= nd / 4 at nd = 21 and from passes >= nd / 2 at
+    nd = 180 to 240, and up to 30 times slower below."""
+    return (
+        2 * passes >= nd and len(unit) * nd * (nd + 1) * 8 <= STACK_BYTES
+        and all(isinstance(piece.end, np.ndarray) for piece in unit)
+    )
+
+
+def _march_passes(states: np.ndarray, unit: List[_Piece], passes: int) -> Tuple[int, int]:
+    """Step the first ``passes`` passes of a run from states[0], each pass
+    the pieces ``unit`` in time order, all with dense end maps; return the
+    row of the last pass's end and the count of fill GEMMs.
+
+    Once per run, the pieces' end maps E_j and offsets o_j compose into the
+    prefix maps W_j = [G_j | g_j], from a pass start to the end of piece j,
+    by one GEMM per piece: W_j = E_j W_{j-1} + [0 | o_j].  The last is the
+    pass map (M, c), and a chain of one matvec per pass takes the state
+    from pass start to pass start.  One GEMM then takes the ends of all
+    pieces but the last, in every pass, from the pass starts; one GEMM per
+    piece of the pass fills its interior samples in every pass, as the
+    piece route does, through strided views of the states, one row of
+    ``passes`` per pass."""
+    nd = states.shape[1]
+    span = sum(piece.rows for piece in unit)
+    prefix = np.empty((len(unit), nd, nd + 1))
+    prefix[0, :, :nd], prefix[0, :, nd] = unit[0].end, unit[0].offset
+    for j in range(1, len(unit)):
+        np.matmul(unit[j].end, prefix[j - 1], out=prefix[j])
+        prefix[j, :, nd] += unit[j].offset
+    m, c = prefix[-1, :, :nd], prefix[-1, :, nd]
+    x = states[0]
+    for r in range(span, (passes + 1) * span, span):
+        x = m @ x + c
+        states[r] = x
+    flat = states[: passes * span].reshape(passes, span * nd)  # one row per pass
+    fills = 0
+    if len(unit) > 1:
+        inner = prefix[:-1].reshape(-1, nd + 1)
+        ends = np.cumsum([piece.rows for piece in unit[:-1]])
+        flat.reshape(passes, span, nd)[:, ends] = (
+            flat[:, :nd] @ inner[:, :nd].T + inner[:, nd]
+        ).reshape(passes, -1, nd)
+        fills += 1
+    first = 0
+    for piece in unit:
+        if piece.rows > 1:
+            fill = flat[:, (first + 1) * nd : (first + piece.rows) * nd]
+            np.matmul(flat[:, first * nd : (first + 1) * nd],
+                      piece.stack[: (piece.rows - 1) * nd].T, out=fill)
+            fill += piece.offsets[: piece.rows - 1].reshape(-1)
+            fills += 1
+        first += piece.rows
+    return passes * span, fills
 
 
 def _march(
@@ -350,8 +435,11 @@ def _march(
     h: float,
 ) -> Trajectory:
     """March x through the spans of ``plan`` in order, sampling after every
-    step, on the loops that the spans' graph ids key.  Each kind of span
-    (loop, full steps, remainder) is cut into pieces once (``_cut``).  A
+    step, on the loops that the spans' graph ids key, and count the work
+    (``Work``).  Each kind of span (loop, full steps, remainder) is cut
+    into pieces once (``_cut``).  The plan's repeating passes take the
+    pass route (``_march_passes``) where ``_composes`` allows, and the rest
+    of the run, all of it for CSR maps, the piece route: a
     chain of one matvec per piece with its end map takes the state from
     piece end to piece end in time order; then one GEMM per distinct piece
     fills the interior samples of all its occurrences from their start
@@ -360,28 +448,41 @@ def _march(
     about 1e-14 relative.  The guard checks every sample once and names the
     first that fails.  The error norm is taken in chunks of samples
     (``_chunk_rows``), so that no temporary spans the run; a sample's norm
-    does not depend on the samples beside it.  The fill stays one GEMM per
-    piece: its results depend on the GEMM's row count, so filling in chunks
-    would change the states in their last bits.  The run gets its own copy
-    of the plan's times."""
+    does not depend on the samples beside it.  A piece's fill stays one
+    GEMM over all its starts: its results depend on the GEMM's row count,
+    so filling in chunks would change the states in their last bits.  The
+    run gets its own copy of the plan's times."""
     times = plan.times.copy()
     nd = x.shape[0]
     states = np.empty((len(times), nd))
     states[0] = x
     # what follows theta lives for this run only: offsets, pieces, and each
-    # kind's cut; the step maps and stacks are in each loop's maps
+    # kind's cut; the step maps, stacks and offset columns are in each
+    # loop's maps
     offsets: Dict[tuple, np.ndarray] = {}
     pieces: Dict[tuple, _Piece] = {}
     cuts: Dict[tuple, List[Tuple[_Piece, int]]] = {}
-    row = 0
-    # an unstable map overflows in the chain or in its powers; the guard
-    # reports it instead
+
+    def cut(kind: Tuple[int, int, float]) -> List[Tuple[_Piece, int]]:
+        if kind not in cuts:
+            gid, steps, remainder = kind
+            cuts[kind] = _cut(loops[gid], gid, h, steps, remainder, offsets, pieces)
+        return cuts[kind]
+
+    row = done = chain = passes = fills = 0
+    # an unstable map overflows in the chain, in its powers or in the
+    # composed pass map; the guard reports it instead
     with np.errstate(over="ignore", invalid="ignore"):
-        for kind in plan.kinds:
-            if kind not in cuts:
-                gid, steps, remainder = kind
-                cuts[kind] = _cut(loops[gid], gid, h, steps, remainder, offsets, pieces)
-            for (end, offset, rows, _, _, at), reps in cuts[kind]:
+        if plan.passes > 1:
+            unit = [piece for kind in plan.kinds[: plan.unit]
+                    for piece, reps in cut(kind) for _ in range(reps)]
+            if _composes(unit, nd, plan.passes):
+                row, fills = _march_passes(states, unit, plan.passes)
+                x, done = states[row], plan.passes * plan.unit
+                chain = passes = plan.passes
+        for kind in plan.kinds[done:]:
+            for (end, offset, rows, _, _, at), reps in cut(kind):
+                chain += reps
                 for _ in range(reps):
                     if rows > 1:
                         at.append(row)
@@ -394,6 +495,7 @@ def _march(
                 fill = (states[at] @ stack[: (rows - 1) * nd].T).reshape(len(at), rows - 1, nd)
                 fill += o[: rows - 1]
                 states[at[:, None] + np.arange(1, rows)] = fill
+                fills += 1
     # max and min pass a NaN on, so a NaN state fails the test too; no
     # full-size temporary is made unless a sample fails and must be named
     if not (states[1:].max() <= DIVERGENCE_GUARD and states[1:].min() >= -DIVERGENCE_GUARD):
@@ -414,7 +516,8 @@ def _march(
         np.multiply(dev, dev, out=dev)
         np.add.reduce(dev, axis=1, out=err[a : a + rows])
     np.sqrt(err, out=err)
-    return Trajectory(times=times, states=states, error_norm=err, n=g.n, d=g.d, theta=theta)
+    return Trajectory(times=times, states=states, error_norm=err, n=g.n, d=g.d, theta=theta,
+                      work=Work(chain, passes, fills))
 
 
 def integrate_fixed(

@@ -8,7 +8,8 @@ condition with an SVD on every matrix are the plain formulas that
 ``convergence_report`` and ``necessary_condition_check`` compute in chunks
 and behind cheap bounds.  The interval generator and the per-span layout
 are the plain loops that ``simulate._expand`` and ``simulate._layout`` lay
-out as arrays.  None of them is part of checking, designing or simulating,
+out as arrays, and the piece chain is the interval-by-interval stepping that
+``simulate._march`` replaced with passes where a schedule repeats.  None of them is part of checking, designing or simulating,
 so they live here.
 """
 
@@ -30,7 +31,7 @@ from ntconsensus import (
 from ntconsensus.errors import ScheduleExhaustedError
 from ntconsensus.graph import in_out_gaps
 from ntconsensus.protocol import MEMBER_TOL
-from ntconsensus.simulate import DEFAULT_TOL, DEFAULT_WINDOW
+from ntconsensus.simulate import DEFAULT_TOL, DEFAULT_WINDOW, STACK_BYTES, _step_map
 from ntconsensus.spectral import RANK_TOL
 
 
@@ -201,3 +202,45 @@ def span_layout(
             times[-1] = float(end)
         kinds.append((gid, full, remainder if short else 0.0))
     return times, kinds
+
+
+def leading_passes(kinds: Sequence[Tuple[int, int, float]], unit: int) -> int:
+    """The count of leading passes of ``unit`` span kinds each that equal
+    the first pass kind for kind, at least 1, pass by pass."""
+    passes = 1
+    for start in range(unit, len(kinds) - unit + 1, unit):
+        if list(kinds[start : start + unit]) != list(kinds[:unit]):
+            break
+        passes += 1
+    return passes
+
+
+def piece_chain(loops, kinds: Sequence[Tuple[int, int, float]], x: np.ndarray, h: float) -> np.ndarray:
+    """The samples of a run over span ``kinds`` (graph id, full steps,
+    shortened step or 0.0), interval by interval: each span's full steps in
+    blocks of up to m steps, m = min(steps, STACK_BYTES // (nd^2 * 8)) for a
+    dense step map P and 1 for a CSR one, the state going from block end to
+    block end by P^r x + o_r and the samples inside a block taken from its
+    start state, then the shortened step by its own map.  P^r and o_r come
+    from one step at a time, o_{r+1} = P o_r + h S f, and nothing is
+    kept."""
+    states = [np.asarray(x, dtype=float)]
+    for gid, steps, remainder in kinds:
+        loop = loops[gid]
+        p, s = _step_map(loop.laplacian, h)
+        q = h * (s @ loop.forcing)
+        m = max(1, min(steps, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
+        powers, offsets = [p], [q]
+        for _ in range(m - 1):
+            powers.append(p @ powers[-1])
+            offsets.append(p @ offsets[-1] + q)
+        for done in range(0, steps, m):
+            start = x
+            for r in range(min(m, steps - done)):
+                x = powers[r] @ start + offsets[r]
+                states.append(x)
+        if remainder:
+            p, s = _step_map(loop.laplacian, remainder)
+            x = p @ x + remainder * (s @ loop.forcing)
+            states.append(x)
+    return np.array(states)

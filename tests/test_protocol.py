@@ -33,7 +33,7 @@ from ntconsensus.errors import (
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 from ntconsensus.graph import classify_stack, in_out_gaps
 from ntconsensus import protocol
-from ntconsensus.simulate import STACK_BYTES, _cut, _rk4_map
+from ntconsensus.simulate import STACK_BYTES, _cut, _full_step
 
 from conftest import (
     edge_codes,
@@ -627,7 +627,8 @@ class TestClosedLoop:
     def test_step_map_is_the_rk4_step(self, name, h, dense, tiled, rng):
         g, design = _designed(name, tiled)
         loop = closed_loop(g, design)
-        p, q = _rk4_map(loop, h)
+        p, columns = _full_step(loop, h)
+        q = columns @ loop.x0
         assert isinstance(p, np.ndarray) == dense
         lap = design_laplacians(g, design)[0].matrix
         for _ in range(3):
@@ -639,7 +640,8 @@ class TestClosedLoop:
     def test_cut_stacks_powers(self, name, h, tiled):
         g, design = _designed(name, tiled)
         loop = closed_loop(g, design)
-        p, q = _rk4_map(loop, h)
+        p, columns = _full_step(loop, h)
+        q = columns @ loop.x0
         nd = g.n * g.d
         # a dense P is stacked up to the byte budget; a CSR P is not stacked
         cap = STACK_BYTES // (nd * nd * 8) if isinstance(p, np.ndarray) else 1
@@ -662,11 +664,14 @@ class TestClosedLoop:
         offsets, pieces = {}, {}
         capped = _cut(loop, 0, h, 1000, 0.0, offsets, pieces)[0][0]
         assert _cut(loop, 0, h, 2000, 0.0, offsets, pieces)[0][0] is capped
-        assert offsets[(0, h, 1)].shape == (1, nd)
-        assert len(offsets) == (1 if cap == 1 else 2)
+        # one product of the stack's offset columns with x0 per run
+        assert list(offsets) == [(0, h, cap)] and offsets[(0, h, cap)].shape == (cap, nd)
         # the step map P and the stacks outlive the run in the loop's maps,
-        # under (h, m); P is the one-row stack (h, 1)
-        assert loop.maps[(h, cap)] is capped.stack
+        # under (h, m), with their offset columns; P is the one-row stack
+        # (h, 1)
+        stack, columns = loop.maps[(h, cap)]
+        assert stack is capped.stack and columns.shape == (cap * nd, g.d)
+        assert loop.maps[(h, 1)][0] is p
 
     def test_sparse_operator_keeps_a_sparse_step_map(self, rng):
         # a directed path: L is under a quarter full, P = R(-hL) is not;
@@ -676,9 +681,10 @@ class TestClosedLoop:
             n, 2, True, {(v + 1, v): random_spd(rng, 2) for v in range(1, n)}
         )
         lap = csr_matrix(signed_laplacian(g) + np.eye(2 * n))
-        loop = ClosedLoop(laplacian=lap, forcing=rng.normal(size=2 * n))
+        loop = ClosedLoop(laplacian=lap, signal=rng.normal(size=(2 * n, 2)), x0=rng.normal(size=2))
         assert 4 * lap.nnz < (2 * n) ** 2
-        p, q = _rk4_map(loop, 0.1)
+        p, columns = _full_step(loop, 0.1)
+        q = columns @ loop.x0
         assert issparse(p) and 4 * p.nnz > (2 * n) ** 2
         x = rng.normal(size=2 * n)
         want = rk4_reference_step(lap.toarray(), loop.forcing, x, 0.1)

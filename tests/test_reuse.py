@@ -1,6 +1,7 @@
 """The per-graph store of theta-free values: a second design or run on the
 same graph object reuses the design, the closed-loop operator, the full
-step's maps and stacks, lambda_min and the augmented Laplacian, and gives the
+step's maps and stacks with their offset columns, lambda_min and the
+augmented Laplacian, and gives the
 same bytes as a fresh graph; stored values cannot be written; the maps keep
 one step length; entries die with their graph."""
 
@@ -24,9 +25,10 @@ from ntconsensus import (
     integrate_switching,
     write_trajectory_csv,
 )
-from ntconsensus import protocol
+from ntconsensus import protocol, simulate
 
-from conftest import random_directed_valid, tiled_graph
+from conftest import random_directed_valid, rk4_reference_step, tiled_graph
+from test_acceptance import _switching_setup
 
 H = 1e-3
 
@@ -171,3 +173,65 @@ def test_only_the_stored_design_is_reused(net_a_dec, rng):
     design_fixed(g, net_a_dec, theta, delta=design.delta + 1.0)
     assert protocol._STORE[g] is not entry
     assert closed_loop(g, design).maps is not closed_loop(g, design).maps
+
+
+def _columns(loop, h, m):
+    """The offsets of m steps per unit of x0, one step at a time:
+    o_{k+1} = P o_k + h S(A) F."""
+    p, s = simulate._step_map(loop.laplacian, h)
+    o, out = np.zeros_like(loop.signal), []
+    for _ in range(m):
+        o = p @ o + h * (s @ loop.signal)
+        out.append(o)
+    return np.concatenate(out)
+
+
+def test_offset_columns_are_kept_with_their_stacks(rng):
+    """Each stack keeps its theta-free offset columns, read-only, once per
+    (h, m); a new step length drops them with the stacks, and a run on the
+    same graph objects gives the bytes of fresh ones."""
+    graphs, sdesign, schedule = _switching_setup(
+        *(bundled_graph(name) for name in ("net_a", "net_b", "net_c")))
+    x = rng.uniform(-5, 5, 21)
+    integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
+    maps = protocol._STORE[graphs[0]].maps
+    kept = {key: maps[key][1] for key in ((H, 1), (H, 20))}
+    loop = closed_loop(graphs[0], sdesign.designs[0])
+    for (h, m), columns in kept.items():
+        want = _columns(loop, h, m)
+        assert columns.shape == (m * 21, 3)
+        assert np.linalg.norm(columns - want) <= 1e-13 * np.linalg.norm(want)
+        with pytest.raises(ValueError, match="read-only"):
+            columns[0, 0] = 1.0
+    integrate_switching(schedule, sdesign, graphs, -x, h=H, horizon=2.0)
+    assert all(maps[key][1] is columns for key, columns in kept.items())
+    # half the step: 40 steps per interval, and the columns of H are gone
+    run = integrate_switching(schedule, sdesign, graphs, x, h=H / 2, horizon=2.0)
+    assert sorted(maps) == [(H / 2, 0), (H / 2, 1), (H / 2, 40)]
+    want = _columns(loop, H / 2, 40)
+    assert np.linalg.norm(maps[(H / 2, 40)][1] - want) <= 1e-13 * np.linalg.norm(want)
+    fresh, fresh_design, _ = _switching_setup(*(dataclasses.replace(graphs[k]) for k in range(3)))
+    again = integrate_switching(schedule, fresh_design, fresh, x, h=H / 2, horizon=2.0)
+    assert run.work.passes == again.work.passes == 20
+    assert run.states.tobytes() == again.states.tobytes()
+
+
+def test_hand_built_design_gets_its_own_offsets(net_a_dec, rng):
+    """A design built by hand gets offsets from its own delta and blocks,
+    correct against stage-by-stage RK4 on its augmented Laplacian, and
+    writes nothing to the store."""
+    g = bundled_graph("net_a")
+    design = design_fixed(g, net_a_dec, np.array([1.0, 2.0, -1.0]))
+    x = rng.uniform(-5, 5, 21)
+    integrate_fixed(g, design, x, h=H, horizon=0.0105)
+    entry = protocol._STORE[g]
+    kept = dict(entry.maps)
+    by_hand = dataclasses.replace(design, delta=1.5 * design.delta, blocks=2.0 * design.blocks)
+    traj = integrate_fixed(g, by_hand, x, h=H, horizon=0.0105)
+    augmented = design_laplacians(g, by_hand)[1].matrix
+    lap, forcing = augmented[:21, :21], -augmented[:21, 21:] @ by_hand.x0
+    for k, step in enumerate([H] * 10 + [0.0105 - 10 * H]):
+        x = rk4_reference_step(lap, forcing, x, step)
+        assert np.linalg.norm(traj.states[k + 1] - x) <= 1e-13 * np.linalg.norm(x)
+    assert protocol._STORE[g] is entry and entry.maps.keys() == kept.keys()
+    assert all(entry.maps[key] is value for key, value in kept.items())

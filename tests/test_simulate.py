@@ -34,7 +34,7 @@ from ntconsensus.errors import (
 from ntconsensus import simulate
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 from ntconsensus.simulate import (
-    DIVERGENCE_GUARD, RK4_RADIUS, STACK_BYTES, _cut, _march, _plan, _rk4_map,
+    DIVERGENCE_GUARD, RK4_RADIUS, STACK_BYTES, _cut, _full_step, _march, _plan,
 )
 
 from conftest import (
@@ -145,15 +145,18 @@ class TestIntegrateFixed:
         bound = traj.error_norm[0] * np.exp(-lam * traj.times)
         assert np.all(traj.error_norm <= bound * (1 + 1e-6))
 
-    def test_divergence_guard(self, net_a, net_a_dec, tiled):
+    def test_divergence_guard(self, net_a, net_a_dec, tiled, monkeypatch):
         # a loop that truly diverges, xdot = L_B x + f, stepped at nearly the
         # largest step that the cheap test certifies (it assumes a stable
         # L_B): the chain and the fill overflow before the run ends, and
         # only the guard may report it, at the first time a stage-by-stage
-        # run fails
+        # run fails; once as one span, and once as a schedule that repeats
+        # one interval of five steps, which net_a's dense map steps pass by
+        # pass
+        composed = _count_calls(monkeypatch, "_march_passes")
         for g, dec in ((net_a, net_a_dec), tiled):
             stable = closed_loop(g, design_fixed(g, dec, THETA))
-            loop = ClosedLoop(laplacian=-stable.laplacian, forcing=stable.forcing)
+            loop = ClosedLoop(laplacian=-stable.laplacian, signal=stable.signal, x0=stable.x0)
             h = 0.99 * _certified(loop)
             lap = loop.laplacian.toarray()
             x = 1e3 * np.ones(g.n * g.d)
@@ -162,11 +165,14 @@ class TestIntegrateFixed:
                 x = rk4_reference_step(lap, loop.forcing, x, h)
                 k += 1
             assert k < 100
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NonFiniteError, match=rf"at t={k * h:.6g}$"):
-                    _march(g, THETA, {0: loop}, _plan(None, 600 * h, h),
-                           1e3 * np.ones(g.n * g.d), h)
+            for schedule in (None, SwitchingSchedule.uniform(5 * h, [0], repeat=True)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NonFiniteError, match=rf"at t={k * h:.6g}$"):
+                        _march(g, THETA, {0: loop}, _plan(schedule, 600 * h, h),
+                               1e3 * np.ones(g.n * g.d), h)
+        # net_a's repeating run only
+        assert len(composed) == 1
 
     def test_divergence_guard_catches_nan(self, net_a, net_a_dec):
         from dataclasses import replace
@@ -218,6 +224,19 @@ class TestIntegrateFixed:
         # the chunked norm is the whole run's, to the bit
         recomputed = np.linalg.norm(traj.states - np.tile(THETA, 7), axis=1)
         assert traj.error_norm.tobytes() == recomputed.tobytes()
+
+
+def _count_calls(monkeypatch, name):
+    """The list that each call of ``simulate.<name>`` appends to."""
+    calls = []
+    wrapped = getattr(simulate, name)
+
+    def counted(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(simulate, name, counted)
+    return calls
 
 
 def _certified(loop):
@@ -432,7 +451,7 @@ class TestPlan:
         layout = simulate._layout
 
         def counted(*args):
-            calls.append(args[-1])
+            calls.append(args[3])  # the step
             return layout(*args)
 
         monkeypatch.setattr(simulate, "_layout", counted)
@@ -457,7 +476,9 @@ class TestPlan:
                 traj = integrate_switching(schedule, sdesign, graphs, x, h=h, horizon=horizon)
                 times, kinds = reference.span_layout(
                     list(reference.schedule_intervals(schedule, horizon)), h)
-                plan = simulate._Plan(np.array(times), tuple(kinds))
+                unit = len(schedule.graph_ids)
+                plan = simulate._Plan(np.array(times), tuple(kinds), unit,
+                                      reference.leading_passes(kinds, unit))
                 ref = _march(graphs[0], THETA, loops, plan, x, h)
                 for name in ("times", "states", "error_norm"):
                     assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
@@ -468,7 +489,7 @@ class TestPlan:
             x = rng.uniform(-5.0, 5.0, 21)
             traj = integrate_fixed(net_a, design, x, h=1e-3, horizon=horizon)
             times, kinds = reference.span_layout([(0.0, horizon, 0)], 1e-3)
-            plan = simulate._Plan(np.array(times), tuple(kinds))
+            plan = simulate._Plan(np.array(times), tuple(kinds), 1, 1)
             ref = _march(net_a, THETA, {0: closed_loop(net_a, design)}, plan, x, 1e-3)
             assert traj.times.tobytes() == ref.times.tobytes()
             assert traj.states.tobytes() == ref.states.tobytes()
@@ -510,6 +531,111 @@ class TestPlan:
         assert not np.shares_memory(a.times, plan.times)
         a.times[1] = -1.0
         assert b.times[1] == plan.times[1] == 1e-3
+
+
+# a dyadic step: intervals that are whole numbers of half steps repeat
+# exactly from pass to pass, shortened steps included
+DYADIC = 2.0**-10
+
+
+def _random_modes(rng, case, count):
+    """``count`` random graphs of one (n, d) with their decompositions:
+    4-agent ones with dense step maps (nd = 12, so a stack holds 227 steps)
+    or tiled 28-agent ones with CSR step maps."""
+    made = [random_directed_valid(rng, 4, 3) if case == "dense" else tiled_graph(rng, 4)
+            for _ in range(count)]
+    return {k: g for k, (g, _) in enumerate(made)}, {k: dec for k, (_, dec) in enumerate(made)}
+
+
+class TestPassRoute:
+    """A repeating schedule is stepped pass by pass where its step maps are
+    dense and passes are many enough, and piece by piece elsewhere; both
+    agree with stage-by-stage RK4 and with the interval-by-interval piece
+    chain of ``reference.piece_chain``."""
+
+    # (pattern, interval lengths in half steps or None for lengths that are
+    # no multiple of h, full passes, half steps of a last pass that T cuts):
+    # spans longer than a stack with shortened steps, a one-interval
+    # pattern, three kinds per pass, a cut last pass, and passes that differ
+    CASES = {
+        "long": ((0, 1), lambda rng: (2 * rng.integers(228, 300) + 1, rng.integers(8, 80)), 6, 0),
+        "p1": ((0,), lambda rng: (rng.integers(8, 200),), 9, 0),
+        "mixed": ((0, 1, 1), lambda rng: (2 * rng.integers(4, 40) + 1, 2 * rng.integers(4, 40),
+                                          2 * rng.integers(4, 40) + 1), 7, 0),
+        "tail": ((1, 0), lambda rng: (rng.integers(8, 120), rng.integers(8, 120)), 6, 9),
+        "differ": ((0, 1), None, 8, 0),
+    }
+
+    @pytest.mark.parametrize("case", ["dense", "csr"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_stage_by_stage_and_the_piece_chain(self, case, name):
+        pattern, draw, full, cut = self.CASES[name]
+        rng = np.random.default_rng([len(name), ord(name[0]), case == "dense"])
+        graphs, decs = _random_modes(rng, case, len(set(pattern)))
+        h, passes = (1e-3, 0) if draw is None else (DYADIC, full)
+        for _ in range(20):  # lengths that are no multiple of h: until the second pass differs
+            lengths = (tuple(rng.uniform(0.013, 0.037, len(pattern)).tolist()) if draw is None
+                       else tuple(float(k) * DYADIC / 2 for k in draw(rng)))
+            schedule = SwitchingSchedule(lengths=lengths, graph_ids=pattern, alpha=min(lengths),
+                                         repeat=True)
+            horizon = full * schedule.period + cut * DYADIC / 2
+            if _plan(schedule, horizon, h).passes == (passes or 1):
+                break
+        else:
+            pytest.fail("no schedule drawn with the wanted passes")
+        sdesign = design_switching(graphs, decs, rng.uniform(-2, 2, 3), alpha=schedule.alpha)
+        loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+        x = rng.uniform(-5, 5, graphs[0].n * 3)
+        traj = integrate_switching(schedule, sdesign, graphs, x, h=h, horizon=horizon)
+
+        spans = list(reference.schedule_intervals(schedule, horizon))
+        times, kinds = reference.span_layout(spans, h)
+        assert traj.times.tobytes() == np.array(times).tobytes()
+        plan = _plan(schedule, horizon, h)
+        assert plan.passes == reference.leading_passes(kinds, len(pattern))
+        if name == "long":
+            assert max(k[1] for k in kinds) > STACK_BYTES // (12 * 12 * 8)
+        if name in ("long", "mixed"):
+            assert any(k[2] for k in kinds[: len(pattern)])
+        for want in (_spans_stage_by_stage(loops, spans, x, h)[1],
+                     reference.piece_chain(loops, kinds, x, h)):
+            assert traj.states.shape == want.shape
+            rel = np.linalg.norm(traj.states - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert rel.max() <= 1e-13
+
+        # the route: passes where every map is dense and 2 passes >= nd,
+        # then the cut last pass piece by piece; CSR maps piece by piece
+        tail = sum(reps for k in kinds[plan.passes * len(pattern):]
+                   for _, reps in _cut(loops[k[0]], k[0], h, k[1], k[2], {}, {}))
+        if case == "dense" and plan.passes > 1:
+            assert traj.work.passes == plan.passes
+            assert traj.work.chain == plan.passes + tail
+        else:
+            assert traj.work.passes == 0
+        if case == "csr":
+            assert traj.work.chain == len(traj.times) - 1 and traj.work.fills == 0
+
+    def test_work_of_the_bundled_cycle_and_the_tiled_run(self, net_a, net_b, net_c, tiled, rng):
+        """The bundled cycle to T = 2 is 20 passes of five 20-step pieces:
+        20 chain steps, one GEMM for the piece starts and one fill per piece
+        of a pass.  The tiled CSR run steps one matvec per step."""
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        run = integrate_switching(schedule, sdesign, graphs, rng.uniform(-5, 5, 21), h=1e-3,
+                                  horizon=2.0)
+        assert run.work == simulate.Work(chain=20, passes=20, fills=6)
+        g, dec = tiled
+        design = design_fixed(g, dec, THETA)
+        fixed = integrate_fixed(g, design, rng.uniform(-5, 5, g.n * 3), h=1e-3, horizon=0.1)
+        assert fixed.work == simulate.Work(chain=100, passes=0, fills=0)
+
+    def test_few_passes_take_the_piece_route(self, net_a, net_b, net_c, rng):
+        """With 2 passes < nd = 21, composing a pass would cost more than it
+        saves; the bundled cycle to T = 1 (10 passes) steps piece by piece."""
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        run = integrate_switching(schedule, sdesign, graphs, rng.uniform(-5, 5, 21), h=1e-3,
+                                  horizon=1.0)
+        assert _plan(schedule, 1.0, 1e-3).passes == 10
+        assert run.work == simulate.Work(chain=50, passes=0, fills=3)
 
 
 class TestIntegrateSwitching:
@@ -557,7 +683,7 @@ class TestIntegrateSwitching:
         spans = list(schedule.intervals(horizon))
         loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
         for gid, loop in loops.items():
-            p = _rk4_map(loop, h)[0]
+            p = _full_step(loop, h)[0]
             assert isinstance(p, np.ndarray) == (case == "dense")
             if case == "dense":
                 assert _cut(loop, gid, h, 80, 0.0, {}, {})[0][0].rows < 80
@@ -608,36 +734,44 @@ class TestIntegrateSwitching:
             checked += 1
         assert checked >= 30 and worst > 0.5
 
-    def test_divergence_guard(self, net_a, net_b, net_c):
+    def test_divergence_guard(self, net_a, net_b, net_c, monkeypatch):
         # loops that truly diverge, xdot = L_B x + f, at nearly the largest
         # step that the cheap test certifies on all three, with dwells of
-        # four full steps and a shortened one: only the guard may report it,
-        # at the first time a stage-by-stage run fails, two switches into
-        # the run
+        # four full steps and a shortened one, whose passes differ in their
+        # last bits and are stepped piece by piece, and of four full steps,
+        # whose passes repeat and are stepped pass by pass: only the guard
+        # may report it, at the first time a stage-by-stage run fails, two
+        # switches into the run
         graphs, sdesign, _ = _switching_setup(net_a, net_b, net_c)
         loops = {}
         for gid, design in sdesign.designs.items():
             stable = closed_loop(graphs[gid], design)
-            loops[gid] = ClosedLoop(laplacian=-stable.laplacian, forcing=stable.forcing)
+            loops[gid] = ClosedLoop(laplacian=-stable.laplacian, signal=stable.signal,
+                                    x0=stable.x0)
         h = 0.99 * min(_certified(loop) for loop in loops.values())
-        dwell = 4.25 * h
-        schedule = SwitchingSchedule.uniform(dwell, [0, 1, 2], repeat=True)
-        x = np.ones(21)
-        failed = None
-        for start, end, gid in schedule.intervals(100 * dwell):
-            lap, forcing = loops[gid].laplacian.toarray(), loops[gid].forcing
-            for j in range(1, 6):
-                x = rk4_reference_step(lap, forcing, x, h if j < 5 else end - start - 4 * h)
-                if not np.abs(x).max() <= DIVERGENCE_GUARD:
-                    failed = start + h * j if j < 5 else end
+        composed = _count_calls(monkeypatch, "_march_passes")
+        for quarters in (17, 16):
+            dwell = quarters * h / 4
+            schedule = SwitchingSchedule.uniform(dwell, [0, 1, 2], repeat=True)
+            x = np.ones(21)
+            failed = None
+            for start, end, gid in schedule.intervals(100 * dwell):
+                lap, forcing = loops[gid].laplacian.toarray(), loops[gid].forcing
+                for j in range(1, 5 + (quarters == 17)):
+                    x = rk4_reference_step(lap, forcing, x, h if j < 5 else end - start - 4 * h)
+                    if not np.abs(x).max() <= DIVERGENCE_GUARD:
+                        failed = start + h * j if j < 5 else end
+                        break
+                if failed is not None:
                     break
-            if failed is not None:
-                break
-        assert failed is not None and failed > 2 * dwell
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError, match=rf"at t={failed:.6g}$"):
-                _march(graphs[0], THETA, loops, _plan(schedule, 100 * dwell, h), np.ones(21), h)
+            assert failed is not None and failed > 2 * dwell
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteError, match=rf"at t={failed:.6g}$"):
+                    _march(graphs[0], THETA, loops, _plan(schedule, 100 * dwell, h),
+                           np.ones(21), h)
+        # the whole-step dwells only
+        assert len(composed) == 1
 
     def test_graphs_of_different_sizes_rejected(self, net_a, net_a_dec):
         small = SignedGraph.from_edges(2, 3, True, {(1, 2): -np.eye(3), (2, 1): -np.eye(3)})
