@@ -23,7 +23,6 @@ from .graph import (
 from .networks import (
     BUNDLED_V1,
     SWITCHING_DELTAS,
-    SWITCHING_DWELL,
     bundled_decomposition,
     bundled_graph,
     bundled_path,

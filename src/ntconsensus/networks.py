@@ -8,7 +8,8 @@ network with the strong positive weight on the 5 -> 6 edge replaced by a
 semi-definite one, which breaks both the definite-path cover and the
 in-degree dominance of vertices 5 and 6.  ``net_b`` and ``net_c`` are the two
 extra topologies of the switching benchmark, cycled A A B C C with dwell 0.02
-by ``data/cycle_schedule.json``, the one copy of that schedule.
+by ``data/cycle_schedule.json``, the one copy of that schedule and of its
+dwell, which ``SWITCHING_DWELL`` reads.
 
 ``net_c``'s standard V1 (1, 2, 3) fails its check on purpose: vertices 4 and 7
 are not in-degree dominated, so designing with it by the margin rule raises
@@ -24,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, Tuple
 
-from .fileio import load_graph
+from .fileio import load_graph, load_schedule
 from .graph import Decomposition, SignedGraph
 
 # Standard V1 choice per network, and the per-network coupling coefficients
@@ -36,9 +37,6 @@ BUNDLED_V1: Dict[str, Tuple[int, ...]] = {
     "net_c": (1, 2, 3),
 }
 SWITCHING_DELTAS: Dict[str, float] = {"net_a": 7.0495, "net_b": 7.2440, "net_c": 3.1000}
-# the bundled schedule's dwell (a test checks that they agree), read by the
-# switching benchmark
-SWITCHING_DWELL = 0.02
 
 
 def bundled_graph(name: str) -> SignedGraph:
@@ -55,3 +53,13 @@ def bundled_path(name: str) -> Path:
     """Path to a bundled data file (graph JSON or schedule JSON)."""
     with resources.as_file(resources.files("ntconsensus.data") / name) as p:
         return Path(p)
+
+
+def __getattr__(name: str) -> float:
+    """``SWITCHING_DWELL``, the bundled schedule's dwell, which the switching
+    benchmark reads: read from the schedule file on first use, so that
+    importing the package opens no file, and kept as a module attribute."""
+    if name != "SWITCHING_DWELL":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = load_schedule(bundled_path("cycle_schedule.json")).alpha
+    return globals()[name]

@@ -4,8 +4,9 @@ The design drives every agent of a signed matrix-weighted network to a preset
 nonzero state theta by coupling the antagonized vertices to a constant
 external signal x0 = k1 * theta with k1 = 1 + 2/delta.
 
-theta enters the closed loop only through x0, so everything else a design
-or a run needs depends on the graph, V1 and delta alone.  ``_STORE`` keeps
+The closed loop is linear in z = [x; theta] (see ``ClosedLoop``): theta
+enters a run only as z's last d entries, so everything else a design or a
+run needs depends on the graph, V1 and delta alone.  ``_STORE`` keeps
 those theta-free values for the last design that ``design_fixed`` made on
 each graph object; a second such design, or a run of it, on the same graph
 object reuses them.
@@ -102,15 +103,15 @@ def _read_only(a: Any) -> Any:
 class _Reuse:
     """The theta-free values of one design on one graph: the
     (decomposition, margin, delta) that ``design_fixed`` was asked for and
-    its result without theta, the closed loop's L_B and signal scatter F,
-    simulate's step maps and stacks of one step length with their offset
-    columns and the step's stability verdict (``maps``, see
-    ``ClosedLoop``), the contraction factor's lambda_min and the augmented
-    Laplacian.  Each is filled on first use; every array is read-only."""
+    its result without theta, the closed loop's operator, simulate's step
+    maps and stacks of one step length and the step's stability verdict
+    (``maps``, see ``ClosedLoop``), the contraction factor's lambda_min and
+    the augmented Laplacian.  Each is filled on first use; every array is
+    read-only."""
 
     asked: Optional[tuple] = None
     design: Optional[tuple] = None  # (delta, informed, blocks, C, per-vertex C)
-    loop: Optional[tuple] = None  # (L_B, F)
+    loop: Optional["csr_matrix"] = None  # ClosedLoop.operator
     maps: Dict[tuple, Any] = field(default_factory=dict)
     lmin: Optional[float] = None
     augmented: Optional[Laplacian] = None
@@ -278,55 +279,46 @@ def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian
 
 @dataclass(frozen=True)
 class ClosedLoop:
-    """The closed loop xdot = -L_B x + F x0 that a design realizes on a
-    graph: L_B in CSR form and the signal scatter F, an (nd, d) array whose
-    block i is delta B_i, both read-only and theta-free, and the signal x0.
-    ``maps`` holds the theta-free step maps, their stability verdict and the
-    stacks with their offset columns that ``simulate`` builds from L_B and F
-    for one full step length, the last used; every loop of one design on
-    one graph object shares it."""
+    """The closed loop that a design realizes on a graph, as the linear
+    system zdot = -M_theta z on z = [x; theta]: with k1 = 1 + 2/delta and F
+    the (nd, d) signal scatter whose block i is delta B_i,
+    M_theta = [[L_B, -k1 F], [0, 0]], and the design makes 1 (x) theta its
+    equilibrium for every theta.  ``operator`` is its top block row [L_B | -k1 F], an
+    nd x (nd + d) CSR matrix, read-only and theta-free; L_B is its leading
+    block.  ``maps`` holds the theta-free step maps, their stability
+    verdict and the stacks that ``simulate`` builds from it for one full
+    step length, the last used; every loop of one design on one graph
+    object shares it."""
 
-    laplacian: "csr_matrix"
-    signal: np.ndarray
-    x0: np.ndarray
+    operator: "csr_matrix"
     maps: Dict[tuple, Any] = field(default_factory=dict, repr=False)
-
-    @property
-    def forcing(self) -> np.ndarray:
-        """The forcing f = F x0, computed on every call."""
-        return self.signal @ self.x0
 
 
 def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
-    """The design's closed loop on g.  L_B and F are assembled once per
-    graph and design (see ``_STORE``) from the block triplets of
-    ``laplacian_blocks``: L_B from those in block columns below n, F from
-    those in column n, negated."""
+    """The design's closed loop on g.  Its operator is assembled once per
+    graph and design (see ``_STORE``)."""
     entry = _reuse(g, design)
     if entry.loop is None:
         entry.loop = _operator(g, design)
-    lap, signal = entry.loop
-    return ClosedLoop(laplacian=lap, signal=signal, x0=design.x0, maps=entry.maps)
+    return ClosedLoop(operator=entry.loop, maps=entry.maps)
 
 
-def _operator(g: SignedGraph, design: ProtocolDesign) -> Tuple["csr_matrix", np.ndarray]:
-    """L_B in CSR form and the signal scatter F."""
+def _operator(g: SignedGraph, design: ProtocolDesign) -> "csr_matrix":
+    """[L_B | -k1 F] in CSR form: the block triplets of
+    ``laplacian_blocks``, with those of the signal column (block column n)
+    scaled by k1."""
     # imported here: scipy.sparse would add ~25 ms to importing the package
     from scipy.sparse import csr_matrix
 
     rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
     d, nd = g.d, g.n * g.d
-    signal = cols == g.n
-    scatter = np.zeros((g.n, d, d))
-    scatter[rows[signal]] = -data[signal]
-    rows, cols, data = rows[~signal], cols[~signal], data[~signal]
+    data[cols == g.n] *= design.k1
     k = np.arange(d)
     r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
     c = np.broadcast_to(cols[:, None, None] * d + k, data.shape).ravel()
-    order = np.argsort(r * nd + c)
+    order = np.argsort(r * (nd + d) + c)
     indptr = np.searchsorted(r[order], np.arange(nd + 1))
-    lap = csr_matrix((data.ravel()[order], c[order], indptr), shape=(nd, nd))
-    return _read_only(lap), _read_only(scatter.reshape(nd, d))
+    return _read_only(csr_matrix((data.ravel()[order], c[order], indptr), shape=(nd, nd + d)))
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,24 @@
 """Deterministic fixed-step integration of the coupled dynamics.
 
-The closed loop is affine, xdot = -L_B x + F x0, so a classic RK4 step of
-constant length h is one affine map x <- P x + q (see ``_step_map``), and m
-steps are x_k = P^k x + o_k (see ``_powers`` and ``_offsets``).  This module
-owns how the loop is stepped.  P, its power stacks and their offset columns,
-the offsets per unit of x0, depend on L_B and F alone, so those of the full
+The closed loop is linear on z = [x; theta], zdot = -M_theta z (see
+``protocol.ClosedLoop``), so a classic RK4 step of constant length h is one
+linear map z <- R(-h M_theta) z (see ``_step_map``).  theta does not move, so
+a map is kept as its top rows [P | Q], which take z to the next x, and m
+steps are the top rows of R^m (see ``_powers``).  This module owns how the
+loop is stepped.  Every map depends on M_theta alone, so those of the full
 step are built once per graph object, design and step length and kept in the
-loop's ``maps`` (see ``protocol.ClosedLoop``), which hold one step length,
-with the verdict on whether the step is stable (``_full_step``); the offsets
-themselves follow x0, and so theta, and are one product with x0 per stack and
-run, and the shortened step's map is built on every run.  A run's layout,
-its spans (one for a fixed run and one per interval of a switching run), its
-sample times and its passes, the leading passes of the schedule that repeat
-the first span for span, depends on (schedule, T, h) alone; it is planned
-once and kept (``_plan``).  Both integrators march the plan in three levels
-(``_march``): passes, pieces of up to m steps, and steps.  The state goes
-from pass start to pass start by the composed map of one pass, where the
-maps are dense, and from piece end to piece end elsewhere; GEMMs fill in
-the samples between.  Samples sit at t0 + k h, and each span ends with a
-shortened step that lands on its end exactly (a switch time or T).
+loop's ``maps``, which hold one step length, with the verdict on whether the
+step is stable (``_full_step``); the shortened step's map is built on every
+run, and theta enters a run only through z0 = [x_init; theta].  A run's
+layout, its spans (one for a fixed run and one per interval of a switching
+run), its sample times and its passes, the leading passes of the schedule
+that repeat the first span for span, depends on (schedule, T, h) alone; it
+is planned once and kept (``_plan``).  Both integrators march the plan in
+three levels (``_march``): passes, pieces of up to m steps, and steps.  The
+state goes from pass start to pass start by the composed map of one pass,
+where the maps are dense, and from piece end to piece end elsewhere; GEMMs
+fill in the samples between.  Samples sit at t0 + k h, and each span ends
+with a shortened step that lands on its end exactly (a switch time or T).
 """
 
 from __future__ import annotations
@@ -92,59 +92,60 @@ def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.
     return x
 
 
-# (P, S(A)), or (P, h S(A) F), P's offset columns
-StepMap = Tuple["np.ndarray | csr_matrix", "np.ndarray | csr_matrix"]
-
 # byte budget of one stack of step-map powers (see _cut)
 STACK_BYTES = 1 << 18
 # byte budget of one chunk of samples in a per-sample reduction (see _chunk_rows)
 _CHUNK_BYTES = 1 << 15
 
 
-def _step_map(lap: "csr_matrix", h: float) -> StepMap:
-    """(P, S(A)) with A = -h L_B: the classic RK4 step of length h on
-    xdot = -L_B x + f is x <- P x + h S(A) f.
+def _step_map(operator: "csr_matrix", h: float) -> "np.ndarray | csr_matrix":
+    """The top rows [P | Q] of R(A) with A = -h M_theta, M_theta the square
+    matrix of the top block row ``operator`` (see ``protocol.ClosedLoop``):
+    the classic RK4 step of length h on zdot = -M_theta z is x <- [P | Q] z.
 
-    On an affine field the step is exactly this map: P = R(A) = I + A S(A),
-    where S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule.  The
-    storage follows L_B: when more than a quarter of its entries are
-    nonzero the map is built and kept dense (P's pattern holds L_B's, so P
-    is at least as full), otherwise in CSR form.  Both are read-only."""
+    On a linear field the step is exactly this map: R(A) = I + A S(A),
+    where S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule, and
+    its bottom rows are [0 | I].  The storage follows the operator: when
+    more than a quarter of its entries are nonzero the map is built and
+    kept dense, otherwise in CSR form.  Either is read-only."""
     import scipy.sparse
 
-    nd = lap.shape[0]
-    if 4 * lap.nnz > nd * nd:
-        lap, eye = lap.toarray(), np.eye(nd)
-    else:
-        eye = scipy.sparse.identity(nd, format="csr")
-    a = lap * -h
+    nd, width = operator.shape
+    a = scipy.sparse.vstack([operator, scipy.sparse.csr_matrix((width - nd, width))], format="csr")
+    eye = scipy.sparse.identity(width, format="csr")
+    if 4 * operator.nnz > nd * width:
+        a, eye = a.toarray(), eye.toarray()
+    a = a * -h
     s = eye + a / 4.0
     s = eye + (a @ s) / 3.0
     s = eye + (a @ s) / 2.0
-    return _read_only(eye + a @ s), _read_only(s)
+    return _read_only((eye + a @ s)[:nd])
 
 
-def _full_step(loop: ClosedLoop, h: float) -> StepMap:
-    """(P, h S(A) F) of the full step h: P from ``_step_map`` and the offset
-    columns of one step, kept in ``loop.maps`` under (h, 1), with the
-    step's verdict under (h, 0); raises ``NotContractingError`` when the
-    step is unstable on the loop (P has spectral radius above 1), naming
-    the largest step that the cheap test certifies.
+def _full_step(loop: ClosedLoop, h: float) -> "np.ndarray | csr_matrix":
+    """The top rows [P | Q] of the full step h from ``_step_map``, kept in
+    ``loop.maps`` under (h, 1), with the step's verdict under (h, 0); raises
+    ``NotContractingError`` when the step is unstable on the loop (P has
+    spectral radius above 1), naming the largest step that the cheap test
+    certifies.
 
     Every eigenvalue of L_B has a positive real part (delta > C) and
     modulus at most ||L_B||_inf, and RK4's stability region holds the left
     half-disc of radius ``RK4_RADIUS``; so h ||L_B||_inf <= ``RK4_RADIUS``
     certifies the step in O(nnz).  Only where it fails is rho(P) computed,
-    from a dense P.  The verdict, the error's message or "", is decided
-    where P is built and kept with it.  The maps keep one step length, the
-    last used: a new h first drops the maps, stacks, offset columns and
-    verdict of the one before."""
+    from a dense P, the map's leading nd x nd block: the whole map also has
+    the eigenvalue 1 of its identity block, which may round above 1.  The
+    verdict, the error's message or "", is decided where the map is built
+    and kept with it.  The maps keep one step length, the last used: a new
+    h first drops the maps, stacks and verdict of the one before."""
     if (h, 1) not in loop.maps:
         loop.maps.clear()
-        p, s = _step_map(loop.laplacian, h)
-        norm = float(abs(loop.laplacian).sum(axis=1).max())
+        top = _step_map(loop.operator, h)
+        nd = top.shape[0]
+        norm = float(abs(loop.operator[:, :nd]).sum(axis=1).max())
         unstable = ""
         if h * norm > RK4_RADIUS:
+            p = top[:, :nd]
             dense = p if isinstance(p, np.ndarray) else p.toarray()
             rho = float(np.abs(np.linalg.eigvals(dense)).max())
             if rho > 1.0:
@@ -155,46 +156,40 @@ def _full_step(loop: ClosedLoop, h: float) -> StepMap:
                     f" {rho:.6g} > 1; steps up to h={math.floor(certified * scale) / scale:.4g}"
                     f" are certified stable (h ||L_B||_inf <= {RK4_RADIUS})"
                 )
-        loop.maps[(h, 1)] = p, _read_only(h * (s @ loop.signal))
+        loop.maps[(h, 1)] = top
         loop.maps[(h, 0)] = unstable
     if loop.maps[(h, 0)]:
         raise NotContractingError(loop.maps[(h, 0)])
     return loop.maps[(h, 1)]
 
 
-def _powers(p: np.ndarray, m: int) -> np.ndarray:
-    """The read-only stack S = [P; P^2; ...; P^m], by doubling: with its
-    first c rows done, k = min(c, m - c) more come from one GEMM,
-    S[c:c+k] = S[:k] P^c, so ceil(log2 m) products in all.  An unstable P
-    may overflow in its powers; those rows come out inf or NaN and fail the
-    caller's guard."""
-    nd = p.shape[0]
-    stack = np.empty((m * nd, nd))
-    stack[:nd] = p
+def _powers(top: np.ndarray, m: int) -> np.ndarray:
+    """The read-only stack S = [T_1; T_2; ...; T_m] of the top rows T_k of
+    R^k, R the step map whose top rows are ``top``, by doubling: with its
+    first c row blocks done, k = min(c, m - c) more come from one GEMM,
+    S[c:c+k] = S[:k] [[T_c], [0, I]], so ceil(log2 m) products in all.  An
+    unstable map may overflow in its powers; those rows come out inf or NaN
+    and fail the caller's guard."""
+    nd, width = top.shape
+    stack = np.empty((m * nd, width))
+    stack[:nd] = top
+    lift = np.eye(width)  # [[T_c], [0, I]], its top rows set per doubling
     c = 1
     while c < m:
         k = min(c, m - c)
-        np.matmul(stack[: k * nd], stack[(c - 1) * nd : c * nd], out=stack[c * nd : (c + k) * nd])
+        lift[:nd] = stack[(c - 1) * nd : c * nd]
+        np.matmul(stack[: k * nd], lift, out=stack[c * nd : (c + k) * nd])
         c += k
     return _read_only(stack)
 
 
-def _offsets(stack: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
-    """The read-only offset columns O = [Q; P Q + Q; ...] of the stack S
-    of ``_powers``, in m row blocks, from the one-step columns
-    Q = h S(A) F: m steps x <- P x + Q x0 from x land on the row blocks of
-    S x + O x0, and the first r < m blocks of both serve r steps.  By the
-    same doubling: O[c:c+k] = S[:k] O_c + O[:k]."""
-    nd = q.shape[0]
-    offsets = np.empty((m * nd, q.shape[1]))
-    offsets[:nd] = q
-    c = 1
-    while c < m:
-        k = min(c, m - c)
-        np.add(stack[: k * nd] @ offsets[(c - 1) * nd : c * nd], offsets[: k * nd],
-               out=offsets[c * nd : (c + k) * nd])
-        c += k
-    return _read_only(offsets)
+def _lifted(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The z-states [x | theta] of the states x (the last axis)."""
+    nd = x.shape[-1]
+    z = np.empty(x.shape[:-1] + (nd + theta.shape[0],))
+    z[..., :nd] = x
+    z[..., nd:] = theta
+    return z
 
 
 def _chunk_rows(nd: int) -> int:
@@ -204,16 +199,13 @@ def _chunk_rows(nd: int) -> int:
 
 
 class _Piece(NamedTuple):
-    """The first ``rows`` rows of a stack (S, o) from ``_powers`` (a step
-    map is the one-row stack (P, q[None])), its end map
-    x <- end @ x + offset, and the rows of the samples that its occurrences
-    start from on the piece route."""
+    """The first ``rows`` row blocks of a stack from ``_powers`` (a step
+    map is the one-row stack), its end map x <- end @ z, and the rows of
+    the samples that its occurrences start from on the piece route."""
 
     end: "np.ndarray | csr_matrix"
-    offset: np.ndarray
     rows: int
     stack: "np.ndarray | csr_matrix"
-    offsets: np.ndarray
     starts: List[int]
 
 
@@ -223,50 +215,42 @@ def _cut(
     h: float,
     steps: int,
     remainder: float,
-    offsets: Dict[tuple, np.ndarray],
     pieces: Dict[tuple, _Piece],
 ) -> List[Tuple[_Piece, int]]:
     """One kind of span on graph ``gid`` cut into pieces in time order, with
     repeat counts: ``steps`` full steps in blocks of m rows (the last block
     shorter), then the shortened step if ``remainder`` is not 0.
-    m = min(steps, STACK_BYTES // (nd^2 * 8)), and m = 1 when P is CSR (its
-    powers fill in) or too large for the budget.  The step map P is the
-    one-row stack; it and each stack are built once per (h, m) into
-    ``loop.maps`` with their offset columns (``_offsets``), and outlive the
-    run.  The offsets follow x0: each stack's are one product of its
-    columns with x0, made once per run and (gid, h, m) into ``offsets``,
-    and pieces once per (gid, h, m, rows) into ``pieces``.  A piece's end
-    map is its stack's row block ``rows``; a one-row stack, a CSR P among
-    them, is its own end map and is never sliced.  The shortened step is
-    the one-row piece of its own map, which is built once per run and
-    (gid, remainder) and is not kept: remainders vary with T and the
-    switch times, and the maps keep one step length."""
+    m = min(steps, STACK_BYTES // (nd^2 * 8)), and m = 1 when the map is
+    CSR (its powers fill in) or too large for the budget.  The step map is
+    the one-row stack; it and each stack are built once per (h, m) into
+    ``loop.maps`` and outlive the run.  Pieces are made once per run and
+    (gid, h, m, rows) into ``pieces``.  A piece's end map is its stack's
+    row block ``rows``; a one-row stack, a CSR map among them, is its own
+    end map and is never sliced.  The shortened step is the one-row piece
+    of its own map, which is built once per run and (gid, remainder) and is
+    not kept: remainders vary with T and the switch times, and the maps
+    keep one step length."""
     cut = []
     if steps:
-        p, columns = _full_step(loop, h)
-        m = max(1, min(steps, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
+        top = _full_step(loop, h)
+        nd = top.shape[0]
+        m = max(1, min(steps, STACK_BYTES // (nd * nd * 8))) if isinstance(top, np.ndarray) else 1
         if (h, m) not in loop.maps:
-            stack = _powers(p, m)
-            loop.maps[(h, m)] = stack, _offsets(stack, columns, m)
-        stack, columns = loop.maps[(h, m)]
-        if (gid, h, m) not in offsets:
-            offsets[(gid, h, m)] = (columns @ loop.x0).reshape(m, -1)
-        o = offsets[(gid, h, m)]
+            loop.maps[(h, m)] = _powers(top, m)
+        stack = loop.maps[(h, m)]
         for rows, reps in ((m, steps // m), (steps % m, 1)):
             if not rows:
                 continue
             key = (gid, h, m, rows)
             if key not in pieces:
-                nd = o.shape[1]
                 end = stack if m == 1 else stack[(rows - 1) * nd : rows * nd]
-                pieces[key] = _Piece(end, o[rows - 1], rows, stack, o, [])
+                pieces[key] = _Piece(end, rows, stack, [])
             cut.append((pieces[key], reps))
     if remainder:
         key = (gid, remainder, 1, 1)
         if key not in pieces:
-            p, s = _step_map(loop.laplacian, remainder)
-            q = remainder * (s @ loop.forcing)
-            pieces[key] = _Piece(p, q, 1, p, q[None, :], [])
+            top = _step_map(loop.operator, remainder)
+            pieces[key] = _Piece(top, 1, top, [])
         cut.append((pieces[key], 1))
     return cut
 
@@ -374,53 +358,54 @@ def _composes(unit: List[_Piece], nd: int, passes: int) -> bool:
     from about passes >= nd / 4 at nd = 21 and from passes >= nd / 2 at
     nd = 180 to 240, and up to 30 times slower below."""
     return (
-        2 * passes >= nd and len(unit) * nd * (nd + 1) * 8 <= STACK_BYTES
-        and all(isinstance(piece.end, np.ndarray) for piece in unit)
+        2 * passes >= nd and all(isinstance(piece.end, np.ndarray) for piece in unit)
+        and len(unit) * unit[0].end.nbytes <= STACK_BYTES
     )
 
 
-def _march_passes(states: np.ndarray, unit: List[_Piece], passes: int) -> Tuple[int, int]:
+def _march_passes(
+    states: np.ndarray, theta: np.ndarray, unit: List[_Piece], passes: int
+) -> Tuple[int, int]:
     """Step the first ``passes`` passes of a run from states[0], each pass
     the pieces ``unit`` in time order, all with dense end maps; return the
     row of the last pass's end and the count of fill GEMMs.
 
-    Once per run, the pieces' end maps E_j and offsets o_j compose into the
-    prefix maps W_j = [G_j | g_j], from a pass start to the end of piece j,
-    by one GEMM per piece: W_j = E_j W_{j-1} + [0 | o_j].  The last is the
-    pass map (M, c), and a chain of one matvec per pass takes the state
-    from pass start to pass start.  One GEMM then takes the ends of all
-    pieces but the last, in every pass, from the pass starts; one GEMM per
-    piece of the pass fills its interior samples in every pass, as the
+    Once per run, the pieces' end maps E_j compose into the theta-free
+    prefix maps W_j, the top rows of the map from a pass start to the end
+    of piece j, by one GEMM per piece: W_j = E_j [[W_{j-1}], [0, I]].  The
+    last is the pass map, and a chain of one matvec per pass takes the
+    state from pass start to pass start.  One GEMM then takes the ends of
+    all pieces but the last, in every pass, from the pass starts; one GEMM
+    per piece of the pass fills its interior samples in every pass, as the
     piece route does, through strided views of the states, one row of
-    ``passes`` per pass."""
-    nd = states.shape[1]
+    ``passes`` per pass.  Each GEMM takes the z-states [x | theta] of its
+    starts."""
+    nd, width = unit[0].end.shape
     span = sum(piece.rows for piece in unit)
-    prefix = np.empty((len(unit), nd, nd + 1))
-    prefix[0, :, :nd], prefix[0, :, nd] = unit[0].end, unit[0].offset
+    prefix = np.empty((len(unit), nd, width))
+    prefix[0] = unit[0].end
+    lift = np.eye(width)
     for j in range(1, len(unit)):
-        np.matmul(unit[j].end, prefix[j - 1], out=prefix[j])
-        prefix[j, :, nd] += unit[j].offset
-    m, c = prefix[-1, :, :nd], prefix[-1, :, nd]
-    x = states[0]
+        lift[:nd] = prefix[j - 1]
+        np.matmul(unit[j].end, lift, out=prefix[j])
+    z = _lifted(states[0], theta)
     for r in range(span, (passes + 1) * span, span):
-        x = m @ x + c
-        states[r] = x
+        states[r] = prefix[-1] @ z
+        z[:nd] = states[r]
     flat = states[: passes * span].reshape(passes, span * nd)  # one row per pass
     fills = 0
     if len(unit) > 1:
-        inner = prefix[:-1].reshape(-1, nd + 1)
         ends = np.cumsum([piece.rows for piece in unit[:-1]])
         flat.reshape(passes, span, nd)[:, ends] = (
-            flat[:, :nd] @ inner[:, :nd].T + inner[:, nd]
+            _lifted(flat[:, :nd], theta) @ prefix[:-1].reshape(-1, width).T
         ).reshape(passes, -1, nd)
         fills += 1
     first = 0
     for piece in unit:
         if piece.rows > 1:
-            fill = flat[:, (first + 1) * nd : (first + piece.rows) * nd]
-            np.matmul(flat[:, first * nd : (first + 1) * nd],
-                      piece.stack[: (piece.rows - 1) * nd].T, out=fill)
-            fill += piece.offsets[: piece.rows - 1].reshape(-1)
+            np.matmul(_lifted(flat[:, first * nd : (first + 1) * nd], theta),
+                      piece.stack[: (piece.rows - 1) * nd].T,
+                      out=flat[:, (first + 1) * nd : (first + piece.rows) * nd])
             fills += 1
         first += piece.rows
     return passes * span, fills
@@ -443,30 +428,29 @@ def _march(
     chain of one matvec per piece with its end map takes the state from
     piece end to piece end in time order; then one GEMM per distinct piece
     fills the interior samples of all its occurrences from their start
-    states.  A CSR map has one-row pieces, so its states are those of
-    stepping x <- P x + q; elsewhere they agree with stage-by-stage RK4 to
-    about 1e-14 relative.  The guard checks every sample once and names the
-    first that fails.  The error norm is taken in chunks of samples
-    (``_chunk_rows``), so that no temporary spans the run; a sample's norm
-    does not depend on the samples beside it.  A piece's fill stays one
-    GEMM over all its starts: its results depend on the GEMM's row count,
-    so filling in chunks would change the states in their last bits.  The
-    run gets its own copy of the plan's times."""
+    states.  Every map takes z = [x; theta] to the next x, so theta enters
+    the run only here.  A CSR map has one-row pieces, so its states are
+    those of stepping x <- [P | Q] z; elsewhere they agree with
+    stage-by-stage RK4 to about 1e-14 relative.  The guard checks every
+    sample once and names the first that fails.  The error norm is taken
+    in chunks of samples (``_chunk_rows``), so that no temporary spans the
+    run; a sample's norm does not depend on the samples beside it.  A
+    piece's fill stays one GEMM over all its starts: its results depend on
+    the GEMM's row count, so filling in chunks would change the states in
+    their last bits.  The run gets its own copy of the plan's times."""
     times = plan.times.copy()
     nd = x.shape[0]
     states = np.empty((len(times), nd))
     states[0] = x
-    # what follows theta lives for this run only: offsets, pieces, and each
-    # kind's cut; the step maps, stacks and offset columns are in each
-    # loop's maps
-    offsets: Dict[tuple, np.ndarray] = {}
+    # pieces and each kind's cut live for this run only; the step maps and
+    # stacks are in each loop's maps
     pieces: Dict[tuple, _Piece] = {}
     cuts: Dict[tuple, List[Tuple[_Piece, int]]] = {}
 
     def cut(kind: Tuple[int, int, float]) -> List[Tuple[_Piece, int]]:
         if kind not in cuts:
             gid, steps, remainder = kind
-            cuts[kind] = _cut(loops[gid], gid, h, steps, remainder, offsets, pieces)
+            cuts[kind] = _cut(loops[gid], gid, h, steps, remainder, pieces)
         return cuts[kind]
 
     row = done = chain = passes = fills = 0
@@ -477,24 +461,24 @@ def _march(
             unit = [piece for kind in plan.kinds[: plan.unit]
                     for piece, reps in cut(kind) for _ in range(reps)]
             if _composes(unit, nd, plan.passes):
-                row, fills = _march_passes(states, unit, plan.passes)
-                x, done = states[row], plan.passes * plan.unit
+                row, fills = _march_passes(states, theta, unit, plan.passes)
+                done = plan.passes * plan.unit
                 chain = passes = plan.passes
+        z = _lifted(states[row], theta)
         for kind in plan.kinds[done:]:
-            for (end, offset, rows, _, _, at), reps in cut(kind):
+            for (end, rows, _, at), reps in cut(kind):
                 chain += reps
                 for _ in range(reps):
                     if rows > 1:
                         at.append(row)
-                    x = end @ x + offset
                     row += rows
-                    states[row] = x
-        for _, _, rows, stack, o, at in pieces.values():
+                    states[row] = end @ z
+                    z[:nd] = states[row]
+        for _, rows, stack, at in pieces.values():
             if at:
                 at = np.array(at)
-                fill = (states[at] @ stack[: (rows - 1) * nd].T).reshape(len(at), rows - 1, nd)
-                fill += o[: rows - 1]
-                states[at[:, None] + np.arange(1, rows)] = fill
+                fill = _lifted(states[at], theta) @ stack[: (rows - 1) * nd].T
+                states[at[:, None] + np.arange(1, rows)] = fill.reshape(len(at), rows - 1, nd)
                 fills += 1
     # max and min pass a NaN on, so a NaN state fails the test too; no
     # full-size temporary is made unless a sample fails and must be named
@@ -598,8 +582,10 @@ def integrate_switching(
     horizon: float = 1.0,
 ) -> Trajectory:
     """Piecewise integration with steps aligned to every switch time.  Every
-    graph must have the (n, d) of the graph with the smallest id, and every
-    graph id of the design must be in ``graphs``; otherwise this raises
+    graph must have the (n, d) of the graph with the smallest id, every
+    graph id of the design must be in ``graphs``, and every design must
+    share the theta of the design with the smallest graph id, which the run
+    carries in z = [x; theta] across the switches; otherwise this raises
     ``DimensionMismatchError`` before any step.  A step h that is unstable
     on any of the design's loops raises ``NotContractingError``, also
     before any step (see ``_full_step``)."""
@@ -619,8 +605,14 @@ def integrate_switching(
     for gid, _, _ in plan.kinds:
         if gid not in loops:
             raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")
-    theta = next(iter(sdesign.designs.values())).theta
-    return _march(first, theta, loops, plan, x, h)
+    (lead, design), *rest = sorted(sdesign.designs.items())
+    for gid, other in rest:
+        if not np.array_equal(other.theta, design.theta, equal_nan=True):
+            raise DimensionMismatchError(
+                f"graph {gid}'s design has theta {other.theta.tolist()}, graph {lead}'s has"
+                f" {design.theta.tolist()}; a switching run needs one theta"
+            )
+    return _march(first, design.theta, loops, plan, x, h)
 
 
 @dataclass(frozen=True)

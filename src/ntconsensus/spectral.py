@@ -34,8 +34,9 @@ def laplacian_blocks(
     in-neighbors, accumulated in edge order, plus delta B_i for every
     informed vertex; last, the signal column -delta B_i at block column n,
     in ascending vertex order.  delta = 0 grounds nothing.  Every dense
-    Laplacian and the closed loop's L_B and forcing are scatters of these
-    triplets, so they hold the same floating-point values."""
+    Laplacian and the closed loop's operator are scatters of these
+    triplets, the operator with its signal column scaled by k1, so L_B
+    holds the same floating-point values in each."""
     n, d = g.n, g.d
     signal = np.asarray(informed, dtype=np.intp).reshape(-1) - 1
     b = np.asarray(blocks, dtype=float)

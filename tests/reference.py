@@ -8,8 +8,10 @@ condition with an SVD on every matrix are the plain formulas that
 ``convergence_report`` and ``necessary_condition_check`` compute in chunks
 and behind cheap bounds.  The interval generator and the per-span layout
 are the plain loops that ``simulate._expand`` and ``simulate._layout`` lay
-out as arrays, and the piece chain is the interval-by-interval stepping that
-``simulate._march`` replaced with passes where a schedule repeats.  None of them is part of checking, designing or simulating,
+out as arrays, the piece chain is the interval-by-interval stepping that ``simulate._march``
+replaced with passes where a schedule repeats, and the affine loop is the
+closed loop xdot = -L_B x + f that ``simulate`` steps in the linear form on
+z = [x; theta].  None of them is part of checking, designing or simulating,
 so they live here.
 """
 
@@ -24,14 +26,16 @@ from ntconsensus import (
     ConvergenceReport,
     Laplacian,
     SignedGraph,
+    ProtocolDesign,
     SwitchingSchedule,
     Trajectory,
     augmented_laplacian,
+    design_laplacians,
 )
 from ntconsensus.errors import ScheduleExhaustedError
 from ntconsensus.graph import in_out_gaps
 from ntconsensus.protocol import MEMBER_TOL
-from ntconsensus.simulate import DEFAULT_TOL, DEFAULT_WINDOW, STACK_BYTES, _step_map
+from ntconsensus.simulate import DEFAULT_TOL, DEFAULT_WINDOW, STACK_BYTES
 from ntconsensus.spectral import RANK_TOL
 
 
@@ -215,21 +219,39 @@ def leading_passes(kinds: Sequence[Tuple[int, int, float]], unit: int) -> int:
     return passes
 
 
-def piece_chain(loops, kinds: Sequence[Tuple[int, int, float]], x: np.ndarray, h: float) -> np.ndarray:
+def affine_loop(g: SignedGraph, design: ProtocolDesign) -> Tuple[np.ndarray, np.ndarray]:
+    """The closed loop xdot = -L_B x + f of a design, from the dense blocks
+    of its augmented Laplacian M: L_B = M[:nd, :nd] and f = -M[:nd, nd:] x0."""
+    nd = g.n * g.d
+    augmented = design_laplacians(g, design)[1].matrix
+    return augmented[:nd, :nd], -augmented[:nd, nd:] @ design.x0
+
+
+def piece_chain(
+    systems, kinds: Sequence[Tuple[int, int, float]], x: np.ndarray, h: float, dense: bool
+) -> np.ndarray:
     """The samples of a run over span ``kinds`` (graph id, full steps,
-    shortened step or 0.0), interval by interval: each span's full steps in
-    blocks of up to m steps, m = min(steps, STACK_BYTES // (nd^2 * 8)) for a
-    dense step map P and 1 for a CSR one, the state going from block end to
-    block end by P^r x + o_r and the samples inside a block taken from its
-    start state, then the shortened step by its own map.  P^r and o_r come
-    from one step at a time, o_{r+1} = P o_r + h S f, and nothing is
-    kept."""
+    shortened step or 0.0) on the affine loops (L_B, f) that ``systems``
+    keys by graph id, interval by interval: each span's full steps in
+    blocks of up to m steps, m = min(steps, STACK_BYTES // (nd^2 * 8)) for
+    ``dense`` step maps and 1 for CSR ones, the state going from block end
+    to block end by P^r x + o_r and the samples inside a block taken from
+    its start state, then the shortened step by its own map.  The step map
+    x <- P x + q is RK4's on an affine field, P = R(A) = I + A S(A) and
+    q = h S(A) f with A = -h L_B and S(A) = I + A/2 + A^2/6 + A^3/24, each
+    power formed in turn; P^r and o_r come from one step at a time,
+    o_{r+1} = P o_r + q, and nothing is kept."""
+    def step_map(lap, f, step):
+        a = -step * lap
+        a2 = a @ a
+        s = np.eye(len(lap)) + a / 2.0 + a2 / 6.0 + (a2 @ a) / 24.0
+        return np.eye(len(lap)) + a @ s, step * (s @ f)
+
     states = [np.asarray(x, dtype=float)]
     for gid, steps, remainder in kinds:
-        loop = loops[gid]
-        p, s = _step_map(loop.laplacian, h)
-        q = h * (s @ loop.forcing)
-        m = max(1, min(steps, STACK_BYTES // p.nbytes)) if isinstance(p, np.ndarray) else 1
+        lap, f = systems[gid]
+        p, q = step_map(lap, f, h)
+        m = max(1, min(steps, STACK_BYTES // p.nbytes)) if dense else 1
         powers, offsets = [p], [q]
         for _ in range(m - 1):
             powers.append(p @ powers[-1])
@@ -240,7 +262,7 @@ def piece_chain(loops, kinds: Sequence[Tuple[int, int, float]], x: np.ndarray, h
                 x = powers[r] @ start + offsets[r]
                 states.append(x)
         if remainder:
-            p, s = _step_map(loop.laplacian, remainder)
-            x = p @ x + remainder * (s @ loop.forcing)
+            p, q = step_map(lap, f, remainder)
+            x = p @ x + q
             states.append(x)
     return np.array(states)

@@ -45,7 +45,7 @@ from conftest import (
     rk4_reference_step,
     tiled_graph,
 )
-from reference import grounded_block, necessary_condition_svd, signed_laplacian
+from reference import affine_loop, grounded_block, necessary_condition_svd, signed_laplacian
 from test_graph import _random_signed_digraph
 
 THETA = np.array([1.0, 2.0, -1.0])
@@ -614,78 +614,79 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak", "tiled"])
     def test_operator_matches_dense_laplacians(self, name, tiled):
+        """The operator is M_theta's top block row [L_B | -k1 F]: the
+        augmented Laplacian's top block row with its signal column scaled
+        by k1."""
         g, design = _designed(name, tiled)
         grounded, augmented = design_laplacians(g, design)
         loop = closed_loop(g, design)
-        # exact equality; toarray() turns a stored -0.0 into +0.0, so not tobytes()
-        assert np.array_equal(loop.laplacian.toarray(), grounded.matrix)
         nd = g.n * g.d
-        forcing = -augmented.matrix[:nd, nd:] @ design.x0
-        assert np.allclose(loop.forcing, forcing, rtol=1e-15, atol=0.0)
+        assert loop.operator.shape == (nd, nd + g.d)
+        # exact equality; toarray() turns a stored -0.0 into +0.0, so not tobytes()
+        want = np.hstack([grounded.matrix, design.k1 * augmented.matrix[:nd, nd:]])
+        assert np.array_equal(loop.operator.toarray(), want)
 
     @pytest.mark.parametrize("name, h, dense", [("net_a", 1e-2, True), ("tiled", 5e-2, False)])
     def test_step_map_is_the_rk4_step(self, name, h, dense, tiled, rng):
         g, design = _designed(name, tiled)
-        loop = closed_loop(g, design)
-        p, columns = _full_step(loop, h)
-        q = columns @ loop.x0
-        assert isinstance(p, np.ndarray) == dense
-        lap = design_laplacians(g, design)[0].matrix
+        top = _full_step(closed_loop(g, design), h)
+        assert isinstance(top, np.ndarray) == dense
+        lap, forcing = affine_loop(g, design)
         for _ in range(3):
             x = rng.uniform(-5.0, 5.0, g.n * g.d)
-            want = rk4_reference_step(lap, loop.forcing, x, h)
-            assert np.linalg.norm(p @ x + q - want) <= 1e-13 * np.linalg.norm(want)
+            want = rk4_reference_step(lap, forcing, x, h)
+            got = top @ np.concatenate([x, design.theta])
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("name, h", [("net_a", 1e-2), ("tiled", 5e-2)])
     def test_cut_stacks_powers(self, name, h, tiled):
         g, design = _designed(name, tiled)
         loop = closed_loop(g, design)
-        p, columns = _full_step(loop, h)
-        q = columns @ loop.x0
-        nd = g.n * g.d
-        # a dense P is stacked up to the byte budget; a CSR P is not stacked
-        cap = STACK_BYTES // (nd * nd * 8) if isinstance(p, np.ndarray) else 1
+        top = _full_step(loop, h)
+        nd, width = g.n * g.d, g.n * g.d + g.d
+        step = np.eye(width)  # the whole step map R, its bottom rows [0 | I]
+        step[:nd] = top if isinstance(top, np.ndarray) else top.toarray()
+        # a dense map is stacked up to the byte budget; a CSR map is not stacked
+        cap = STACK_BYTES // (nd * nd * 8) if isinstance(top, np.ndarray) else 1
         assert name == "tiled" or 5 < cap < 1000
         for steps in (5, 1000):
             m = min(steps, cap)
-            (piece, reps), *tail = _cut(loop, 0, h, steps, 0.0, {}, {})
+            (piece, reps), *tail = _cut(loop, 0, h, steps, 0.0, {})
             assert piece.rows == m and reps == steps // m
             assert [t.rows for t, _ in tail] == ([steps % m] if steps % m else [])
-            stack, offsets = piece.stack, piece.offsets
-            assert offsets.shape == (m, nd) and stack.shape == (m * nd, nd)
-            power, offset = np.eye(nd), np.zeros(nd)
+            stack = piece.stack
+            assert stack.shape == (m * nd, width)
+            power = np.eye(width)
             for k in range(m):
-                power, offset = p @ power, p @ offset + q
+                power = step @ power
                 row = stack[k * nd : (k + 1) * nd]
-                assert np.linalg.norm(row - power) <= 1e-13 * np.linalg.norm(power)
-                assert np.linalg.norm(offsets[k] - offset) <= 1e-13 * np.linalg.norm(offset)
+                assert np.linalg.norm(row - power[:nd]) <= 1e-13 * np.linalg.norm(power[:nd])
         # within a run, the step map is the one-row stack and every (h, m)
         # is built once: 1000 and 2000 steps share the capped stack
-        offsets, pieces = {}, {}
-        capped = _cut(loop, 0, h, 1000, 0.0, offsets, pieces)[0][0]
-        assert _cut(loop, 0, h, 2000, 0.0, offsets, pieces)[0][0] is capped
-        # one product of the stack's offset columns with x0 per run
-        assert list(offsets) == [(0, h, cap)] and offsets[(0, h, cap)].shape == (cap, nd)
-        # the step map P and the stacks outlive the run in the loop's maps,
-        # under (h, m), with their offset columns; P is the one-row stack
-        # (h, 1)
-        stack, columns = loop.maps[(h, cap)]
-        assert stack is capped.stack and columns.shape == (cap * nd, g.d)
-        assert loop.maps[(h, 1)][0] is p
+        pieces = {}
+        capped = _cut(loop, 0, h, 1000, 0.0, pieces)[0][0]
+        assert _cut(loop, 0, h, 2000, 0.0, pieces)[0][0] is capped
+        # the step map and the stacks outlive the run in the loop's maps,
+        # under (h, m); the step map is the one-row stack (h, 1)
+        assert loop.maps[(h, cap)] is capped.stack
+        assert loop.maps[(h, 1)] is top
 
     def test_sparse_operator_keeps_a_sparse_step_map(self, rng):
-        # a directed path: L is under a quarter full, P = R(-hL) is not;
-        # the storage follows L
+        # a directed path with a signal into its first vertex: the operator
+        # is under a quarter full, the step map is not; the storage follows
+        # the operator
         n = 10
         g = SignedGraph.from_edges(
             n, 2, True, {(v + 1, v): random_spd(rng, 2) for v in range(1, n)}
         )
-        lap = csr_matrix(signed_laplacian(g) + np.eye(2 * n))
-        loop = ClosedLoop(laplacian=lap, signal=rng.normal(size=(2 * n, 2)), x0=rng.normal(size=2))
-        assert 4 * lap.nnz < (2 * n) ** 2
-        p, columns = _full_step(loop, 0.1)
-        q = columns @ loop.x0
-        assert issparse(p) and 4 * p.nnz > (2 * n) ** 2
-        x = rng.normal(size=2 * n)
-        want = rk4_reference_step(lap.toarray(), loop.forcing, x, 0.1)
-        assert np.linalg.norm(p @ x + q - want) <= 1e-13 * np.linalg.norm(want)
+        lap = signed_laplacian(g) + np.eye(2 * n)
+        signal = np.zeros((2 * n, 2))
+        signal[:2] = -random_spd(rng, 2)
+        loop = ClosedLoop(operator=csr_matrix(np.hstack([lap, signal])))
+        assert 4 * loop.operator.nnz < 2 * n * (2 * n + 2)
+        top = _full_step(loop, 0.1)
+        assert issparse(top) and 4 * top.nnz > 2 * n * (2 * n + 2)
+        x, theta = rng.normal(size=2 * n), rng.normal(size=2)
+        want = rk4_reference_step(lap, -signal @ theta, x, 0.1)
+        got = top @ np.concatenate([x, theta])
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

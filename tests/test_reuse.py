@@ -1,9 +1,8 @@
 """The per-graph store of theta-free values: a second design or run on the
 same graph object reuses the design, the closed-loop operator, the full
-step's maps and stacks with their offset columns, lambda_min and the
-augmented Laplacian, and gives the
-same bytes as a fresh graph; stored values cannot be written; the maps keep
-one step length; entries die with their graph."""
+step's maps and stacks, lambda_min and the augmented Laplacian, and gives
+the same bytes as a fresh graph; stored values cannot be written; the maps
+keep one step length; entries die with their graph."""
 
 import dataclasses
 import gc
@@ -25,9 +24,10 @@ from ntconsensus import (
     integrate_switching,
     write_trajectory_csv,
 )
-from ntconsensus import protocol, simulate
+from ntconsensus import protocol
 
 from conftest import random_directed_valid, rk4_reference_step, tiled_graph
+from reference import affine_loop
 from test_acceptance import _switching_setup
 
 H = 1e-3
@@ -78,8 +78,8 @@ def test_second_request_matches_a_fresh_graph(case, tmp_path):
     _outputs(graphs, decs, schedule, rng.uniform(-2, 2, 3), rng.uniform(-5, 5, n3), tmp_path)
     theta, x = rng.uniform(-2, 2, 3), rng.uniform(-5, 5, n3)
     maps = {gid: dict(protocol._STORE[g].maps) for gid, g in graphs.items()}
-    # the full step's P, S(A) and stacks are kept, the shortened steps' maps
-    # are not
+    # the full step's map, its verdict and stacks are kept, the shortened
+    # steps' maps are not
     assert all(len(m) >= 2 and {k[0] for k in m} == {H} for m in maps.values())
     reused = _outputs(graphs, decs, schedule, theta, x, tmp_path)
     # the second request built no full-step map and no stack
@@ -95,7 +95,7 @@ def test_stored_values_are_read_only(net_a_dec):
     design = design_fixed(g, net_a_dec, np.array([1.0, 2.0, -1.0]))
     for arr in (g.heads, g.tails, g.entries, g.classes,
                 design.blocks, design.informed, design_laplacians(g, design)[1].matrix,
-                closed_loop(g, design).laplacian.data):
+                closed_loop(g, design).operator.data):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     before = dict(design.per_vertex_c)
@@ -119,8 +119,8 @@ def test_store_holds_one_design_per_graph_and_dies_with_it(rng):
     entry = protocol._STORE[g]
     assert entry is entries[-1]() and entry.design[0] == 50.0
     assert all(ref() is None for ref in entries[:-1])
-    # one run's full step: S(A), P and the stack of ten steps; the shortened
-    # step's maps are not kept
+    # one run's full step: its verdict, its map and the stack of ten steps;
+    # the shortened step's map is not kept
     assert sorted(entry.maps) == [(H, 0), (H, 1), (H, 10)]
     ref = weakref.ref(g)
     del g, entry
@@ -138,7 +138,7 @@ def test_store_keeps_the_maps_of_one_step_length(net_a_dec, rng):
     for h in (1e-3, 7e-4, 2e-3):
         for k in range(50):
             integrate_fixed(g, design, x, h=h, horizon=0.0101 + k * 1e-5)
-    # P, S(A) and the stack of five steps of the last step length
+    # the verdict, the map and the stack of five steps of the last step length
     assert sorted(protocol._STORE[g].maps) == [(2e-3, 0), (2e-3, 1), (2e-3, 5)]
     # a step length whose maps were dropped is built again, to the same bytes
     again = integrate_fixed(g, design, x, h=1e-3, horizon=0.0101)
@@ -175,51 +175,42 @@ def test_only_the_stored_design_is_reused(net_a_dec, rng):
     assert closed_loop(g, design).maps is not closed_loop(g, design).maps
 
 
-def _columns(loop, h, m):
-    """The offsets of m steps per unit of x0, one step at a time:
-    o_{k+1} = P o_k + h S(A) F."""
-    p, s = simulate._step_map(loop.laplacian, h)
-    o, out = np.zeros_like(loop.signal), []
-    for _ in range(m):
-        o = p @ o + h * (s @ loop.signal)
-        out.append(o)
-    return np.concatenate(out)
-
-
-def test_offset_columns_are_kept_with_their_stacks(rng):
-    """Each stack keeps its theta-free offset columns, read-only, once per
-    (h, m); a new step length drops them with the stacks, and a run on the
-    same graph objects gives the bytes of fresh ones."""
+def test_stacks_are_kept_per_step_length(rng):
+    """Each stack is kept, read-only, once per (h, m), with the top rows
+    of the step map's powers; a new step length drops them, and a run on
+    the same graph objects gives the bytes of fresh ones."""
     graphs, sdesign, schedule = _switching_setup(
         *(bundled_graph(name) for name in ("net_a", "net_b", "net_c")))
     x = rng.uniform(-5, 5, 21)
     integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
     maps = protocol._STORE[graphs[0]].maps
-    kept = {key: maps[key][1] for key in ((H, 1), (H, 20))}
-    loop = closed_loop(graphs[0], sdesign.designs[0])
-    for (h, m), columns in kept.items():
-        want = _columns(loop, h, m)
-        assert columns.shape == (m * 21, 3)
-        assert np.linalg.norm(columns - want) <= 1e-13 * np.linalg.norm(want)
+    kept = {key: maps[key] for key in ((H, 1), (H, 20))}
+    step = np.eye(24)
+    step[:21] = kept[(H, 1)]
+    power = np.eye(24)
+    for k in range(20):
+        power = step @ power
+        row = kept[(H, 20)][k * 21 : (k + 1) * 21]
+        assert np.linalg.norm(row - power[:21]) <= 1e-13 * np.linalg.norm(power[:21])
+    for stack in kept.values():
+        assert stack.shape[1] == 24
         with pytest.raises(ValueError, match="read-only"):
-            columns[0, 0] = 1.0
+            stack[0, 0] = 1.0
     integrate_switching(schedule, sdesign, graphs, -x, h=H, horizon=2.0)
-    assert all(maps[key][1] is columns for key, columns in kept.items())
-    # half the step: 40 steps per interval, and the columns of H are gone
+    assert all(maps[key] is stack for key, stack in kept.items())
+    # half the step: 40 steps per interval, and the stacks of H are gone
     run = integrate_switching(schedule, sdesign, graphs, x, h=H / 2, horizon=2.0)
     assert sorted(maps) == [(H / 2, 0), (H / 2, 1), (H / 2, 40)]
-    want = _columns(loop, H / 2, 40)
-    assert np.linalg.norm(maps[(H / 2, 40)][1] - want) <= 1e-13 * np.linalg.norm(want)
     fresh, fresh_design, _ = _switching_setup(*(dataclasses.replace(graphs[k]) for k in range(3)))
     again = integrate_switching(schedule, fresh_design, fresh, x, h=H / 2, horizon=2.0)
     assert run.work.passes == again.work.passes == 20
     assert run.states.tobytes() == again.states.tobytes()
 
 
-def test_hand_built_design_gets_its_own_offsets(net_a_dec, rng):
-    """A design built by hand gets offsets from its own delta and blocks,
-    correct against stage-by-stage RK4 on its augmented Laplacian, and
-    writes nothing to the store."""
+def test_hand_built_design_gets_its_own_operator(net_a_dec, rng):
+    """A design built by hand gets an operator from its own delta and
+    blocks, correct against stage-by-stage RK4 on its augmented Laplacian,
+    and writes nothing to the store."""
     g = bundled_graph("net_a")
     design = design_fixed(g, net_a_dec, np.array([1.0, 2.0, -1.0]))
     x = rng.uniform(-5, 5, 21)
@@ -228,8 +219,7 @@ def test_hand_built_design_gets_its_own_offsets(net_a_dec, rng):
     kept = dict(entry.maps)
     by_hand = dataclasses.replace(design, delta=1.5 * design.delta, blocks=2.0 * design.blocks)
     traj = integrate_fixed(g, by_hand, x, h=H, horizon=0.0105)
-    augmented = design_laplacians(g, by_hand)[1].matrix
-    lap, forcing = augmented[:21, :21], -augmented[:21, 21:] @ by_hand.x0
+    lap, forcing = affine_loop(g, by_hand)
     for k, step in enumerate([H] * 10 + [0.0105 - 10 * H]):
         x = rk4_reference_step(lap, forcing, x, step)
         assert np.linalg.norm(traj.states[k + 1] - x) <= 1e-13 * np.linalg.norm(x)

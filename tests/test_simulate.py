@@ -52,13 +52,19 @@ CHUNK = simulate._chunk_rows(21)
 BLOCKS_AND_A_SHORT_STEP = (2 * (STACK_BYTES // (21 * 21 * 8)) + 10.5) * 1e-3
 
 
-def _spans_stage_by_stage(loops, spans, x, h):
-    """The samples of a run over ``spans`` (start, end, graph id), one RK4
-    step at a time and stage by stage, and its sample times: t0 + h j within
-    a span, and the span's end exactly for its last sample."""
+def _affine_loops(graphs, sdesign):
+    """The affine loops (L_B, f) of a switching design, by graph id."""
+    return {gid: reference.affine_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+
+
+def _spans_stage_by_stage(systems, spans, x, h):
+    """The samples of a run over ``spans`` (start, end, graph id) on the
+    affine loops (L_B, f) that ``systems`` keys by graph id, one RK4 step
+    at a time and stage by stage, and its sample times: t0 + h j within a
+    span, and the span's end exactly for its last sample."""
     times, states = [np.zeros(1)], [x]
     for start, end, gid in spans:
-        lap, forcing = loops[gid].laplacian.toarray(), loops[gid].forcing
+        lap, forcing = systems[gid]
         full = int(np.floor((end - start) / h + 1e-9))
         remainder = (end - start) - full * h
         steps = [h] * full + ([remainder] if remainder > 1e-12 else [])
@@ -120,19 +126,19 @@ class TestIntegrateFixed:
         for g, dec in ((net_a, net_a_dec), tiled):
             design = design_fixed(g, dec, THETA)
             loop = closed_loop(g, design)
-            lap = loop.laplacian.toarray()
+            lap, forcing = reference.affine_loop(g, design)
             x = rng.uniform(-5, 5, g.n * g.d)
             traj = integrate_fixed(g, design, x, h=h, horizon=horizon)
             steps = int(np.floor(horizon / h + 1e-9))
             if horizon == BLOCKS_AND_A_SHORT_STEP and g is net_a:
-                assert _cut(loop, 0, h, steps, 0.0, {}, {})[0][0].rows < steps
+                assert _cut(loop, 0, h, steps, 0.0, {})[0][0].rows < steps
             assert len(traj.times) == steps + 1 + (horizon > steps * h + 1e-12)
             assert traj.times[-1] == horizon
             assert np.array_equal(traj.times[: steps + 1], h * np.arange(steps + 1))
             for k in range(steps):
-                x = rk4_reference_step(lap, loop.forcing, x, h)
+                x = rk4_reference_step(lap, forcing, x, h)
                 assert np.linalg.norm(traj.states[k + 1] - x) <= 1e-13 * np.linalg.norm(x)
-            x = rk4_reference_step(lap, loop.forcing, x, horizon - steps * h)
+            x = rk4_reference_step(lap, forcing, x, horizon - steps * h)
             assert np.linalg.norm(traj.states[-1] - x) <= 1e-13 * np.linalg.norm(x)
 
     def test_exponential_decay_envelope(self, net_a, net_a_dec, rng):
@@ -146,7 +152,7 @@ class TestIntegrateFixed:
         assert np.all(traj.error_norm <= bound * (1 + 1e-6))
 
     def test_divergence_guard(self, net_a, net_a_dec, tiled, monkeypatch):
-        # a loop that truly diverges, xdot = L_B x + f, stepped at nearly the
+        # a loop that truly diverges, xdot = L_B x - f, stepped at nearly the
         # largest step that the cheap test certifies (it assumes a stable
         # L_B): the chain and the fill overflow before the run ends, and
         # only the guard may report it, at the first time a stage-by-stage
@@ -155,14 +161,14 @@ class TestIntegrateFixed:
         # pass
         composed = _count_calls(monkeypatch, "_march_passes")
         for g, dec in ((net_a, net_a_dec), tiled):
-            stable = closed_loop(g, design_fixed(g, dec, THETA))
-            loop = ClosedLoop(laplacian=-stable.laplacian, signal=stable.signal, x0=stable.x0)
-            h = 0.99 * _certified(loop)
-            lap = loop.laplacian.toarray()
+            design = design_fixed(g, dec, THETA)
+            loop = ClosedLoop(operator=-closed_loop(g, design).operator)
+            lap, forcing = reference.affine_loop(g, design)
+            h = 0.99 * _certified(lap)
             x = 1e3 * np.ones(g.n * g.d)
             k = 0
             while np.abs(x).max() <= DIVERGENCE_GUARD:
-                x = rk4_reference_step(lap, loop.forcing, x, h)
+                x = rk4_reference_step(-lap, -forcing, x, h)
                 k += 1
             assert k < 100
             for schedule in (None, SwitchingSchedule.uniform(5 * h, [0], repeat=True)):
@@ -239,9 +245,9 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _certified(loop):
+def _certified(lap):
     """RK4_RADIUS / ||L_B||_inf, from a dense L_B."""
-    return RK4_RADIUS / np.abs(loop.laplacian.toarray()).sum(axis=1).max()
+    return RK4_RADIUS / np.abs(lap).sum(axis=1).max()
 
 
 class TestCheckStep:
@@ -297,7 +303,7 @@ class TestCheckStep:
         computed once per step length, where P is built."""
         g = bundled_graph("net_a")  # a fresh object: no earlier verdict
         design = design_fixed(g, Decomposition.of(g, BUNDLED_V1["net_a"]), THETA)
-        limit = _certified(closed_loop(g, design))
+        limit = _certified(reference.affine_loop(g, design)[0])
         assert 0.036 < limit < 0.045
         x = np.zeros(21)
         calls = self._eigvals_counted(monkeypatch)
@@ -331,10 +337,11 @@ class TestCheckStep:
         """On random graphs, rho(P) < 1 at the certified limit."""
         for _ in range(20):
             g, dec = random_directed_valid(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
-            loop = closed_loop(g, design_fixed(g, dec, rng.uniform(-2, 2, g.d) + 3.0))
-            p = simulate._step_map(loop.laplacian, _certified(loop))[0]
-            dense = p if isinstance(p, np.ndarray) else p.toarray()
-            assert np.abs(np.linalg.eigvals(dense)).max() < 1.0
+            design = design_fixed(g, dec, rng.uniform(-2, 2, g.d) + 3.0)
+            h = _certified(reference.affine_loop(g, design)[0])
+            top = simulate._step_map(closed_loop(g, design).operator, h)
+            p = (top if isinstance(top, np.ndarray) else top.toarray())[:, : g.n * g.d]
+            assert np.abs(np.linalg.eigvals(p)).max() < 1.0
 
     def test_invalid_step_left_to_the_integrators(self, net_a, net_a_dec, monkeypatch):
         """A step that is not finite and positive fails the integrators'
@@ -585,6 +592,7 @@ class TestPassRoute:
             pytest.fail("no schedule drawn with the wanted passes")
         sdesign = design_switching(graphs, decs, rng.uniform(-2, 2, 3), alpha=schedule.alpha)
         loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+        systems = _affine_loops(graphs, sdesign)
         x = rng.uniform(-5, 5, graphs[0].n * 3)
         traj = integrate_switching(schedule, sdesign, graphs, x, h=h, horizon=horizon)
 
@@ -597,8 +605,8 @@ class TestPassRoute:
             assert max(k[1] for k in kinds) > STACK_BYTES // (12 * 12 * 8)
         if name in ("long", "mixed"):
             assert any(k[2] for k in kinds[: len(pattern)])
-        for want in (_spans_stage_by_stage(loops, spans, x, h)[1],
-                     reference.piece_chain(loops, kinds, x, h)):
+        for want in (_spans_stage_by_stage(systems, spans, x, h)[1],
+                     reference.piece_chain(systems, kinds, x, h, dense=case == "dense")):
             assert traj.states.shape == want.shape
             rel = np.linalg.norm(traj.states - want, axis=1) / np.linalg.norm(want, axis=1)
             assert rel.max() <= 1e-13
@@ -606,7 +614,7 @@ class TestPassRoute:
         # the route: passes where every map is dense and 2 passes >= nd,
         # then the cut last pass piece by piece; CSR maps piece by piece
         tail = sum(reps for k in kinds[plan.passes * len(pattern):]
-                   for _, reps in _cut(loops[k[0]], k[0], h, k[1], k[2], {}, {}))
+                   for _, reps in _cut(loops[k[0]], k[0], h, k[1], k[2], {}))
         if case == "dense" and plan.passes > 1:
             assert traj.work.passes == plan.passes
             assert traj.work.chain == plan.passes + tail
@@ -683,16 +691,15 @@ class TestIntegrateSwitching:
         spans = list(schedule.intervals(horizon))
         loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
         for gid, loop in loops.items():
-            p = _full_step(loop, h)[0]
-            assert isinstance(p, np.ndarray) == (case == "dense")
+            assert isinstance(_full_step(loop, h), np.ndarray) == (case == "dense")
             if case == "dense":
-                assert _cut(loop, gid, h, 80, 0.0, {}, {})[0][0].rows < 80
+                assert _cut(loop, gid, h, 80, 0.0, {})[0][0].rows < 80
         for start, end, _ in spans:
             steps = (end - start) / h
             assert abs(steps - round(steps)) > 1e-6
         x = rng.uniform(-5, 5, graphs[0].n * 3)
         traj = integrate_switching(schedule, sdesign, graphs, x, h=h, horizon=horizon)
-        times, states = _spans_stage_by_stage(loops, spans, x, h)
+        times, states = _spans_stage_by_stage(_affine_loops(graphs, sdesign), spans, x, h)
         assert np.array_equal(traj.times, times)
         assert traj.states.shape == states.shape
         rel = np.linalg.norm(traj.states - states, axis=1) / np.linalg.norm(states, axis=1)
@@ -735,7 +742,7 @@ class TestIntegrateSwitching:
         assert checked >= 30 and worst > 0.5
 
     def test_divergence_guard(self, net_a, net_b, net_c, monkeypatch):
-        # loops that truly diverge, xdot = L_B x + f, at nearly the largest
+        # loops that truly diverge, xdot = L_B x - f, at nearly the largest
         # step that the cheap test certifies on all three, with dwells of
         # four full steps and a shortened one, whose passes differ in their
         # last bits and are stepped piece by piece, and of four full steps,
@@ -743,12 +750,10 @@ class TestIntegrateSwitching:
         # may report it, at the first time a stage-by-stage run fails, two
         # switches into the run
         graphs, sdesign, _ = _switching_setup(net_a, net_b, net_c)
-        loops = {}
-        for gid, design in sdesign.designs.items():
-            stable = closed_loop(graphs[gid], design)
-            loops[gid] = ClosedLoop(laplacian=-stable.laplacian, signal=stable.signal,
-                                    x0=stable.x0)
-        h = 0.99 * min(_certified(loop) for loop in loops.values())
+        loops = {gid: ClosedLoop(operator=-closed_loop(graphs[gid], design).operator)
+                 for gid, design in sdesign.designs.items()}
+        systems = _affine_loops(graphs, sdesign)
+        h = 0.99 * min(_certified(lap) for lap, _ in systems.values())
         composed = _count_calls(monkeypatch, "_march_passes")
         for quarters in (17, 16):
             dwell = quarters * h / 4
@@ -756,9 +761,9 @@ class TestIntegrateSwitching:
             x = np.ones(21)
             failed = None
             for start, end, gid in schedule.intervals(100 * dwell):
-                lap, forcing = loops[gid].laplacian.toarray(), loops[gid].forcing
+                lap, forcing = systems[gid]
                 for j in range(1, 5 + (quarters == 17)):
-                    x = rk4_reference_step(lap, forcing, x, h if j < 5 else end - start - 4 * h)
+                    x = rk4_reference_step(-lap, -forcing, x, h if j < 5 else end - start - 4 * h)
                     if not np.abs(x).max() <= DIVERGENCE_GUARD:
                         failed = start + h * j if j < 5 else end
                         break
@@ -800,6 +805,20 @@ class TestIntegrateSwitching:
         with pytest.raises(ScheduleExhaustedError, match="unknown graph id 1"):
             integrate_switching(schedule, lone, {0: net_a}, np.zeros(21), h=1e-3, horizon=0.1)
 
+    def test_designs_of_differing_theta_rejected(self, net_a, net_a_dec, monkeypatch):
+        """Each loop drives toward its own design's x0 = k1 theta, and the
+        run carries one theta across the switches, so designs whose theta
+        differ are refused before any step, naming the graph id."""
+        sdesign = SwitchingDesign(designs={
+            0: design_fixed(net_a, net_a_dec, THETA),
+            1: design_fixed(net_a, net_a_dec, np.array([-3.0, 0.0, 4.0])),
+        }, alpha=0.02)
+        schedule = SwitchingSchedule.uniform(0.02, [0, 1], repeat=True)
+        monkeypatch.setattr(simulate, "_cut", None)
+        with pytest.raises(DimensionMismatchError, match=r"graph 1's design has theta"):
+            integrate_switching(schedule, sdesign, {0: net_a, 1: net_a}, np.zeros(21),
+                                h=1e-3, horizon=0.1)
+
     def test_benchmark_error_decays(self, net_a, net_b, net_c, rng):
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
         x0 = rng.uniform(-5, 5, 21)
@@ -814,9 +833,9 @@ class TestIntegrateSwitching:
             tk = 0.02 * k
             assert np.min(np.abs(traj.times - tk)) < 1e-12
         # each 0.02 interval is six 3e-3 steps and a shortened 2e-3 one
-        loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+        systems = _affine_loops(graphs, sdesign)
         for k, gid in enumerate((0, 0, 1, 2, 2)):
-            lap, forcing = loops[gid].laplacian.toarray(), loops[gid].forcing
+            lap, forcing = systems[gid]
             for step in (3e-3,) * 6 + (0.02 - 6 * 3e-3,):
                 x = rk4_reference_step(lap, forcing, x, step)
             at = 7 * (k + 1)
@@ -875,6 +894,40 @@ class TestIntegrateSwitching:
             integrate_switching(
                 schedule, sdesign, graphs, rng.uniform(-5, 5, 21), h=0.01, horizon=1.0
             )
+
+
+class TestConsensusFixedPoint:
+    """1 (x) theta is an equilibrium of every mode for every theta: the
+    operator sends psi = [1 (x) I; I] to 0, and every kept step map and
+    stack, and a shortened step's map, sends it to 1 (x) I.  This is the
+    simulation-side form of the augmented null space being span psi."""
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("rule", ["margin", "pinned"])
+    def test_maps_fix_the_consensus_space(self, storage, rule):
+        rng = np.random.default_rng([storage == "dense", rule == "pinned", 21])
+        for _ in range(8):
+            if storage == "dense":
+                make = random_directed_valid if rng.random() < 0.5 else random_undirected_valid
+                g, dec = make(rng, int(rng.integers(2, 8)), int(rng.integers(1, 4)))
+            else:
+                g, dec = tiled_graph(rng, int(rng.integers(6, 10)))
+            delta = None if rule == "margin" else float(rng.uniform(0.5, 20.0))
+            design = design_fixed(g, dec, rng.uniform(-2, 2, g.d), delta=delta)
+            nd, d = g.n * g.d, g.d
+            psi = np.vstack([np.tile(np.eye(d), (g.n, 1)), np.eye(d)])
+            loop = closed_loop(g, design)
+            scale = abs(loop.operator).max()
+            assert np.abs(loop.operator @ psi).max() <= 1e-13 * scale
+            h = min(1e-2, 0.5 * _certified(reference.affine_loop(g, design)[0]))
+            integrate_fixed(g, design, np.zeros(nd), h=h, horizon=80.5 * h)
+            kept = {key: top for key, top in loop.maps.items() if key[1]}
+            kept["short"] = simulate._step_map(loop.operator, h / 2)
+            assert len(kept) == (2 if storage == "csr" else 3)
+            for top in kept.values():
+                assert isinstance(top, np.ndarray) == (storage == "dense")
+                want = np.tile(np.eye(d), (top.shape[0] // d, 1))
+                assert np.abs(top @ psi - want).max() <= 1e-12
 
 
 class TestConvergenceReport:
