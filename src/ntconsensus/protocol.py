@@ -287,11 +287,14 @@ class ClosedLoop:
     nd x (nd + d) CSR matrix, read-only and theta-free; L_B is its leading
     block.  ``maps`` holds the theta-free step maps, their stability
     verdict and the stacks that ``simulate`` builds from it for one full
-    step length, the last used; every loop of one design on one graph
-    object shares it."""
+    step length, the last used, and the kept pass of a repeating schedule
+    whose first span runs on this loop; every loop of one design on one
+    graph object shares it.  ``kept`` tells whether ``maps`` is the store's (see
+    ``_STORE``), so that it outlives the run."""
 
     operator: "csr_matrix"
     maps: Dict[tuple, Any] = field(default_factory=dict, repr=False)
+    kept: bool = field(default=False, repr=False)
 
 
 def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
@@ -300,7 +303,7 @@ def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
     entry = _reuse(g, design)
     if entry.loop is None:
         entry.loop = _operator(g, design)
-    return ClosedLoop(operator=entry.loop, maps=entry.maps)
+    return ClosedLoop(operator=entry.loop, maps=entry.maps, kept=_STORE.get(g) is entry)
 
 
 def _operator(g: SignedGraph, design: ProtocolDesign) -> "csr_matrix":

@@ -8,17 +8,20 @@ steps are the top rows of R^m (see ``_powers``).  This module owns how the
 loop is stepped.  Every map depends on M_theta alone, so those of the full
 step are built once per graph object, design and step length and kept in the
 loop's ``maps``, which hold one step length, with the verdict on whether the
-step is stable (``_full_step``); the shortened step's map is built on every
-run, and theta enters a run only through z0 = [x_init; theta].  A run's
-layout, its spans (one for a fixed run and one per interval of a switching
-run), its sample times and its passes, the leading passes of the schedule
-that repeat the first span for span, depends on (schedule, T, h) alone; it
-is planned once and kept (``_plan``).  Both integrators march the plan in
-three levels (``_march``): passes, pieces of up to m steps, and steps.  The
-state goes from pass start to pass start by the composed map of one pass,
-where the maps are dense, and from piece end to piece end elsewhere; GEMMs
-fill in the samples between.  Samples sit at t0 + k h, and each span ends
-with a shortened step that lands on its end exactly (a switch time or T).
+step is stable (``_full_step``); theta enters a run only through
+z0 = [x_init; theta].  A run's layout, its spans (one for a fixed run and one
+per interval of a switching run), its sample times and its passes, the
+leading passes of the schedule that repeat the first span for span, depends
+on (schedule, T, h) alone; it is planned once and kept (``_plan``).  Both
+integrators march the plan (``_march``).  Where the maps of a repeating pass
+are dense, the pass is kept as two theta-free arrays, the maps from a pass
+start to each of its samples and the powers of the pass map, once per plan,
+step length and the designs of the pass (``_kept_pass``); a run's passes are
+then one GEMV and one GEMM per block of passes.  Elsewhere the state goes from
+piece end to piece end, a piece being up to m steps or a shortened step, and
+GEMMs fill in the samples between.  Samples sit at t0 + k h, and each span
+ends with a shortened step that lands on its end exactly (a switch time or
+T).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -57,10 +60,11 @@ RK4_RADIUS = 2.6155
 
 
 class Work(NamedTuple):
-    """What ``_march`` did in a run: the chain's matvecs (one per pass
-    stepped by a composed pass map, one per piece elsewhere), the passes
-    stepped by a composed pass map, and the GEMMs that filled in the
-    samples between the chain's."""
+    """What ``_march`` did in a run: the chain's products that took the
+    state from one start to the next (one GEMV of the pass-map powers per
+    block of passes on the pass route, one matvec per piece elsewhere),
+    the passes stepped on the pass route, and the GEMMs that filled in the
+    samples (one per block of passes, and one per distinct piece)."""
 
     chain: int = 0
     passes: int = 0
@@ -94,6 +98,11 @@ def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.
 
 # byte budget of one stack of step-map powers (see _cut)
 STACK_BYTES = 1 << 18
+# byte budget of a kept pass, W and Pw together (see _kept_pass): W takes at
+# most half, so eight stacks' worth holds the bundled cycle's W down to
+# h = 5e-4 (806,400 bytes); the pass route measured faster than the piece
+# route at every W up to 3.2 MB, so the budget bounds only what is kept
+PASS_BYTES = 8 * STACK_BYTES
 # byte budget of one chunk of samples in a per-sample reduction (see _chunk_rows)
 _CHUNK_BYTES = 1 << 15
 
@@ -229,7 +238,8 @@ def _cut(
     end map and is never sliced.  The shortened step is the one-row piece
     of its own map, which is built once per run and (gid, remainder) and is
     not kept: remainders vary with T and the switch times, and the maps
-    keep one step length."""
+    keep one step length.  A kept pass holds its shortened steps composed
+    (see ``_kept_pass``)."""
     cut = []
     if steps:
         top = _full_step(loop, h)
@@ -261,10 +271,10 @@ class _Plan(NamedTuple):
     each span's kind (graph id, full steps, the shortened step's length or
     0.0), in time order; the spans per pass of the schedule, ``unit``; and
     ``passes``, the count of leading passes that repeat the first pass kind
-    for kind.  ``passes`` is 1 when the second pass differs, as when a
-    remainder rounds differently; a last pass that T cuts short, and any
-    pass after the first that differs, end the count.  A span's sample
-    count is its full steps, and one more for a shortened step."""
+    for kind.  ``passes`` is 1 when the second pass differs; a last pass
+    that T cuts short, and any pass after the first that differs, end the
+    count.  A span's sample count is its full steps, and one more for a
+    shortened step."""
 
     times: np.ndarray
     kinds: Tuple[Tuple[int, int, float], ...]
@@ -315,11 +325,18 @@ def _layout(
     """The plan of a run over spans (start, end, graph id) in time order,
     ``unit`` of them per pass: floor((end - start) / h) full steps sampled
     at start + j h, then, if more than 1e-12 is left, a shortened step that
-    lands on end exactly."""
+    lands on end exactly.  A shortened step's length within 1e-12 of the
+    first pass's at the same position in the pattern takes that length:
+    rounding makes them differ in their last bits from pass to pass, and
+    would end the repeating passes after the first."""
     lengths = ends - starts
     full = np.floor(lengths / h + 1e-9).astype(np.int64)
     remainders = lengths - full * h
     short = remainders > 1e-12
+    remainders[~short] = 0.0
+    lead = np.resize(remainders[:unit], len(remainders))
+    snap = np.abs(remainders - lead) <= 1e-12
+    remainders[snap] = lead[snap]
     counts = full + short
     last = np.cumsum(counts)  # row of each span's last sample; row 0 holds x
     first = last - counts
@@ -329,7 +346,7 @@ def _layout(
         np.arange(1, last[-1] + 1) - np.repeat(first, counts)
     )
     times[last[counts > 0]] = ends[counts > 0]
-    kinds = tuple(zip(gids.tolist(), full.tolist(), np.where(short, remainders, 0.0).tolist()))
+    kinds = tuple(zip(gids.tolist(), full.tolist(), remainders.tolist()))
     first, passes = kinds[:unit], 1
     while kinds[passes * unit : (passes + 1) * unit] == first:
         passes += 1
@@ -349,66 +366,98 @@ def _plan(schedule: Optional[SwitchingSchedule], horizon: float, h: float) -> _P
     return _layout(*_expand(schedule, horizon), h, len(schedule.graph_ids))
 
 
-def _composes(unit: List[_Piece], nd: int, passes: int) -> bool:
-    """Whether ``passes`` passes of the pieces ``unit`` take the pass route
-    (``_march_passes``): every end map is dense, the pass's prefix maps fit
-    in ``STACK_BYTES`` as a stack does, and 2 passes >= nd.  Composing
-    costs about nd^3 flops per piece and saves passes - 1 matvecs of about
-    nd^2 flops and a call each; on one core the pass route measured faster
-    from about passes >= nd / 4 at nd = 21 and from passes >= nd / 2 at
-    nd = 180 to 240, and up to 30 times slower below."""
-    return (
-        2 * passes >= nd and all(isinstance(piece.end, np.ndarray) for piece in unit)
-        and len(unit) * unit[0].end.nbytes <= STACK_BYTES
-    )
+class _Pass(NamedTuple):
+    """The theta-free arrays of a repeating pass (see ``_kept_pass``): the
+    span kinds of the pass and the operators of their loops, which key it;
+    W, the top rows of the maps from the pass start to each of its samples,
+    (span nd) x (nd + d), whose last row block is the pass map M; and Pw,
+    the top rows of M^1 ... M^(k-1) for blocks of k passes, or None
+    before it is built."""
+
+    kinds: Tuple[Tuple[int, int, float], ...]
+    operators: tuple
+    w: np.ndarray
+    pw: Optional[np.ndarray]
+
+
+def _kept_pass(
+    loops: Mapping[int, ClosedLoop],
+    plan: _Plan,
+    h: float,
+    cut: "Callable[[Tuple[int, int, float]], List[Tuple[_Piece, int]]]",
+) -> Optional[_Pass]:
+    """The pass of ``plan``'s repeating passes, or None where they take
+    the piece route: where a map of the pass is CSR, or where W would take
+    more than half of ``PASS_BYTES``.
+
+    W is composed from the pieces of the pass in time order (see ``_cut``)
+    by one GEMM per piece, W_j = S_j [[end of W_(j-1)], [0, I]] with S_j
+    the piece's rows of its stack; Pw by doubling (``_powers``), for blocks
+    of as many passes, up to the plan's, as what W leaves of
+    ``PASS_BYTES`` holds, so that a block has at least span + 1 passes
+    and W is read at most once per span passes.  Both are read-only and
+    kept in the maps of the loop of the pass's first span, when every loop
+    of the pass is the store's (``ClosedLoop.kept``), so they die with its
+    graph and with its step length.  They are found there again for the
+    same pass kinds and the same operators of the pass's loops, compared
+    by identity, so that a new design on any graph of the pattern misses;
+    a hit skips the cut, and a plan with another pass count only rebuilds
+    Pw."""
+    kinds = plan.kinds[: plan.unit]
+    operators = tuple(loops[gid].operator for gid, _, _ in kinds)
+    nd, width = operators[0].shape
+    maps = loops[kinds[0][0]].maps
+    kept = maps.get((h, "pass"))
+    if kept is None or kept.kinds != kinds or any(
+        a is not b for a, b in zip(kept.operators, operators)
+    ):
+        unit = [piece for kind in kinds for piece, reps in cut(kind) for _ in range(reps)]
+        rows = sum(piece.rows for piece in unit)
+        if 2 * rows * nd * width * 8 > PASS_BYTES or not all(
+            isinstance(piece.stack, np.ndarray) for piece in unit
+        ):
+            return None
+        w = np.empty((rows * nd, width))
+        lift = np.eye(width)  # [[end of W_(j-1)], [0, I]], the identity for j = 0
+        row = 0
+        for piece in unit:
+            np.matmul(piece.stack[: piece.rows * nd], lift, out=w[row : row + piece.rows * nd])
+            row += piece.rows * nd
+            lift[:nd] = w[row - nd : row]
+        kept = _Pass(kinds, operators, _read_only(w), None)
+    size = min(plan.passes, 1 + (PASS_BYTES - kept.w.nbytes) // (nd * width * 8))
+    if kept.pw is None or len(kept.pw) != (size - 1) * nd:
+        kept = kept._replace(pw=_powers(kept.w[-nd:], size - 1))
+        if all(loops[gid].kept for gid, _, _ in kinds):
+            maps[(h, "pass")] = kept
+    return kept
 
 
 def _march_passes(
-    states: np.ndarray, theta: np.ndarray, unit: List[_Piece], passes: int
+    states: np.ndarray, theta: np.ndarray, kept: _Pass, passes: int
 ) -> Tuple[int, int]:
-    """Step the first ``passes`` passes of a run from states[0], each pass
-    the pieces ``unit`` in time order, all with dense end maps; return the
-    row of the last pass's end and the count of fill GEMMs.
-
-    Once per run, the pieces' end maps E_j compose into the theta-free
-    prefix maps W_j, the top rows of the map from a pass start to the end
-    of piece j, by one GEMM per piece: W_j = E_j [[W_{j-1}], [0, I]].  The
-    last is the pass map, and a chain of one matvec per pass takes the
-    state from pass start to pass start.  One GEMM then takes the ends of
-    all pieces but the last, in every pass, from the pass starts; one GEMM
-    per piece of the pass fills its interior samples in every pass, as the
-    piece route does, through strided views of the states, one row of
-    ``passes`` per pass.  Each GEMM takes the z-states [x | theta] of its
-    starts."""
-    nd, width = unit[0].end.shape
-    span = sum(piece.rows for piece in unit)
-    prefix = np.empty((len(unit), nd, width))
-    prefix[0] = unit[0].end
-    lift = np.eye(width)
-    for j in range(1, len(unit)):
-        lift[:nd] = prefix[j - 1]
-        np.matmul(unit[j].end, lift, out=prefix[j])
-    z = _lifted(states[0], theta)
-    for r in range(span, (passes + 1) * span, span):
-        states[r] = prefix[-1] @ z
-        z[:nd] = states[r]
-    flat = states[: passes * span].reshape(passes, span * nd)  # one row per pass
-    fills = 0
-    if len(unit) > 1:
-        ends = np.cumsum([piece.rows for piece in unit[:-1]])
-        flat.reshape(passes, span, nd)[:, ends] = (
-            _lifted(flat[:, :nd], theta) @ prefix[:-1].reshape(-1, width).T
-        ).reshape(passes, -1, nd)
-        fills += 1
-    first = 0
-    for piece in unit:
-        if piece.rows > 1:
-            np.matmul(_lifted(flat[:, first * nd : (first + 1) * nd], theta),
-                      piece.stack[: (piece.rows - 1) * nd].T,
-                      out=flat[:, (first + 1) * nd : (first + piece.rows) * nd])
-            fills += 1
-        first += piece.rows
-    return passes * span, fills
+    """Step the first ``passes`` passes of a run from states[0] by the
+    kept pass ``kept``, in blocks of as many passes as Pw allows; return
+    the row of the last pass's end and the count of blocks.  Per block,
+    one GEMV of Pw takes the z-state [x | theta] at the block's first pass
+    start to its other pass starts, and one GEMM of W takes the z-starts to
+    every sample of the block's passes, written straight into the states,
+    which hold them back to back, one pass per row of a (passes, span nd)
+    view.  The next block starts from the last sample of this one."""
+    nd, width = states.shape[1], kept.w.shape[1]
+    span = len(kept.w) // nd
+    size = len(kept.pw) // nd + 1
+    starts = np.empty((size, width))
+    starts[:, nd:] = theta
+    blocks = 0
+    for first in range(0, passes, size):
+        k = min(size, passes - first)
+        starts[0, :nd] = states[first * span]
+        starts[1:k, :nd] = (kept.pw[: (k - 1) * nd] @ starts[0]).reshape(k - 1, nd)
+        out = states[1 + first * span : 1 + (first + k) * span].reshape(k, span * nd)
+        np.matmul(starts[:k], kept.w.T, out=out)
+        blocks += 1
+    return passes * span, blocks
 
 
 def _march(
@@ -421,29 +470,31 @@ def _march(
 ) -> Trajectory:
     """March x through the spans of ``plan`` in order, sampling after every
     step, on the loops that the spans' graph ids key, and count the work
-    (``Work``).  Each kind of span (loop, full steps, remainder) is cut
-    into pieces once (``_cut``).  The plan's repeating passes take the
-    pass route (``_march_passes``) where ``_composes`` allows, and the rest
-    of the run, all of it for CSR maps, the piece route: a
+    (``Work``).  The plan's repeating passes take the pass route
+    (``_march_passes``) where ``_kept_pass`` gives their pass, and the rest
+    of the run, all of it for CSR maps, the piece route: each kind of span
+    (loop, full steps, remainder) is cut into pieces once (``_cut``); a
     chain of one matvec per piece with its end map takes the state from
     piece end to piece end in time order; then one GEMM per distinct piece
     fills the interior samples of all its occurrences from their start
-    states.  Every map takes z = [x; theta] to the next x, so theta enters
-    the run only here.  A CSR map has one-row pieces, so its states are
-    those of stepping x <- [P | Q] z; elsewhere they agree with
-    stage-by-stage RK4 to about 1e-14 relative.  The guard checks every
-    sample once and names the first that fails.  The error norm is taken
-    in chunks of samples (``_chunk_rows``), so that no temporary spans the
-    run; a sample's norm does not depend on the samples beside it.  A
-    piece's fill stays one GEMM over all its starts: its results depend on
-    the GEMM's row count, so filling in chunks would change the states in
-    their last bits.  The run gets its own copy of the plan's times."""
+    states, through a strided view of the states where the occurrences are
+    evenly spaced and by a scatter elsewhere.  Every map takes z = [x;
+    theta] to the next x, so theta enters the run only here.  A CSR map has
+    one-row pieces, so its states are those of stepping x <- [P | Q] z;
+    elsewhere they agree with stage-by-stage RK4 to about 1e-14 relative.
+    The guard checks every sample once and names the first that fails.
+    The error norm is taken in chunks of samples (``_chunk_rows``), so
+    that no temporary spans the run; a sample's norm does not depend on
+    the samples beside it.  A piece's fill stays one GEMM over all its
+    starts: its results depend on the GEMM's row count, so filling in
+    chunks would change the states in their last bits.  The run gets its
+    own copy of the plan's times."""
     times = plan.times.copy()
     nd = x.shape[0]
     states = np.empty((len(times), nd))
     states[0] = x
-    # pieces and each kind's cut live for this run only; the step maps and
-    # stacks are in each loop's maps
+    # pieces and each kind's cut live for this run only; the step maps,
+    # stacks and the kept pass are in the loops' maps
     pieces: Dict[tuple, _Piece] = {}
     cuts: Dict[tuple, List[Tuple[_Piece, int]]] = {}
 
@@ -454,16 +505,14 @@ def _march(
         return cuts[kind]
 
     row = done = chain = passes = fills = 0
-    # an unstable map overflows in the chain, in its powers or in the
-    # composed pass map; the guard reports it instead
+    # an unstable map overflows in the chain, in its powers or in the kept
+    # pass; the guard reports it instead
     with np.errstate(over="ignore", invalid="ignore"):
         if plan.passes > 1:
-            unit = [piece for kind in plan.kinds[: plan.unit]
-                    for piece, reps in cut(kind) for _ in range(reps)]
-            if _composes(unit, nd, plan.passes):
-                row, fills = _march_passes(states, theta, unit, plan.passes)
-                done = plan.passes * plan.unit
-                chain = passes = plan.passes
+            kept = _kept_pass(loops, plan, h, cut)
+            if kept is not None:
+                row, chain = _march_passes(states, theta, kept, plan.passes)
+                done, passes, fills = plan.passes * plan.unit, plan.passes, chain
         z = _lifted(states[row], theta)
         for kind in plan.kinds[done:]:
             for (end, rows, _, at), reps in cut(kind):
@@ -477,8 +526,15 @@ def _march(
         for _, rows, stack, at in pieces.values():
             if at:
                 at = np.array(at)
-                fill = _lifted(states[at], theta) @ stack[: (rows - 1) * nd].T
-                states[at[:, None] + np.arange(1, rows)] = fill.reshape(len(at), rows - 1, nd)
+                starts, maps = _lifted(states[at], theta), stack[: (rows - 1) * nd].T
+                step = at[1] - at[0] if len(at) > 1 else rows
+                if (np.diff(at) == step).all():  # one view row per occurrence
+                    np.matmul(starts, maps, out=np.lib.stride_tricks.as_strided(
+                        states[at[0] + 1 :], shape=(len(at), (rows - 1) * nd),
+                        strides=(step * states.strides[0], states.strides[1])))
+                else:
+                    fill = (starts @ maps).reshape(len(at), rows - 1, nd)
+                    states[at[:, None] + np.arange(1, rows)] = fill
                 fills += 1
     # max and min pass a NaN on, so a NaN state fails the test too; no
     # full-size temporary is made unless a sample fails and must be named

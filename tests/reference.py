@@ -190,12 +190,15 @@ def schedule_intervals(
 
 
 def span_layout(
-    spans: Sequence[Tuple[float, float, int]], h: float
+    spans: Sequence[Tuple[float, float, int]], h: float, unit: Optional[int] = None
 ) -> Tuple[List[float], List[Tuple[int, int, float]]]:
     """The sample times of a run over ``spans`` and each span's kind (graph
     id, full steps, the shortened step's length or 0.0), span by span: full
     steps sampled at start + j h, then a shortened step if more than 1e-12
-    is left, and a span's last sample, if it has one, exactly at its end."""
+    is left, and a span's last sample, if it has one, exactly at its end.
+    Given the pattern's ``unit`` spans per pass, a shortened step within
+    1e-12 of the first pass's at its position in the pattern takes that
+    one's length."""
     times, kinds = [0.0], []
     for start, end, gid in spans:
         full = int(np.floor((end - start) / h + 1e-9))
@@ -204,7 +207,10 @@ def span_layout(
         times += [start + h * j for j in range(1, full + 1 + short)]
         if full + short:
             times[-1] = float(end)
-        kinds.append((gid, full, remainder if short else 0.0))
+        remainder = remainder if short else 0.0
+        if unit and len(kinds) >= unit and abs(remainder - kinds[len(kinds) % unit][2]) <= 1e-12:
+            remainder = kinds[len(kinds) % unit][2]
+        kinds.append((gid, full, remainder))
     return times, kinds
 
 

@@ -1,8 +1,9 @@
 """The per-graph store of theta-free values: a second design or run on the
 same graph object reuses the design, the closed-loop operator, the full
-step's maps and stacks, lambda_min and the augmented Laplacian, and gives
-the same bytes as a fresh graph; stored values cannot be written; the maps
-keep one step length; entries die with their graph."""
+step's maps and stacks, the kept pass of a repeating schedule, lambda_min
+and the augmented Laplacian, and gives the same bytes as a fresh graph;
+stored values cannot be written; the maps keep one step length; entries die
+with their graph."""
 
 import dataclasses
 import gc
@@ -13,8 +14,11 @@ import numpy as np
 import pytest
 
 from ntconsensus import (
+    Decomposition,
+    SwitchingDesign,
     SwitchingSchedule,
     bundled_graph,
+    bundled_path,
     closed_loop,
     contraction_factor,
     design_fixed,
@@ -22,12 +26,14 @@ from ntconsensus import (
     design_switching,
     integrate_fixed,
     integrate_switching,
+    load_schedule,
     write_trajectory_csv,
 )
-from ntconsensus import protocol
+from ntconsensus import protocol, simulate
+from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 
 from conftest import random_directed_valid, rk4_reference_step, tiled_graph
-from reference import affine_loop
+from reference import affine_loop, piece_chain, schedule_intervals, span_layout
 from test_acceptance import _switching_setup
 
 H = 1e-3
@@ -198,9 +204,10 @@ def test_stacks_are_kept_per_step_length(rng):
             stack[0, 0] = 1.0
     integrate_switching(schedule, sdesign, graphs, -x, h=H, horizon=2.0)
     assert all(maps[key] is stack for key, stack in kept.items())
-    # half the step: 40 steps per interval, and the stacks of H are gone
+    # half the step: 40 steps per interval, and the stacks and the kept
+    # pass of H are gone
     run = integrate_switching(schedule, sdesign, graphs, x, h=H / 2, horizon=2.0)
-    assert sorted(maps) == [(H / 2, 0), (H / 2, 1), (H / 2, 40)]
+    assert set(maps) == {(H / 2, 0), (H / 2, 1), (H / 2, 40), (H / 2, "pass")}
     fresh, fresh_design, _ = _switching_setup(*(dataclasses.replace(graphs[k]) for k in range(3)))
     again = integrate_switching(schedule, fresh_design, fresh, x, h=H / 2, horizon=2.0)
     assert run.work.passes == again.work.passes == 20
@@ -225,3 +232,130 @@ def test_hand_built_design_gets_its_own_operator(net_a_dec, rng):
         assert np.linalg.norm(traj.states[k + 1] - x) <= 1e-13 * np.linalg.norm(x)
     assert protocol._STORE[g] is entry and entry.maps.keys() == kept.keys()
     assert all(entry.maps[key] is value for key, value in kept.items())
+
+
+NAMES = ("net_a", "net_b", "net_c")
+
+
+def _cycle():
+    """The bundled cycle on fresh graph objects, whose maps no other test
+    has kept, with their decompositions and a designer of the pinned
+    coefficients, any of which ``deltas`` overrides."""
+    schedule = load_schedule(bundled_path("cycle_schedule.json"))
+    graphs = {k: bundled_graph(name) for k, name in enumerate(NAMES)}
+    decs = {k: Decomposition.of(g, BUNDLED_V1[NAMES[k]]) for k, g in graphs.items()}
+
+    def design(theta, **deltas):
+        pinned = {k: deltas.get(name, SWITCHING_DELTAS[name]) for k, name in enumerate(NAMES)}
+        return design_switching(graphs, decs, theta, alpha=schedule.alpha, deltas=pinned)
+
+    return graphs, design, schedule
+
+
+def _kept(graphs, h=H):
+    """The kept pass of the bundled cycle: in the maps of net_a, the graph
+    of its first span."""
+    return protocol._STORE[graphs[0]].maps[(h, "pass")]
+
+
+def _close_to_the_piece_chain(run, graphs, sdesign, schedule, h, horizon):
+    """Whether the run's states are within 1e-13 relative per sample of
+    the interval-by-interval piece chain of its schedule."""
+    systems = {k: affine_loop(graphs[k], d) for k, d in sdesign.designs.items()}
+    kinds = span_layout(list(schedule_intervals(schedule, horizon)), h,
+                        len(schedule.graph_ids))[1]
+    want = piece_chain(systems, kinds, run.states[0], h, dense=True)
+    rel = np.linalg.norm(run.states - want, axis=1) / np.linalg.norm(want, axis=1)
+    return run.states.shape == want.shape and rel.max() <= 1e-13
+
+
+def test_kept_pass_is_reused_across_theta_and_x(rng):
+    """A second run of the bundled cycle, with another theta and x_init,
+    steps its passes by the W and Pw that the first kept, read-only, and
+    gives the bytes of a run on fresh graph objects."""
+    graphs, design, schedule = _cycle()
+    integrate_switching(schedule, design(rng.uniform(-2, 2, 3)), graphs,
+                        rng.uniform(-5, 5, 21), h=H, horizon=2.0)
+    kept = _kept(graphs)
+    # W: the 100 samples of a pass; Pw: M^1 ... M^19 for the 20 passes
+    assert kept.w.shape == (100 * 21, 24) and kept.pw.shape == (19 * 21, 24)
+    for arr in (kept.w, kept.pw):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    theta, x = rng.uniform(-2, 2, 3), rng.uniform(-5, 5, 21)
+    sdesign = design(theta)
+    run = integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
+    assert _kept(graphs) is kept
+    assert _kept(graphs).w is kept.w and _kept(graphs).pw is kept.pw
+    assert run.work == simulate.Work(chain=1, passes=20, fills=1)
+    assert _close_to_the_piece_chain(run, graphs, sdesign, schedule, H, 2.0)
+    fresh, fresh_design, _ = _cycle()
+    again = integrate_switching(schedule, fresh_design(theta), fresh, x, h=H, horizon=2.0)
+    assert _kept(fresh) is not kept
+    assert run.states.tobytes() == again.states.tobytes()
+    assert run.error_norm.tobytes() == again.error_norm.tobytes()
+
+
+def test_kept_pass_follows_the_step_and_every_design(rng):
+    """A new step length drops the kept pass with the maps; a new delta on
+    net_b alone, a graph that the pass's first span does not run on,
+    forces a rebuild; each rebuilt pass steps correctly."""
+    graphs, design, schedule = _cycle()
+    x, theta = rng.uniform(-5, 5, 21), rng.uniform(-2, 2, 3)
+    first = integrate_switching(schedule, design(theta), graphs, x, h=H, horizon=2.0)
+    kept = _kept(graphs)
+    integrate_switching(schedule, design(theta), graphs, x, h=H / 2, horizon=2.0)
+    maps = protocol._STORE[graphs[0]].maps
+    assert (H, "pass") not in maps and _kept(graphs, H / 2).w.shape == (200 * 21, 24)
+    back = integrate_switching(schedule, design(theta), graphs, x, h=H, horizon=2.0)
+    assert _kept(graphs) is not kept
+    assert back.states.tobytes() == first.states.tobytes()
+    kept = _kept(graphs)
+    entries = [protocol._STORE[g] for g in graphs.values()]
+    sdesign = design(theta, net_b=SWITCHING_DELTAS["net_b"] + 1.0)
+    assert [protocol._STORE[g] is e for g, e in zip(graphs.values(), entries)] \
+        == [True, False, True]
+    run = integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
+    assert _kept(graphs) is not kept and _kept(graphs).w is not kept.w
+    assert not np.array_equal(run.states, first.states)
+    assert _close_to_the_piece_chain(run, graphs, sdesign, schedule, H, 2.0)
+
+
+def test_hand_built_designs_keep_no_pass(rng):
+    """A switching design with a hand-built design on any graph of the
+    pattern gets a pass built for the run, which is not kept: the store's
+    maps stay as they were, key for key and object for object, and the
+    states are the bytes of the stored designs' run."""
+    graphs, design, schedule = _cycle()
+    theta, x = rng.uniform(-2, 2, 3), rng.uniform(-5, 5, 21)
+    sdesign = design(theta)
+    stored = integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
+    kept = [dict(protocol._STORE[g].maps) for g in graphs.values()]
+    for hand in ({1}, {0}, {0, 1, 2}):
+        by_hand = SwitchingDesign(designs={
+            k: dataclasses.replace(d, blocks=d.blocks.copy()) if k in hand else d
+            for k, d in sdesign.designs.items()}, alpha=sdesign.alpha)
+        run = integrate_switching(schedule, by_hand, graphs, x, h=H, horizon=2.0)
+        assert run.work.passes == 20
+        assert run.states.tobytes() == stored.states.tobytes()
+        for g, maps in zip(graphs.values(), kept):
+            assert protocol._STORE[g].maps.keys() == maps.keys()
+            assert all(protocol._STORE[g].maps[key] is value for key, value in maps.items())
+
+
+def test_passes_past_the_pw_cap_go_block_by_block(net_a_dec, rng):
+    """Where a plan has more passes than Pw holds, the passes go in blocks,
+    each from the last sample of the one before, and agree with the piece
+    chain: net_a alone, in dwells of four steps, so that W is small and
+    Pw's cap is reached within a few thousand steps."""
+    g = bundled_graph("net_a")
+    schedule = SwitchingSchedule.uniform(4 * H, [0], repeat=True)
+    sdesign = design_switching({0: g}, {0: net_a_dec}, rng.uniform(-2, 2, 3), alpha=4 * H)
+    cap = 1 + (simulate.PASS_BYTES - 4 * 21 * 24 * 8) // (21 * 24 * 8)
+    horizon = (cap + 40) * 4 * H
+    run = integrate_switching(schedule, sdesign, {0: g}, rng.uniform(-5, 5, 21), h=H,
+                              horizon=horizon)
+    assert simulate._plan(schedule, horizon, H).passes == cap + 40
+    assert len(protocol._STORE[g].maps[(H, "pass")].pw) == (cap - 1) * 21
+    assert run.work == simulate.Work(chain=2, passes=cap + 40, fills=2)
+    assert _close_to_the_piece_chain(run, {0: g}, sdesign, schedule, H, horizon)

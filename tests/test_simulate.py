@@ -141,6 +141,21 @@ class TestIntegrateFixed:
             x = rk4_reference_step(lap, forcing, x, horizon - steps * h)
             assert np.linalg.norm(traj.states[-1] - x) <= 1e-13 * np.linalg.norm(x)
 
+    def test_evenly_spaced_pieces_fill_in_place(self, net_a, net_a_dec, rng):
+        """A long dense fixed run is back-to-back pieces of m steps; their
+        samples are filled through a strided view of the states, with the
+        bytes of one GEMM over all the pieces' start states."""
+        design = design_fixed(net_a, net_a_dec, THETA)
+        traj = integrate_fixed(net_a, design, rng.uniform(-5, 5, 21), h=1e-3, horizon=2.0)
+        (piece, reps), (tail, _) = _cut(closed_loop(net_a, design), 0, 1e-3, 2000, 0.0, {})
+        m = piece.rows
+        assert reps * m + tail.rows == 2000 and reps > 1
+        starts = m * np.arange(reps)
+        z = np.hstack([traj.states[starts], np.tile(THETA, (reps, 1))])
+        fill = (z @ piece.stack[: (m - 1) * 21].T).reshape(reps, m - 1, 21)
+        assert traj.states[starts[:, None] + np.arange(1, m)].tobytes() == fill.tobytes()
+        assert traj.work == simulate.Work(chain=reps + 1, passes=0, fills=2)
+
     def test_exponential_decay_envelope(self, net_a, net_a_dec, rng):
         design = design_fixed(net_a, net_a_dec, THETA)
         grounded, _ = design_laplacians(net_a, design)
@@ -481,14 +496,35 @@ class TestPlan:
                             0.0157):
                 x = rng.uniform(-5.0, 5.0, 21)
                 traj = integrate_switching(schedule, sdesign, graphs, x, h=h, horizon=horizon)
-                times, kinds = reference.span_layout(
-                    list(reference.schedule_intervals(schedule, horizon)), h)
                 unit = len(schedule.graph_ids)
+                times, kinds = reference.span_layout(
+                    list(reference.schedule_intervals(schedule, horizon)), h, unit)
                 plan = simulate._Plan(np.array(times), tuple(kinds), unit,
                                       reference.leading_passes(kinds, unit))
                 ref = _march(graphs[0], THETA, loops, plan, x, h)
                 for name in ("times", "states", "error_norm"):
                     assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_snapped_shortened_steps_keep_the_times(self, net_a, net_b, net_c, rng):
+        """At h = 3e-3 each 0.02 interval of the bundled cycle ends with a
+        shortened step whose length differs in its last bits from pass to
+        pass; the plan snaps each onto the first pass's at its position in
+        the pattern, so all 20 passes repeat.  The sample times stay those
+        of the span-by-span layout, byte for byte, and the states agree
+        with stage-by-stage RK4 over the true lengths."""
+        graphs, sdesign, cycle = _switching_setup(net_a, net_b, net_c)
+        spans = list(reference.schedule_intervals(cycle, 2.0))
+        times, raw = reference.span_layout(spans, 3e-3)
+        assert reference.leading_passes(raw, 5) == 1
+        plan = _plan(cycle, 2.0, 3e-3)
+        assert plan.passes == 20
+        assert plan.times.tobytes() == np.array(times).tobytes()
+        assert max(abs(a[2] - b[2]) for a, b in zip(plan.kinds, raw)) <= 1e-15
+        x = rng.uniform(-5.0, 5.0, 21)
+        traj = integrate_switching(cycle, sdesign, graphs, x, h=3e-3, horizon=2.0)
+        want = _spans_stage_by_stage(_affine_loops(graphs, sdesign), spans, x, 3e-3)[1]
+        rel = np.linalg.norm(traj.states - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert rel.max() <= 1e-13
 
     def test_fixed_run_is_one_span(self, net_a, net_a_dec, rng):
         design = design_fixed(net_a, net_a_dec, THETA)
@@ -556,14 +592,15 @@ def _random_modes(rng, case, count):
 
 class TestPassRoute:
     """A repeating schedule is stepped pass by pass where its step maps are
-    dense and passes are many enough, and piece by piece elsewhere; both
-    agree with stage-by-stage RK4 and with the interval-by-interval piece
-    chain of ``reference.piece_chain``."""
+    dense, and piece by piece elsewhere; both agree with stage-by-stage RK4
+    and with the interval-by-interval piece chain of
+    ``reference.piece_chain``."""
 
     # (pattern, interval lengths in half steps or None for lengths that are
     # no multiple of h, full passes, half steps of a last pass that T cuts):
     # spans longer than a stack with shortened steps, a one-interval
-    # pattern, three kinds per pass, a cut last pass, and passes that differ
+    # pattern, three kinds per pass, a cut last pass, and passes whose
+    # shortened steps differ in their last bits, which the plan snaps
     CASES = {
         "long": ((0, 1), lambda rng: (2 * rng.integers(228, 300) + 1, rng.integers(8, 80)), 6, 0),
         "p1": ((0,), lambda rng: (rng.integers(8, 200),), 9, 0),
@@ -579,17 +616,18 @@ class TestPassRoute:
         pattern, draw, full, cut = self.CASES[name]
         rng = np.random.default_rng([len(name), ord(name[0]), case == "dense"])
         graphs, decs = _random_modes(rng, case, len(set(pattern)))
-        h, passes = (1e-3, 0) if draw is None else (DYADIC, full)
-        for _ in range(20):  # lengths that are no multiple of h: until the second pass differs
+        h = 1e-3 if draw is None else DYADIC
+        for _ in range(20):  # lengths that are no multiple of h: until the passes differ unsnapped
             lengths = (tuple(rng.uniform(0.013, 0.037, len(pattern)).tolist()) if draw is None
                        else tuple(float(k) * DYADIC / 2 for k in draw(rng)))
             schedule = SwitchingSchedule(lengths=lengths, graph_ids=pattern, alpha=min(lengths),
                                          repeat=True)
             horizon = full * schedule.period + cut * DYADIC / 2
-            if _plan(schedule, horizon, h).passes == (passes or 1):
+            raw = reference.span_layout(list(reference.schedule_intervals(schedule, horizon)), h)
+            if draw is not None or reference.leading_passes(raw[1], len(pattern)) == 1:
                 break
         else:
-            pytest.fail("no schedule drawn with the wanted passes")
+            pytest.fail("no schedule drawn whose passes differ unsnapped")
         sdesign = design_switching(graphs, decs, rng.uniform(-2, 2, 3), alpha=schedule.alpha)
         loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
         systems = _affine_loops(graphs, sdesign)
@@ -597,10 +635,10 @@ class TestPassRoute:
         traj = integrate_switching(schedule, sdesign, graphs, x, h=h, horizon=horizon)
 
         spans = list(reference.schedule_intervals(schedule, horizon))
-        times, kinds = reference.span_layout(spans, h)
+        times, kinds = reference.span_layout(spans, h, len(pattern))
         assert traj.times.tobytes() == np.array(times).tobytes()
         plan = _plan(schedule, horizon, h)
-        assert plan.passes == reference.leading_passes(kinds, len(pattern))
+        assert plan.passes == reference.leading_passes(kinds, len(pattern)) == full
         if name == "long":
             assert max(k[1] for k in kinds) > STACK_BYTES // (12 * 12 * 8)
         if name in ("long", "mixed"):
@@ -611,39 +649,49 @@ class TestPassRoute:
             rel = np.linalg.norm(traj.states - want, axis=1) / np.linalg.norm(want, axis=1)
             assert rel.max() <= 1e-13
 
-        # the route: passes where every map is dense and 2 passes >= nd,
-        # then the cut last pass piece by piece; CSR maps piece by piece
+        # the route: passes in one block where every map is dense, one GEMV
+        # and one GEMM, then the cut last pass piece by piece; CSR maps
+        # piece by piece
         tail = sum(reps for k in kinds[plan.passes * len(pattern):]
                    for _, reps in _cut(loops[k[0]], k[0], h, k[1], k[2], {}))
-        if case == "dense" and plan.passes > 1:
+        if case == "dense":
             assert traj.work.passes == plan.passes
-            assert traj.work.chain == plan.passes + tail
+            assert traj.work.chain == 1 + tail
         else:
             assert traj.work.passes == 0
         if case == "csr":
             assert traj.work.chain == len(traj.times) - 1 and traj.work.fills == 0
 
     def test_work_of_the_bundled_cycle_and_the_tiled_run(self, net_a, net_b, net_c, tiled, rng):
-        """The bundled cycle to T = 2 is 20 passes of five 20-step pieces:
-        20 chain steps, one GEMM for the piece starts and one fill per piece
-        of a pass.  The tiled CSR run steps one matvec per step."""
+        """The bundled cycle to T = 2 is 20 passes of five 20-step pieces in
+        one block: one GEMV for the pass starts and one GEMM for every
+        sample.  The tiled CSR run steps one matvec per step."""
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
         run = integrate_switching(schedule, sdesign, graphs, rng.uniform(-5, 5, 21), h=1e-3,
                                   horizon=2.0)
-        assert run.work == simulate.Work(chain=20, passes=20, fills=6)
+        assert run.work == simulate.Work(chain=1, passes=20, fills=1)
         g, dec = tiled
         design = design_fixed(g, dec, THETA)
         fixed = integrate_fixed(g, design, rng.uniform(-5, 5, g.n * 3), h=1e-3, horizon=0.1)
         assert fixed.work == simulate.Work(chain=100, passes=0, fills=0)
 
-    def test_few_passes_take_the_piece_route(self, net_a, net_b, net_c, rng):
-        """With 2 passes < nd = 21, composing a pass would cost more than it
-        saves; the bundled cycle to T = 1 (10 passes) steps piece by piece."""
+    def test_few_passes_take_the_pass_route(self, net_a, net_b, net_c, rng):
+        """The pass is composed once per plan and designs, not per run, so
+        few passes take the pass route too: the bundled cycle to T = 0.2
+        (2 passes, against nd = 21) and to T = 1 (10 passes), in agreement
+        with the piece chain."""
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
-        run = integrate_switching(schedule, sdesign, graphs, rng.uniform(-5, 5, 21), h=1e-3,
-                                  horizon=1.0)
-        assert _plan(schedule, 1.0, 1e-3).passes == 10
-        assert run.work == simulate.Work(chain=50, passes=0, fills=3)
+        systems = _affine_loops(graphs, sdesign)
+        for horizon, passes in ((0.2, 2), (1.0, 10)):
+            x = rng.uniform(-5, 5, 21)
+            run = integrate_switching(schedule, sdesign, graphs, x, h=1e-3, horizon=horizon)
+            assert _plan(schedule, horizon, 1e-3).passes == passes
+            assert run.work == simulate.Work(chain=1, passes=passes, fills=1)
+            kinds = reference.span_layout(
+                list(reference.schedule_intervals(schedule, horizon)), 1e-3, 5)[1]
+            want = reference.piece_chain(systems, kinds, x, 1e-3, dense=True)
+            rel = np.linalg.norm(run.states - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert rel.max() <= 1e-13
 
 
 class TestIntegrateSwitching:
@@ -744,11 +792,11 @@ class TestIntegrateSwitching:
     def test_divergence_guard(self, net_a, net_b, net_c, monkeypatch):
         # loops that truly diverge, xdot = L_B x - f, at nearly the largest
         # step that the cheap test certifies on all three, with dwells of
-        # four full steps and a shortened one, whose passes differ in their
-        # last bits and are stepped piece by piece, and of four full steps,
-        # whose passes repeat and are stepped pass by pass: only the guard
-        # may report it, at the first time a stage-by-stage run fails, two
-        # switches into the run
+        # four full steps and a shortened one, whose lengths differ in their
+        # last bits from pass to pass until the plan snaps them, and of four
+        # full steps; both are stepped pass by pass, by the powers of the
+        # pass map and W: only the guard may report it, at the first time a
+        # stage-by-stage run fails, two switches into the run
         graphs, sdesign, _ = _switching_setup(net_a, net_b, net_c)
         loops = {gid: ClosedLoop(operator=-closed_loop(graphs[gid], design).operator)
                  for gid, design in sdesign.designs.items()}
@@ -775,8 +823,7 @@ class TestIntegrateSwitching:
                 with pytest.raises(NonFiniteError, match=rf"at t={failed:.6g}$"):
                     _march(graphs[0], THETA, loops, _plan(schedule, 100 * dwell, h),
                            np.ones(21), h)
-        # the whole-step dwells only
-        assert len(composed) == 1
+        assert len(composed) == 2
 
     def test_graphs_of_different_sizes_rejected(self, net_a, net_a_dec):
         small = SignedGraph.from_edges(2, 3, True, {(1, 2): -np.eye(3), (2, 1): -np.eye(3)})
@@ -857,16 +904,18 @@ class TestIntegrateSwitching:
 
         monkeypatch.setattr(simulate, "_step_map", counted)
         traj = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
-        # 100 intervals, each six 3e-3 steps and a shortened one; one full
-        # step map per graph
-        once = len(built)
-        assert 0 < once == len(set(built)) < 100
+        # 100 intervals, each six 3e-3 steps and a shortened one, whose
+        # lengths the plan snaps onto the first pass's, so 20 passes: one
+        # full step map per graph and one shortened step map per graph and
+        # length, A A, B and C C sharing theirs
+        assert _plan(schedule, 2.0, 3e-3).passes == 20
+        assert traj.work == simulate.Work(chain=1, passes=20, fills=1)
+        assert len(built) == len(set(built)) == 6
         assert sum(length == 3e-3 for _, length in built) == 3
-        # only the full step's maps are kept with the graphs: a second run
-        # builds the shortened steps' maps again, the full step's none, and
-        # lands on the same states
+        # the passes are kept with the graphs: a second run builds no map
+        # and lands on the same states
         again = integrate_switching(schedule, sdesign, graphs, x, h=3e-3, horizon=2.0)
-        assert sorted(built[once:]) == sorted(b for b in built[:once] if b[1] != 3e-3)
+        assert len(built) == 6
         assert np.array_equal(traj.states, again.states)
         assert np.array_equal(traj.times, again.times)
 
