@@ -13,15 +13,17 @@ z0 = [x_init; theta].  A run's layout, its spans (one for a fixed run and one
 per interval of a switching run), its sample times and its passes, the
 leading passes of the schedule that repeat the first span for span, depends
 on (schedule, T, h) alone; it is planned once and kept (``_plan``).  Both
-integrators march the plan (``_march``).  Where the maps of a repeating pass
-are dense, the pass is kept as two theta-free arrays, the maps from a pass
-start to each of its samples and the powers of the pass map, once per plan,
-step length and the designs of the pass (``_kept_pass``); a run's passes are
-then one GEMV and one GEMM per block of passes.  Elsewhere the state goes from
-piece end to piece end, a piece being up to m steps or a shortened step, and
-GEMMs fill in the samples between.  Samples sit at t0 + k h, and each span
-ends with a shortened step that lands on its end exactly (a switch time or
-T).
+integrators march the plan (``_march``) as one list of groups, a piece and
+its repeat count, in time order.  A piece is a theta-free stack, the top
+rows of the maps from its start to each of its samples: up to m full steps
+or a shortened step (``_cut``), or, where the maps of a repeating pass are
+dense, the whole pass, which also carries the powers of the pass map and is
+kept once per plan, step length and the designs of the pass
+(``_kept_pass``).  A group's starts come from one GEMV of the powers or one
+matvec each with the piece's end map, and one GEMM of the starts by the
+stack writes all its samples; a one-row piece writes its samples in the
+chain.  Samples sit at t0 + k h, and each span ends with a shortened step
+that lands on its end exactly (a switch time or T).
 """
 
 from __future__ import annotations
@@ -61,10 +63,11 @@ RK4_RADIUS = 2.6155
 
 class Work(NamedTuple):
     """What ``_march`` did in a run: the chain's products that took the
-    state from one start to the next (one GEMV of the pass-map powers per
-    block of passes on the pass route, one matvec per piece elsewhere),
-    the passes stepped on the pass route, and the GEMMs that filled in the
-    samples (one per block of passes, and one per distinct piece)."""
+    state from one start to the next (one GEMV of the powers per block of
+    a kept pass, one matvec with the end map per further start of a
+    multi-row piece, and one per step of a one-row piece), the passes
+    stepped by a kept pass, and the GEMMs that wrote the samples of
+    multi-row pieces (one per block)."""
 
     chain: int = 0
     passes: int = 0
@@ -100,8 +103,9 @@ def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.
 STACK_BYTES = 1 << 18
 # byte budget of a kept pass, W and Pw together (see _kept_pass): W takes at
 # most half, so eight stacks' worth holds the bundled cycle's W down to
-# h = 5e-4 (806,400 bytes); the pass route measured faster than the piece
-# route at every W up to 3.2 MB, so the budget bounds only what is kept
+# h = 5e-4 (806,400 bytes); stepping by a kept pass measured faster than by
+# its spans' pieces at every W up to 3.2 MB, so the budget bounds only what
+# is kept
 PASS_BYTES = 8 * STACK_BYTES
 # byte budget of one chunk of samples in a per-sample reduction (see _chunk_rows)
 _CHUNK_BYTES = 1 << 15
@@ -192,15 +196,6 @@ def _powers(top: np.ndarray, m: int) -> np.ndarray:
     return _read_only(stack)
 
 
-def _lifted(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The z-states [x | theta] of the states x (the last axis)."""
-    nd = x.shape[-1]
-    z = np.empty(x.shape[:-1] + (nd + theta.shape[0],))
-    z[..., :nd] = x
-    z[..., nd:] = theta
-    return z
-
-
 def _chunk_rows(nd: int) -> int:
     """Samples per chunk of a per-sample reduction over (samples, nd)
     states: as many as fit in ``_CHUNK_BYTES``, and at least one."""
@@ -208,14 +203,15 @@ def _chunk_rows(nd: int) -> int:
 
 
 class _Piece(NamedTuple):
-    """The first ``rows`` row blocks of a stack from ``_powers`` (a step
-    map is the one-row stack), its end map x <- end @ z, and the rows of
-    the samples that its occurrences start from on the piece route."""
+    """The top rows of the maps from a piece's start to each of its
+    ``rows`` samples, stacked as ``_powers`` stacks them (a step map, dense
+    or CSR, is the one-row stack), and, for a kept pass, ``powers``, the
+    top rows of the first powers of its end map, the stack's last row
+    block (see ``_kept_pass``)."""
 
-    end: "np.ndarray | csr_matrix"
     rows: int
     stack: "np.ndarray | csr_matrix"
-    starts: List[int]
+    powers: Optional[np.ndarray] = None
 
 
 def _cut(
@@ -224,22 +220,20 @@ def _cut(
     h: float,
     steps: int,
     remainder: float,
-    pieces: Dict[tuple, _Piece],
+    shortened: Dict[tuple, "np.ndarray | csr_matrix"],
 ) -> List[Tuple[_Piece, int]]:
-    """One kind of span on graph ``gid`` cut into pieces in time order, with
+    """One span on graph ``gid`` cut into pieces in time order, with
     repeat counts: ``steps`` full steps in blocks of m rows (the last block
     shorter), then the shortened step if ``remainder`` is not 0.
     m = min(steps, STACK_BYTES // (nd^2 * 8)), and m = 1 when the map is
     CSR (its powers fill in) or too large for the budget.  The step map is
     the one-row stack; it and each stack are built once per (h, m) into
-    ``loop.maps`` and outlive the run.  Pieces are made once per run and
-    (gid, h, m, rows) into ``pieces``.  A piece's end map is its stack's
-    row block ``rows``; a one-row stack, a CSR map among them, is its own
-    end map and is never sliced.  The shortened step is the one-row piece
-    of its own map, which is built once per run and (gid, remainder) and is
-    not kept: remainders vary with T and the switch times, and the maps
-    keep one step length.  A kept pass holds its shortened steps composed
-    (see ``_kept_pass``)."""
+    ``loop.maps`` and outlive the run, and a shorter block takes the
+    leading rows of its stack.  The shortened step is the one-row piece of
+    its own map, which is built once per run and (gid, remainder) into
+    ``shortened`` and is not kept: remainders vary with T and the switch
+    times, and the maps keep one step length.  A kept pass holds its
+    shortened steps composed (see ``_kept_pass``)."""
     cut = []
     if steps:
         top = _full_step(loop, h)
@@ -249,19 +243,12 @@ def _cut(
             loop.maps[(h, m)] = _powers(top, m)
         stack = loop.maps[(h, m)]
         for rows, reps in ((m, steps // m), (steps % m, 1)):
-            if not rows:
-                continue
-            key = (gid, h, m, rows)
-            if key not in pieces:
-                end = stack if m == 1 else stack[(rows - 1) * nd : rows * nd]
-                pieces[key] = _Piece(end, rows, stack, [])
-            cut.append((pieces[key], reps))
+            if rows:
+                cut.append((_Piece(rows, stack if rows == m else stack[: rows * nd]), reps))
     if remainder:
-        key = (gid, remainder, 1, 1)
-        if key not in pieces:
-            top = _step_map(loop.operator, remainder)
-            pieces[key] = _Piece(top, 1, top, [])
-        cut.append((pieces[key], 1))
+        if (gid, remainder) not in shortened:
+            shortened[(gid, remainder)] = _step_map(loop.operator, remainder)
+        cut.append((_Piece(1, shortened[(gid, remainder)]), 1))
     return cut
 
 
@@ -366,51 +353,37 @@ def _plan(schedule: Optional[SwitchingSchedule], horizon: float, h: float) -> _P
     return _layout(*_expand(schedule, horizon), h, len(schedule.graph_ids))
 
 
-class _Pass(NamedTuple):
-    """The theta-free arrays of a repeating pass (see ``_kept_pass``): the
-    span kinds of the pass and the operators of their loops, which key it;
-    W, the top rows of the maps from the pass start to each of its samples,
-    (span nd) x (nd + d), whose last row block is the pass map M; and Pw,
-    the top rows of M^1 ... M^(k-1) for blocks of k passes, or None
-    before it is built."""
-
-    kinds: Tuple[Tuple[int, int, float], ...]
-    operators: tuple
-    w: np.ndarray
-    pw: Optional[np.ndarray]
-
-
 def _kept_pass(
     loops: Mapping[int, ClosedLoop],
     plan: _Plan,
     h: float,
     cut: "Callable[[Tuple[int, int, float]], List[Tuple[_Piece, int]]]",
-) -> Optional[_Pass]:
-    """The pass of ``plan``'s repeating passes, or None where they take
-    the piece route: where a map of the pass is CSR, or where W would take
-    more than half of ``PASS_BYTES``.
+) -> Optional[_Piece]:
+    """The piece of one of ``plan``'s repeating passes, or None where the
+    passes are stepped by their spans' pieces: where a map of the pass is
+    CSR, or where its stack W would take more than half of ``PASS_BYTES``.
 
-    W is composed from the pieces of the pass in time order (see ``_cut``)
-    by one GEMM per piece, W_j = S_j [[end of W_(j-1)], [0, I]] with S_j
-    the piece's rows of its stack; Pw by doubling (``_powers``), for blocks
-    of as many passes, up to the plan's, as what W leaves of
-    ``PASS_BYTES`` holds, so that a block has at least span + 1 passes
-    and W is read at most once per span passes.  Both are read-only and
-    kept in the maps of the loop of the pass's first span, when every loop
-    of the pass is the store's (``ClosedLoop.kept``), so they die with its
-    graph and with its step length.  They are found there again for the
-    same pass kinds and the same operators of the pass's loops, compared
-    by identity, so that a new design on any graph of the pattern misses;
-    a hit skips the cut, and a plan with another pass count only rebuilds
-    Pw."""
+    W, the top rows of the maps from the pass start to each of its
+    samples, (span nd) x (nd + d), is composed from the pieces of the pass
+    in time order (see ``_cut``) by one GEMM per piece,
+    W_j = S_j [[end of W_(j-1)], [0, I]] with S_j the piece's stack; its
+    last row block is the pass map M.  Its powers, the top rows of M^1 ...
+    M^(k-1), come by doubling (``_powers``), for blocks of k passes, up to
+    the plan's, as many as what W leaves of ``PASS_BYTES`` holds, so that
+    a block has at least span + 1 passes and W is read at most once per
+    span passes.  Both are read-only and kept in the maps of the loop of
+    the pass's first span, when every loop of the pass is the store's
+    (``ClosedLoop.kept``), so they die with its graph and with its step
+    length.  They are found there again for the same pass kinds and the
+    same operators of the pass's loops, compared by identity, so that a
+    new design on any graph of the pattern misses; a hit skips the cut,
+    and a plan with another pass count only rebuilds the powers."""
     kinds = plan.kinds[: plan.unit]
     operators = tuple(loops[gid].operator for gid, _, _ in kinds)
     nd, width = operators[0].shape
     maps = loops[kinds[0][0]].maps
     kept = maps.get((h, "pass"))
-    if kept is None or kept.kinds != kinds or any(
-        a is not b for a, b in zip(kept.operators, operators)
-    ):
+    if kept is None or kept[0] != kinds or any(a is not b for a, b in zip(kept[1], operators)):
         unit = [piece for kind in kinds for piece, reps in cut(kind) for _ in range(reps)]
         rows = sum(piece.rows for piece in unit)
         if 2 * rows * nd * width * 8 > PASS_BYTES or not all(
@@ -421,43 +394,17 @@ def _kept_pass(
         lift = np.eye(width)  # [[end of W_(j-1)], [0, I]], the identity for j = 0
         row = 0
         for piece in unit:
-            np.matmul(piece.stack[: piece.rows * nd], lift, out=w[row : row + piece.rows * nd])
+            np.matmul(piece.stack, lift, out=w[row : row + piece.rows * nd])
             row += piece.rows * nd
             lift[:nd] = w[row - nd : row]
-        kept = _Pass(kinds, operators, _read_only(w), None)
-    size = min(plan.passes, 1 + (PASS_BYTES - kept.w.nbytes) // (nd * width * 8))
-    if kept.pw is None or len(kept.pw) != (size - 1) * nd:
-        kept = kept._replace(pw=_powers(kept.w[-nd:], size - 1))
+        kept = (kinds, operators, _Piece(rows, _read_only(w)))
+    piece = kept[2]
+    size = min(plan.passes, 1 + (PASS_BYTES - piece.stack.nbytes) // (nd * width * 8))
+    if piece.powers is None or len(piece.powers) != (size - 1) * nd:
+        piece = piece._replace(powers=_powers(piece.stack[-nd:], size - 1))
         if all(loops[gid].kept for gid, _, _ in kinds):
-            maps[(h, "pass")] = kept
-    return kept
-
-
-def _march_passes(
-    states: np.ndarray, theta: np.ndarray, kept: _Pass, passes: int
-) -> Tuple[int, int]:
-    """Step the first ``passes`` passes of a run from states[0] by the
-    kept pass ``kept``, in blocks of as many passes as Pw allows; return
-    the row of the last pass's end and the count of blocks.  Per block,
-    one GEMV of Pw takes the z-state [x | theta] at the block's first pass
-    start to its other pass starts, and one GEMM of W takes the z-starts to
-    every sample of the block's passes, written straight into the states,
-    which hold them back to back, one pass per row of a (passes, span nd)
-    view.  The next block starts from the last sample of this one."""
-    nd, width = states.shape[1], kept.w.shape[1]
-    span = len(kept.w) // nd
-    size = len(kept.pw) // nd + 1
-    starts = np.empty((size, width))
-    starts[:, nd:] = theta
-    blocks = 0
-    for first in range(0, passes, size):
-        k = min(size, passes - first)
-        starts[0, :nd] = states[first * span]
-        starts[1:k, :nd] = (kept.pw[: (k - 1) * nd] @ starts[0]).reshape(k - 1, nd)
-        out = states[1 + first * span : 1 + (first + k) * span].reshape(k, span * nd)
-        np.matmul(starts[:k], kept.w.T, out=out)
-        blocks += 1
-    return passes * span, blocks
+            maps[(h, "pass")] = (kinds, operators, piece)
+    return piece
 
 
 def _march(
@@ -470,71 +417,72 @@ def _march(
 ) -> Trajectory:
     """March x through the spans of ``plan`` in order, sampling after every
     step, on the loops that the spans' graph ids key, and count the work
-    (``Work``).  The plan's repeating passes take the pass route
-    (``_march_passes``) where ``_kept_pass`` gives their pass, and the rest
-    of the run, all of it for CSR maps, the piece route: each kind of span
-    (loop, full steps, remainder) is cut into pieces once (``_cut``); a
-    chain of one matvec per piece with its end map takes the state from
-    piece end to piece end in time order; then one GEMM per distinct piece
-    fills the interior samples of all its occurrences from their start
-    states, through a strided view of the states where the occurrences are
-    evenly spaced and by a scatter elsewhere.  Every map takes z = [x;
-    theta] to the next x, so theta enters the run only here.  A CSR map has
-    one-row pieces, so its states are those of stepping x <- [P | Q] z;
-    elsewhere they agree with stage-by-stage RK4 to about 1e-14 relative.
-    The guard checks every sample once and names the first that fails.
-    The error norm is taken in chunks of samples (``_chunk_rows``), so
-    that no temporary spans the run; a sample's norm does not depend on
-    the samples beside it.  A piece's fill stays one GEMM over all its
-    starts: its results depend on the GEMM's row count, so filling in
-    chunks would change the states in their last bits.  The run gets its
-    own copy of the plan's times."""
+    (``Work``).  The run is a list of groups (piece, reps) in time order:
+    the repeating passes as one group of the piece that ``_kept_pass``
+    gives, where it gives one, and every other span cut into pieces
+    (``_cut``).  A one-row piece, a CSR step map or a shortened step, takes
+    the state from sample to sample, one matvec per step.  Any other group
+    runs in blocks, one unless its powers cap the passes of a block: the
+    z-starts [x | theta] of its repeats come from one GEMV of the powers,
+    or one matvec each with the end map, the stack's last row block; one
+    GEMM of the starts by the stack then writes the block's samples into
+    the states, where they lie back to back, one repeat per row of a
+    (reps, rows nd) view.  A group starts from the last sample before it;
+    theta enters the run only here.  A CSR run's states are those of
+    stepping x <- [P | Q] z; elsewhere they agree with stage-by-stage RK4 to
+    about 1e-14 relative.  A block's GEMM stays one product: its results
+    depend on its row count, so chunks would change the states in their
+    last bits.  The guard checks every sample once and names the first
+    that fails.  The error norm is taken in chunks of samples
+    (``_chunk_rows``), so that no temporary spans the run; a sample's norm
+    does not depend on the samples beside it.  The run gets its own copy of
+    the plan's times."""
     times = plan.times.copy()
-    nd = x.shape[0]
+    nd, width = x.shape[0], x.shape[0] + theta.shape[0]
     states = np.empty((len(times), nd))
     states[0] = x
-    # pieces and each kind's cut live for this run only; the step maps,
+    # the shortened steps' maps live for this run only; the step maps,
     # stacks and the kept pass are in the loops' maps
-    pieces: Dict[tuple, _Piece] = {}
-    cuts: Dict[tuple, List[Tuple[_Piece, int]]] = {}
+    shortened: Dict[tuple, "np.ndarray | csr_matrix"] = {}
 
     def cut(kind: Tuple[int, int, float]) -> List[Tuple[_Piece, int]]:
-        if kind not in cuts:
-            gid, steps, remainder = kind
-            cuts[kind] = _cut(loops[gid], gid, h, steps, remainder, pieces)
-        return cuts[kind]
+        gid, steps, remainder = kind
+        return _cut(loops[gid], gid, h, steps, remainder, shortened)
 
-    row = done = chain = passes = fills = 0
+    row = chain = fills = 0
     # an unstable map overflows in the chain, in its powers or in the kept
     # pass; the guard reports it instead
     with np.errstate(over="ignore", invalid="ignore"):
-        if plan.passes > 1:
-            kept = _kept_pass(loops, plan, h, cut)
-            if kept is not None:
-                row, chain = _march_passes(states, theta, kept, plan.passes)
-                done, passes, fills = plan.passes * plan.unit, plan.passes, chain
-        z = _lifted(states[row], theta)
-        for kind in plan.kinds[done:]:
-            for (end, rows, _, at), reps in cut(kind):
-                chain += reps
+        kept = _kept_pass(loops, plan, h, cut) if plan.passes > 1 else None
+        passes = 0 if kept is None else plan.passes
+        groups = [(kept, passes)] if passes else []
+        for kind in plan.kinds[passes * plan.unit :]:
+            groups += cut(kind)
+        for (rows, stack, powers), reps in groups:
+            if rows == 1:  # the chain writes the samples
+                z = np.concatenate([states[row], theta])
                 for _ in range(reps):
-                    if rows > 1:
-                        at.append(row)
-                    row += rows
-                    states[row] = end @ z
+                    row += 1
+                    states[row] = stack @ z
                     z[:nd] = states[row]
-        for _, rows, stack, at in pieces.values():
-            if at:
-                at = np.array(at)
-                starts, maps = _lifted(states[at], theta), stack[: (rows - 1) * nd].T
-                step = at[1] - at[0] if len(at) > 1 else rows
-                if (np.diff(at) == step).all():  # one view row per occurrence
-                    np.matmul(starts, maps, out=np.lib.stride_tricks.as_strided(
-                        states[at[0] + 1 :], shape=(len(at), (rows - 1) * nd),
-                        strides=(step * states.strides[0], states.strides[1])))
+                chain += reps
+                continue
+            size = reps if powers is None else len(powers) // nd + 1
+            starts = np.empty((min(size, reps), width))
+            starts[:, nd:] = theta
+            for first in range(0, reps, size):
+                k = min(size, reps - first)
+                starts[0, :nd] = states[row]
+                if powers is None:
+                    for i in range(1, k):
+                        starts[i, :nd] = stack[-nd:] @ starts[i - 1]
+                    chain += k - 1
                 else:
-                    fill = (starts @ maps).reshape(len(at), rows - 1, nd)
-                    states[at[:, None] + np.arange(1, rows)] = fill
+                    starts[1:k, :nd] = (powers[: (k - 1) * nd] @ starts[0]).reshape(k - 1, nd)
+                    chain += 1
+                out = states[row + 1 : row + 1 + k * rows].reshape(k, rows * nd)
+                np.matmul(starts[:k], stack.T, out=out)
+                row += k * rows
                 fills += 1
     # max and min pass a NaN on, so a NaN state fails the test too; no
     # full-size temporary is made unless a sample fails and must be named
@@ -642,24 +590,26 @@ def integrate_switching(
     graph id of the design must be in ``graphs``, and every design must
     share the theta of the design with the smallest graph id, which the run
     carries in z = [x; theta] across the switches; otherwise this raises
-    ``DimensionMismatchError`` before any step.  A step h that is unstable
-    on any of the design's loops raises ``NotContractingError``, also
-    before any step (see ``_full_step``)."""
+    ``DimensionMismatchError`` before any step, as do a step h above a
+    quarter of the dwell time and a schedule over a graph id that has no
+    design (``ScheduleExhaustedError``).  These checks come before any
+    step map is built, so a rejected call leaves the kept maps and pass of
+    the step length in use as they were.  A step h that passes them but is
+    unstable on any of the design's loops raises ``NotContractingError``,
+    also before any step; it replaces the kept maps by its own, since the
+    verdict is kept per step length (see ``_full_step``)."""
     first = _first_of_one_shape(graphs)
     for gid in sdesign.designs:
         if gid not in graphs:
             raise DimensionMismatchError(f"the design has graph id {gid}, which has no graph")
     x = _initial_state(x_init, first.n * first.d, h, horizon)
-    loops = {gid: closed_loop(graphs[gid], design) for gid, design in sdesign.designs.items()}
-    for loop in loops.values():
-        _full_step(loop, h)
     if h > schedule.alpha / 4.0 + 1e-15:
         raise DimensionMismatchError(
             f"step h={h:g} must not exceed a quarter of the dwell time {schedule.alpha:g}"
         )
     plan = _plan(schedule, horizon, h)
     for gid, _, _ in plan.kinds:
-        if gid not in loops:
+        if gid not in sdesign.designs:
             raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")
     (lead, design), *rest = sorted(sdesign.designs.items())
     for gid, other in rest:
@@ -668,6 +618,9 @@ def integrate_switching(
                 f"graph {gid}'s design has theta {other.theta.tolist()}, graph {lead}'s has"
                 f" {design.theta.tolist()}; a switching run needs one theta"
             )
+    loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
+    for loop in loops.values():
+        _full_step(loop, h)
     return _march(first, design.theta, loops, plan, x, h)
 
 

@@ -332,18 +332,28 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "NotContractingError" in err and "h=0.03612 are certified stable" in err
 
-    def test_unstable_switching_step_exit_1(self, capsys, monkeypatch):
+    def test_unstable_switching_step_exit_1(self, capsys, monkeypatch, tmp_path):
+        """h = 0.05 is unstable on net_a.  On the bundled cycle it is also
+        above a quarter of the 0.02 dwell time, which is checked first; on
+        the cycle's pattern in 0.25 dwells the instability is named."""
         monkeypatch.setattr(simulate, "_cut", None)
-        rc = main([
-            "simulate",
-            "--graphs", _p("net_a.json"), _p("net_b.json"), _p("net_c.json"),
-            "--v1", "1,2,3,4;2,3;1,2,3",
-            "--theta", "1,2,-1",
-            "--delta", "7.0495", "--delta", "7.2440", "--delta", "3.1",
-            "--schedule", _p("cycle_schedule.json"), "--h", "0.05",
-        ])
-        assert rc == 1
-        assert "NotContractingError: the RK4 step h=0.05 is unstable" in capsys.readouterr().err
+        slow = tmp_path / "slow.json"
+        slow.write_text(json.dumps({"alpha": 0.25, "pattern": [0, 0, 1, 2, 2], "dt": 0.25,
+                                    "repeat": True}))
+        for schedule, error in (
+            (_p("cycle_schedule.json"), "DimensionMismatchError: step"),
+            (str(slow), "NotContractingError: the RK4 step h=0.05 is unstable"),
+        ):
+            rc = main([
+                "simulate",
+                "--graphs", _p("net_a.json"), _p("net_b.json"), _p("net_c.json"),
+                "--v1", "1,2,3,4;2,3;1,2,3",
+                "--theta", "1,2,-1",
+                "--delta", "7.0495", "--delta", "7.2440", "--delta", "3.1",
+                "--schedule", schedule, "--h", "0.05",
+            ])
+            assert rc == 1
+            assert error in capsys.readouterr().err
 
     def test_negative_seed_exit_2(self, capsys):
         rc = main([

@@ -661,11 +661,10 @@ class TestClosedLoop:
                 power = step @ power
                 row = stack[k * nd : (k + 1) * nd]
                 assert np.linalg.norm(row - power[:nd]) <= 1e-13 * np.linalg.norm(power[:nd])
-        # within a run, the step map is the one-row stack and every (h, m)
-        # is built once: 1000 and 2000 steps share the capped stack
-        pieces = {}
-        capped = _cut(loop, 0, h, 1000, 0.0, pieces)[0][0]
-        assert _cut(loop, 0, h, 2000, 0.0, pieces)[0][0] is capped
+        # the step map is the one-row stack and every (h, m) is built once:
+        # 1000 and 2000 steps share the capped stack
+        capped = _cut(loop, 0, h, 1000, 0.0, {})[0][0]
+        assert _cut(loop, 0, h, 2000, 0.0, {})[0][0].stack is capped.stack
         # the step map and the stacks outlive the run in the loop's maps,
         # under (h, m); the step map is the one-row stack (h, 1)
         assert loop.maps[(h, cap)] is capped.stack

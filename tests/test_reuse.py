@@ -30,6 +30,7 @@ from ntconsensus import (
     write_trajectory_csv,
 )
 from ntconsensus import protocol, simulate
+from ntconsensus.errors import DimensionMismatchError
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 
 from conftest import random_directed_valid, rk4_reference_step, tiled_graph
@@ -253,9 +254,10 @@ def _cycle():
 
 
 def _kept(graphs, h=H):
-    """The kept pass of the bundled cycle: in the maps of net_a, the graph
-    of its first span."""
-    return protocol._STORE[graphs[0]].maps[(h, "pass")]
+    """The kept pass piece of the bundled cycle: in the maps of net_a, the
+    graph of its first span, after the pass kinds and operators that key
+    it."""
+    return protocol._STORE[graphs[0]].maps[(h, "pass")][2]
 
 
 def _close_to_the_piece_chain(run, graphs, sdesign, schedule, h, horizon):
@@ -271,22 +273,22 @@ def _close_to_the_piece_chain(run, graphs, sdesign, schedule, h, horizon):
 
 def test_kept_pass_is_reused_across_theta_and_x(rng):
     """A second run of the bundled cycle, with another theta and x_init,
-    steps its passes by the W and Pw that the first kept, read-only, and
-    gives the bytes of a run on fresh graph objects."""
+    steps its passes by the stack W and the powers Pw that the first kept,
+    read-only, and gives the bytes of a run on fresh graph objects."""
     graphs, design, schedule = _cycle()
     integrate_switching(schedule, design(rng.uniform(-2, 2, 3)), graphs,
                         rng.uniform(-5, 5, 21), h=H, horizon=2.0)
     kept = _kept(graphs)
     # W: the 100 samples of a pass; Pw: M^1 ... M^19 for the 20 passes
-    assert kept.w.shape == (100 * 21, 24) and kept.pw.shape == (19 * 21, 24)
-    for arr in (kept.w, kept.pw):
+    assert kept.stack.shape == (100 * 21, 24) and kept.powers.shape == (19 * 21, 24)
+    for arr in (kept.stack, kept.powers):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0
     theta, x = rng.uniform(-2, 2, 3), rng.uniform(-5, 5, 21)
     sdesign = design(theta)
     run = integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
     assert _kept(graphs) is kept
-    assert _kept(graphs).w is kept.w and _kept(graphs).pw is kept.pw
+    assert _kept(graphs).stack is kept.stack and _kept(graphs).powers is kept.powers
     assert run.work == simulate.Work(chain=1, passes=20, fills=1)
     assert _close_to_the_piece_chain(run, graphs, sdesign, schedule, H, 2.0)
     fresh, fresh_design, _ = _cycle()
@@ -306,7 +308,7 @@ def test_kept_pass_follows_the_step_and_every_design(rng):
     kept = _kept(graphs)
     integrate_switching(schedule, design(theta), graphs, x, h=H / 2, horizon=2.0)
     maps = protocol._STORE[graphs[0]].maps
-    assert (H, "pass") not in maps and _kept(graphs, H / 2).w.shape == (200 * 21, 24)
+    assert (H, "pass") not in maps and _kept(graphs, H / 2).stack.shape == (200 * 21, 24)
     back = integrate_switching(schedule, design(theta), graphs, x, h=H, horizon=2.0)
     assert _kept(graphs) is not kept
     assert back.states.tobytes() == first.states.tobytes()
@@ -316,7 +318,7 @@ def test_kept_pass_follows_the_step_and_every_design(rng):
     assert [protocol._STORE[g] is e for g, e in zip(graphs.values(), entries)] \
         == [True, False, True]
     run = integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
-    assert _kept(graphs) is not kept and _kept(graphs).w is not kept.w
+    assert _kept(graphs) is not kept and _kept(graphs).stack is not kept.stack
     assert not np.array_equal(run.states, first.states)
     assert _close_to_the_piece_chain(run, graphs, sdesign, schedule, H, 2.0)
 
@@ -356,6 +358,28 @@ def test_passes_past_the_pw_cap_go_block_by_block(net_a_dec, rng):
     run = integrate_switching(schedule, sdesign, {0: g}, rng.uniform(-5, 5, 21), h=H,
                               horizon=horizon)
     assert simulate._plan(schedule, horizon, H).passes == cap + 40
-    assert len(protocol._STORE[g].maps[(H, "pass")].pw) == (cap - 1) * 21
+    assert len(protocol._STORE[g].maps[(H, "pass")][2].powers) == (cap - 1) * 21
     assert run.work == simulate.Work(chain=2, passes=cap + 40, fills=2)
     assert _close_to_the_piece_chain(run, {0: g}, sdesign, schedule, H, horizon)
+
+
+def test_rejected_switching_call_keeps_the_maps(rng):
+    """A switching call that its checks refuse, a step above a quarter of
+    the dwell time or designs of differing theta, builds no step map, so
+    the kept maps and pass of the step length in use stay, key for key and
+    object for object."""
+    graphs, design, schedule = _cycle()
+    theta, x = rng.uniform(-2, 2, 3), rng.uniform(-5, 5, 21)
+    sdesign = design(theta)
+    integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
+    maps = protocol._STORE[graphs[0]].maps
+    kept = dict(maps)
+    assert set(kept) == {(H, 0), (H, 1), (H, 20), (H, "pass")}
+    with pytest.raises(DimensionMismatchError, match="quarter of the dwell time"):
+        integrate_switching(schedule, sdesign, graphs, x, h=6e-3, horizon=2.0)
+    other = SwitchingDesign(designs={**sdesign.designs, 1: dataclasses.replace(
+        sdesign.designs[1], theta=-theta)}, alpha=sdesign.alpha)
+    with pytest.raises(DimensionMismatchError, match="needs one theta"):
+        integrate_switching(schedule, other, graphs, x, h=2e-3, horizon=2.0)
+    assert maps.keys() == kept.keys()
+    assert all(maps[key] is value for key, value in kept.items())

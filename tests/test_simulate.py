@@ -142,19 +142,16 @@ class TestIntegrateFixed:
             assert np.linalg.norm(traj.states[-1] - x) <= 1e-13 * np.linalg.norm(x)
 
     def test_evenly_spaced_pieces_fill_in_place(self, net_a, net_a_dec, rng):
-        """A long dense fixed run is back-to-back pieces of m steps; their
-        samples are filled through a strided view of the states, with the
-        bytes of one GEMM over all the pieces' start states."""
+        """A long dense fixed run is back-to-back pieces of m steps and a
+        shorter one; each group's samples are the bytes of one GEMM of its
+        z-starts by the piece's stack, written in place."""
         design = design_fixed(net_a, net_a_dec, THETA)
         traj = integrate_fixed(net_a, design, rng.uniform(-5, 5, 21), h=1e-3, horizon=2.0)
-        (piece, reps), (tail, _) = _cut(closed_loop(net_a, design), 0, 1e-3, 2000, 0.0, {})
-        m = piece.rows
-        assert reps * m + tail.rows == 2000 and reps > 1
-        starts = m * np.arange(reps)
-        z = np.hstack([traj.states[starts], np.tile(THETA, (reps, 1))])
-        fill = (z @ piece.stack[: (m - 1) * 21].T).reshape(reps, m - 1, 21)
-        assert traj.states[starts[:, None] + np.arange(1, m)].tobytes() == fill.tobytes()
-        assert traj.work == simulate.Work(chain=reps + 1, passes=0, fills=2)
+        groups = _cut(closed_loop(net_a, design), 0, 1e-3, 2000, 0.0, {})
+        (piece, reps), (tail, _) = groups
+        assert reps * piece.rows + tail.rows == 2000 and reps > 1
+        _assert_one_gemm_per_group(traj, THETA, groups)
+        assert traj.work == simulate.Work(chain=reps - 1, passes=0, fills=2)
 
     def test_exponential_decay_envelope(self, net_a, net_a_dec, rng):
         design = design_fixed(net_a, net_a_dec, THETA)
@@ -172,9 +169,9 @@ class TestIntegrateFixed:
         # L_B): the chain and the fill overflow before the run ends, and
         # only the guard may report it, at the first time a stage-by-stage
         # run fails; once as one span, and once as a schedule that repeats
-        # one interval of five steps, which net_a's dense map steps pass by
-        # pass
-        composed = _count_calls(monkeypatch, "_march_passes")
+        # one interval of five steps, which net_a's dense map steps by a
+        # kept pass and the tiled CSR map step by step
+        kept = _kept_passes(monkeypatch)
         for g, dec in ((net_a, net_a_dec), tiled):
             design = design_fixed(g, dec, THETA)
             loop = ClosedLoop(operator=-closed_loop(g, design).operator)
@@ -192,8 +189,7 @@ class TestIntegrateFixed:
                     with pytest.raises(NonFiniteError, match=rf"at t={k * h:.6g}$"):
                         _march(g, THETA, {0: loop}, _plan(schedule, 600 * h, h),
                                1e3 * np.ones(g.n * g.d), h)
-        # net_a's repeating run only
-        assert len(composed) == 1
+        assert [piece is not None for piece in kept] == [True, False]
 
     def test_divergence_guard_catches_nan(self, net_a, net_a_dec):
         from dataclasses import replace
@@ -247,17 +243,40 @@ class TestIntegrateFixed:
         assert traj.error_norm.tobytes() == recomputed.tobytes()
 
 
-def _count_calls(monkeypatch, name):
-    """The list that each call of ``simulate.<name>`` appends to."""
-    calls = []
-    wrapped = getattr(simulate, name)
+def _kept_passes(monkeypatch):
+    """The list that each call of ``simulate._kept_pass`` appends its
+    result to: the kept pass piece, or None."""
+    results = []
+    kept_pass = simulate._kept_pass
 
-    def counted(*args):
-        calls.append(args)
-        return wrapped(*args)
+    def recorded(*args):
+        results.append(kept_pass(*args))
+        return results[-1]
 
-    monkeypatch.setattr(simulate, name, counted)
-    return calls
+    monkeypatch.setattr(simulate, "_kept_pass", recorded)
+    return results
+
+
+def _assert_one_gemm_per_group(traj, theta, groups):
+    """Each group (piece, reps) of a run of multi-row pieces, one block per
+    group, wrote its samples as the bytes of one GEMM of its z-starts by
+    the piece's stack: the first start is the sample before the group, and
+    the others come from one GEMV of the piece's powers or from one matvec
+    each with its end map."""
+    nd = traj.states.shape[1]
+    row = 0
+    for piece, reps in groups:
+        starts = np.empty((reps, nd + len(theta)))
+        starts[:, nd:] = theta
+        starts[0, :nd] = traj.states[row]
+        if piece.powers is not None:
+            starts[1:, :nd] = (piece.powers[: (reps - 1) * nd] @ starts[0]).reshape(reps - 1, nd)
+        for i in range(1, reps if piece.powers is None else 1):
+            starts[i, :nd] = piece.stack[-nd:] @ starts[i - 1]
+        samples = traj.states[row + 1 : row + 1 + reps * piece.rows]
+        assert samples.tobytes() == (starts @ piece.stack.T).tobytes()
+        row += reps * piece.rows
+    assert row == len(traj.states) - 1
 
 
 def _certified(lap):
@@ -591,9 +610,9 @@ def _random_modes(rng, case, count):
 
 
 class TestPassRoute:
-    """A repeating schedule is stepped pass by pass where its step maps are
-    dense, and piece by piece elsewhere; both agree with stage-by-stage RK4
-    and with the interval-by-interval piece chain of
+    """A repeating schedule is stepped by its kept pass where its step maps
+    are dense, and by its spans' pieces elsewhere; both agree with
+    stage-by-stage RK4 and with the interval-by-interval piece chain of
     ``reference.piece_chain``."""
 
     # (pattern, interval lengths in half steps or None for lengths that are
@@ -649,27 +668,48 @@ class TestPassRoute:
             rel = np.linalg.norm(traj.states - want, axis=1) / np.linalg.norm(want, axis=1)
             assert rel.max() <= 1e-13
 
-        # the route: passes in one block where every map is dense, one GEMV
-        # and one GEMM, then the cut last pass piece by piece; CSR maps
-        # piece by piece
-        tail = sum(reps for k in kinds[plan.passes * len(pattern):]
-                   for _, reps in _cut(loops[k[0]], k[0], h, k[1], k[2], {}))
+        # the work: where every map is dense, the kept pass steps the
+        # passes in one block, one GEMV and one GEMM, then the cut last
+        # pass's pieces follow, one matvec per further start or per step of
+        # a one-row piece, and the run is one GEMM per multi-row group; CSR
+        # maps step by step
+        tail = [group for k in kinds[plan.passes * len(pattern):]
+                for group in _cut(loops[k[0]], k[0], h, k[1], k[2], {})]
         if case == "dense":
+            kept = loops[pattern[0]].maps[(h, "pass")][2]
             assert traj.work.passes == plan.passes
-            assert traj.work.chain == 1 + tail
+            assert traj.work.chain == 1 + sum(
+                reps if piece.rows == 1 else reps - 1 for piece, reps in tail)
+            if all(piece.rows > 1 for piece, _ in tail):
+                _assert_one_gemm_per_group(traj, sdesign.designs[0].theta,
+                                           [(kept, plan.passes)] + tail)
         else:
             assert traj.work.passes == 0
-        if case == "csr":
             assert traj.work.chain == len(traj.times) - 1 and traj.work.fills == 0
 
-    def test_work_of_the_bundled_cycle_and_the_tiled_run(self, net_a, net_b, net_c, tiled, rng):
+    def test_work_of_the_bundled_cycle_and_the_tiled_run(
+            self, net_a, net_b, net_c, net_a_dec, tiled, rng):
         """The bundled cycle to T = 2 is 20 passes of five 20-step pieces in
         one block: one GEMV for the pass starts and one GEMM for every
-        sample.  The tiled CSR run steps one matvec per step."""
+        sample.  To T = 1.95 the 19 full passes are that block, and the cut
+        last pass is three one-start GEMMs.  The tiled CSR run steps one
+        matvec per step.  net_a's fixed run to T = 20 is 270 pieces of 74
+        steps, 269 matvecs for their starts and one GEMM, and one GEMM for
+        the last 20 steps.  A schedule that does not repeat is one GEMM
+        per piece of its spans, and one matvec per shortened step."""
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
-        run = integrate_switching(schedule, sdesign, graphs, rng.uniform(-5, 5, 21), h=1e-3,
-                                  horizon=2.0)
+        x = rng.uniform(-5, 5, 21)
+        run = integrate_switching(schedule, sdesign, graphs, x, h=1e-3, horizon=2.0)
         assert run.work == simulate.Work(chain=1, passes=20, fills=1)
+        run = integrate_switching(schedule, sdesign, graphs, x, h=1e-3, horizon=1.95)
+        assert run.work == simulate.Work(chain=1, passes=19, fills=4)
+        # 20 steps and a shortened one, 74 and 26 steps, 30 steps
+        once = SwitchingSchedule(lengths=(0.0205, 0.1, 0.03), graph_ids=(0, 1, 2), alpha=0.02)
+        run = integrate_switching(once, sdesign, graphs, x, h=1e-3, horizon=0.1505)
+        assert run.work == simulate.Work(chain=1, passes=0, fills=4)
+        fixed = integrate_fixed(net_a, design_fixed(net_a, net_a_dec, THETA), x, h=1e-3,
+                                horizon=20.0)
+        assert fixed.work == simulate.Work(chain=269, passes=0, fills=2)
         g, dec = tiled
         design = design_fixed(g, dec, THETA)
         fixed = integrate_fixed(g, design, rng.uniform(-5, 5, g.n * 3), h=1e-3, horizon=0.1)
@@ -677,9 +717,9 @@ class TestPassRoute:
 
     def test_few_passes_take_the_pass_route(self, net_a, net_b, net_c, rng):
         """The pass is composed once per plan and designs, not per run, so
-        few passes take the pass route too: the bundled cycle to T = 0.2
-        (2 passes, against nd = 21) and to T = 1 (10 passes), in agreement
-        with the piece chain."""
+        few passes are stepped by the kept pass too: the bundled cycle to
+        T = 0.2 (2 passes, against nd = 21) and to T = 1 (10 passes), in
+        agreement with the piece chain."""
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
         systems = _affine_loops(graphs, sdesign)
         for horizon, passes in ((0.2, 2), (1.0, 10)):
@@ -794,15 +834,15 @@ class TestIntegrateSwitching:
         # step that the cheap test certifies on all three, with dwells of
         # four full steps and a shortened one, whose lengths differ in their
         # last bits from pass to pass until the plan snaps them, and of four
-        # full steps; both are stepped pass by pass, by the powers of the
-        # pass map and W: only the guard may report it, at the first time a
-        # stage-by-stage run fails, two switches into the run
+        # full steps; both are stepped by a kept pass, the powers of the
+        # pass map and its stack: only the guard may report it, at the first
+        # time a stage-by-stage run fails, two switches into the run
         graphs, sdesign, _ = _switching_setup(net_a, net_b, net_c)
         loops = {gid: ClosedLoop(operator=-closed_loop(graphs[gid], design).operator)
                  for gid, design in sdesign.designs.items()}
         systems = _affine_loops(graphs, sdesign)
         h = 0.99 * min(_certified(lap) for lap, _ in systems.values())
-        composed = _count_calls(monkeypatch, "_march_passes")
+        kept = _kept_passes(monkeypatch)
         for quarters in (17, 16):
             dwell = quarters * h / 4
             schedule = SwitchingSchedule.uniform(dwell, [0, 1, 2], repeat=True)
@@ -823,7 +863,7 @@ class TestIntegrateSwitching:
                 with pytest.raises(NonFiniteError, match=rf"at t={failed:.6g}$"):
                     _march(graphs[0], THETA, loops, _plan(schedule, 100 * dwell, h),
                            np.ones(21), h)
-        assert len(composed) == 2
+        assert len(kept) == 2 and None not in kept
 
     def test_graphs_of_different_sizes_rejected(self, net_a, net_a_dec):
         small = SignedGraph.from_edges(2, 3, True, {(1, 2): -np.eye(3), (2, 1): -np.eye(3)})
@@ -948,8 +988,9 @@ class TestIntegrateSwitching:
 class TestConsensusFixedPoint:
     """1 (x) theta is an equilibrium of every mode for every theta: the
     operator sends psi = [1 (x) I; I] to 0, and every kept step map and
-    stack, and a shortened step's map, sends it to 1 (x) I.  This is the
-    simulation-side form of the augmented null space being span psi."""
+    stack, a shortened step's map, and a kept pass's stack and powers send
+    it to 1 (x) I.  This is the simulation-side form of the augmented null
+    space being span psi."""
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("rule", ["margin", "pinned"])
@@ -975,6 +1016,41 @@ class TestConsensusFixedPoint:
             assert len(kept) == (2 if storage == "csr" else 3)
             for top in kept.values():
                 assert isinstance(top, np.ndarray) == (storage == "dense")
+                want = np.tile(np.eye(d), (top.shape[0] // d, 1))
+                assert np.abs(top @ psi - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("rule", ["margin", "pinned"])
+    def test_kept_pass_fixes_the_consensus_space(self, rule):
+        """A repeating dense switching run keeps its pass as a stack W of
+        the maps from a pass start to each of its samples and the powers
+        of the pass map; both send psi to 1 (x) I, as each step map does,
+        on random sets of two or three graphs of one (n, d)."""
+        rng = np.random.default_rng([rule == "pinned", 22])
+        for _ in range(8):
+            make = random_directed_valid if rng.random() < 0.5 else random_undirected_valid
+            n, d = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+            made = [make(rng, n, d) for _ in range(int(rng.integers(2, 4)))]
+            graphs = {k: g for k, (g, _) in enumerate(made)}
+            decs = {k: dec for k, (_, dec) in enumerate(made)}
+            deltas = None if rule == "margin" else {
+                k: float(rng.uniform(0.5, 20.0)) for k in graphs}
+            # the dwell follows h, which follows the designs
+            sdesign = design_switching(graphs, decs, rng.uniform(-2, 2, d), alpha=1.0,
+                                       deltas=deltas)
+            h = min(1e-2, 0.5 * min(_certified(lap) for lap, _ in
+                                    _affine_loops(graphs, sdesign).values()))
+            # intervals of 4 to 30 steps, some with a shortened step
+            pattern = tuple(rng.integers(0, len(graphs), 3).tolist())
+            lengths = tuple((rng.integers(4, 30) + rng.choice([0.0, 0.5])) * h for _ in pattern)
+            schedule = SwitchingSchedule(lengths=lengths, graph_ids=pattern, alpha=min(lengths),
+                                         repeat=True)
+            sdesign = dataclasses.replace(sdesign, alpha=schedule.alpha)
+            run = integrate_switching(schedule, sdesign, graphs, np.zeros(n * d), h=h,
+                                      horizon=6 * schedule.period)
+            assert run.work.passes >= 5
+            psi = np.vstack([np.tile(np.eye(d), (n, 1)), np.eye(d)])
+            kept = closed_loop(graphs[pattern[0]], sdesign.designs[pattern[0]]).maps[(h, "pass")]
+            for top in (kept[2].stack, kept[2].powers):
                 want = np.tile(np.eye(d), (top.shape[0] // d, 1))
                 assert np.abs(top @ psi - want).max() <= 1e-12
 
