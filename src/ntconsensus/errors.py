@@ -33,10 +33,6 @@ class AssumptionViolatedError(ConsensusError):
     pass
 
 
-class SingularCouplingError(ConsensusError):
-    pass
-
-
 class DegenerateCouplingError(ConsensusError):
     pass
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     AssumptionViolatedError,
@@ -28,7 +27,6 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
     NotContractingError,
-    SingularCouplingError,
     ZeroThetaError,
 )
 from .graph import (
@@ -139,27 +137,22 @@ def _bound(
     gaps: np.ndarray, v1: Sequence[int], blocks: np.ndarray
 ) -> Tuple[Dict[int, float], float]:
     """C_i = (1/2) lambda_max of |B_i|^{-1} M_i over V1, with |B_i| = B_i the
-    V1 vertices' ``blocks`` and M_i the negated gap, via the Cholesky
-    reduction R^-1 M R^-T, which keeps each problem symmetric (the
-    eigenvalues are real).  The factorizations and the
-    eigenvalues are one stacked call each; the triangular solves are two
-    LAPACK ``dtrtrs`` calls per vertex, made directly because SciPy's
-    ``solve_triangular`` spends most of its time validating arguments.  A
-    NaN passes through the solves, and a zero pivot raises
-    ``SingularCouplingError``."""
-    try:
-        r = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCouplingError(f"coupling block not positive definite: {exc}") from exc
+    V1 vertices' ``blocks`` and M_i the negated gap.  One stacked ``eigh``
+    gives B_i = V diag(w) V^T; its w is the floor check (every eigenvalue
+    above ``INVERT_TOL``, or ``DegenerateCouplingError`` names the first V1
+    vertex below it), and with S = V diag(w)^{-1/2}, C_i is half the largest
+    eigenvalue of the symmetric S^T M_i S, from one stacked ``eigvalsh``.  A
+    NaN gap gives a NaN C_i."""
+    w, v = np.linalg.eigh(blocks)
+    low = w[:, 0] <= INVERT_TOL
+    if low.any():
+        raise DegenerateCouplingError(
+            f"V1 vertex {v1[int(np.argmax(low))]} lacks a positive definite"
+            " negative-in-weight sum"
+        )
+    s = v / np.sqrt(w)[:, None, :]
     # 0.0 - gap rather than -gap keeps a zero gap at +0.0, so C_i is never -0.0
-    m = 0.0 - gaps[np.asarray(v1) - 1]
-    reduced = np.empty_like(m)
-    for k in range(len(v1)):
-        half, info = dtrtrs(r[k], m[k].T, lower=1)
-        if info == 0:
-            reduced[k], info = dtrtrs(r[k], half.T, lower=1)
-        if info != 0:
-            raise SingularCouplingError(f"|B_{v1[k]}| factor: dtrtrs info {info}")
+    reduced = s.swapaxes(1, 2) @ (0.0 - gaps[np.asarray(v1) - 1]) @ s
     c = 0.5 * np.linalg.eigvalsh((reduced + reduced.swapaxes(1, 2)) / 2.0).max(axis=1)
     return dict(zip(v1, c.tolist())), float(c.max())  # a NaN C_i makes C NaN
 
@@ -175,7 +168,8 @@ def _negative_in_blocks(g: SignedGraph) -> Tuple[np.ndarray, np.ndarray]:
     heads = g.heads[negative]
     sums = np.zeros((g.n, g.d, g.d))
     np.add.at(sums, heads, g.magnitudes[negative])
-    rows = np.unique(heads)
+    # not np.unique, whose first call imports numpy.ma (about 20 ms in a CLI process)
+    rows = np.flatnonzero(np.bincount(heads))
     sym, _, errors = classify_stack(sums[rows])
     if errors:
         raise errors[min(errors)]
@@ -241,14 +235,7 @@ def _design(
         v1 = sorted(dec.v1)
         on_v1 = np.zeros((g.n, g.d, g.d))  # B_i, or zeros where there is none
         on_v1[informed - 1] = blocks
-        on_v1 = on_v1[np.asarray(v1) - 1]
-        low = np.linalg.eigvalsh(on_v1).min(axis=1) <= INVERT_TOL
-        if low.any():
-            raise DegenerateCouplingError(
-                f"V1 vertex {v1[int(np.argmax(low))]} lacks a positive definite"
-                " negative-in-weight sum"
-            )
-        per_vertex, bound_c = _bound(gaps, v1, on_v1)
+        per_vertex, bound_c = _bound(gaps, v1, on_v1[np.asarray(v1) - 1])
         chosen = bound_c + margin if delta is None else delta
     else:
         per_vertex, bound_c = {}, 0.0
@@ -310,7 +297,7 @@ def _operator(g: SignedGraph, design: ProtocolDesign) -> "csr_matrix":
     """[L_B | -k1 F] in CSR form: the block triplets of
     ``laplacian_blocks``, with those of the signal column (block column n)
     scaled by k1."""
-    # imported here: scipy.sparse would add ~25 ms to importing the package
+    # imported here: scipy.sparse takes about 0.25 s to import cold (2-vCPU host)
     from scipy.sparse import csr_matrix
 
     rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)

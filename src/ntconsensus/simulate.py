@@ -591,13 +591,15 @@ def integrate_switching(
     share the theta of the design with the smallest graph id, which the run
     carries in z = [x; theta] across the switches; otherwise this raises
     ``DimensionMismatchError`` before any step, as do a step h above a
-    quarter of the dwell time and a schedule over a graph id that has no
-    design (``ScheduleExhaustedError``).  These checks come before any
-    step map is built, so a rejected call leaves the kept maps and pass of
-    the step length in use as they were.  A step h that passes them but is
-    unstable on any of the design's loops raises ``NotContractingError``,
-    also before any step; it replaces the kept maps by its own, since the
-    verdict is kept per step length (see ``_full_step``)."""
+    quarter of the dwell time, a dwell time below the design's (for which
+    its contraction factor does not hold), and a schedule over a graph id
+    that has no design (``ScheduleExhaustedError``).  These checks come
+    before any step map is built, so a rejected call leaves the kept maps
+    and pass of the step length in use as they were.  A step h that passes
+    them but is unstable on any of the design's loops raises
+    ``NotContractingError``, also before any step; it replaces the kept
+    maps by its own, since the verdict is kept per step length (see
+    ``_full_step``)."""
     first = _first_of_one_shape(graphs)
     for gid in sdesign.designs:
         if gid not in graphs:
@@ -606,6 +608,10 @@ def integrate_switching(
     if h > schedule.alpha / 4.0 + 1e-15:
         raise DimensionMismatchError(
             f"step h={h:g} must not exceed a quarter of the dwell time {schedule.alpha:g}"
+        )
+    if schedule.alpha < sdesign.alpha:
+        raise DimensionMismatchError(
+            f"the schedule's dwell time {schedule.alpha:g} is below the design's {sdesign.alpha:g}"
         )
     plan = _plan(schedule, horizon, h)
     for gid, _, _ in plan.kinds:

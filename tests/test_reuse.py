@@ -383,3 +383,24 @@ def test_rejected_switching_call_keeps_the_maps(rng):
         integrate_switching(schedule, other, graphs, x, h=2e-3, horizon=2.0)
     assert maps.keys() == kept.keys()
     assert all(maps[key] is value for key, value in kept.items())
+
+
+def test_dwell_below_the_design_rejected_keeping_the_maps(rng):
+    """A schedule whose dwell time is below the design's is refused before
+    any step map is built, since the design's contraction factor is a bound
+    per dwell of its own length: the kept maps and pass stay, key for key
+    and object for object.  A longer dwell than the design's runs."""
+    graphs, design, schedule = _cycle()
+    theta, x = rng.uniform(-2, 2, 3), rng.uniform(-5, 5, 21)
+    sdesign = design(theta)
+    integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
+    maps = protocol._STORE[graphs[0]].maps
+    kept = dict(maps)
+    slow = dataclasses.replace(sdesign, alpha=1.0)
+    with pytest.raises(DimensionMismatchError, match="dwell time 0.02 is below the design's 1"):
+        integrate_switching(schedule, slow, graphs, x, h=H, horizon=2.0)
+    assert maps.keys() == kept.keys()
+    assert all(maps[key] is value for key, value in kept.items())
+    fast = dataclasses.replace(sdesign, alpha=0.01)
+    run = integrate_switching(schedule, fast, graphs, x, h=H, horizon=2.0)
+    assert run.work.passes == 20

@@ -45,3 +45,25 @@ def test_import_leaves_scipy_sparse_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_check_and_design_load_no_scipy():
+    """Importing the package and running ``check`` and ``design`` with an
+    explicit V1 load no SciPy module at all: the coupling bound takes its
+    linear algebra from NumPy, and only ``--v1 auto`` and ``simulate``
+    import SciPy, inside the functions that need it."""
+    graph = str(ROOT / "src" / "ntconsensus" / "data" / "net_a.json")
+    code = (
+        "import contextlib, io, sys, ntconsensus\n"
+        "from ntconsensus import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['check', '--graph', {graph!r}, '--v1', '1,2,3,4']) == 0\n"
+        f"    assert cli.main(['design', '--graph', {graph!r}, '--v1', '1,2,3,4',"
+        " '--theta', '1,2,-1', '--json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
