@@ -78,11 +78,25 @@ class Work(NamedTuple):
 class Trajectory:
     times: np.ndarray        # (m,)
     states: np.ndarray       # (m, n*d)
-    error_norm: np.ndarray   # (m,) Euclidean distance to the consensus target
     n: int
     d: int
     theta: np.ndarray
     work: Work = Work()
+
+    @functools.cached_property
+    def error_norm(self) -> np.ndarray:
+        """(m,) each sample's Euclidean distance to the consensus target
+        1 (x) theta, computed on first read from the states as they are
+        then, and kept read-only: a later read returns the same array.  It
+        is taken as ``np.linalg.norm(axis=1)`` takes it, square,
+        ``add.reduce`` and sqrt, chunk by chunk (``_deviations``); a
+        sample's norm does not depend on the samples beside it, so it is
+        that norm to the bit."""
+        err = np.empty(len(self.states))
+        for a, dev in _deviations(self.states, np.tile(self.theta, self.n)):
+            np.multiply(dev, dev, out=dev)
+            np.add.reduce(dev, axis=1, out=err[a : a + len(dev)])
+        return _read_only(np.sqrt(err, out=err))
 
 
 def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.ndarray:
@@ -107,7 +121,7 @@ STACK_BYTES = 1 << 18
 # its spans' pieces at every W up to 3.2 MB, so the budget bounds only what
 # is kept
 PASS_BYTES = 8 * STACK_BYTES
-# byte budget of one chunk of samples in a per-sample reduction (see _chunk_rows)
+# byte budget of one chunk of samples in a per-sample reduction (see _deviations)
 _CHUNK_BYTES = 1 << 15
 
 
@@ -200,6 +214,14 @@ def _chunk_rows(nd: int) -> int:
     """Samples per chunk of a per-sample reduction over (samples, nd)
     states: as many as fit in ``_CHUNK_BYTES``, and at least one."""
     return max(1, _CHUNK_BYTES // (8 * nd))
+
+
+def _deviations(states: np.ndarray, target: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """(first sample, states - target) per ``_chunk_rows`` samples, last first, in one buffer."""
+    buffer = np.empty((_chunk_rows(target.shape[0]), target.shape[0]))
+    for a in reversed(range(0, len(states), len(buffer))):
+        chunk = states[a : a + len(buffer)]
+        yield a, np.subtract(chunk, target, out=buffer[: len(chunk)])
 
 
 class _Piece(NamedTuple):
@@ -433,10 +455,7 @@ def _march(
     about 1e-14 relative.  A block's GEMM stays one product: its results
     depend on its row count, so chunks would change the states in their
     last bits.  The guard checks every sample once and names the first
-    that fails.  The error norm is taken in chunks of samples
-    (``_chunk_rows``), so that no temporary spans the run; a sample's norm
-    does not depend on the samples beside it.  The run gets its own copy of
-    the plan's times."""
+    that fails.  The run gets its own copy of the plan's times."""
     times = plan.times.copy()
     nd, width = x.shape[0], x.shape[0] + theta.shape[0]
     states = np.empty((len(times), nd))
@@ -492,19 +511,7 @@ def _march(
             f"state exceeded {DIVERGENCE_GUARD:g} or became NaN"
             f" at t={times[1 + np.argmin(ok)]:.6g}"
         )
-    # the error norm as np.linalg.norm(axis=1) takes it, square, add.reduce
-    # and sqrt, in one reused buffer
-    target = np.tile(theta, g.n)
-    err = np.empty(len(times))
-    rows = _chunk_rows(nd)
-    buffer = np.empty((rows, nd))
-    for a in range(0, len(times), rows):
-        chunk = states[a : a + rows]
-        dev = np.subtract(chunk, target, out=buffer[: len(chunk)])
-        np.multiply(dev, dev, out=dev)
-        np.add.reduce(dev, axis=1, out=err[a : a + rows])
-    np.sqrt(err, out=err)
-    return Trajectory(times=times, states=states, error_norm=err, n=g.n, d=g.d, theta=theta,
+    return Trajectory(times=times, states=states, n=g.n, d=g.d, theta=theta,
                       work=Work(chain, passes, fills))
 
 
@@ -654,29 +661,27 @@ def convergence_report(
     A sample fails when any |x - theta| is not below the tolerance.  The
     settle time is the time of the sample after the last failing one, and
     the run has converged when no failing sample lies in the window.  The
-    states are read in the chunks of ``_march``'s error norm, from the last
-    backwards, and only until the last failing sample and the window's
-    verdict are known; no temporary spans the run."""
+    deviations are read in chunks from the last (``_deviations``), and only
+    until the last failing sample and the window's verdict are known.  A
+    theta with NaN or infinite entries raises ``NonFiniteError``."""
     th = traj.theta if theta is None else np.asarray(theta, dtype=float).reshape(-1)
     if th.shape[0] != traj.d:
         raise DimensionMismatchError(f"theta has dimension {th.shape[0]}, run has d={traj.d}")
+    if not np.all(np.isfinite(th)):
+        raise NonFiniteError("theta has NaN or infinite entries")
     target = np.tile(th, traj.n)
     times = traj.times
     window = times >= (1.0 - DEFAULT_WINDOW) * times[-1]
     first = int(np.argmax(window)) if window.any() else len(times)  # the window's first sample
-    rows = _chunk_rows(target.shape[0])
-    buffer = np.empty((rows, target.shape[0]))
     last_bad, converged = -1, True
-    for a in range((len(times) - 1) // rows * rows, -1, -rows):
-        if last_bad >= 0 and (not converged or a + rows <= first):
-            break
-        chunk = traj.states[a : a + rows]
-        dev = np.subtract(chunk, target, out=buffer[: len(chunk)])
+    for a, dev in _deviations(traj.states, target):
         np.abs(dev, out=dev)
         bad = a + np.flatnonzero(~(dev < DEFAULT_TOL).all(axis=1))
         if bad.size:
             last_bad = max(last_bad, int(bad[-1]))
             converged = converged and not window[bad].any()
+        if last_bad >= 0 and (not converged or a <= first):
+            break
     final = float(np.abs(traj.states[-1] - target).max())
     settle: Optional[float] = None
     if final < DEFAULT_TOL:

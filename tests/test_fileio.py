@@ -262,8 +262,7 @@ class TestTrajectoryCsv:
         g = bundled_graph("net_a")
         design = design_fixed(g, Decomposition.of(g, BUNDLED_V1["net_a"]), np.array([1.0, 2.0, -1.0]))
         traj = integrate_fixed(g, design, np.ones(21), h=0.01, horizon=0.01)
-        one = dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1],
-                                  error_norm=traj.error_norm[:1])
+        one = dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1])
         p = tmp_path / "traj.csv"
         write_trajectory_csv(one, p)
         data = read_trajectory_csv(p)

@@ -243,6 +243,50 @@ class TestIntegrateFixed:
         assert traj.error_norm.tobytes() == recomputed.tobytes()
 
 
+class TestErrorNorm:
+    """``Trajectory.error_norm`` is computed from the states on first read
+    and kept; a run that never reads it never pays for it."""
+
+    @staticmethod
+    def _runs(net_a, net_b, net_c, net_a_dec, tiled, rng):
+        """A dense fixed run (net_a), a CSR fixed run (the tiled network)
+        and the bundled switching cycle."""
+        g, dec = tiled
+        design = design_fixed(g, dec, THETA)
+        assert not isinstance(_full_step(closed_loop(g, design), 1e-3), np.ndarray)
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        return [
+            integrate_fixed(net_a, design_fixed(net_a, net_a_dec, THETA), rng.uniform(-5, 5, 21),
+                            h=1e-3, horizon=0.5),
+            integrate_fixed(g, design, rng.uniform(-5, 5, g.n * g.d), h=1e-3, horizon=0.1),
+            integrate_switching(schedule, sdesign, graphs, rng.uniform(-5, 5, 21),
+                                h=1e-3, horizon=2.0),
+        ]
+
+    def test_is_the_whole_run_norm_and_is_kept(self, net_a, net_b, net_c, net_a_dec, tiled, rng):
+        for traj in self._runs(net_a, net_b, net_c, net_a_dec, tiled, rng):
+            recomputed = np.linalg.norm(traj.states - np.tile(THETA, traj.n), axis=1)
+            assert traj.error_norm.tobytes() == recomputed.tobytes()
+            assert traj.error_norm is traj.error_norm
+            assert not traj.error_norm.flags.writeable
+
+    def test_replace_takes_the_norm_of_the_new_states(self, net_a, net_a_dec, rng):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        traj = integrate_fixed(net_a, design, rng.uniform(-5, 5, 21), h=1e-2, horizon=1.0)
+        traj.error_norm  # kept on the old run, not carried over
+        moved = dataclasses.replace(traj, states=traj.states + 1.0)
+        recomputed = np.linalg.norm(moved.states - np.tile(THETA, 7), axis=1)
+        assert moved.error_norm.tobytes() == recomputed.tobytes()
+        assert not np.array_equal(moved.error_norm, traj.error_norm)
+
+    def test_switching_request_never_computes_it(self, net_a, net_b, net_c, rng):
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        traj = integrate_switching(schedule, sdesign, graphs, rng.uniform(-5, 5, 21),
+                                   h=1e-3, horizon=2.0)
+        convergence_report(traj, THETA)
+        assert "error_norm" not in vars(traj)
+
+
 def _kept_passes(monkeypatch):
     """The list that each call of ``simulate._kept_pass`` appends its
     result to: the kept pass piece, or None."""
@@ -1088,6 +1132,13 @@ class TestConvergenceReport:
         with pytest.raises(DimensionMismatchError, match="run has d=3"):
             convergence_report(traj, np.array(theta))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, net_a, net_a_dec, bad):
+        design = design_fixed(net_a, net_a_dec, THETA)
+        traj = integrate_fixed(net_a, design, np.zeros(21), h=1e-2, horizon=0.1)
+        with pytest.raises(NonFiniteError, match="theta has NaN or infinite entries"):
+            convergence_report(traj, np.array([bad, 1.0, 1.0]))
+
 
 def _run_about(rng, samples, theta=THETA, n=7):
     """A hand-made run of ``samples`` samples about theta.  Before a random
@@ -1106,8 +1157,7 @@ def _run_about(rng, samples, theta=THETA, n=7):
     times = np.linspace(0.0, 1.0, samples)
     if rng.random() < 0.5:
         times = rng.permutation(times)
-    return Trajectory(times=times, states=states, error_norm=np.zeros(samples),
-                      n=n, d=theta.size, theta=theta)
+    return Trajectory(times=times, states=states, n=n, d=theta.size, theta=theta)
 
 
 class TestChunkedConvergenceReport:
@@ -1157,7 +1207,7 @@ class TestChunkedConvergenceReport:
         run = integrate_switching(schedule, sdesign, graphs, x, h=1e-3, horizon=2.0)
         # the bundled run, and one at its target, which is read to its start
         settled = Trajectory(times=run.times, states=np.tile(THETA, (len(run.times), 7)),
-                             error_norm=run.error_norm, n=7, d=3, theta=THETA)
+                             n=7, d=3, theta=THETA)
         for traj in (run, settled):
             tracemalloc.start()
             try:
