@@ -55,21 +55,45 @@ def load_graph(path: PathLike) -> SignedGraph:
         n = _integer(data["n"], "n")
         d = _integer(data["d"], "d")
         directed = _boolean(data["directed"], "directed")
-        edges: Dict[Tuple[int, int], np.ndarray] = {}
-        for e in data["edges"]:
-            key = (_integer(e["to"], "to"), _integer(e["from"], "from"))
-            if key in edges:
-                raise FileFormatError(f"edge {key[1]}->{key[0]} is listed more than once")
-            edges[key] = np.array(
-                [[_number(v, "weight entry") for v in row] for row in e["weight"]], dtype=float
-            )
-            if edges[key].shape != (d, d):
-                raise FileFormatError(
-                    f"edge {e['from']}->{e['to']} weight is not {d}x{d}"
-                )
+        edges = _graph_edges(data["edges"], d)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed graph file {path}: {exc}") from exc
     return SignedGraph.from_edges(n, d, directed, edges)
+
+
+def _graph_edges(listed: object, d: int) -> Dict[Tuple[int, int], np.ndarray]:
+    """A graph file's edges as {(to, from): weight}, each weight a row of one
+    (E, d, d) array.  One pass checks the type of every vertex id and weight
+    entry (np.array would take "0.1" and true as numbers) and the length of
+    every weight and row; only when it finds a fault do the per-edge checks
+    run, to raise the first one in file order."""
+    try:
+        ids = [e[end] for e in listed for end in ("to", "from")]
+        if float in set(map(type, ids)):  # 2.0 names vertex 2
+            ids = [_integer(v, "vertex id") for v in ids]
+        keys = list(zip(ids[::2], ids[1::2]))
+        weights = [e["weight"] for e in listed]
+        rows = [row for w in weights for row in w]
+        entries = [v for row in rows for v in row]
+        if keys and not (d > 0 and len(set(keys)) == len(keys) and set(map(type, ids)) <= {int}
+                         and set(map(type, entries)) <= {int, float}
+                         and set(map(len, weights)) | set(map(len, rows)) <= {d}):
+            raise ValueError("an edge is repeated or malformed")
+        stack = np.array(entries, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError, FileFormatError):
+        seen = set()
+        for e in listed:
+            key = (_integer(e["to"], "to"), _integer(e["from"], "from"))
+            if key in seen:
+                raise FileFormatError(f"edge {key[1]}->{key[0]} is listed more than once")
+            seen.add(key)
+            weight = np.array(
+                [[_number(v, "weight entry") for v in row] for row in e["weight"]], dtype=float
+            )
+            if weight.shape != (d, d):
+                raise FileFormatError(f"edge {e['from']}->{e['to']} weight is not {d}x{d}")
+        raise  # not reached: each fault the pass finds fails one of these checks
+    return dict(zip(keys, stack.reshape(-1, d, d))) if keys else {}
 
 
 def save_graph(g: SignedGraph, path: PathLike) -> None:

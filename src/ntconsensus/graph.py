@@ -12,9 +12,9 @@ call, and every sum over edges accumulates in edge order (the order in which
 
 from __future__ import annotations
 
-from collections import deque
+import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 import numpy as np
 
@@ -113,19 +113,39 @@ class SignedGraph:
 
         Weights classifying as Zero are dropped (zero means no edge).  For
         undirected graphs each pair may be given once; if both orientations
-        are present they must agree entrywise.  Needs n >= 1 and d >= 1.
-        Every weight must be d x d, a zero one too.  All weights are
-        classified in one stacked call; errors are raised for the first bad
-        edge in the mapping's order.
+        are present they must agree entrywise, and both directions take the
+        later edge's entries.  Needs n >= 1 and d >= 1.  Every weight must be
+        d x d, a zero one too.  The weights are classified in one stacked
+        call and the edges checked by masks over their (E, 2) endpoints; the
+        first bad edge in the mapping's order raises, its checks taken in the
+        order vertex range, self-loop, shape, class, undirected mismatch.
         """
         if n < 1 or d < 1:
             raise DimensionMismatchError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+        keys = list(edges)
         raws = [np.asarray(w, dtype=float) for w in edges.values()]
         fits = [r.shape == (d, d) for r in raws]
         stack = np.array([r if f else np.zeros((d, d)) for r, f in zip(raws, fits)])
         sym, codes, errors = classify_stack(stack.reshape(-1, d, d))
-        rows: Dict[Tuple[int, int], int] = {}  # edge -> row of the stack, in edge order
-        for k, (i, j) in enumerate(edges):
+        ends = np.array(keys).reshape(-1, 2)  # (to, from); object dtype for ids beyond int64
+        bad = ((ends < 1) | (ends > n)).any(axis=1) | (ends[:, 0] == ends[:, 1])
+        bad[[k for k, f in enumerate(fits) if not f] + list(errors)] = True
+        kept = np.flatnonzero(~bad & (codes != 0))  # per edge of the graph, its row of the stack
+        ends = ends[kept].astype(np.intp) - 1
+        if not directed:
+            # a pair given in both orientations: the later edge must agree, and
+            # both directions take its entries in the earlier edge's place
+            pairs = np.sort(ends, axis=1)
+            order = np.lexsort(pairs.T)
+            twin = (pairs[order[1:]] == pairs[order[:-1]]).all(axis=1)
+            first, later = order[:-1][twin], order[1:][twin]
+            bad[kept[later[(sym[kept[first]] != sym[kept[later]]).any(axis=(1, 2))]]] = True
+            kept[first] = kept[later]
+            kept, ends = np.delete(kept, later), np.delete(ends, later, axis=0)
+            kept, ends = kept.repeat(2), np.stack([ends, ends[:, ::-1]], axis=1).reshape(-1, 2)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j = keys[k]
             _check_vertex(n, i)
             _check_vertex(n, j)
             if i == j:
@@ -136,22 +156,49 @@ class SignedGraph:
                 )
             if k in errors:
                 raise errors[k]
-            if codes[k] == 0:
-                continue
-            rows[(i, j)] = k
-            if not directed:
-                mirror = rows.get((j, i))
-                if mirror is not None and not np.array_equal(sym[mirror], sym[k]):
-                    raise AsymmetricWeightError(
-                        f"undirected graph has A[{j},{i}] != A[{i},{j}]"
-                    )
-                rows[(j, i)] = k
-        ends = np.array(list(rows), dtype=np.intp).reshape(-1, 2) - 1
-        take = np.fromiter(rows.values(), dtype=np.intp, count=len(rows))
+            raise AsymmetricWeightError(f"undirected graph has A[{j},{i}] != A[{i},{j}]")
         return SignedGraph(
             n=n, d=d, directed=directed, heads=ends[:, 0], tails=ends[:, 1],
-            entries=sym[take], classes=codes[take],
+            entries=sym[kept], classes=codes[kept],
         )
+
+    @functools.cached_property
+    def in_out_gaps(self) -> np.ndarray:
+        """(n, d, d), read-only: per vertex (row v - 1), the sum of its
+        in-weight magnitudes minus the sum of its out-weight magnitudes.
+
+        One ``np.add.at`` over "+head, -tail" pairs interleaved per edge, so
+        each vertex accumulates in edge order.  A vertex is in-degree
+        dominated when its gap is positive semidefinite; the coupling bound
+        works with the negated gap.
+        """
+        mag = self.magnitudes
+        gaps = np.zeros((self.n, self.d, self.d))
+        np.add.at(gaps, np.stack([self.heads, self.tails], axis=1).ravel(),
+                  np.stack([mag, -mag], axis=1).reshape(-1, self.d, self.d))
+        gaps.flags.writeable = False
+        return gaps
+
+    @functools.cached_property
+    def dominated(self) -> np.ndarray:
+        """(n,) read-only mask of the in-degree dominated vertices (row v - 1):
+        those whose gap is positive semidefinite to ``DEF_TOL``."""
+        mask = np.linalg.eigvalsh(self.in_out_gaps).min(axis=1) >= -DEF_TOL
+        mask.flags.writeable = False
+        return mask
+
+    @functools.cached_property
+    def successors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The strictly definite edges as read-only CSR arrays (indptr,
+        succ): 0-based vertex v's successors are succ[indptr[v]:indptr[v +
+        1]], in edge order."""
+        definite = self.definite
+        tails = self.tails[definite]
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.bincount(tails, minlength=self.n).cumsum(out=indptr[1:])
+        succ = self.heads[definite][np.argsort(tails, kind="stable")]
+        indptr.flags.writeable = succ.flags.writeable = False
+        return indptr, succ
 
     @property
     def vertices(self) -> range:
@@ -173,42 +220,56 @@ def _check_vertex(n: int, v: int) -> None:
         raise VertexOutOfRangeError(f"vertex {v} outside 1..{n}")
 
 
-def in_out_gaps(g: SignedGraph) -> np.ndarray:
-    """(n, d, d): per vertex (row v - 1), the sum of its in-weight magnitudes
-    minus the sum of its out-weight magnitudes.
-
-    One ``np.add.at`` over "+head, -tail" pairs interleaved per edge, so each
-    vertex accumulates in edge order.  A vertex is in-degree dominated when
-    its gap is positive semidefinite; the coupling bound works with the
-    negated gap.
-    """
-    mag = g.magnitudes
-    gaps = np.zeros((g.n, g.d, g.d))
-    np.add.at(gaps, np.stack([g.heads, g.tails], axis=1).ravel(),
-              np.stack([mag, -mag], axis=1).reshape(-1, g.d, g.d))
-    return gaps
-
-
-def _dominated(gaps: np.ndarray) -> np.ndarray:
-    """Per gap of a (k, d, d) stack: positive semidefinite to ``DEF_TOL``."""
-    return np.linalg.eigvalsh(gaps).min(axis=1) >= -DEF_TOL
-
-
 def _definite_reach(g: SignedGraph, sources: Iterable[int]) -> Set[int]:
     """Vertices reachable from any source over strictly definite edges,
-    sources included."""
-    succ: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    definite = g.definite
-    for i, j in zip(g.heads[definite].tolist(), g.tails[definite].tolist()):
-        succ[j + 1].append(i + 1)
-    seen = set(sources)
-    queue = deque(seen)
-    while queue:
-        for v in succ[queue.popleft()]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+    sources included: a search over ``successors``, in O(n + E)."""
+    ptr, nxt = (a.tolist() for a in g.successors)
+    found = [v - 1 for v in sources]
+    seen = bytearray(g.n)
+    for v in found:
+        seen[v] = 1
+    for v in found:  # the list grows as the search goes, so this visits every find
+        for w in nxt[ptr[v] : ptr[v + 1]]:
+            if not seen[w]:
+                seen[w] = 1
+                found.append(w)
+    return {v + 1 for v in found}
+
+
+def _components(indptr: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """Strongly connected component label per vertex of the CSR digraph
+    (indptr, succ): Tarjan's algorithm on explicit stacks, so no recursion,
+    in O(n + E)."""
+    ptr, nxt = indptr.tolist(), succ.tolist()
+    n = len(ptr) - 1
+    cursor = ptr[:-1]  # per vertex, the next of its edges to follow
+    found, low, label = [-1] * n, [0] * n, [-1] * n  # discovery index, low link, component
+    open_: List[int] = []  # discovered vertices not yet labelled
+    count = comps = 0
+    for root in range(n):
+        path = [root] if found[root] < 0 else []
+        while path:
+            v = path[-1]
+            if found[v] < 0:
+                found[v] = low[v] = count
+                count += 1
+                open_.append(v)
+            if cursor[v] < ptr[v + 1]:
+                w = nxt[cursor[v]]
+                cursor[v] += 1
+                if found[w] < 0:
+                    path.append(w)
+                elif label[w] < 0:
+                    low[v] = min(low[v], found[w])
+                continue
+            path.pop()
+            if path:
+                low[path[-1]] = min(low[path[-1]], low[v])
+            if low[v] == found[v]:
+                while label[v] < 0:
+                    label[open_.pop()] = comps
+                comps += 1
+    return np.array(label, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -244,22 +305,15 @@ class AssumptionReport:
         return tuple(sorted(set(self.path_failures) | set(self.dominance_failures)))
 
 
-def verify_assumption(
-    g: SignedGraph, dec: Decomposition, gaps: Optional[np.ndarray] = None
-) -> AssumptionReport:
+def verify_assumption(g: SignedGraph, dec: Decomposition) -> AssumptionReport:
     """Check the decomposition against the connectivity and dominance
     requirements.  Dominance is vacuous (reported true) on undirected graphs,
-    and is tested on ``gaps``, the graph's ``in_out_gaps`` (computed here
-    when not given), in one stacked call over V2."""
+    and is read from the graph's ``dominated`` mask over V2."""
     if dec.v1 | dec.v2 != set(g.vertices) or dec.v1 & dec.v2:
         raise InvalidPartitionError("V1, V2 must partition the vertex set")
     path_fail = sorted(dec.v2 - _definite_reach(g, dec.v1))
-    if g.directed:
-        v2 = np.array(sorted(dec.v2), dtype=np.intp)
-        gaps = in_out_gaps(g) if gaps is None else gaps
-        dom_fail = v2[~_dominated(gaps[v2 - 1])].tolist()
-    else:
-        dom_fail = []
+    v2 = np.array(sorted(dec.v2), dtype=np.intp)
+    dom_fail = v2[~g.dominated[v2 - 1]].tolist() if g.directed else []
     return AssumptionReport(
         path_cover=not path_fail,
         dominance=not dom_fail,
@@ -275,29 +329,22 @@ def suggest_decomposition(g: SignedGraph) -> Decomposition:
     graphs) plus the smallest vertex of each source strongly connected
     component of the definite-edge graph that holds none of those: such a
     component is reached only from inside, and any one of its vertices
-    reaches all of it.  Runs in O(n + E) beyond the dominance test.
+    reaches all of it.  The components come from ``_components`` on
+    ``successors``, so this runs in O(n + E) beyond the dominance test.
 
     The rule ignores the design's own need for a positive definite coupling
     block on every V1 vertex, so ``design_fixed`` can still reject the
     suggestion with ``DegenerateCouplingError`` (net_c's V1 holds vertex 4,
     which has no negative in-edge).
     """
-    # imported here: scipy.sparse.csgraph takes about 0.4 s to import cold (2-vCPU host)
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    if g.directed:
-        v1 = set((np.flatnonzero(~_dominated(in_out_gaps(g))) + 1).tolist())
-    else:
-        v1 = set()
+    chosen = ~g.dominated if g.directed else np.zeros(g.n, dtype=bool)
+    label = _components(*g.successors)
     definite = g.definite
-    src, dst = g.tails[definite], g.heads[definite]
-    adj = csr_matrix((np.ones(len(src)), (src, dst)), shape=(g.n, g.n))
-    _, label = connected_components(adj, directed=True, connection="strong")
-    covered = set(label[dst[label[src] != label[dst]]].tolist())
-    covered.update(label[v - 1] for v in v1)
-    for v in g.vertices:  # ascending, so each component's smallest vertex comes first
-        if label[v - 1] not in covered:
-            covered.add(label[v - 1])
-            v1.add(v)
-    return Decomposition.of(g, sorted(v1))
+    src, dst = label[g.tails[definite]], label[g.heads[definite]]
+    covered = np.zeros(g.n, dtype=bool)  # per label
+    covered[dst[src != dst]] = True
+    covered[label[chosen]] = True
+    smallest = np.full(g.n, g.n)  # per label, its smallest vertex
+    np.minimum.at(smallest, label, np.arange(g.n))
+    chosen[smallest[~covered & (smallest < g.n)]] = True
+    return Decomposition.of(g, (np.flatnonzero(chosen) + 1).tolist())

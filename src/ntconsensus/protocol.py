@@ -33,7 +33,6 @@ from .graph import (
     Decomposition,
     SignedGraph,
     classify_stack,
-    in_out_gaps,
     verify_assumption,
 )
 from .spectral import (
@@ -224,8 +223,7 @@ def _design(
     g: SignedGraph, dec: Decomposition, margin: float, delta: Optional[float]
 ) -> _Reuse:
     """``design_fixed``'s theta-free work, stored in g's entry."""
-    gaps = in_out_gaps(g) if g.directed else None
-    report = verify_assumption(g, dec, gaps)
+    report = verify_assumption(g, dec)
     if not report.ok and delta is None:
         raise AssumptionViolatedError(
             f"decomposition fails for vertices {list(report.failures)}"
@@ -235,7 +233,7 @@ def _design(
         v1 = sorted(dec.v1)
         on_v1 = np.zeros((g.n, g.d, g.d))  # B_i, or zeros where there is none
         on_v1[informed - 1] = blocks
-        per_vertex, bound_c = _bound(gaps, v1, on_v1[np.asarray(v1) - 1])
+        per_vertex, bound_c = _bound(g.in_out_gaps, v1, on_v1[np.asarray(v1) - 1])
         chosen = bound_c + margin if delta is None else delta
     else:
         per_vertex, bound_c = {}, 0.0

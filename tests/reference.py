@@ -33,7 +33,6 @@ from ntconsensus import (
     design_laplacians,
 )
 from ntconsensus.errors import ScheduleExhaustedError
-from ntconsensus.graph import in_out_gaps
 from ntconsensus.protocol import MEMBER_TOL
 from ntconsensus.simulate import DEFAULT_TOL, DEFAULT_WINDOW, STACK_BYTES
 from ntconsensus.spectral import RANK_TOL
@@ -101,7 +100,7 @@ def quadratic_form_gap(g: SignedGraph, x: np.ndarray) -> float:
         )
     x = np.asarray(x, dtype=float).reshape(g.n * g.d)
     phi = float(x @ signed_laplacian(g) @ x)
-    gaps = in_out_gaps(g)  # every weight is nonnegative, so magnitudes are the weights
+    gaps = g.in_out_gaps  # every weight is nonnegative, so magnitudes are the weights
     rhs = 0.0
     for xi, gap in zip(x.reshape(g.n, g.d), gaps):
         rhs += float(xi @ (0.5 * gap) @ xi)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -80,10 +81,11 @@ class TestGraphRoundTrip:
 
     def test_integral_float_sizes_accepted(self, tmp_path):
         p = tmp_path / "g.json"
-        p.write_text(json.dumps({"n": 2.0, "d": 1.0, "directed": True,
-                                 "edges": [{"from": 1.0, "to": 2, "weight": [[1.0]]}]}))
-        g = load_graph(p)
-        assert (g.n, g.d, list(edge_weights(g))) == (2, 1, [(2, 1)])
+        for frm, to in [(1.0, 2), (1, 2.0), (1.0, 2.0)]:
+            p.write_text(json.dumps({"n": 2.0, "d": 1.0, "directed": True,
+                                     "edges": [{"from": frm, "to": to, "weight": [[1.0]]}]}))
+            g = load_graph(p)
+            assert (g.n, g.d, list(edge_weights(g))) == (2, 1, [(2, 1)])
 
     @pytest.mark.parametrize("directed", ["false", "true", 0, 1, None, [True]])
     def test_non_boolean_directed_rejected(self, tmp_path, directed):
@@ -93,34 +95,78 @@ class TestGraphRoundTrip:
         with pytest.raises(FileFormatError, match="directed must be true or false"):
             load_graph(p)
 
-    @pytest.mark.parametrize("entry", ["-5.0", True, None, [1.0]])
+    @pytest.mark.parametrize("entry", ["-5.0", True, None, [1.0], "0.1", False])
     def test_non_number_weight_entry_rejected(self, tmp_path, entry):
+        # np.array(..., dtype=float) alone would read "0.1" and true as numbers
         p = tmp_path / "g.json"
         p.write_text(json.dumps({"n": 2, "d": 2, "directed": True,
                                  "edges": [{"from": 1, "to": 2,
                                             "weight": [[1.0, 0.0], [0.0, entry]]}]}))
-        with pytest.raises(FileFormatError, match="weight entry must be a number"):
+        with pytest.raises(FileFormatError,
+                           match=f"weight entry must be a number, got {re.escape(repr(entry))}$"):
             load_graph(p)
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_repeated_edge_rejected(self, tmp_path, directed):
-        # keeping the last copy would flip the edge's sign without a word
+        # keeping the last copy would flip the edge's sign without a word;
+        # ids 1.0 and 2.0 name the same edge as 1 and 2
         p = tmp_path / "g.json"
-        p.write_text(json.dumps({"n": 2, "d": 1, "directed": directed, "edges": [
-            {"from": 1, "to": 2, "weight": [[-1.0]]},
-            {"from": 1, "to": 2, "weight": [[5.0]]},
-        ]}))
-        with pytest.raises(FileFormatError, match="edge 1->2 is listed more than once"):
-            load_graph(p)
+        for frm, to in [(1, 2), (1.0, 2.0)]:
+            p.write_text(json.dumps({"n": 2, "d": 1, "directed": directed, "edges": [
+                {"from": 1, "to": 2, "weight": [[-1.0]]},
+                {"from": frm, "to": to, "weight": [[5.0]]},
+            ]}))
+            with pytest.raises(FileFormatError, match="edge 1->2 is listed more than once$"):
+                load_graph(p)
 
     def test_wrong_weight_shape(self, tmp_path):
+        # the message names the ids as the file gives them
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({
-            "n": 2, "d": 3, "directed": True,
-            "edges": [{"from": 1, "to": 2, "weight": [[1.0]]}],
-        }))
-        with pytest.raises(FileFormatError):
+        for frm, weight in [
+            (1, [[1.0]]), (1, []), (1, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            (1, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), (1.0, [[1.0]]),
+        ]:
+            p.write_text(json.dumps({
+                "n": 2, "d": 3, "directed": True,
+                "edges": [{"from": 2, "to": 1, "weight": np.eye(3).tolist()},
+                          {"from": frm, "to": 2.0, "weight": weight}],
+            }))
+            with pytest.raises(FileFormatError, match=f"edge {frm}->2.0 weight is not 3x3$"):
+                load_graph(p)
+
+    def test_ragged_weight_rows(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"n": 2, "d": 2, "directed": True, "edges": [
+            {"from": 1, "to": 2, "weight": [[1.0, 0.0], [0.0]]}]}))
+        with pytest.raises(FileFormatError,
+                           match=r"malformed graph file .*: setting an array element with a sequence"):
             load_graph(p)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_first_fault_in_file_order(self, tmp_path, swap):
+        """The type, shape and id checks of all edges run in one pass, but
+        the fault reported is the first in file order."""
+        edges = [{"from": 1, "to": 2, "weight": [[1.0, 0.0]]},
+                 {"from": 2, "to": 1, "weight": [[1.0, 0.0], [0.0, "0.1"]]},
+                 {"from": 1.5, "to": 1, "weight": [[1.0, 0.0], [0.0, 1.0]]}]
+        if swap:
+            edges = edges[::-1]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"n": 2, "d": 2, "directed": True, "edges": edges}))
+        message = "from must be an integer, got 1.5" if swap else "edge 1->2 weight is not 2x2"
+        with pytest.raises(FileFormatError, match=f"{re.escape(message)}$"):
+            load_graph(p)
+
+    def test_entries_exact_and_in_file_order(self, tmp_path, rng):
+        """Loading keeps every entry bit for bit, and the file's edge order."""
+        g, _ = random_directed_valid(rng, 6, 3)
+        p = tmp_path / "g.json"
+        save_graph(g, p)
+        data = json.loads(p.read_text())
+        back = load_graph(p)
+        assert list(edge_weights(back)) == [(e["to"], e["from"]) for e in data["edges"]]
+        for w, e in zip(back.entries, data["edges"]):
+            assert w.tobytes() == np.array(e["weight"], dtype=float).tobytes()
 
 
 class TestScheduleLoading:

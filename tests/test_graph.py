@@ -1,6 +1,7 @@
 """Weight classification and the structural graph predicates."""
 
 import itertools
+import json
 import time
 
 import numpy as np
@@ -13,11 +14,12 @@ from ntconsensus import (
     ConsensusError,
     Decomposition,
     SignedGraph,
+    bundled_path,
     design_fixed,
     suggest_decomposition,
     verify_assumption,
 )
-from ntconsensus.graph import _definite_reach, _dominated, classify_stack, in_out_gaps
+from ntconsensus.graph import _check_vertex, _components, _definite_reach, classify_stack
 from ntconsensus.errors import (
     AsymmetricWeightError,
     DimensionMismatchError,
@@ -190,6 +192,200 @@ class TestSignedGraph:
             SignedGraph.from_edges(3, 3, True, edges)
 
 
+def _per_edge_build(n, d, directed, edges):
+    """The graph builder as one Python pass per edge, the checks in the
+    order vertex range, self-loop, shape, class, undirected mismatch: the
+    (heads, tails, entries, classes) that ``from_edges`` must reproduce
+    byte for byte, or the error it must raise."""
+    if n < 1 or d < 1:
+        raise DimensionMismatchError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+    raws = [np.asarray(w, dtype=float) for w in edges.values()]
+    fits = [r.shape == (d, d) for r in raws]
+    stack = np.array([r if f else np.zeros((d, d)) for r, f in zip(raws, fits)])
+    sym, codes, errors = classify_stack(stack.reshape(-1, d, d))
+    rows = {}  # edge -> row of the stack, in the order edges are first met
+    for k, (i, j) in enumerate(edges):
+        _check_vertex(n, i)
+        _check_vertex(n, j)
+        if i == j:
+            raise InvalidPartitionError(f"self-loop on vertex {i} not allowed")
+        if not fits[k]:
+            raise DimensionMismatchError(
+                f"edge ({j}->{i}) has a weight of shape {raws[k].shape}, expected ({d}, {d})"
+            )
+        if k in errors:
+            raise errors[k]
+        if codes[k] == 0:
+            continue
+        rows[(i, j)] = k
+        if not directed:
+            mirror = rows.get((j, i))
+            if mirror is not None and not np.array_equal(sym[mirror], sym[k]):
+                raise AsymmetricWeightError(f"undirected graph has A[{j},{i}] != A[{i},{j}]")
+            rows[(j, i)] = k
+    ends = np.array(list(rows), dtype=np.intp).reshape(-1, 2) - 1
+    take = np.fromiter(rows.values(), dtype=np.intp, count=len(rows))
+    return ends[:, 0], ends[:, 1], sym[take], codes[take]
+
+
+def _built(build, n, d, directed, edges):
+    """A builder's arrays as bytes (with their dtypes and shapes), or its error."""
+    try:
+        arrays = build(n, d, directed, edges)
+    except ConsensusError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _from_edges(n, d, directed, edges):
+    g = SignedGraph.from_edges(n, d, directed, edges)
+    return g.heads, g.tails, g.entries, g.classes
+
+
+def _random_edges(rng, n, d, directed, bad=()):
+    """Random raw edges keyed (to, from): definite, semidefinite and zero
+    weights of both signs; undirected pairs given once or in both
+    orientations, the second a copy with -0.0 for each 0.0 or a zero
+    weight; and, at random places, edges of the kinds named in ``bad``."""
+    edges = {}
+    for _ in range(int(rng.integers(0, 3 * n))):
+        i, j = (int(v) for v in rng.integers(1, n + 1, size=2))
+        if i == j or (i, j) in edges:
+            continue
+        kind = rng.random()
+        w = random_spd(rng, d) if kind < 0.5 else random_psd_singular(rng, d)
+        if kind > 0.85:
+            w = np.zeros((d, d))
+        w = -w if rng.random() < 0.4 else w
+        if not directed and (j, i) in edges and kind < 0.85:
+            w = np.where(edges[(j, i)] == 0.0, -0.0, edges[(j, i)])
+        edges[(i, j)] = w
+    for kind in bad:
+        key = tuple(int(v) for v in rng.integers(1, n + 1, size=2))
+        if kind == "range":
+            key = (key[0], n + 1) if rng.random() < 0.5 else (0, key[1])
+        elif kind == "loop":
+            key = (key[0], key[0])
+        w = {"shape": np.eye(d + 1), "indefinite": np.diag(np.r_[1.0, -np.ones(d - 1)]),
+             "nonfinite": np.full((d, d), np.nan), "mismatch": 3.0 * np.eye(d)}.get(kind, np.eye(d))
+        if kind == "mismatch":
+            edges.setdefault(key[::-1], np.eye(d))
+        if key[0] != key[1] or kind == "loop":
+            edges.pop(key, None)
+            edges[key] = w
+    return edges
+
+
+class TestFromEdgesMatchesPerEdgeBuild:
+    """``from_edges`` checks its edges by masks; it must build exactly what
+    a pass edge by edge builds, and raise what that pass raises first."""
+
+    @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c"])
+    def test_bundled(self, name):
+        data = json.loads(bundled_path(f"{name}.json").read_text())
+        edges = {(e["to"], e["from"]): np.array(e["weight"], dtype=float) for e in data["edges"]}
+        args = (data["n"], data["d"], data["directed"], edges)
+        assert _built(_from_edges, *args) == _built(_per_edge_build, *args)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_random(self, directed):
+        rng = np.random.default_rng(2026)
+        for _ in range(150):
+            n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            args = (n, d, directed, _random_edges(rng, n, d, directed))
+            built = _built(_from_edges, *args)
+            assert isinstance(built, list)
+            assert built == _built(_per_edge_build, *args)
+
+    def test_undirected_pair_in_both_orientations(self):
+        """Both directions take the later edge's entries, -0.0 included, in
+        the earlier edge's place; a zero weight is dropped before the pair
+        is matched."""
+        early = np.array([[2.0, 0.0], [0.0, 1.0]])
+        late = np.array([[2.0, -0.0], [-0.0, 1.0]])
+        edges = {(1, 2): early, (3, 1): np.eye(2), (2, 1): late, (3, 2): np.zeros((2, 2)),
+                 (2, 3): -np.eye(2)}
+        g = SignedGraph.from_edges(3, 2, False, edges)
+        assert list(zip(g.heads.tolist(), g.tails.tolist())) == [
+            (0, 1), (1, 0), (2, 0), (0, 2), (1, 2), (2, 1)
+        ]
+        assert g.entries[0].tobytes() == g.entries[1].tobytes() == late.tobytes()
+        assert _built(_from_edges, 3, 2, False, edges) == _built(_per_edge_build, 3, 2, False, edges)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_first_bad_edge_raises(self, directed):
+        """Several bad edges of different kinds: the first in the mapping's
+        order raises, with the same type and message."""
+        kinds = ["range", "loop", "shape", "indefinite", "nonfinite"] + (
+            [] if directed else ["mismatch"]
+        )
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(300):
+            n, d = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+            bad = list(rng.choice(kinds, size=int(rng.integers(1, 4))))
+            args = (n, d, directed, _random_edges(rng, n, d, directed, bad))
+            expected = _built(_per_edge_build, *args)
+            assert _built(_from_edges, *args) == expected
+            if isinstance(expected, tuple):
+                seen.add(expected[0])
+        assert len(seen) == (5 if directed else 6)
+
+
+def _partition(labels):
+    """Component labels renamed by first appearance, so that two labellings
+    of one partition compare equal."""
+    first = {}
+    return [first.setdefault(x, len(first)) for x in np.asarray(labels).tolist()]
+
+
+class TestComponents:
+    def test_matches_csgraph_on_cycles(self):
+        """Random digraphs made of overlapping directed cycles and chords,
+        so most components hold several vertices: the same partition as
+        SciPy's strongly connected components."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(11)
+        sizes = []
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            edges = {}
+            for _ in range(int(rng.integers(0, 6))):
+                cycle = rng.permutation(n)[: int(rng.integers(2, n + 1))] + 1 if n > 1 else []
+                for a, b in zip(cycle, np.roll(cycle, -1)):
+                    edges[(int(b), int(a))] = np.eye(1)
+            for _ in range(int(rng.integers(0, n))):
+                i, j = (int(v) for v in rng.integers(1, n + 1, size=2))
+                if i != j:
+                    edges[(i, j)] = np.eye(1) if rng.random() < 0.8 else np.zeros((1, 1))
+            g = SignedGraph.from_edges(n, 1, True, edges)
+            label = _components(*g.successors)
+            adj = csr_matrix((np.ones(len(g.heads)), (g.tails, g.heads)), shape=(n, n))
+            _, expected = connected_components(adj, directed=True, connection="strong")
+            assert _partition(label) == _partition(expected)
+            sizes.append(n - len(set(label.tolist())))
+        assert sum(s > 0 for s in sizes) >= 50  # most graphs have a multi-vertex component
+
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_long_path_and_cycle(self, cycle):
+        """A definite path 1 -> 2 -> ... -> n and the cycle that closes it,
+        n = 10^5, equal weights: on the path only vertex 1 is not dominated,
+        and on the cycle every vertex is dominated and the one component
+        needs its smallest vertex.  Either way V1 = {1}, with no recursion."""
+        n = 100_000
+        tails = np.arange(1, n + (1 if cycle else 0))
+        heads = tails % n + 1
+        edges = dict(zip(zip(heads.tolist(), tails.tolist()), np.ones((len(tails), 1, 1))))
+        g = SignedGraph.from_edges(n, 1, True, edges)
+        start = time.perf_counter()
+        dec = suggest_decomposition(g)
+        assert time.perf_counter() - start < 1.0
+        assert dec.v1 == frozenset({1})
+        assert verify_assumption(g, dec).ok
+
+
 class TestDecomposition:
     def test_empty_v1_rejected(self, net_a):
         with pytest.raises(InvalidPartitionError, match="nonempty"):
@@ -244,7 +440,7 @@ def _reaches(g, src, dst):
 
 def _dominated_at(g, v):
     """Vertex v's in-weight magnitudes dominate its out-weight magnitudes."""
-    return bool(_dominated(in_out_gaps(g)[v - 1 : v])[0])
+    return bool(g.dominated[v - 1])
 
 
 class TestReachability:

@@ -30,7 +30,7 @@ from ntconsensus.errors import (
     ZeroThetaError,
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
-from ntconsensus.graph import classify_stack, in_out_gaps
+from ntconsensus.graph import classify_stack
 from ntconsensus import protocol
 from ntconsensus.simulate import STACK_BYTES, _cut, _full_step
 
@@ -54,7 +54,7 @@ class TestCouplingBound:
     def test_two_node_negative_edge(self):
         # v1 has no out-edges, so its bound is negative: any delta > 0 works
         g = SignedGraph.from_edges(2, 3, True, {(1, 2): -np.eye(3)})
-        per, c = protocol._bound(in_out_gaps(g), [1, 2], np.array([np.eye(3), np.eye(3)]))
+        per, c = protocol._bound(g.in_out_gaps, [1, 2], np.array([np.eye(3), np.eye(3)]))
         assert per[1] == pytest.approx(-0.5)
         assert per[2] == pytest.approx(0.5)
         assert c == pytest.approx(0.5)
@@ -72,7 +72,7 @@ class TestCouplingBound:
         for _ in range(20):
             g, _ = random_directed_valid(rng, 3, 2)
             b = random_spd(rng, 2)
-            per, _ = protocol._bound(in_out_gaps(g), [1], b[None])
+            per, _ = protocol._bound(g.in_out_gaps, [1], b[None])
             m = np.zeros((2, 2))
             for (a, src), w in edge_magnitudes(g).items():
                 if src == 1:
@@ -86,7 +86,7 @@ class TestCouplingBound:
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             b = (q * np.geomspace(1.0, 1.0 / cond, 3)) @ q.T
             b = (b + b.T) / 2.0
-            gaps = in_out_gaps(g)
+            gaps = g.in_out_gaps
             per, _ = protocol._bound(gaps, [1], b[None])
             reference = 0.5 * eigh(0.0 - gaps[0], b, eigvals_only=True)[-1]
             bound = 10.0 * np.finfo(float).eps * np.linalg.cond(b)
@@ -328,7 +328,7 @@ class TestStackedDesign:
         g = SignedGraph.from_edges(4, 1, True, edges)
         design = design_fixed(g, Decomposition.of(g, [1]), np.ones(1), delta=1.0)
         assert design.blocks[0, 0, 0] == big + 2.0
-        assert in_out_gaps(g)[0, 0, 0] == big + 2.0
+        assert g.in_out_gaps[0, 0, 0] == big + 2.0
 
     def test_design_linear_algebra_is_stacked(self, net_a_dec, monkeypatch):
         """design_fixed makes as many eigh and eigvalsh calls on the

@@ -48,17 +48,19 @@ def test_import_leaves_scipy_sparse_unloaded():
 
 
 def test_import_check_and_design_load_no_scipy():
-    """Importing the package and running ``check`` and ``design`` with an
-    explicit V1 load no SciPy module at all: the coupling bound takes its
-    linear algebra from NumPy, and only ``--v1 auto`` and ``simulate``
-    import SciPy, inside the functions that need it."""
+    """Importing the package and running ``check`` and ``design``, with an
+    explicit V1 and with ``--v1 auto``, load no SciPy module at all: the
+    coupling bound takes its linear algebra from NumPy and the V1 split its
+    strongly connected components from ``graph._components``; only
+    ``simulate`` imports SciPy, inside the functions that need it."""
     graph = str(ROOT / "src" / "ntconsensus" / "data" / "net_a.json")
     code = (
         "import contextlib, io, sys, ntconsensus\n"
         "from ntconsensus import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main(['check', '--graph', {graph!r}, '--v1', '1,2,3,4']) == 0\n"
-        f"    assert cli.main(['design', '--graph', {graph!r}, '--v1', '1,2,3,4',"
+        "    for v1 in ('1,2,3,4', 'auto'):\n"
+        f"        assert cli.main(['check', '--graph', {graph!r}, '--v1', v1]) == 0\n"
+        f"        assert cli.main(['design', '--graph', {graph!r}, '--v1', v1,"
         " '--theta', '1,2,-1', '--json']) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
