@@ -55,7 +55,7 @@ MEMBER_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ProtocolDesign:
-    theta: np.ndarray
+    theta: np.ndarray  # (d,) read-only, the design's own copy (see design_fixed)
     delta: float
     informed: np.ndarray  # (k,) ascending 1-based ids of the informed vertices
     blocks: np.ndarray  # (k, d, d) their coupling blocks B_i, positive semidefinite
@@ -192,19 +192,36 @@ def design_fixed(
     reported); in that case a failed decomposition check is tolerated, since
     the caller takes responsibility for the coefficient and verify_design
     delivers the operative spectral verdict.  ``margin`` must be finite and
-    positive either way.  The theta-free part is computed once per graph
+    positive either way.  The design's ``theta`` is a read-only copy (see
+    ``_checked_theta``).  The theta-free part is computed once per graph
     object and (dec, margin, delta) (see ``_STORE``); ``informed`` and
     ``blocks`` are read-only, and each design gets its own ``per_vertex_c``.
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape[0] != g.d:
+    return _stored_design(g, dec, _checked_theta(theta, g.d), margin, delta)
+
+
+def _checked_theta(theta: np.ndarray, d: int) -> np.ndarray:
+    """theta as a read-only float copy, once it is checked to have length d
+    and to be finite and nonzero; a copy, so that a later change to the
+    caller's array does not reach a design."""
+    theta = np.array(theta, dtype=float).reshape(-1)
+    if theta.shape[0] != d:
         raise DimensionMismatchError(
-            f"theta has dimension {theta.shape[0]}, graph has d={g.d}"
+            f"theta has dimension {theta.shape[0]}, graph has d={d}"
         )
     if not np.all(np.isfinite(theta)):
         raise NonFiniteError("theta has NaN or infinite entries")
     if not np.any(theta):
         raise ZeroThetaError("the preset consensus state must be nonzero")
+    return _read_only(theta)
+
+
+def _stored_design(
+    g: SignedGraph, dec: Decomposition, theta: np.ndarray, margin: float, delta: Optional[float]
+) -> ProtocolDesign:
+    """The design on g with the checked ``theta`` (see ``_checked_theta``),
+    which it keeps as given: g's store entry when it was made for
+    (dec, margin, delta), else a new one from ``_design``."""
     if not math.isfinite(margin):
         raise NonFiniteError(f"margin must be finite, got {margin}")
     if margin <= 0:
@@ -385,22 +402,23 @@ def design_switching(
     """One fixed-topology design per graph, sharing theta; coupling parameters
     jump with the topology.  ``deltas`` optionally pins per-graph coefficients.
     Every graph must have the vertex count n and weight dimension d of the
-    graph with the smallest id."""
+    graph with the smallest id.  theta is checked once, as ``design_fixed``
+    checks it, and an error names that graph; every design holds the same
+    read-only theta array, which ``simulate.integrate_switching``
+    recognizes by identity."""
     if not math.isfinite(alpha):
         raise NonFiniteError(f"dwell time must be finite, got {alpha}")
     if alpha <= 0:
         raise DimensionMismatchError(f"dwell time must be positive, got {alpha}")
     _first_of_one_shape(graphs)
+    shared: Optional[np.ndarray] = None
     designs: Dict[int, ProtocolDesign] = {}
     for gid in sorted(graphs):
         try:
-            designs[gid] = design_fixed(
-                graphs[gid],
-                decs[gid],
-                theta,
-                margin=margin,
-                delta=None if deltas is None else deltas.get(gid),
-            )
+            dec, delta = decs[gid], None if deltas is None else deltas.get(gid)
+            if shared is None:
+                shared = _checked_theta(theta, graphs[gid].d)
+            designs[gid] = _stored_design(graphs[gid], dec, shared, margin, delta)
         except Exception as exc:
             raise type(exc)(f"graph {gid}: {exc}") from exc
     return SwitchingDesign(designs=designs, alpha=alpha)

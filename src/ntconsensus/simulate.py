@@ -278,17 +278,19 @@ class _Plan(NamedTuple):
     """A run's layout, which follows (schedule, T, h) alone (see ``_plan``):
     the sample times, read-only, with row 0 at t = 0 for the initial state;
     each span's kind (graph id, full steps, the shortened step's length or
-    0.0), in time order; the spans per pass of the schedule, ``unit``; and
+    0.0), in time order; the spans per pass of the schedule, ``unit``;
     ``passes``, the count of leading passes that repeat the first pass kind
-    for kind.  ``passes`` is 1 when the second pass differs; a last pass
-    that T cuts short, and any pass after the first that differs, end the
-    count.  A span's sample count is its full steps, and one more for a
-    shortened step."""
+    for kind; and ``gids``, the distinct graph ids of the spans in the
+    order they first run.  ``passes`` is 1 when the second pass differs; a
+    last pass that T cuts short, and any pass after the first that
+    differs, end the count.  A span's sample count is its full steps, and
+    one more for a shortened step."""
 
     times: np.ndarray
     kinds: Tuple[Tuple[int, int, float], ...]
     unit: int
     passes: int
+    gids: Tuple[int, ...]
 
 
 def _expand(
@@ -355,11 +357,12 @@ def _layout(
         np.arange(1, last[-1] + 1) - np.repeat(first, counts)
     )
     times[last[counts > 0]] = ends[counts > 0]
-    kinds = tuple(zip(gids.tolist(), full.tolist(), remainders.tolist()))
+    ids = gids.tolist()
+    kinds = tuple(zip(ids, full.tolist(), remainders.tolist()))
     first, passes = kinds[:unit], 1
     while kinds[passes * unit : (passes + 1) * unit] == first:
         passes += 1
-    return _Plan(_read_only(times), kinds, unit, passes)
+    return _Plan(_read_only(times), kinds, unit, passes, tuple(dict.fromkeys(ids)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -596,14 +599,17 @@ def integrate_switching(
     graph must have the (n, d) of the graph with the smallest id, every
     graph id of the design must be in ``graphs``, and every design must
     share the theta of the design with the smallest graph id, which the run
-    carries in z = [x; theta] across the switches; otherwise this raises
+    carries in z = [x; theta] across the switches: the same array, as
+    ``protocol.design_switching`` gives every design, or one of equal
+    values (NaN equal to NaN).  Otherwise this raises
     ``DimensionMismatchError`` before any step, as do a step h above a
-    quarter of the dwell time, a dwell time below the design's (for which
-    its contraction factor does not hold), and a schedule over a graph id
-    that has no design (``ScheduleExhaustedError``).  These checks come
-    before any step map is built, so a rejected call leaves the kept maps
-    and pass of the step length in use as they were.  A step h that passes
-    them but is unstable on any of the design's loops raises
+    quarter of the dwell time and a dwell time below the design's (for
+    which its contraction factor does not hold).  A schedule that runs a
+    graph id with no design before T raises ``ScheduleExhaustedError``,
+    naming the first such id in time order (the plan's ``gids``).  These
+    checks come before any step map is built, so a rejected call leaves
+    the kept maps and pass of the step length in use as they were.  A step
+    h that passes them but is unstable on any of the design's loops raises
     ``NotContractingError``, also before any step; it replaces the kept
     maps by its own, since the verdict is kept per step length (see
     ``_full_step``)."""
@@ -621,20 +627,21 @@ def integrate_switching(
             f"the schedule's dwell time {schedule.alpha:g} is below the design's {sdesign.alpha:g}"
         )
     plan = _plan(schedule, horizon, h)
-    for gid, _, _ in plan.kinds:
+    for gid in plan.gids:
         if gid not in sdesign.designs:
             raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")
     (lead, design), *rest = sorted(sdesign.designs.items())
+    theta = design.theta
     for gid, other in rest:
-        if not np.array_equal(other.theta, design.theta, equal_nan=True):
+        if other.theta is not theta and not np.array_equal(other.theta, theta, equal_nan=True):
             raise DimensionMismatchError(
                 f"graph {gid}'s design has theta {other.theta.tolist()}, graph {lead}'s has"
-                f" {design.theta.tolist()}; a switching run needs one theta"
+                f" {theta.tolist()}; a switching run needs one theta"
             )
     loops = {gid: closed_loop(graphs[gid], d) for gid, d in sdesign.designs.items()}
     for loop in loops.values():
         _full_step(loop, h)
-    return _march(first, design.theta, loops, plan, x, h)
+    return _march(first, theta, loops, plan, x, h)
 
 
 @dataclass(frozen=True)
@@ -662,8 +669,10 @@ def convergence_report(
     settle time is the time of the sample after the last failing one, and
     the run has converged when no failing sample lies in the window.  The
     deviations are read in chunks from the last (``_deviations``), and only
-    until the last failing sample and the window's verdict are known.  A
-    theta with NaN or infinite entries raises ``NonFiniteError``."""
+    until the last failing sample and the window's verdict are known; the
+    first chunk read holds the last sample, whose largest deviation is the
+    final error.  A theta with NaN or infinite entries raises
+    ``NonFiniteError``."""
     th = traj.theta if theta is None else np.asarray(theta, dtype=float).reshape(-1)
     if th.shape[0] != traj.d:
         raise DimensionMismatchError(f"theta has dimension {th.shape[0]}, run has d={traj.d}")
@@ -673,16 +682,17 @@ def convergence_report(
     times = traj.times
     window = times >= (1.0 - DEFAULT_WINDOW) * times[-1]
     first = int(np.argmax(window)) if window.any() else len(times)  # the window's first sample
-    last_bad, converged = -1, True
+    last_bad, converged, final = -1, True, None
     for a, dev in _deviations(traj.states, target):
         np.abs(dev, out=dev)
+        if final is None:
+            final = float(dev[-1].max())
         bad = a + np.flatnonzero(~(dev < DEFAULT_TOL).all(axis=1))
         if bad.size:
             last_bad = max(last_bad, int(bad[-1]))
             converged = converged and not window[bad].any()
         if last_bad >= 0 and (not converged or a <= first):
             break
-    final = float(np.abs(traj.states[-1] - target).max())
     settle: Optional[float] = None
     if final < DEFAULT_TOL:
         settle = 0.0 if last_bad < 0 else float(times[last_bad + 1])

@@ -101,4 +101,8 @@ def null_dimension(m: np.ndarray) -> Tuple[int, float]:
 def consensus_space(n: int, d: int, xi: float = 1.0, xi0: float = 1.0) -> np.ndarray:
     """The (n+1)d x d matrix whose span is the target convergence space:
     xi on every agent block, xi0 on the signal block."""
-    return np.vstack([xi * np.tile(np.eye(d), (n, 1)), xi0 * np.eye(d)])
+    eye = np.eye(d)
+    out = np.empty((n + 1, d, d))
+    out[:n] = xi * eye
+    out[n] = xi0 * eye
+    return out.reshape((n + 1) * d, d)

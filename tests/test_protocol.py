@@ -16,6 +16,7 @@ from ntconsensus import (
     design_fixed,
     design_laplacians,
     design_switching,
+    integrate_fixed,
     necessary_condition_check,
     suggest_decomposition,
     verify_assumption,
@@ -171,6 +172,23 @@ class TestDesignFixed:
         # C + margin with margin <= 0 would leave delta <= C
         with pytest.raises(DegenerateCouplingError, match="margin must be positive"):
             design_fixed(net_a, net_a_dec, THETA, margin=margin, delta=delta)
+
+    def test_theta_is_a_read_only_copy(self, net_a, net_a_dec, rng):
+        """A design keeps its own copy of theta: writing to the caller's
+        float64 array afterwards changes neither the design's theta, x0 and
+        dict nor a later run's theta, and the copy cannot be written."""
+        th = THETA.copy()
+        design = design_fixed(net_a, net_a_dec, th)
+        x0, payload = design.x0.copy(), design.to_dict()
+        th[0] = 99.0
+        assert design.theta.tolist() == THETA.tolist()
+        assert design.x0.tobytes() == x0.tobytes()
+        assert design.to_dict() == payload
+        run = integrate_fixed(net_a, design, rng.uniform(-5, 5, 21), h=1e-3, horizon=0.01)
+        assert run.theta.tolist() == THETA.tolist()
+        assert not design.theta.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            design.theta[0] = 99.0
 
     def test_assumption_gate_without_explicit_delta(self, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError):
@@ -409,7 +427,7 @@ class TestVerifyDesign:
 
 
 class TestDesignSwitching:
-    def _designs(self, net_a, net_b, net_c, alpha=0.02):
+    def _designs(self, net_a, net_b, net_c, alpha=0.02, theta=THETA):
         graphs = {0: net_a, 1: net_b, 2: net_c}
         decs = {
             0: Decomposition.of(net_a, BUNDLED_V1["net_a"]),
@@ -421,7 +439,7 @@ class TestDesignSwitching:
             1: SWITCHING_DELTAS["net_b"],
             2: SWITCHING_DELTAS["net_c"],
         }
-        return design_switching(graphs, decs, THETA, alpha=alpha, deltas=deltas)
+        return design_switching(graphs, decs, theta, alpha=alpha, deltas=deltas)
 
     def test_benchmark_switching_designs(self, net_a, net_b, net_c):
         sdesign = self._designs(net_a, net_b, net_c)
@@ -447,6 +465,23 @@ class TestDesignSwitching:
         # and 0.0 for an infinite one
         with pytest.raises(NonFiniteError, match="dwell time must be finite"):
             self._designs(net_a, net_b, net_c, alpha=alpha)
+
+    def test_graphs_share_one_read_only_theta(self, net_a, net_b, net_c):
+        sdesign = self._designs(net_a, net_b, net_c)
+        theta = sdesign.designs[0].theta
+        assert all(d.theta is theta for d in sdesign.designs.values())
+        assert theta.tolist() == THETA.tolist() and theta is not THETA
+        assert not theta.flags.writeable
+
+    @pytest.mark.parametrize("theta, error, message", [
+        (np.zeros(3), ZeroThetaError, "the preset consensus state must be nonzero"),
+        (np.array([1.0, np.nan, 2.0]), NonFiniteError, "theta has NaN or infinite entries"),
+        (np.array([1.0, 2.0]), DimensionMismatchError, "theta has dimension 2, graph has d=3"),
+    ])
+    def test_theta_errors_name_the_first_graph(self, net_a, net_b, net_c, theta, error, message):
+        with pytest.raises(error) as info:
+            self._designs(net_a, net_b, net_c, theta=theta)
+        assert str(info.value) == f"graph 0: {message}"
 
     def test_failing_graph_named_in_error(self, net_a, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError, match="graph 1"):

@@ -367,20 +367,38 @@ def test_rejected_switching_call_keeps_the_maps(rng):
     """A switching call that its checks refuse, a step above a quarter of
     the dwell time or designs of differing theta, builds no step map, so
     the kept maps and pass of the step length in use stay, key for key and
-    object for object."""
+    object for object.  design_switching gives every design one theta
+    array; designs from separate design_fixed calls hold separate arrays,
+    which pass the check when their values are equal, and run to the bytes
+    of design_switching's run."""
     graphs, design, schedule = _cycle()
     theta, x = rng.uniform(-2, 2, 3), rng.uniform(-5, 5, 21)
     sdesign = design(theta)
-    integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
+    shared = integrate_switching(schedule, sdesign, graphs, x, h=H, horizon=2.0)
     maps = protocol._STORE[graphs[0]].maps
     kept = dict(maps)
     assert set(kept) == {(H, 0), (H, 1), (H, 20), (H, "pass")}
+
+    def by_design_fixed(thetas):
+        return SwitchingDesign(designs={
+            k: design_fixed(g, Decomposition.of(g, BUNDLED_V1[NAMES[k]]), thetas[k],
+                            delta=SWITCHING_DELTAS[NAMES[k]])
+            for k, g in graphs.items()}, alpha=sdesign.alpha)
+
+    equal = by_design_fixed([theta.copy() for _ in graphs])
+    assert equal.designs[0].theta is not equal.designs[1].theta
+    run = integrate_switching(schedule, equal, graphs, x, h=H, horizon=2.0)
+    assert run.times.tobytes() == shared.times.tobytes()
+    assert run.states.tobytes() == shared.states.tobytes()
     with pytest.raises(DimensionMismatchError, match="quarter of the dwell time"):
         integrate_switching(schedule, sdesign, graphs, x, h=6e-3, horizon=2.0)
     other = SwitchingDesign(designs={**sdesign.designs, 1: dataclasses.replace(
         sdesign.designs[1], theta=-theta)}, alpha=sdesign.alpha)
     with pytest.raises(DimensionMismatchError, match="needs one theta"):
         integrate_switching(schedule, other, graphs, x, h=2e-3, horizon=2.0)
+    with pytest.raises(DimensionMismatchError, match="graph 2's design has theta"):
+        integrate_switching(schedule, by_design_fixed([theta, theta, theta + 1.0]), graphs, x,
+                            h=2e-3, horizon=2.0)
     assert maps.keys() == kept.keys()
     assert all(maps[key] is value for key, value in kept.items())
 

@@ -563,7 +563,8 @@ class TestPlan:
                 times, kinds = reference.span_layout(
                     list(reference.schedule_intervals(schedule, horizon)), h, unit)
                 plan = simulate._Plan(np.array(times), tuple(kinds), unit,
-                                      reference.leading_passes(kinds, unit))
+                                      reference.leading_passes(kinds, unit),
+                                      tuple(dict.fromkeys(k[0] for k in kinds)))
                 ref = _march(graphs[0], THETA, loops, plan, x, h)
                 for name in ("times", "states", "error_norm"):
                     assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), name
@@ -595,7 +596,7 @@ class TestPlan:
             x = rng.uniform(-5.0, 5.0, 21)
             traj = integrate_fixed(net_a, design, x, h=1e-3, horizon=horizon)
             times, kinds = reference.span_layout([(0.0, horizon, 0)], 1e-3)
-            plan = simulate._Plan(np.array(times), tuple(kinds), 1, 1)
+            plan = simulate._Plan(np.array(times), tuple(kinds), 1, 1, (0,))
             ref = _march(net_a, THETA, {0: closed_loop(net_a, design)}, plan, x, 1e-3)
             assert traj.times.tobytes() == ref.times.tobytes()
             assert traj.states.tobytes() == ref.states.tobytes()
@@ -935,6 +936,16 @@ class TestIntegrateSwitching:
         lone = SwitchingDesign(designs={0: design}, alpha=0.02)
         with pytest.raises(ScheduleExhaustedError, match="unknown graph id 1"):
             integrate_switching(schedule, lone, {0: net_a}, np.zeros(21), h=1e-3, horizon=0.1)
+        # only spans that start before T count: an unknown id after T runs
+        late = SwitchingSchedule.uniform(0.02, [0, 0, 5])
+        run = integrate_switching(late, lone, {0: net_a}, np.ones(21), h=1e-3, horizon=0.04)
+        assert run.times[-1] == 0.04
+        with pytest.raises(ScheduleExhaustedError, match="unknown graph id 5$"):
+            integrate_switching(late, lone, {0: net_a}, np.ones(21), h=1e-3, horizon=0.05)
+        # of two unknown ids, the first in time order is named, not the smallest
+        two = SwitchingSchedule.uniform(0.02, [0, 7, 3], repeat=True)
+        with pytest.raises(ScheduleExhaustedError, match="unknown graph id 7$"):
+            integrate_switching(two, lone, {0: net_a}, np.zeros(21), h=1e-3, horizon=0.1)
 
     def test_designs_of_differing_theta_rejected(self, net_a, net_a_dec, monkeypatch):
         """Each loop drives toward its own design's x0 = k1 theta, and the

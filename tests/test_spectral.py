@@ -275,6 +275,15 @@ class TestConsensusSpace:
         assert np.allclose(psi[:2], np.eye(2))
         assert np.allclose(psi[-2:], 5.0 * np.eye(2))
 
+    @pytest.mark.parametrize("n, d, xi, xi0", [
+        (7, 3, 1.0, 1.2837), (0, 2, 2.0, 3.0), (4, 1, -1.5, -0.0), (3, 3, 2, 5),
+    ])
+    def test_bytes_of_the_tiled_identity(self, n, d, xi, xi0):
+        # the signs of the zeros too: xi * 0.0 is -0.0 for a negative xi
+        want = np.vstack([xi * np.tile(np.eye(d), (n, 1)), xi0 * np.eye(d)])
+        got = consensus_space(n, d, xi, xi0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestMinRealPart:
     def test_identity(self):
