@@ -55,12 +55,17 @@ MEMBER_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ProtocolDesign:
-    theta: np.ndarray  # (d,) read-only, the design's own copy (see design_fixed)
+    theta: np.ndarray  # (d,) read-only, a float copy unless given read-only and float
     delta: float
     informed: np.ndarray  # (k,) ascending 1-based ids of the informed vertices
     blocks: np.ndarray  # (k, d, d) their coupling blocks B_i, positive semidefinite
     bound_c: float
     per_vertex_c: Dict[int, float]
+
+    def __post_init__(self) -> None:  # a read-only float theta is kept, to be shared
+        th = self.theta
+        if not (isinstance(th, np.ndarray) and th.dtype == float and not th.flags.writeable):
+            object.__setattr__(self, "theta", _read_only(np.array(th, dtype=float)))
 
     @property
     def k1(self) -> float:
@@ -100,15 +105,15 @@ def _read_only(a: Any) -> Any:
 class _Reuse:
     """The theta-free values of one design on one graph: the
     (decomposition, margin, delta) that ``design_fixed`` was asked for and
-    its result without theta, the closed loop's operator, simulate's step
-    maps and stacks of one step length and the step's stability verdict
-    (``maps``, see ``ClosedLoop``), the contraction factor's lambda_min and
-    the augmented Laplacian.  Each is filled on first use; every array is
-    read-only."""
+    its result without theta, the closed loop's operator (dense or CSR, as
+    ``_operator`` decides), simulate's step maps and stacks of one step
+    length and the step's stability verdict (``maps``, see ``ClosedLoop``),
+    the contraction factor's lambda_min and the augmented Laplacian.  Each
+    is filled on first use; every array is read-only."""
 
     asked: Optional[tuple] = None
     design: Optional[tuple] = None  # (delta, informed, blocks, C, per-vertex C)
-    loop: Optional["csr_matrix"] = None  # ClosedLoop.operator
+    loop: "np.ndarray | csr_matrix | None" = None  # ClosedLoop.operator, see _operator
     maps: Dict[tuple, Any] = field(default_factory=dict)
     lmin: Optional[float] = None
     augmented: Optional[Laplacian] = None
@@ -285,16 +290,16 @@ class ClosedLoop:
     system zdot = -M_theta z on z = [x; theta]: with k1 = 1 + 2/delta and F
     the (nd, d) signal scatter whose block i is delta B_i,
     M_theta = [[L_B, -k1 F], [0, 0]], and the design makes 1 (x) theta its
-    equilibrium for every theta.  ``operator`` is its top block row [L_B | -k1 F], an
-    nd x (nd + d) CSR matrix, read-only and theta-free; L_B is its leading
-    block.  ``maps`` holds the theta-free step maps, their stability
-    verdict and the stacks that ``simulate`` builds from it for one full
-    step length, the last used, and the kept pass of a repeating schedule
-    whose first span runs on this loop; every loop of one design on one
-    graph object shares it.  ``kept`` tells whether ``maps`` is the store's (see
-    ``_STORE``), so that it outlives the run."""
+    equilibrium for every theta.  ``operator`` is its top block row
+    [L_B | -k1 F], nd x (nd + d), dense or CSR as ``_operator`` decides,
+    read-only and theta-free; L_B is its leading block.  ``maps`` holds the
+    theta-free step maps, their stability verdict and the stacks that
+    ``simulate`` builds from it for one full step length, the last used, and
+    the kept pass of a repeating schedule whose first span runs on this loop;
+    every loop of one design on one graph object shares it.  ``kept`` tells
+    whether ``maps`` is the store's (see ``_STORE``), so that it outlives the run."""
 
-    operator: "csr_matrix"
+    operator: "np.ndarray | csr_matrix"
     maps: Dict[tuple, Any] = field(default_factory=dict, repr=False)
     kept: bool = field(default=False, repr=False)
 
@@ -308,22 +313,26 @@ def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
     return ClosedLoop(operator=entry.loop, maps=entry.maps, kept=_STORE.get(g) is entry)
 
 
-def _operator(g: SignedGraph, design: ProtocolDesign) -> "csr_matrix":
-    """[L_B | -k1 F] in CSR form: the block triplets of
-    ``laplacian_blocks``, with those of the signal column (block column n)
-    scaled by k1."""
-    # imported here: scipy.sparse takes about 0.25 s to import cold (2-vCPU host)
-    from scipy.sparse import csr_matrix
-
+def _operator(g: SignedGraph, design: ProtocolDesign) -> "np.ndarray | csr_matrix":
+    """[L_B | -k1 F], the ``laplacian_blocks`` triplets with the signal
+    column's (block column n) scaled by k1; the loop's storage is decided
+    here, once.  It is dense when more than a quarter of its entries are
+    triplet entries, scattered as ``augmented_laplacian`` scatters them (no
+    block pair repeats, so each entry is CSR's sum), else CSR."""
     rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
     d, nd = g.d, g.n * g.d
     data[cols == g.n] *= design.k1
+    if 4 * data.size > nd * (nd + d):
+        dense = np.zeros((g.n, d, g.n + 1, d))
+        dense[rows, :, cols, :] = data
+        return _read_only(dense.reshape(nd, nd + d))
+    # imported here: scipy.sparse takes about 0.25 s to import cold (2-vCPU host)
+    from scipy.sparse import csr_matrix
+
     k = np.arange(d)
     r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
     c = np.broadcast_to(cols[:, None, None] * d + k, data.shape).ravel()
-    order = np.argsort(r * (nd + d) + c)
-    indptr = np.searchsorted(r[order], np.arange(nd + 1))
-    return _read_only(csr_matrix((data.ravel()[order], c[order], indptr), shape=(nd, nd + d)))
+    return _read_only(csr_matrix((data.ravel(), (r, c)), shape=(nd, nd + d)))
 
 
 @dataclass(frozen=True)
@@ -402,15 +411,18 @@ def design_switching(
     """One fixed-topology design per graph, sharing theta; coupling parameters
     jump with the topology.  ``deltas`` optionally pins per-graph coefficients.
     Every graph must have the vertex count n and weight dimension d of the
-    graph with the smallest id.  theta is checked once, as ``design_fixed``
-    checks it, and an error names that graph; every design holds the same
-    read-only theta array, which ``simulate.integrate_switching``
-    recognizes by identity."""
+    graph with the smallest id, and a decomposition in ``decs``.  theta is
+    checked once, as ``design_fixed`` checks it, and an error names that
+    graph; every design holds the same read-only theta array, which
+    ``simulate.integrate_switching`` recognizes by identity."""
     if not math.isfinite(alpha):
         raise NonFiniteError(f"dwell time must be finite, got {alpha}")
     if alpha <= 0:
         raise DimensionMismatchError(f"dwell time must be positive, got {alpha}")
     _first_of_one_shape(graphs)
+    if not decs.keys() >= graphs.keys():
+        missing = min(graphs.keys() - decs.keys())
+        raise DimensionMismatchError(f"graph id {missing} has no decomposition")
     shared: Optional[np.ndarray] = None
     designs: Dict[int, ProtocolDesign] = {}
     for gid in sorted(graphs):

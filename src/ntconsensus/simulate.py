@@ -125,23 +125,23 @@ PASS_BYTES = 8 * STACK_BYTES
 _CHUNK_BYTES = 1 << 15
 
 
-def _step_map(operator: "csr_matrix", h: float) -> "np.ndarray | csr_matrix":
+def _step_map(operator: "np.ndarray | csr_matrix", h: float) -> "np.ndarray | csr_matrix":
     """The top rows [P | Q] of R(A) with A = -h M_theta, M_theta the square
     matrix of the top block row ``operator`` (see ``protocol.ClosedLoop``):
     the classic RK4 step of length h on zdot = -M_theta z is x <- [P | Q] z.
 
     On a linear field the step is exactly this map: R(A) = I + A S(A),
     where S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule, and
-    its bottom rows are [0 | I].  The storage follows the operator: when
-    more than a quarter of its entries are nonzero the map is built and
-    kept dense, otherwise in CSR form.  Either is read-only."""
-    import scipy.sparse
-
+    its bottom rows are [0 | I].  The map takes the operator's storage,
+    dense or CSR (see ``protocol._operator``), and is read-only; only a CSR
+    operator imports ``scipy.sparse``."""
     nd, width = operator.shape
-    a = scipy.sparse.vstack([operator, scipy.sparse.csr_matrix((width - nd, width))], format="csr")
-    eye = scipy.sparse.identity(width, format="csr")
-    if 4 * operator.nnz > nd * width:
-        a, eye = a.toarray(), eye.toarray()
+    if isinstance(operator, np.ndarray):
+        a, eye = np.vstack([operator, np.zeros((width - nd, width))]), np.eye(width)
+    else:
+        from scipy.sparse import csr_matrix, identity, vstack
+        a = vstack([operator, csr_matrix((width - nd, width))], format="csr")
+        eye = identity(width, format="csr")
     a = a * -h
     s = eye + a / 4.0
     s = eye + (a @ s) / 3.0
@@ -385,7 +385,7 @@ def _kept_pass(
     cut: "Callable[[Tuple[int, int, float]], List[Tuple[_Piece, int]]]",
 ) -> Optional[_Piece]:
     """The piece of one of ``plan``'s repeating passes, or None where the
-    passes are stepped by their spans' pieces: where a map of the pass is
+    passes are stepped by their spans' pieces: where a loop of the pass is
     CSR, or where its stack W would take more than half of ``PASS_BYTES``.
 
     W, the top rows of the maps from the pass start to each of its
@@ -409,11 +409,11 @@ def _kept_pass(
     maps = loops[kinds[0][0]].maps
     kept = maps.get((h, "pass"))
     if kept is None or kept[0] != kinds or any(a is not b for a, b in zip(kept[1], operators)):
+        if not all(isinstance(a, np.ndarray) for a in operators):
+            return None
         unit = [piece for kind in kinds for piece, reps in cut(kind) for _ in range(reps)]
         rows = sum(piece.rows for piece in unit)
-        if 2 * rows * nd * width * 8 > PASS_BYTES or not all(
-            isinstance(piece.stack, np.ndarray) for piece in unit
-        ):
+        if 2 * rows * nd * width * 8 > PASS_BYTES:
             return None
         w = np.empty((rows * nd, width))
         lift = np.eye(width)  # [[end of W_(j-1)], [0, I]], the identity for j = 0

@@ -1,13 +1,16 @@
 """Coupling bounds, design synthesis, and the switching design machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, solve_triangular
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import coo_matrix, csr_matrix, issparse
 
 from ntconsensus import (
     ClosedLoop,
     Decomposition,
+    ProtocolDesign,
     SignedGraph,
     bundled_decomposition,
     bundled_graph,
@@ -34,6 +37,7 @@ from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 from ntconsensus.graph import classify_stack
 from ntconsensus import protocol
 from ntconsensus.simulate import STACK_BYTES, _cut, _full_step
+from ntconsensus.spectral import laplacian_blocks
 
 from conftest import (
     edge_codes,
@@ -189,6 +193,27 @@ class TestDesignFixed:
         assert not design.theta.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             design.theta[0] = 99.0
+
+    @pytest.mark.parametrize("build", ["replace", "direct"])
+    def test_a_given_theta_becomes_a_read_only_copy(self, net_a, net_a_dec, build):
+        """A design made by ``dataclasses.replace`` or built directly gets
+        a read-only float copy of a writable or integer theta, so writing to
+        the caller's array afterwards leaves its theta and x0 alone; a
+        read-only float theta is kept as it is."""
+        design = design_fixed(net_a, net_a_dec, THETA)
+        for given in (THETA.copy(), np.array([1, 2, -1])):
+            if build == "replace":
+                made = dataclasses.replace(design, theta=given)
+            else:
+                made = ProtocolDesign(given, design.delta, design.informed, design.blocks,
+                                      design.bound_c, dict(design.per_vertex_c))
+            x0 = made.x0.copy()
+            given[0] = 99
+            assert made.theta.tolist() == THETA.tolist() and made.theta.dtype == float
+            assert made.x0.tobytes() == x0.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                made.theta[0] = 99.0
+        assert dataclasses.replace(design, delta=3.0).theta is design.theta
 
     def test_assumption_gate_without_explicit_delta(self, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError):
@@ -470,6 +495,8 @@ class TestDesignSwitching:
         sdesign = self._designs(net_a, net_b, net_c)
         theta = sdesign.designs[0].theta
         assert all(d.theta is theta for d in sdesign.designs.values())
+        # a design remade with the shared read-only theta keeps it by identity
+        assert dataclasses.replace(sdesign.designs[1], delta=7.0).theta is theta
         assert theta.tolist() == THETA.tolist() and theta is not THETA
         assert not theta.flags.writeable
 
@@ -482,6 +509,16 @@ class TestDesignSwitching:
         with pytest.raises(error) as info:
             self._designs(net_a, net_b, net_c, theta=theta)
         assert str(info.value) == f"graph 0: {message}"
+
+    @pytest.mark.parametrize("missing", [0, 2])
+    def test_graph_without_decomposition_named(self, net_a, net_b, net_c, missing):
+        # a missing id used to raise KeyError("graph 0: 0"), printed quoted
+        graphs = {0: net_a, 1: net_b, 2: net_c}
+        decs = {k: Decomposition.of(g, BUNDLED_V1[f"net_{'abc'[k]}"])
+                for k, g in graphs.items() if k != missing}
+        with pytest.raises(DimensionMismatchError) as info:
+            design_switching(graphs, decs, THETA, alpha=0.02)
+        assert str(info.value) == f"graph id {missing} has no decomposition"
 
     def test_failing_graph_named_in_error(self, net_a, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError, match="graph 1"):
@@ -670,9 +707,45 @@ class TestClosedLoop:
         loop = closed_loop(g, design)
         nd = g.n * g.d
         assert loop.operator.shape == (nd, nd + g.d)
+        # the bundled loops are stored dense, the tiled one in CSR form
+        op = loop.operator
+        assert isinstance(op, np.ndarray) == (name != "tiled")
         # exact equality; toarray() turns a stored -0.0 into +0.0, so not tobytes()
         want = np.hstack([grounded.matrix, design.k1 * augmented.matrix[:nd, nd:]])
-        assert np.array_equal(loop.operator.toarray(), want)
+        assert np.array_equal(op if isinstance(op, np.ndarray) else op.toarray(), want)
+
+    @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak", "tiled", "path"])
+    def test_operator_storage_follows_its_fill(self, name, tiled, rng):
+        """``_operator`` stores a loop dense when more than a quarter of its
+        nd x (nd + d) entries are triplet entries, and in CSR form
+        otherwise; either way it holds the values of both builds of the
+        same triplets, a NumPy scatter and a COO sum, which adds up any
+        repeated (row, column) pair."""
+        if name == "path":  # a sparse directed path 1 -> 2 -> ... -> 10, informed at 1
+            n = 10
+            edges = {(v + 1, v): random_spd(rng, 2) for v in range(1, n)}
+            edges[(1, n)] = -random_spd(rng, 2)
+            g = SignedGraph.from_edges(n, 2, True, edges)
+            design = design_fixed(g, Decomposition.of(g, [1]), np.array([1.0, -2.0]), delta=2.0)
+        else:
+            g, design = _designed(name, tiled)
+        rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
+        data[cols == g.n] *= design.k1
+        d, nd = g.d, g.n * g.d
+        scattered = np.zeros((g.n, d, g.n + 1, d))
+        scattered[rows, :, cols, :] = data
+        k = np.arange(d)
+        r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
+        c = np.broadcast_to(cols[:, None, None] * d + k, data.shape).ravel()
+        summed = coo_matrix((data.ravel(), (r, c)), shape=(nd, nd + d)).toarray()
+        assert np.array_equal(scattered.reshape(nd, nd + d), summed)
+        op = protocol._operator(g, design)
+        dense = name not in ("tiled", "path")
+        assert isinstance(op, np.ndarray) == dense
+        assert dense == (4 * data.size > nd * (nd + d))
+        assert np.array_equal(op if dense else op.toarray(), summed)
+        with pytest.raises(ValueError, match="read-only"):
+            (op if dense else op.data)[0] = 1.0
 
     @pytest.mark.parametrize("name, h, dense", [("net_a", 1e-2, True), ("tiled", 5e-2, False)])
     def test_step_map_is_the_rk4_step(self, name, h, dense, tiled, rng):

@@ -100,9 +100,10 @@ def test_second_request_matches_a_fresh_graph(case, tmp_path):
 def test_stored_values_are_read_only(net_a_dec):
     g = bundled_graph("net_a")
     design = design_fixed(g, net_a_dec, np.array([1.0, 2.0, -1.0]))
+    op = closed_loop(g, design).operator  # dense, or CSR with its values in .data
     for arr in (g.heads, g.tails, g.entries, g.classes,
                 design.blocks, design.informed, design_laplacians(g, design)[1].matrix,
-                closed_loop(g, design).operator.data):
+                op if isinstance(op, np.ndarray) else op.data):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     before = dict(design.per_vertex_c)

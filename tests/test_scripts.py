@@ -1,5 +1,6 @@
-"""The demo scripts run end to end on the bundled networks, and importing
-the package in a fresh interpreter stays light."""
+"""The demo scripts run end to end on the bundled networks, and in a fresh
+interpreter importing the package and running the CLI's ``check``,
+``design`` and ``simulate`` on them load no SciPy."""
 
 import os
 import subprocess
@@ -32,28 +33,21 @@ def test_demo_writes_outputs(tmp_path, script, horizon):
     assert (out / "summary.json").is_file()
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    """scipy.sparse and scipy.sparse.csgraph are imported inside the
-    functions that use them, so that importing the package and its CLI
-    stays fast; neither may be loaded at import time."""
-    code = (
-        "import sys, ntconsensus, ntconsensus.cli; "
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.csgraph') if m in sys.modules))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
 def test_import_check_and_design_load_no_scipy():
-    """Importing the package and running ``check`` and ``design``, with an
-    explicit V1 and with ``--v1 auto``, load no SciPy module at all: the
-    coupling bound takes its linear algebra from NumPy and the V1 split its
-    strongly connected components from ``graph._components``; only
-    ``simulate`` imports SciPy, inside the functions that need it."""
-    graph = str(ROOT / "src" / "ntconsensus" / "data" / "net_a.json")
+    """Importing the package and its CLI, and running ``check`` and
+    ``design``, with an explicit V1 and with ``--v1 auto``, and
+    ``simulate`` on net_a and on the bundled switching cycle, load no SciPy
+    module at all: the coupling bound takes its linear algebra from NumPy,
+    the V1 split its strongly connected components from
+    ``graph._components``, and these loops are stored dense
+    (``protocol._operator``), so their step maps are built in NumPy; only a
+    CSR loop imports ``scipy.sparse``, inside the functions that need it."""
+    data = ROOT / "src" / "ntconsensus" / "data"
+    graph = str(data / "net_a.json")
+    cycle = ["--graphs", graph, str(data / "net_b.json"), str(data / "net_c.json"),
+             "--v1", "1,2,3,4;2,3;1,2,3", "--theta", "1,2,-1",
+             "--delta", "7.0495", "--delta", "7.2440", "--delta", "3.1",
+             "--schedule", str(data / "cycle_schedule.json"), "--T", "0.2"]
     code = (
         "import contextlib, io, sys, ntconsensus\n"
         "from ntconsensus import cli\n"
@@ -62,6 +56,9 @@ def test_import_check_and_design_load_no_scipy():
         f"        assert cli.main(['check', '--graph', {graph!r}, '--v1', v1]) == 0\n"
         f"        assert cli.main(['design', '--graph', {graph!r}, '--v1', v1,"
         " '--theta', '1,2,-1', '--json']) == 0\n"
+        f"    assert cli.main(['simulate', '--graph', {graph!r}, '--v1', '1,2,3,4',"
+        " '--theta', '1,2,-1', '--T', '0.2']) == 0\n"
+        f"    assert cli.main(['simulate', *{cycle!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     proc = subprocess.run(
