@@ -173,6 +173,35 @@ class TestDesign:
         assert not json.loads(capsys.readouterr().out)["specOk"]
 
 
+    @pytest.mark.parametrize("count, message", [
+        (2, "weight overflows when symmetrized"),
+        (3, "weight has NaN or infinite entries"),
+    ])
+    def test_overflowing_block_sum_exit_1(self, capsys, tmp_path, count, message):
+        # -8e307 I on each in-edge of vertex 1: two sum past the symmetrizable
+        # range, three to inf (with NumPy's overflow warning, ignored here);
+        # --delta waives the assumption check
+        big = [[-8e307, 0.0], [0.0, -8e307]]
+        edges = [{"from": j, "to": 1, "weight": big} for j in range(2, 2 + count)]
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 1 + count, "d": 2, "directed": True, "edges": edges}))
+        with np.errstate(over="ignore"):
+            rc = main(["design", "--graph", str(p), "--v1", "1", "--theta", "1,1", "--delta", "1"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: NonFiniteError: {message}\n")
+
+    def test_overflowing_coupling_exit_1(self, capsys):
+        # delta = C + 1e308 is finite, but delta B_i overflows to inf in the
+        # Laplacian (with NumPy's overflow warning, ignored here), and the
+        # eigensolver then fails: the one NumericalFailureError a CLI run reaches
+        with np.errstate(over="ignore"):
+            rc = main(["design", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",
+                       "--theta", "1,2,-1", "--margin", "1e308"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericalFailureError: eigensolver failed: ")
+        assert err.count("\n") == 1
+
     def test_bundled_net_c_v1_fails_on_purpose(self, capsys):
         # (1, 2, 3) leaves vertices 4 and 7 without in-degree dominance; only
         # the switching run's pinned delta designs net_c with it

@@ -215,6 +215,22 @@ class TestDesignFixed:
                 made.theta[0] = 99.0
         assert dataclasses.replace(design, delta=3.0).theta is design.theta
 
+    @pytest.mark.parametrize("count, message", [
+        (2, "weight overflows when symmetrized"),
+        (3, "weight has NaN or infinite entries"),
+    ])
+    def test_overflowing_block_sum_rejected(self, count, message):
+        """Each -8e307 I in-edge is a finite weight, but the magnitudes of
+        two sum to 1.6e308, which overflows when symmetrized, and those of
+        three to inf (in the gap and the block sum, with NumPy's overflow
+        warning, ignored here).  The explicit delta waives the assumption
+        check, so the block sums are classified and the first error is
+        raised."""
+        edges = {(1, j): -8e307 * np.eye(2) for j in range(2, 2 + count)}
+        g = SignedGraph.from_edges(1 + count, 2, True, edges)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=f"^{message}$"):
+            design_fixed(g, Decomposition.of(g, [1]), np.ones(2), delta=1.0)
+
     def test_assumption_gate_without_explicit_delta(self, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError):
             design_fixed(net_a_weak, net_a_dec, THETA)

@@ -778,6 +778,27 @@ class TestPassRoute:
             rel = np.linalg.norm(run.states - want, axis=1) / np.linalg.norm(want, axis=1)
             assert rel.max() <= 1e-13
 
+    def test_a_pass_over_budget_takes_the_pieces(self, net_a, net_b, net_c, rng):
+        """The bundled cycle at h = 1e-4 to T = 0.2 repeats 2 passes, but a
+        pass's W would take 1000 x 21 x 24 x 8 B = 4.0 MB, above half of
+        ``PASS_BYTES``: the passes are stepped by their spans' pieces, and
+        no pass is kept."""
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        h, horizon = 1e-4, 0.2
+        plan = _plan(schedule, horizon, h)
+        rows = sum(steps + (remainder > 0) for _, steps, remainder in plan.kinds[: plan.unit])
+        assert plan.passes == 2 and 2 * rows * 21 * 24 * 8 > simulate.PASS_BYTES
+        x = rng.uniform(-5, 5, 21)
+        run = integrate_switching(schedule, sdesign, graphs, x, h=h, horizon=horizon)
+        assert run.work.passes == 0
+        for gid, design in sdesign.designs.items():
+            assert (h, "pass") not in closed_loop(graphs[gid], design).maps
+        kinds = reference.span_layout(
+            list(reference.schedule_intervals(schedule, horizon)), h, 5)[1]
+        want = reference.piece_chain(_affine_loops(graphs, sdesign), kinds, x, h, dense=True)
+        rel = np.linalg.norm(run.states - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert rel.max() <= 1e-13
+
 
 class TestIntegrateSwitching:
     def test_single_interval_matches_fixed(self, net_a, net_a_dec, rng):
