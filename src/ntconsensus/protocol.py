@@ -161,25 +161,6 @@ def _bound(
     return dict(zip(v1, c.tolist())), float(c.max())  # a NaN C_i makes C NaN
 
 
-def _negative_in_blocks(g: SignedGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """The informed vertices, those with a negative in-edge, as ascending
-    1-based ids, and their (k, d, d) blocks B_i = the sum of |A_ij| over the
-    negative in-edges, accumulated in edge order.  A sum of magnitudes is
-    positive semidefinite by construction; classifying the sums in one
-    stacked call still raises on an overflowing or numerically indefinite
-    sum."""
-    negative = g.classes < 0
-    heads = g.heads[negative]
-    sums = np.zeros((g.n, g.d, g.d))
-    np.add.at(sums, heads, g.magnitudes[negative])
-    # not np.unique, whose first call imports numpy.ma (about 20 ms in a CLI process)
-    rows = np.flatnonzero(np.bincount(heads))
-    sym, _, errors = classify_stack(sums[rows])
-    if errors:
-        raise errors[min(errors)]
-    return rows + 1, sym
-
-
 def design_fixed(
     g: SignedGraph,
     dec: Decomposition,
@@ -190,7 +171,8 @@ def design_fixed(
     """Synthesize the coupling design for a fixed topology.
 
     Informed vertices are exactly those with incoming negative edges; each
-    gets the block of ``_negative_in_blocks``.  Directed graphs use
+    gets B_i, the sum of |A_ij| over its negative in-edges (see
+    ``_stored_design``).  Directed graphs use
     delta = C + margin with C the coupling bound at these blocks; undirected
     graphs accept any positive delta, so delta = margin and C is reported as
     0.  An explicit ``delta`` overrides the margin rule (C is still
@@ -225,50 +207,53 @@ def _stored_design(
     g: SignedGraph, dec: Decomposition, theta: np.ndarray, margin: float, delta: Optional[float]
 ) -> ProtocolDesign:
     """The design on g with the checked ``theta`` (see ``_checked_theta``),
-    which it keeps as given: g's store entry when it was made for
-    (dec, margin, delta), else a new one from ``_design``."""
+    which it keeps as given.  Its theta-free part is g's store entry when
+    that was made for (dec, margin, delta), else it is made and stored
+    here: B_i sums |A_ij| over vertex i's negative in-edges in edge order
+    into an (n, d, d) array, and one stacked classification of the informed
+    rows raises on an overflowing or numerically indefinite sum.  The sums
+    add symmetric magnitudes in one order at (a, b) and (b, a), so they are
+    the classified rows to the bit, and V1's rows, zeros where a V1 vertex
+    has no negative in-edge, feed ``_bound`` directly."""
     if not math.isfinite(margin):
         raise NonFiniteError(f"margin must be finite, got {margin}")
     if margin <= 0:
         raise DegenerateCouplingError(f"margin must be positive, got {margin}")
     entry = _STORE.get(g)
     if entry is None or entry.asked != (dec, margin, delta):
-        entry = _design(g, dec, margin, delta)
+        report = verify_assumption(g, dec)
+        if not report.ok and delta is None:
+            raise AssumptionViolatedError(
+                f"decomposition fails for vertices {list(report.failures)}"
+            )
+        negative = g.classes < 0
+        heads = g.heads[negative]
+        sums = np.zeros((g.n, g.d, g.d))
+        np.add.at(sums, heads, g.magnitudes[negative])
+        # not np.unique, whose first call imports numpy.ma (about 20 ms in a CLI process)
+        rows = np.flatnonzero(np.bincount(heads))
+        blocks, _, errors = classify_stack(sums[rows])
+        if errors:
+            raise errors[min(errors)]
+        if g.directed:
+            v1 = sorted(dec.v1)
+            per_vertex, bound_c = _bound(g.in_out_gaps, v1, sums[np.asarray(v1) - 1])
+        else:
+            per_vertex, bound_c = {}, 0.0
+        chosen = bound_c + margin if delta is None else delta  # undirected: 0.0 + margin == margin
+        if not math.isfinite(chosen):
+            raise NonFiniteError(f"coupling coefficient must be finite, got {chosen}")
+        if chosen <= 0:
+            raise DegenerateCouplingError(f"coupling coefficient must be positive, got {chosen}")
+        entry = _STORE[g] = _Reuse(
+            asked=(dec, margin, delta),
+            design=(float(chosen), _read_only(rows + 1), _read_only(blocks), bound_c, per_vertex),
+        )
     chosen, informed, blocks, bound_c, per_vertex = entry.design
     return ProtocolDesign(
         theta=theta, delta=chosen, informed=informed, blocks=blocks,
         bound_c=bound_c, per_vertex_c=dict(per_vertex),
     )
-
-
-def _design(
-    g: SignedGraph, dec: Decomposition, margin: float, delta: Optional[float]
-) -> _Reuse:
-    """``design_fixed``'s theta-free work, stored in g's entry."""
-    report = verify_assumption(g, dec)
-    if not report.ok and delta is None:
-        raise AssumptionViolatedError(
-            f"decomposition fails for vertices {list(report.failures)}"
-        )
-    informed, blocks = _negative_in_blocks(g)
-    if g.directed:
-        v1 = sorted(dec.v1)
-        on_v1 = np.zeros((g.n, g.d, g.d))  # B_i, or zeros where there is none
-        on_v1[informed - 1] = blocks
-        per_vertex, bound_c = _bound(g.in_out_gaps, v1, on_v1[np.asarray(v1) - 1])
-        chosen = bound_c + margin if delta is None else delta
-    else:
-        per_vertex, bound_c = {}, 0.0
-        chosen = margin if delta is None else delta
-    if not math.isfinite(chosen):
-        raise NonFiniteError(f"coupling coefficient must be finite, got {chosen}")
-    if chosen <= 0:
-        raise DegenerateCouplingError(f"coupling coefficient must be positive, got {chosen}")
-    _STORE[g] = _Reuse(
-        asked=(dec, margin, delta),
-        design=(float(chosen), _read_only(informed), _read_only(blocks), bound_c, per_vertex),
-    )
-    return _STORE[g]
 
 
 def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian, Laplacian]:

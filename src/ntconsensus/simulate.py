@@ -31,9 +31,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 import numpy as np
@@ -100,17 +102,37 @@ class Trajectory:
 
 
 def _initial_state(x_init: np.ndarray, nd: int, h: float, horizon: float) -> np.ndarray:
-    """Check the run inputs shared by both integrators; return a copy of x_init."""
+    """Check the run inputs shared by both integrators, the T/h samples of
+    nd doubles among them, which must fit in an array; return a copy of
+    x_init."""
     if not (math.isfinite(h) and math.isfinite(horizon)):
         raise NonFiniteError(f"step and horizon must be finite, got h={h}, T={horizon}")
     if not 0 < h <= horizon:
         raise DimensionMismatchError(f"need 0 < h <= T, got h={h}, T={horizon}")
+    if horizon / h * nd * 8 > sys.maxsize:  # NumPy's intp bound: no array can hold the states
+        raise _unallocated(horizon / h, nd)
     x = np.asarray(x_init, dtype=float).reshape(-1).copy()
     if x.shape[0] != nd:
         raise DimensionMismatchError(f"x_init has length {x.shape[0]}, expected {nd}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("x_init has NaN or infinite entries")
     return x
+
+
+def _allocated(make: Callable[[], Any], samples: float, nd: int) -> Any:
+    """make(), the arrays of a run of about ``samples`` samples of ``nd``
+    states, with NumPy's MemoryError raised as ``_unallocated``'s error."""
+    try:
+        return make()
+    except MemoryError:
+        raise _unallocated(samples, nd) from None
+
+
+def _unallocated(samples: float, nd: int) -> DimensionMismatchError:
+    return DimensionMismatchError(
+        f"a run of {samples:.6g} samples of {nd} states would take"
+        f" {8.0 * nd * samples:.4g} bytes, which cannot be allocated"
+    )
 
 
 # byte budget of one stack of step-map powers (see _cut)
@@ -161,23 +183,29 @@ def _full_step(loop: ClosedLoop, h: float) -> "np.ndarray | csr_matrix":
     half-disc of radius ``RK4_RADIUS``; so h ||L_B||_inf <= ``RK4_RADIUS``
     certifies the step in O(nnz).  Only where it fails is rho(P) computed,
     from a dense P, the map's leading nd x nd block: the whole map also has
-    the eigenvalue 1 of its identity block, which may round above 1.  The
+    the eigenvalue 1 of its identity block, which may round above 1.  A map
+    that overflows to inf or NaN is unstable, with rho(P) named inf.  The
     verdict, the error's message or "", is decided where the map is built
     and kept with it.  The maps keep one step length, the last used: a new
     h first drops the maps, stacks and verdict of the one before."""
     if (h, 1) not in loop.maps:
         loop.maps.clear()
-        top = _step_map(loop.operator, h)
-        nd = top.shape[0]
-        norm = float(abs(loop.operator[:, :nd]).sum(axis=1).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
+            top = _step_map(loop.operator, h)
+            nd = top.shape[0]
+            norm = float(abs(loop.operator[:, :nd]).sum(axis=1).max())
         unstable = ""
         if h * norm > RK4_RADIUS:
             p = top[:, :nd]
             dense = p if isinstance(p, np.ndarray) else p.toarray()
-            rho = float(np.abs(np.linalg.eigvals(dense)).max())
+            finite = np.isfinite(dense).all()  # eigvals rejects inf and NaN
+            rho = float(np.abs(np.linalg.eigvals(dense)).max()) if finite else math.inf
             if rho > 1.0:
-                certified = RK4_RADIUS / norm  # named to four digits, rounded down
-                scale = 10.0 ** (3 - math.floor(math.log10(certified)))
+                # named to four digits, rounded down (to fewer where the scale
+                # would overflow); 0 where ||L_B||_inf overflows
+                certified = RK4_RADIUS / norm
+                digits = 3 - math.floor(math.log10(certified)) if certified else 0
+                scale = 10.0 ** min(digits, 308)
                 unstable = (
                     f"the RK4 step h={h:g} is unstable: its step map has spectral radius"
                     f" {rho:.6g} > 1; steps up to h={math.floor(certified * scale) / scale:.4g}"
@@ -459,9 +487,10 @@ def _march(
     depend on its row count, so chunks would change the states in their
     last bits.  The guard checks every sample once and names the first
     that fails.  The run gets its own copy of the plan's times."""
-    times = plan.times.copy()
     nd, width = x.shape[0], x.shape[0] + theta.shape[0]
-    states = np.empty((len(times), nd))
+    times, states = _allocated(
+        lambda: (plan.times.copy(), np.empty((len(plan.times), nd))), len(plan.times), nd
+    )
     states[0] = x
     # the shortened steps' maps live for this run only; the step maps,
     # stacks and the kept pass are in the loops' maps
@@ -531,7 +560,8 @@ def integrate_fixed(
     x = _initial_state(x_init, g.n * g.d, h, horizon)
     loop = closed_loop(g, design)
     _full_step(loop, h)
-    return _march(g, design.theta, {0: loop}, _plan(None, horizon, h), x, h)
+    plan = _allocated(lambda: _plan(None, horizon, h), horizon / h, len(x))
+    return _march(g, design.theta, {0: loop}, plan, x, h)
 
 
 @dataclass(frozen=True)
@@ -626,7 +656,7 @@ def integrate_switching(
         raise DimensionMismatchError(
             f"the schedule's dwell time {schedule.alpha:g} is below the design's {sdesign.alpha:g}"
         )
-    plan = _plan(schedule, horizon, h)
+    plan = _allocated(lambda: _plan(schedule, horizon, h), horizon / h, len(x))
     for gid in plan.gids:
         if gid not in sdesign.designs:
             raise ScheduleExhaustedError(f"schedule references unknown graph id {gid}")

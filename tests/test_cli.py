@@ -384,6 +384,40 @@ class TestSimulate:
             assert rc == 1
             assert error in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail, error", [
+        (["--margin", "1e150"], "NotContractingError: the RK4 step h=0.001 is unstable: its step"
+                                " map has spectral radius inf > 1; steps up to h=3.269e-151"),
+        (["--delta", "1e200"], "NotContractingError: the RK4 step h=0.001 is unstable: its step"
+                               " map has spectral radius inf > 1; steps up to h=3.269e-201"),
+        (["--h", "1e-300", "--T", "1"], "DimensionMismatchError: a run of 1e+300 samples of 21"
+                                        " states would take 1.68e+302 bytes"),
+    ], ids=["margin", "delta", "step"])
+    def test_run_that_cannot_be_stepped_or_laid_out_exit_1(self, capsys, tmp_path, tail, error):
+        # an overflowing step map is unstable; T/h samples that no array can
+        # hold are named before any plan
+        rc = main(["simulate", "--graph", _p("net_a.json"), "--v1", "1,2,3,4", "--theta", "1,2,-1",
+                   "--T", "0.5", *tail, "--out", str(tmp_path)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_switching_run_too_long_to_plan_exit_1(self, capsys, tmp_path):
+        rc = main([
+            "simulate",
+            "--graphs", _p("net_a.json"), _p("net_b.json"), _p("net_c.json"),
+            "--v1", "1,2,3,4;2,3;1,2,3",
+            "--theta", "1,2,-1",
+            "--delta", "7.0495", "--delta", "7.2440", "--delta", "3.1",
+            "--schedule", _p("cycle_schedule.json"), "--T", "1e300", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: DimensionMismatchError: a run of 1e+303 samples of 21 states would take"
+            " 1.68e+305 bytes, which cannot be allocated\n"
+        )
+
     def test_negative_seed_exit_2(self, capsys):
         rc = main([
             "simulate", "--graph", _p("net_a.json"), "--v1", "1,2,3,4",

@@ -225,6 +225,21 @@ class TestIntegrateFixed:
         with pytest.raises(DimensionMismatchError, match=f"length {length}, expected 21"):
             integrate_fixed(net_a, design, np.zeros(length), h=1e-3, horizon=0.1)
 
+    def test_run_too_large_to_lay_out_rejected(self, net_a, net_b, net_c, net_a_dec):
+        """A run whose T/h samples of nd doubles would pass the largest
+        array size, or whose plan NumPy cannot allocate (7.11 PiB of sample
+        times to T = 1e12), raises DimensionMismatchError naming the sample
+        count and bytes, before any state is allocated."""
+        design = design_fixed(net_a, net_a_dec, THETA)
+        for h, horizon, samples, size in ((1e-300, 1.0, "1e+300", "1.68e+302"),
+                                          (1e-3, 1e12, "1e+15", "1.68e+17")):
+            message = f"a run of {samples} samples of 21 states would take {size} bytes,"
+            with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+                integrate_fixed(net_a, design, np.zeros(21), h=h, horizon=horizon)
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        with pytest.raises(DimensionMismatchError, match=r"a run of 1e\+303 samples of 21"):
+            integrate_switching(schedule, sdesign, graphs, np.zeros(21), h=1e-3, horizon=1e300)
+
     def test_error_norm_consistent(self, net_a, net_a_dec, rng):
         design = design_fixed(net_a, net_a_dec, THETA)
         traj = integrate_fixed(net_a, design, rng.uniform(-1, 1, 21), h=1e-2, horizon=0.2)
@@ -398,6 +413,32 @@ class TestCheckStep:
         calls = self._eigvals_counted(monkeypatch)
         integrate_fixed(g, design, x, h=limit * (1.0 - 1e-12), horizon=0.1)
         assert calls == []
+
+    @pytest.mark.parametrize("margin, delta", [(1e150, None), (0.1, 1e200), (0.1, 1e306)])
+    def test_overflowing_step_map_rejected(self, monkeypatch, margin, delta):
+        """With delta about 1e150, 1e200 or 1e306 on net_a the cheap test
+        fails and the RK4 map overflows to inf: the step is unstable, with
+        spectral radius inf, before any step, with no eigenvalue computed
+        and no warning (the suite makes a warning an error).  The certified
+        step is named rounded down, to fewer digits where the scale of the
+        rounding would overflow."""
+        g = bundled_graph("net_a")  # a fresh object: no earlier verdict
+        dec = Decomposition.of(g, BUNDLED_V1["net_a"])
+        design = design_fixed(g, dec, THETA, margin=margin, delta=delta)
+        limit = _certified(reference.affine_loop(g, design)[0])
+        calls = self._eigvals_counted(monkeypatch)
+        self._no_piece_cut(monkeypatch)
+        with pytest.raises(NotContractingError, match=r"spectral radius inf > 1; ") as info:
+            integrate_fixed(g, design, np.zeros(21), h=1e-3, horizon=0.5)
+        assert calls == []
+        named = float(re.search(r"steps up to h=(\S+) are certified", str(info.value))[1])
+        assert 0.97 * limit < named <= limit
+        # delta = 1e308 overflows in the operator itself (with NumPy's
+        # warning, ignored here): ||L_B||_inf is inf, and no step is certified
+        design = design_fixed(g, dec, THETA, delta=1e308)
+        with np.errstate(over="ignore"), pytest.raises(
+                NotContractingError, match=r"radius inf > 1; steps up to h=0 are certified"):
+            integrate_fixed(g, design, np.zeros(21), h=1e-3, horizon=0.5)
 
     def test_unstable_step_on_one_mode_rejected_before_any_step(self, monkeypatch):
         """h = 0.05 is stable on net_b and net_c and unstable on net_a, which
