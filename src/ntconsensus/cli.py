@@ -1,7 +1,7 @@
 """File-driven command line front end.
 
-Exit codes: 0 success, 1 domain failure (assumption/design/integration), 2
-I/O or format failure.
+Exit codes: 0 success, 1 domain failure (assumption/design/integration) or
+a request too large to allocate, 2 I/O or format failure.
 """
 
 from __future__ import annotations
@@ -245,6 +245,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except ConsensusError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # NumPy's, for an array that a graph's n or d makes too large
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

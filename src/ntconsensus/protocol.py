@@ -7,9 +7,9 @@ external signal x0 = k1 * theta with k1 = 1 + 2/delta.
 The closed loop is linear in z = [x; theta] (see ``ClosedLoop``): theta
 enters a run only as z's last d entries, so everything else a design or a
 run needs depends on the graph, V1 and delta alone.  ``_STORE`` keeps
-those theta-free values for the last design that ``design_fixed`` made on
-each graph object; a second such design, or a run of it, on the same graph
-object reuses them.
+those theta-free values in the loop of the last design that ``design_fixed``
+made on each graph object; a second such design, or a run of it, on the
+same graph object reuses them.
 """
 
 from __future__ import annotations
@@ -101,40 +101,48 @@ def _read_only(a: Any) -> Any:
     return a
 
 
-@dataclass(eq=False)
-class _Reuse:
-    """The theta-free values of one design on one graph: the
-    (decomposition, margin, delta) that ``design_fixed`` was asked for and
-    its result without theta, the closed loop's operator (dense or CSR, as
-    ``_operator`` decides), simulate's step maps and stacks of one step
-    length and the step's stability verdict (``maps``, see ``ClosedLoop``),
-    the contraction factor's lambda_min and the augmented Laplacian.  Each
-    is filled on first use; every array is read-only."""
+@dataclass(eq=False, repr=False)
+class ClosedLoop:
+    """The closed loop of a design on a graph, zdot = -M_theta z on
+    z = [x; theta]: with k1 = 1 + 2/delta and F the (nd, d) signal scatter
+    whose block i is delta B_i, M_theta = [[L_B, -k1 F], [0, 0]], whose
+    equilibrium is 1 (x) theta for every theta.  ``operator`` is its top
+    block row [L_B | -k1 F], nd x (nd + d), dense or CSR as ``_operator``
+    decides.  ``maps`` holds the step maps, their stability verdict and the
+    stacks that ``simulate`` builds from it for one full step length, the
+    last used, and the kept pass of a repeating schedule whose first span
+    runs on this loop.  g's ``_STORE`` entry is the loop of the design that
+    ``design_fixed`` last made on g, and the only ``kept`` one, whose maps
+    outlive a run; it also holds the (decomposition, margin, delta) asked
+    for, the design without theta, the contraction factor's lambda_min and
+    the augmented Laplacian.  Every value is theta-free and filled on first
+    use; every array is read-only."""
 
+    operator: "np.ndarray | csr_matrix | None" = None
+    maps: Dict[tuple, Any] = field(default_factory=dict)
+    kept: bool = False
     asked: Optional[tuple] = None
     design: Optional[tuple] = None  # (delta, informed, blocks, C, per-vertex C)
-    loop: "np.ndarray | csr_matrix | None" = None  # ClosedLoop.operator, see _operator
-    maps: Dict[tuple, Any] = field(default_factory=dict)
     lmin: Optional[float] = None
     augmented: Optional[Laplacian] = None
 
 
 # one entry per graph object, dying with it; only ``design_fixed`` writes
 # it, and its next design on the graph replaces the entry
-_STORE: "weakref.WeakKeyDictionary[SignedGraph, _Reuse]" = weakref.WeakKeyDictionary()
+_STORE: "weakref.WeakKeyDictionary[SignedGraph, ClosedLoop]" = weakref.WeakKeyDictionary()
 
 
-def _reuse(g: SignedGraph, design: ProtocolDesign) -> _Reuse:
+def _reuse(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
     """g's store entry when it holds ``design``: the same delta, with
     ``informed`` and ``blocks`` that are the entry's own read-only arrays.
-    Any other design gets a fresh entry that is not stored, since the
-    values of a writable array may change under the same identity."""
+    Any other design gets a fresh loop that is not stored or kept, since
+    the values of a writable array may change under the same identity."""
     entry = _STORE.get(g)
     if entry is not None:
         delta, informed, blocks = entry.design[:3]
         if design.delta == delta and design.informed is informed and design.blocks is blocks:
             return entry
-    return _Reuse()
+    return ClosedLoop()
 
 
 def _bound(
@@ -245,8 +253,8 @@ def _stored_design(
             raise NonFiniteError(f"coupling coefficient must be finite, got {chosen}")
         if chosen <= 0:
             raise DegenerateCouplingError(f"coupling coefficient must be positive, got {chosen}")
-        entry = _STORE[g] = _Reuse(
-            asked=(dec, margin, delta),
+        entry = _STORE[g] = ClosedLoop(
+            kept=True, asked=(dec, margin, delta),
             design=(float(chosen), _read_only(rows + 1), _read_only(blocks), bound_c, per_vertex),
         )
     chosen, informed, blocks, bound_c, per_vertex = entry.design
@@ -269,33 +277,13 @@ def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian
     return Laplacian(entry.augmented.matrix[:nd, :nd]), entry.augmented
 
 
-@dataclass(frozen=True)
-class ClosedLoop:
-    """The closed loop that a design realizes on a graph, as the linear
-    system zdot = -M_theta z on z = [x; theta]: with k1 = 1 + 2/delta and F
-    the (nd, d) signal scatter whose block i is delta B_i,
-    M_theta = [[L_B, -k1 F], [0, 0]], and the design makes 1 (x) theta its
-    equilibrium for every theta.  ``operator`` is its top block row
-    [L_B | -k1 F], nd x (nd + d), dense or CSR as ``_operator`` decides,
-    read-only and theta-free; L_B is its leading block.  ``maps`` holds the
-    theta-free step maps, their stability verdict and the stacks that
-    ``simulate`` builds from it for one full step length, the last used, and
-    the kept pass of a repeating schedule whose first span runs on this loop;
-    every loop of one design on one graph object shares it.  ``kept`` tells
-    whether ``maps`` is the store's (see ``_STORE``), so that it outlives the run."""
-
-    operator: "np.ndarray | csr_matrix"
-    maps: Dict[tuple, Any] = field(default_factory=dict, repr=False)
-    kept: bool = field(default=False, repr=False)
-
-
 def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
-    """The design's closed loop on g.  Its operator is assembled once per
-    graph and design (see ``_STORE``)."""
-    entry = _reuse(g, design)
-    if entry.loop is None:
-        entry.loop = _operator(g, design)
-    return ClosedLoop(operator=entry.loop, maps=entry.maps, kept=_STORE.get(g) is entry)
+    """The design's closed loop on g: g's store entry for the stored design
+    (see ``_reuse``), whose operator is assembled on first use."""
+    loop = _reuse(g, design)
+    if loop.operator is None:
+        loop.operator = _operator(g, design)
+    return loop
 
 
 def _operator(g: SignedGraph, design: ProtocolDesign) -> "np.ndarray | csr_matrix":

@@ -485,8 +485,11 @@ def _march(
     stepping x <- [P | Q] z; elsewhere they agree with stage-by-stage RK4 to
     about 1e-14 relative.  A block's GEMM stays one product: its results
     depend on its row count, so chunks would change the states in their
-    last bits.  The guard checks every sample once and names the first
-    that fails.  The run gets its own copy of the plan's times."""
+    last bits.  The guard checks every sample once against
+    ``DIVERGENCE_GUARD`` max(1, max|x|, max|theta|), capped at the largest
+    finite double, and names the first that fails: a run scaled by a power
+    of two passes as the run does, and an infinite or NaN state fails.  The
+    run gets its own copy of the plan's times."""
     nd, width = x.shape[0], x.shape[0] + theta.shape[0]
     times, states = _allocated(
         lambda: (plan.times.copy(), np.empty((len(plan.times), nd))), len(plan.times), nd
@@ -537,10 +540,12 @@ def _march(
                 fills += 1
     # max and min pass a NaN on, so a NaN state fails the test too; no
     # full-size temporary is made unless a sample fails and must be named
-    if not (states[1:].max() <= DIVERGENCE_GUARD and states[1:].min() >= -DIVERGENCE_GUARD):
-        ok = np.abs(states[1:]).max(axis=1) <= DIVERGENCE_GUARD
+    scale = max(1.0, float(np.abs(x).max()), float(np.abs(theta).max()))
+    guard = min(DIVERGENCE_GUARD * scale, sys.float_info.max)
+    if not (states[1:].max() <= guard and states[1:].min() >= -guard):
+        ok = np.abs(states[1:]).max(axis=1) <= guard
         raise NonFiniteError(
-            f"state exceeded {DIVERGENCE_GUARD:g} or became NaN"
+            f"state exceeded {guard:g} or became NaN"
             f" at t={times[1 + np.argmin(ok)]:.6g}"
         )
     return Trajectory(times=times, states=states, n=g.n, d=g.d, theta=theta,

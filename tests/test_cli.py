@@ -44,6 +44,19 @@ class TestCheck:
         assert main(["check", "--graph", str(p), "--v1", "auto"]) == 1
         assert error in capsys.readouterr().err
 
+    @pytest.mark.parametrize("directed, array", [
+        (True, "shape (1000000000000000, 3, 3)"), (False, "shape (1000000000000000,)"),
+    ])
+    def test_graph_too_large_to_allocate_exit_1(self, tmp_path, capsys, directed, array):
+        # the first n-sized array of --v1 auto, a directed graph's in/out
+        # gaps or an undirected graph's V1 mask, cannot be allocated
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 10**15, "d": 3, "directed": directed, "edges": []}))
+        assert main(["check", "--graph", str(p), "--v1", "auto"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: MemoryError: Unable to allocate")
+        assert array in err and err.count("\n") == 1
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("nope")

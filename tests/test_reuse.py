@@ -183,6 +183,34 @@ def test_only_the_stored_design_is_reused(net_a_dec, rng):
     assert closed_loop(g, design).maps is not closed_loop(g, design).maps
 
 
+def test_closed_loop_of_the_stored_design_is_the_store_entry(net_a_dec, rng, monkeypatch):
+    """closed_loop gives the stored design g's store entry itself, kept; a
+    design built by hand and a replaced design get a fresh loop that is
+    neither kept nor stored, and that dies with its run."""
+    g = bundled_graph("net_a")
+    theta, x = np.array([1.0, 2.0, -1.0]), rng.uniform(-5, 5, 21)
+    design = design_fixed(g, net_a_dec, theta)
+    loop = closed_loop(g, design)
+    assert loop is protocol._STORE[g] and loop.kept and closed_loop(g, design) is loop
+    made = []
+
+    def traced(graph, d):
+        run_loop = closed_loop(graph, d)
+        made.append((run_loop.kept, run_loop is protocol._STORE[graph], weakref.ref(run_loop)))
+        return run_loop
+
+    monkeypatch.setattr(simulate, "closed_loop", traced)
+    by_hand = dataclasses.replace(design, blocks=design.blocks.copy())
+    for run_design, replace in ((design, False), (by_hand, False), (design, True)):
+        if replace:
+            design_fixed(g, net_a_dec, theta, delta=design.delta + 1.0)
+        integrate_fixed(g, run_design, x, h=H, horizon=0.0105)
+        kept, stored, run_loop = made.pop()
+        assert kept == stored == (run_design is design and not replace)
+        assert (run_loop() is loop) == stored and (run_loop() is None) != stored
+    assert protocol._STORE[g] is not loop
+
+
 def test_stacks_are_kept_per_step_length(rng):
     """Each stack is kept, read-only, once per (h, m), with the top rows
     of the step map's powers; a new step length drops them, and a run on

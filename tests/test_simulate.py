@@ -170,7 +170,8 @@ class TestIntegrateFixed:
         # only the guard may report it, at the first time a stage-by-stage
         # run fails; once as one span, and once as a schedule that repeats
         # one interval of five steps, which net_a's dense map steps by a
-        # kept pass and the tiled CSR map step by step
+        # kept pass and the tiled CSR map step by step; the guard's bound
+        # scales with max|x_init| = 1e3
         kept = _kept_passes(monkeypatch)
         for g, dec in ((net_a, net_a_dec), tiled):
             design = design_fixed(g, dec, THETA)
@@ -179,7 +180,7 @@ class TestIntegrateFixed:
             h = 0.99 * _certified(lap)
             x = 1e3 * np.ones(g.n * g.d)
             k = 0
-            while np.abs(x).max() <= DIVERGENCE_GUARD:
+            while np.abs(x).max() <= 1e3 * DIVERGENCE_GUARD:
                 x = rk4_reference_step(-lap, -forcing, x, h)
                 k += 1
             assert k < 100
@@ -190,6 +191,15 @@ class TestIntegrateFixed:
                         _march(g, THETA, {0: loop}, _plan(schedule, 600 * h, h),
                                1e3 * np.ones(g.n * g.d), h)
         assert [piece is not None for piece in kept] == [True, False]
+
+    def test_guard_scales_with_the_run(self, net_a, net_a_dec, rng):
+        # theta and x_init times 2**50 give states 2**50 times as large, to
+        # the bit, which pass 1e12 at once: the guard's bound scales too
+        x = rng.uniform(-5, 5, 21)
+        runs = [integrate_fixed(net_a, design_fixed(net_a, net_a_dec, s * THETA), s * x,
+                                h=1e-3, horizon=2.0) for s in (1.0, 2.0**50)]
+        assert np.abs(runs[1].states[1]).max() > DIVERGENCE_GUARD
+        assert runs[1].states.tobytes() == (2.0**50 * runs[0].states).tobytes()
 
     def test_divergence_guard_catches_nan(self, net_a, net_a_dec):
         from dataclasses import replace
@@ -943,7 +953,8 @@ class TestIntegrateSwitching:
         # last bits from pass to pass until the plan snaps them, and of four
         # full steps; both are stepped by a kept pass, the powers of the
         # pass map and its stack: only the guard may report it, at the first
-        # time a stage-by-stage run fails, two switches into the run
+        # time a stage-by-stage run fails, two switches into the run; the
+        # guard's bound scales with max|theta| = 2
         graphs, sdesign, _ = _switching_setup(net_a, net_b, net_c)
         loops = {gid: ClosedLoop(operator=-closed_loop(graphs[gid], design).operator)
                  for gid, design in sdesign.designs.items()}
@@ -959,7 +970,7 @@ class TestIntegrateSwitching:
                 lap, forcing = systems[gid]
                 for j in range(1, 5 + (quarters == 17)):
                     x = rk4_reference_step(-lap, -forcing, x, h if j < 5 else end - start - 4 * h)
-                    if not np.abs(x).max() <= DIVERGENCE_GUARD:
+                    if not np.abs(x).max() <= 2.0 * DIVERGENCE_GUARD:
                         failed = start + h * j if j < 5 else end
                         break
                 if failed is not None:
