@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -220,9 +220,10 @@ def _check_vertex(n: int, v: int) -> None:
         raise VertexOutOfRangeError(f"vertex {v} outside 1..{n}")
 
 
-def _definite_reach(g: SignedGraph, sources: Iterable[int]) -> Set[int]:
-    """Vertices reachable from any source over strictly definite edges,
-    sources included: a search over ``successors``, in O(n + E)."""
+def _definite_reach(g: SignedGraph, sources: Iterable[int]) -> np.ndarray:
+    """(n,) mask (row v - 1) of the vertices reachable from any source over
+    strictly definite edges, sources included: a search over
+    ``successors``, in O(n + E)."""
     ptr, nxt = (a.tolist() for a in g.successors)
     found = [v - 1 for v in sources]
     seen = bytearray(g.n)
@@ -233,7 +234,7 @@ def _definite_reach(g: SignedGraph, sources: Iterable[int]) -> Set[int]:
             if not seen[w]:
                 seen[w] = 1
                 found.append(w)
-    return {v + 1 for v in found}
+    return np.frombuffer(seen, dtype=bool)
 
 
 def _components(indptr: np.ndarray, succ: np.ndarray) -> np.ndarray:
@@ -274,27 +275,37 @@ def _components(indptr: np.ndarray, succ: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Partition of the vertex set into a grounded part V1 and the rest."""
+    """Partition of the vertex set into a grounded part V1 and the rest,
+    V2, which is not stored: it is V1's complement."""
 
     v1: FrozenSet[int]
-    v2: FrozenSet[int]
 
     @staticmethod
     def of(g: SignedGraph, v1: Iterable[int]) -> "Decomposition":
+        """V1 as Python ints, once it is checked to be nonempty and to hold
+        only integer ids of g's vertices."""
         v1s = frozenset(v1)
         if not v1s:
             raise InvalidPartitionError("V1 must be nonempty")
         for v in v1s:
+            if not isinstance(v, (int, np.integer)):
+                raise InvalidPartitionError(f"V1 holds {v!r}, which is not a vertex id")
             _check_vertex(g.n, v)
-        return Decomposition(v1=v1s, v2=frozenset(g.vertices) - v1s)
+        return Decomposition(v1=frozenset(map(int, v1s)))
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    path_cover: bool
-    dominance: bool
     path_failures: Tuple[int, ...]
     dominance_failures: Tuple[int, ...]
+
+    @property
+    def path_cover(self) -> bool:
+        return not self.path_failures
+
+    @property
+    def dominance(self) -> bool:
+        return not self.dominance_failures
 
     @property
     def ok(self) -> bool:
@@ -308,16 +319,18 @@ class AssumptionReport:
 def verify_assumption(g: SignedGraph, dec: Decomposition) -> AssumptionReport:
     """Check the decomposition against the connectivity and dominance
     requirements.  Dominance is vacuous (reported true) on undirected graphs,
-    and is read from the graph's ``dominated`` mask over V2."""
-    if dec.v1 | dec.v2 != set(g.vertices) or dec.v1 & dec.v2:
-        raise InvalidPartitionError("V1, V2 must partition the vertex set")
-    path_fail = sorted(dec.v2 - _definite_reach(g, dec.v1))
-    v2 = np.array(sorted(dec.v2), dtype=np.intp)
-    dom_fail = v2[~g.dominated[v2 - 1]].tolist() if g.directed else []
+    and is read from the graph's ``dominated`` mask over V2, V1's
+    complement, taken as a mask; V1's ids are checked as
+    ``Decomposition.of`` checks them."""
+    Decomposition.of(g, dec.v1)
+    reach = _definite_reach(g, dec.v1)  # V1 is in it, so every vertex outside it is in V2
+    dom_fail: List[int] = []
+    if g.directed:
+        v2 = np.ones(g.n, dtype=bool)
+        v2[[v - 1 for v in dec.v1]] = False
+        dom_fail = (np.flatnonzero(v2 & ~g.dominated) + 1).tolist()
     return AssumptionReport(
-        path_cover=not path_fail,
-        dominance=not dom_fail,
-        path_failures=tuple(path_fail),
+        path_failures=tuple((np.flatnonzero(~reach) + 1).tolist()),
         dominance_failures=tuple(dom_fail),
     )
 

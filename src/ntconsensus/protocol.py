@@ -4,12 +4,12 @@ The design drives every agent of a signed matrix-weighted network to a preset
 nonzero state theta by coupling the antagonized vertices to a constant
 external signal x0 = k1 * theta with k1 = 1 + 2/delta.
 
-The closed loop is linear in z = [x; theta] (see ``ClosedLoop``): theta
-enters a run only as z's last d entries, so everything else a design or a
-run needs depends on the graph, V1 and delta alone.  ``_STORE`` keeps
-those theta-free values in the loop of the last design that ``design_fixed``
-made on each graph object; a second such design, or a run of it, on the
-same graph object reuses them.
+The closed loop is linear in z = [x; theta] (see ``ClosedLoop``), and its
+one matrix is the augmented Laplacian M; theta enters a run only as z's
+last d entries, so all else a design or a run needs depends on the graph,
+V1 and delta alone.  ``_STORE`` keeps those theta-free values in the loop
+of the last design that ``design_fixed`` made on each graph object; a
+second such design, or a run of it, on the same graph object reuses them.
 """
 
 from __future__ import annotations
@@ -104,27 +104,28 @@ def _read_only(a: Any) -> Any:
 @dataclass(eq=False, repr=False)
 class ClosedLoop:
     """The closed loop of a design on a graph, zdot = -M_theta z on
-    z = [x; theta]: with k1 = 1 + 2/delta and F the (nd, d) signal scatter
-    whose block i is delta B_i, M_theta = [[L_B, -k1 F], [0, 0]], whose
-    equilibrium is 1 (x) theta for every theta.  ``operator`` is its top
-    block row [L_B | -k1 F], nd x (nd + d), dense or CSR as ``_operator``
-    decides.  ``maps`` holds the step maps, their stability verdict and the
-    stacks that ``simulate`` builds from it for one full step length, the
-    last used, and the kept pass of a repeating schedule whose first span
-    runs on this loop.  g's ``_STORE`` entry is the loop of the design that
-    ``design_fixed`` last made on g, and the only ``kept`` one, whose maps
-    outlive a run; it also holds the (decomposition, margin, delta) asked
-    for, the design without theta, the contraction factor's lambda_min and
-    the augmented Laplacian.  Every value is theta-free and filled on first
-    use; every array is read-only."""
+    z = [x; theta], whose equilibrium is 1 (x) theta for every theta.  Its one
+    matrix is the augmented Laplacian M = [[L_B, -delta F], [0, 0]], (n+1)d
+    square with block i of F the coupling block B_i, dense or CSR as ``_dense``
+    decides; M_theta is M with its last d columns, after the ``nd`` of x,
+    scaled by ``k1``, which ``simulate._step_map`` applies to its copy.
+    ``maps`` holds the step maps, their stability verdict and the stacks that
+    ``simulate`` builds for one full step length, the last used, and the kept
+    pass of a repeating schedule whose first span runs on this loop.  g's
+    ``_STORE`` entry is the loop of the design that ``design_fixed`` last made
+    on g, and the only ``kept`` one, whose maps outlive a run; it also holds
+    the (decomposition, margin, delta) asked for, the design without theta and
+    the contraction factor's lambda_min.  Every value is theta-free and filled
+    on first use; every array is read-only."""
 
-    operator: "np.ndarray | csr_matrix | None" = None
+    matrix: "np.ndarray | csr_matrix | None" = None
+    k1: float = 1.0
+    nd: int = 0
     maps: Dict[tuple, Any] = field(default_factory=dict)
     kept: bool = False
     asked: Optional[tuple] = None
     design: Optional[tuple] = None  # (delta, informed, blocks, C, per-vertex C)
     lmin: Optional[float] = None
-    augmented: Optional[Laplacian] = None
 
 
 # one entry per graph object, dying with it; only ``design_fixed`` writes
@@ -265,56 +266,56 @@ def _stored_design(
 
 
 def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian, Laplacian]:
-    """Grounded and signal-augmented Laplacians realized by a design.  The
-    augmented one is assembled once per graph and design (see ``_STORE``)
-    and is read-only; the grounded one is a view of its leading nd x nd
-    block."""
-    entry = _reuse(g, design)
-    if entry.augmented is None:
-        entry.augmented = augmented_laplacian(g, design.delta, design.informed, design.blocks)
-        _read_only(entry.augmented.matrix)
+    """A design's grounded and augmented Laplacians, read-only: M and a view
+    of its leading nd x nd block.  M is its loop's own where ``_dense``
+    holds (see ``closed_loop``), else a scatter per call, not kept."""
+    m = closed_loop(g, design).matrix if _dense(g, design) else _read_only(
+        augmented_laplacian(g, design.delta, design.informed, design.blocks).matrix)
     nd = g.n * g.d
-    return Laplacian(entry.augmented.matrix[:nd, :nd]), entry.augmented
+    return Laplacian(m[:nd, :nd]), Laplacian(m)
+
+
+def _dense(g: SignedGraph, design: ProtocolDesign) -> bool:
+    """The quarter rule: M is dense when more than a quarter of its top block
+    row's nd x (nd + d) entries are ``laplacian_blocks`` entries (a block per
+    edge, per vertex and, for delta != 0, per informed vertex), else CSR."""
+    nd, count = g.n * g.d, len(g.heads) + g.n + (len(design.informed) if design.delta else 0)
+    return 4 * count * g.d * g.d > nd * (nd + g.d)
 
 
 def closed_loop(g: SignedGraph, design: ProtocolDesign) -> ClosedLoop:
     """The design's closed loop on g: g's store entry for the stored design
-    (see ``_reuse``), whose operator is assembled on first use."""
+    (see ``_reuse``), whose M, k1 and nd are filled on first use.  M is
+    stored as ``_dense`` decides, once: ``augmented_laplacian``'s scatter of
+    the ``laplacian_blocks`` triplets, or their COO sum in CSR form, which
+    holds the scatter's values, since no block pair repeats."""
     loop = _reuse(g, design)
-    if loop.operator is None:
-        loop.operator = _operator(g, design)
+    if loop.matrix is None:
+        d, width = g.d, (g.n + 1) * g.d
+        if _dense(g, design):
+            m = augmented_laplacian(g, design.delta, design.informed, design.blocks).matrix
+        else:
+            # imported here: scipy.sparse takes about 0.25 s to import cold (2-vCPU host)
+            from scipy.sparse import csr_matrix
+            rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
+            k = np.arange(d)
+            r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
+            c = np.broadcast_to(cols[:, None, None] * d + k, data.shape).ravel()
+            m = csr_matrix((data.ravel(), (r, c)), shape=(width, width))
+        loop.matrix, loop.k1, loop.nd = _read_only(m), design.k1, width - d
     return loop
-
-
-def _operator(g: SignedGraph, design: ProtocolDesign) -> "np.ndarray | csr_matrix":
-    """[L_B | -k1 F], the ``laplacian_blocks`` triplets with the signal
-    column's (block column n) scaled by k1; the loop's storage is decided
-    here, once.  It is dense when more than a quarter of its entries are
-    triplet entries, scattered as ``augmented_laplacian`` scatters them (no
-    block pair repeats, so each entry is CSR's sum), else CSR."""
-    rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
-    d, nd = g.d, g.n * g.d
-    data[cols == g.n] *= design.k1
-    if 4 * data.size > nd * (nd + d):
-        dense = np.zeros((g.n, d, g.n + 1, d))
-        dense[rows, :, cols, :] = data
-        return _read_only(dense.reshape(nd, nd + d))
-    # imported here: scipy.sparse takes about 0.25 s to import cold (2-vCPU host)
-    from scipy.sparse import csr_matrix
-
-    k = np.arange(d)
-    r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
-    c = np.broadcast_to(cols[:, None, None] * d + k, data.shape).ravel()
-    return _read_only(csr_matrix((data.ravel(), (r, c)), shape=(nd, nd + d)))
 
 
 @dataclass(frozen=True)
 class DesignReport:
-    min_real_part: float  # of the grounded Laplacian's spectrum
     null_dim: int  # of the augmented Laplacian's null space
     null_ok: bool
     equilibrium_residual: float
     eigenvalues: Tuple[complex, ...]  # grounded spectrum, ascending real part
+
+    @property
+    def min_real_part(self) -> float:  # of the grounded Laplacian's spectrum
+        return float(self.eigenvalues[0].real)
 
     @property
     def spec_ok(self) -> bool:
@@ -348,7 +349,6 @@ def verify_design(g: SignedGraph, design: ProtocolDesign) -> DesignReport:
     residual = augmented.matrix @ consensus_space(g.n, g.d, 1.0, design.k1)
     q_scale = math.sqrt(g.n + design.k1**2)
     return DesignReport(
-        min_real_part=float(eigs[0].real),
         null_dim=null_dim,
         null_ok=null_dim == g.d
         and float(np.linalg.norm(residual)) < ANGLE_TOL * sigma_r * q_scale,
@@ -384,9 +384,10 @@ def design_switching(
     """One fixed-topology design per graph, sharing theta; coupling parameters
     jump with the topology.  ``deltas`` optionally pins per-graph coefficients.
     Every graph must have the vertex count n and weight dimension d of the
-    graph with the smallest id, and a decomposition in ``decs``.  theta is
-    checked once, as ``design_fixed`` checks it, and an error names that
-    graph; every design holds the same read-only theta array, which
+    graph with the smallest id, and a decomposition in ``decs``; every id of
+    ``deltas`` must be a graph's, else the smallest other id is named.
+    theta is checked once, as ``design_fixed`` checks it, and an error names
+    that graph; every design holds the same read-only theta array, which
     ``simulate.integrate_switching`` recognizes by identity."""
     if not math.isfinite(alpha):
         raise NonFiniteError(f"dwell time must be finite, got {alpha}")
@@ -396,6 +397,9 @@ def design_switching(
     if not decs.keys() >= graphs.keys():
         missing = min(graphs.keys() - decs.keys())
         raise DimensionMismatchError(f"graph id {missing} has no decomposition")
+    if deltas is not None and not graphs.keys() >= deltas.keys():
+        extra = min(deltas.keys() - graphs.keys())
+        raise DimensionMismatchError(f"graph id {extra} has a pinned delta and no graph")
     shared: Optional[np.ndarray] = None
     designs: Dict[int, ProtocolDesign] = {}
     for gid in sorted(graphs):

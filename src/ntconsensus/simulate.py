@@ -1,11 +1,12 @@
 """Deterministic fixed-step integration of the coupled dynamics.
 
-The closed loop is linear on z = [x; theta], zdot = -M_theta z (see
-``protocol.ClosedLoop``), so a classic RK4 step of constant length h is one
-linear map z <- R(-h M_theta) z (see ``_step_map``).  theta does not move, so
-a map is kept as its top rows [P | Q], which take z to the next x, and m
-steps are the top rows of R^m (see ``_powers``).  This module owns how the
-loop is stepped.  Every map depends on M_theta alone, so those of the full
+The closed loop is linear on z = [x; theta], zdot = -M_theta z, where M_theta
+is M with its signal columns scaled by k1 (``protocol.ClosedLoop``); a classic
+RK4 step of length h is the linear map z <- R(-h M_theta) z, made from a copy
+of M (``_step_map``).  theta does not move, so a map is kept as its top rows
+[P | Q], which take z to the next x, and m steps are the top rows of R^m
+(``_powers``).  This module owns how the loop is stepped.  Every map depends
+on M_theta alone, so those of the full
 step are built once per graph object, design and step length and kept in the
 loop's ``maps``, which hold one step length, with the verdict on whether the
 step is stable (``_full_step``); theta enters a run only through
@@ -147,24 +148,25 @@ PASS_BYTES = 8 * STACK_BYTES
 _CHUNK_BYTES = 1 << 15
 
 
-def _step_map(operator: "np.ndarray | csr_matrix", h: float) -> "np.ndarray | csr_matrix":
-    """The top rows [P | Q] of R(A) with A = -h M_theta, M_theta the square
-    matrix of the top block row ``operator`` (see ``protocol.ClosedLoop``):
-    the classic RK4 step of length h on zdot = -M_theta z is x <- [P | Q] z.
+def _step_map(loop: ClosedLoop, h: float) -> "np.ndarray | csr_matrix":
+    """The top rows [P | Q] of R(A) with A = -h M_theta: the classic RK4
+    step of length h on zdot = -M_theta z is x <- [P | Q] z.  M_theta is a
+    copy of the loop's M with its signal columns scaled by k1 (see
+    ``protocol.ClosedLoop``) before the copy is scaled by -h.
 
     On a linear field the step is exactly this map: R(A) = I + A S(A),
     where S(A) = I + A/2 + A^2/6 + A^3/24 is evaluated by Horner's rule, and
-    its bottom rows are [0 | I].  The map takes the operator's storage,
-    dense or CSR (see ``protocol._operator``), and is read-only; only a CSR
-    operator imports ``scipy.sparse``."""
-    nd, width = operator.shape
-    if isinstance(operator, np.ndarray):
-        a, eye = np.vstack([operator, np.zeros((width - nd, width))]), np.eye(width)
+    its bottom rows are [0 | I].  The map takes M's storage, dense or CSR,
+    and is read-only; only a CSR loop imports ``scipy.sparse``."""
+    nd, a = loop.nd, loop.matrix.copy()
+    if isinstance(a, np.ndarray):
+        a[:, nd:] *= loop.k1
+        eye = np.eye(len(a))
     else:
-        from scipy.sparse import csr_matrix, identity, vstack
-        a = vstack([operator, csr_matrix((width - nd, width))], format="csr")
-        eye = identity(width, format="csr")
-    a = a * -h
+        from scipy.sparse import identity
+        a.data[a.indices >= nd] *= loop.k1
+        eye = identity(a.shape[0], format="csr")
+    a *= -h
     s = eye + a / 4.0
     s = eye + (a @ s) / 3.0
     s = eye + (a @ s) / 2.0
@@ -191,9 +193,8 @@ def _full_step(loop: ClosedLoop, h: float) -> "np.ndarray | csr_matrix":
     if (h, 1) not in loop.maps:
         loop.maps.clear()
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
-            top = _step_map(loop.operator, h)
-            nd = top.shape[0]
-            norm = float(abs(loop.operator[:, :nd]).sum(axis=1).max())
+            top, nd = _step_map(loop, h), loop.nd
+            norm = float(abs(loop.matrix[:nd, :nd]).sum(axis=1).max())
         unstable = ""
         if h * norm > RK4_RADIUS:
             p = top[:, :nd]
@@ -297,7 +298,7 @@ def _cut(
                 cut.append((_Piece(rows, stack if rows == m else stack[: rows * nd]), reps))
     if remainder:
         if (gid, remainder) not in shortened:
-            shortened[(gid, remainder)] = _step_map(loop.operator, remainder)
+            shortened[(gid, remainder)] = _step_map(loop, remainder)
         cut.append((_Piece(1, shortened[(gid, remainder)]), 1))
     return cut
 
@@ -428,16 +429,16 @@ def _kept_pass(
     the pass's first span, when every loop of the pass is the store's
     (``ClosedLoop.kept``), so they die with its graph and with its step
     length.  They are found there again for the same pass kinds and the
-    same operators of the pass's loops, compared by identity, so that a
+    same matrices M of the pass's loops, compared by identity, so that a
     new design on any graph of the pattern misses; a hit skips the cut,
     and a plan with another pass count only rebuilds the powers."""
     kinds = plan.kinds[: plan.unit]
-    operators = tuple(loops[gid].operator for gid, _, _ in kinds)
-    nd, width = operators[0].shape
+    matrices = tuple(loops[gid].matrix for gid, _, _ in kinds)
+    nd, width = loops[kinds[0][0]].nd, matrices[0].shape[1]
     maps = loops[kinds[0][0]].maps
     kept = maps.get((h, "pass"))
-    if kept is None or kept[0] != kinds or any(a is not b for a, b in zip(kept[1], operators)):
-        if not all(isinstance(a, np.ndarray) for a in operators):
+    if kept is None or kept[0] != kinds or any(a is not b for a, b in zip(kept[1], matrices)):
+        if not all(isinstance(a, np.ndarray) for a in matrices):
             return None
         unit = [piece for kind in kinds for piece, reps in cut(kind) for _ in range(reps)]
         rows = sum(piece.rows for piece in unit)
@@ -450,13 +451,13 @@ def _kept_pass(
             np.matmul(piece.stack, lift, out=w[row : row + piece.rows * nd])
             row += piece.rows * nd
             lift[:nd] = w[row - nd : row]
-        kept = (kinds, operators, _Piece(rows, _read_only(w)))
+        kept = (kinds, matrices, _Piece(rows, _read_only(w)))
     piece = kept[2]
     size = min(plan.passes, 1 + (PASS_BYTES - piece.stack.nbytes) // (nd * width * 8))
     if piece.powers is None or len(piece.powers) != (size - 1) * nd:
         piece = piece._replace(powers=_powers(piece.stack[-nd:], size - 1))
         if all(loops[gid].kept for gid, _, _ in kinds):
-            maps[(h, "pass")] = (kinds, operators, piece)
+            maps[(h, "pass")] = (kinds, matrices, piece)
     return piece
 
 

@@ -34,9 +34,8 @@ def laplacian_blocks(
     in-neighbors, accumulated in edge order, plus delta B_i for every
     informed vertex; last, the signal column -delta B_i at block column n,
     in ascending vertex order.  delta = 0 grounds nothing.  Every dense
-    Laplacian and the closed loop's operator are scatters of these
-    triplets, the operator with its signal column scaled by k1, so L_B
-    holds the same floating-point values in each."""
+    Laplacian and the closed loop's M, dense or CSR, are built from these
+    triplets, so L_B holds the same floating-point values in each."""
     n, d = g.n, g.d
     signal = np.asarray(informed, dtype=np.intp).reshape(-1) - 1
     b = np.asarray(blocks, dtype=float)

@@ -11,8 +11,10 @@ are the plain loops that ``simulate._expand`` and ``simulate._layout`` lay
 out as arrays, the piece chain is the interval-by-interval stepping that ``simulate._march``
 replaced with passes where a schedule repeats, and the affine loop is the
 closed loop xdot = -L_B x + f that ``simulate`` steps in the linear form on
-z = [x; theta].  None of them is part of checking, designing or simulating,
-so they live here.
+z = [x; theta].  The top-row step map is the construction from M_theta's
+top block row, k1 applied to the triplets, that ``simulate._step_map``
+replaced by scaling a copy of M.  None of them is part of checking,
+designing or simulating, so they live here.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from ntconsensus import (
     Trajectory,
     augmented_laplacian,
     design_laplacians,
+    laplacian_blocks,
 )
 from ntconsensus.errors import ScheduleExhaustedError
 from ntconsensus.protocol import MEMBER_TOL
@@ -230,6 +233,38 @@ def affine_loop(g: SignedGraph, design: ProtocolDesign) -> Tuple[np.ndarray, np.
     nd = g.n * g.d
     augmented = design_laplacians(g, design)[1].matrix
     return augmented[:nd, :nd], -augmented[:nd, nd:] @ design.x0
+
+
+def top_row_step_map(g: SignedGraph, design: ProtocolDesign, h: float):
+    """The top rows of the RK4 step map of length h, built from M_theta's
+    top block row [L_B | -k1 delta F]: the ``laplacian_blocks`` triplets
+    with the signal column's scaled by k1, scattered dense when more than a
+    quarter of the row's nd x (nd + d) entries are triplet entries and
+    summed into CSR form otherwise, stacked over a zero bottom block row,
+    scaled by -h and stepped by Horner's rule.  ``simulate._step_map``
+    scales a copy of the augmented Laplacian M instead."""
+    rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
+    d, nd = g.d, g.n * g.d
+    width = nd + d
+    data[cols == g.n] *= design.k1
+    if 4 * data.size > nd * width:
+        top = np.zeros((g.n, d, g.n + 1, d))
+        top[rows, :, cols, :] = data
+        a, eye = np.vstack([top.reshape(nd, width), np.zeros((d, width))]), np.eye(width)
+    else:
+        from scipy.sparse import csr_matrix, identity, vstack
+
+        k = np.arange(d)
+        r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
+        c = np.broadcast_to(cols[:, None, None] * d + k, data.shape).ravel()
+        top = csr_matrix((data.ravel(), (r, c)), shape=(nd, width))
+        a = vstack([top, csr_matrix((d, width))], format="csr")
+        eye = identity(width, format="csr")
+    a = a * -h
+    s = eye + a / 4.0
+    s = eye + (a @ s) / 3.0
+    s = eye + (a @ s) / 2.0
+    return (eye + a @ s)[:nd]
 
 
 def piece_chain(

@@ -57,6 +57,18 @@ class TestCheck:
         assert out == "" and err.startswith("error: MemoryError: Unable to allocate")
         assert array in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_explicit_v1_on_too_large_graph_exit_1(self, tmp_path, capsys, directed):
+        # a decomposition keeps V1 alone, not V2 as a set of 10^15 ids, so
+        # the check stops at the first n-sized array, the definite-edge
+        # CSR's indptr, which cannot be allocated
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 10**15, "d": 3, "directed": directed, "edges": []}))
+        assert main(["check", "--graph", str(p), "--v1", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: MemoryError: Unable to allocate")
+        assert "shape (1000000000000001,)" in err and err.count("\n") == 1
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("nope")

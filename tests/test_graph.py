@@ -435,7 +435,7 @@ class TestStructuralSets:
 
 def _reaches(g, src, dst):
     """Reachability over strictly definite edges; src reaches itself."""
-    return dst in _definite_reach(g, [src])
+    return bool(_definite_reach(g, [src])[dst - 1])
 
 
 def _dominated_at(g, v):
@@ -498,9 +498,25 @@ class TestVerifyAssumption:
         dec = Decomposition.of(net_a, range(1, 8))
         assert verify_assumption(net_a, dec).ok
 
-    def test_bad_partition_rejected(self, net_a):
-        with pytest.raises(InvalidPartitionError):
-            verify_assumption(net_a, Decomposition(frozenset({1}), frozenset({1, 2})))
+    @pytest.mark.parametrize("v1", [[1, 1.5], [2.0], ["3"]], ids=["1.5", "2.0", "str"])
+    def test_non_integer_v1_id_rejected(self, net_a, v1):
+        """A decomposition holds V1 alone, V2 being its complement, so a V1
+        id that is not an integer is rejected where V1 is made, and where
+        it is checked."""
+        with pytest.raises(InvalidPartitionError, match="not a vertex id"):
+            Decomposition.of(net_a, v1)
+        with pytest.raises(InvalidPartitionError, match="not a vertex id"):
+            verify_assumption(net_a, Decomposition(frozenset(v1)))
+
+    def test_v1_ids_kept_as_python_ints(self, net_a):
+        # True and NumPy integers are integer ids, kept as the ints they equal
+        v1 = Decomposition.of(net_a, [True, np.int64(2), 3, 4]).v1
+        assert v1 == {1, 2, 3, 4} and {type(v) for v in v1} == {int}
+
+    def test_out_of_range_v1_id_rejected(self, net_a):
+        for v in (0, 8):
+            with pytest.raises(VertexOutOfRangeError):
+                verify_assumption(net_a, Decomposition(frozenset({1, v})))
 
     def test_dominance_vacuous_when_undirected(self, rng):
         g, dec = random_undirected_valid(rng, 5, 2)

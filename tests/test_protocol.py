@@ -12,6 +12,7 @@ from ntconsensus import (
     Decomposition,
     ProtocolDesign,
     SignedGraph,
+    SwitchingDesign,
     bundled_decomposition,
     bundled_graph,
     closed_loop,
@@ -35,7 +36,7 @@ from ntconsensus.errors import (
 )
 from ntconsensus.networks import BUNDLED_V1, SWITCHING_DELTAS
 from ntconsensus.graph import classify_stack
-from ntconsensus import protocol
+from ntconsensus import protocol, simulate
 from ntconsensus.simulate import STACK_BYTES, _cut, _full_step
 from ntconsensus.spectral import laplacian_blocks
 
@@ -49,7 +50,9 @@ from conftest import (
     rk4_reference_step,
     tiled_graph,
 )
-from reference import affine_loop, grounded_block, necessary_condition_svd, signed_laplacian
+from reference import (
+    affine_loop, grounded_block, necessary_condition_svd, signed_laplacian, top_row_step_map,
+)
 from test_graph import _random_signed_digraph
 
 THETA = np.array([1.0, 2.0, -1.0])
@@ -536,6 +539,16 @@ class TestDesignSwitching:
             design_switching(graphs, decs, THETA, alpha=0.02)
         assert str(info.value) == f"graph id {missing} has no decomposition"
 
+    def test_delta_pinned_for_a_missing_graph_named(self, net_a, net_b):
+        # the pinned 3.0 for graph 5 used to be dropped without a word
+        graphs = {0: net_a, 1: net_b}
+        decs = {k: Decomposition.of(g, BUNDLED_V1[f"net_{'ab'[k]}"]) for k, g in graphs.items()}
+        with pytest.raises(DimensionMismatchError) as info:
+            design_switching(graphs, decs, THETA, alpha=0.02, deltas={0: 7.0, 5: 3.0, 9: 1.0})
+        assert str(info.value) == "graph id 5 has a pinned delta and no graph"
+        pinned = design_switching(graphs, decs, THETA, alpha=0.02, deltas={0: 7.0})
+        assert pinned.designs[0].delta == 7.0
+
     def test_failing_graph_named_in_error(self, net_a, net_a_weak, net_a_dec):
         with pytest.raises(AssumptionViolatedError, match="graph 1"):
             design_switching(
@@ -705,6 +718,35 @@ def _designed(name, tiled):
     return g, design_fixed(g, bundled_decomposition(name), THETA, delta=delta)
 
 
+def _path_design(rng):
+    """A design on a sparse directed path 1 -> 2 -> ... -> 10, informed at 1,
+    which the quarter rule stores as CSR."""
+    n = 10
+    edges = {(v + 1, v): random_spd(rng, 2) for v in range(1, n)}
+    edges[(1, n)] = -random_spd(rng, 2)
+    g = SignedGraph.from_edges(n, 2, True, edges)
+    return g, design_fixed(g, Decomposition.of(g, [1]), np.array([1.0, -2.0]), delta=2.0)
+
+
+def _square_arrays(loop, width):
+    """The arrays of at least width x width entries that a loop's fields
+    reach, each as the array that owns its memory."""
+    found, todo = {}, [getattr(loop, f.name) for f in dataclasses.fields(loop)]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, dict):
+            todo += list(value.values())
+        elif isinstance(value, (tuple, list)):
+            todo += list(value)
+        elif hasattr(value, "indptr"):
+            todo += [value.data, value.indices, value.indptr]
+        elif isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            found[id(value)] = value
+    return [a for a in found.values() if a.size >= width * width]
+
+
 class TestClosedLoop:
     @pytest.mark.parametrize("name", ["net_a", "tiled"])
     def test_grounded_is_the_augmented_leading_block(self, name, tiled):
@@ -715,53 +757,89 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak", "tiled"])
     def test_operator_matches_dense_laplacians(self, name, tiled):
-        """The operator is M_theta's top block row [L_B | -k1 F]: the
-        augmented Laplacian's top block row with its signal column scaled
-        by k1."""
+        """The loop's one matrix is the augmented Laplacian M, (n+1)d
+        square, with the design's k1 beside it; the bundled loops are
+        stored dense, the tiled one in CSR form."""
         g, design = _designed(name, tiled)
-        grounded, augmented = design_laplacians(g, design)
+        _, augmented = design_laplacians(g, design)
         loop = closed_loop(g, design)
         nd = g.n * g.d
-        assert loop.operator.shape == (nd, nd + g.d)
-        # the bundled loops are stored dense, the tiled one in CSR form
-        op = loop.operator
-        assert isinstance(op, np.ndarray) == (name != "tiled")
+        m = loop.matrix
+        assert m.shape == (nd + g.d, nd + g.d)
+        assert (loop.nd, loop.k1) == (nd, design.k1)
+        assert isinstance(m, np.ndarray) == (name != "tiled")
         # exact equality; toarray() turns a stored -0.0 into +0.0, so not tobytes()
-        want = np.hstack([grounded.matrix, design.k1 * augmented.matrix[:nd, nd:]])
-        assert np.array_equal(op if isinstance(op, np.ndarray) else op.toarray(), want)
+        assert np.array_equal(m if isinstance(m, np.ndarray) else m.toarray(), augmented.matrix)
 
     @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "net_a_weak", "tiled", "path"])
     def test_operator_storage_follows_its_fill(self, name, tiled, rng):
-        """``_operator`` stores a loop dense when more than a quarter of its
-        nd x (nd + d) entries are triplet entries, and in CSR form
-        otherwise; either way it holds the values of both builds of the
-        same triplets, a NumPy scatter and a COO sum, which adds up any
-        repeated (row, column) pair."""
-        if name == "path":  # a sparse directed path 1 -> 2 -> ... -> 10, informed at 1
-            n = 10
-            edges = {(v + 1, v): random_spd(rng, 2) for v in range(1, n)}
-            edges[(1, n)] = -random_spd(rng, 2)
-            g = SignedGraph.from_edges(n, 2, True, edges)
-            design = design_fixed(g, Decomposition.of(g, [1]), np.array([1.0, -2.0]), delta=2.0)
-        else:
-            g, design = _designed(name, tiled)
+        """A loop's M is stored dense when more than a quarter of the
+        nd x (nd + d) entries of its top block row are triplet entries, and
+        in CSR form otherwise; either way it holds the values of both
+        builds of the same triplets, a NumPy scatter and a COO sum, which
+        adds up any repeated (row, column) pair."""
+        g, design = _path_design(rng) if name == "path" else _designed(name, tiled)
         rows, cols, data = laplacian_blocks(g, design.delta, design.informed, design.blocks)
-        data[cols == g.n] *= design.k1
         d, nd = g.d, g.n * g.d
-        scattered = np.zeros((g.n, d, g.n + 1, d))
+        scattered = np.zeros((g.n + 1, d, g.n + 1, d))
         scattered[rows, :, cols, :] = data
         k = np.arange(d)
         r = np.broadcast_to(rows[:, None, None] * d + k[:, None], data.shape).ravel()
         c = np.broadcast_to(cols[:, None, None] * d + k, data.shape).ravel()
-        summed = coo_matrix((data.ravel(), (r, c)), shape=(nd, nd + d)).toarray()
-        assert np.array_equal(scattered.reshape(nd, nd + d), summed)
-        op = protocol._operator(g, design)
+        summed = coo_matrix((data.ravel(), (r, c)), shape=(nd + d, nd + d)).toarray()
+        assert np.array_equal(scattered.reshape(nd + d, nd + d), summed)
+        op = closed_loop(g, design).matrix
         dense = name not in ("tiled", "path")
         assert isinstance(op, np.ndarray) == dense
         assert dense == (4 * data.size > nd * (nd + d))
         assert np.array_equal(op if dense else op.toarray(), summed)
         with pytest.raises(ValueError, match="read-only"):
             (op if dense else op.data)[0] = 1.0
+
+    @pytest.mark.parametrize("h", [1e-3, 3e-3, 7.3e-4])
+    @pytest.mark.parametrize("name", ["net_a", "net_b", "net_c", "tiled", "path"])
+    def test_step_map_is_the_top_row_construction(self, name, h, tiled, rng):
+        """Scaling a copy of M's signal columns by k1 where the step map is
+        built gives the bytes of the map built from M_theta's top block
+        row, with k1 applied to the triplets (``reference.top_row_step_map``),
+        dense and CSR."""
+        g, design = _path_design(rng) if name == "path" else _designed(name, tiled)
+        got = simulate._step_map(closed_loop(g, design), h)
+        want = top_row_step_map(g, design, h)
+        assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray) \
+            == (name not in ("tiled", "path"))
+        if isinstance(want, np.ndarray):
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        else:
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+    def test_dense_loop_holds_one_matrix(self, net_a_dec):
+        """design_laplacians gives a dense loop's own M and a view of it,
+        and the store entry holds no other (n+1)d-square array after the
+        design is verified and its contraction factor taken."""
+        g = bundled_graph("net_a")
+        design = design_fixed(g, net_a_dec, THETA)
+        verify_design(g, design)
+        contraction_factor(SwitchingDesign({0: design}, alpha=1.0), {0: g})
+        grounded, augmented = design_laplacians(g, design)
+        loop = closed_loop(g, design)
+        assert augmented.matrix is loop.matrix and np.shares_memory(grounded.matrix, loop.matrix)
+        held = _square_arrays(protocol._STORE[g], (g.n + 1) * g.d)
+        assert len(held) == 1 and np.shares_memory(held[0], loop.matrix)
+
+    def test_csr_loop_holds_no_dense_matrix(self, tiled):
+        """A loop that the quarter rule stores as CSR keeps no dense M: after
+        the design is verified, its contraction factor taken and a run made,
+        its store entry holds no (n+1)d-square array."""
+        g = dataclasses.replace(tiled[0])
+        design = design_fixed(g, tiled[1], THETA)
+        verify_design(g, design)
+        contraction_factor(SwitchingDesign({0: design}, alpha=1.0), {0: g})
+        assert protocol._STORE[g].matrix is None  # design_laplacians builds no CSR
+        integrate_fixed(g, design, np.zeros(g.n * g.d), h=1e-3, horizon=0.0105)
+        assert not isinstance(protocol._STORE[g].matrix, np.ndarray)
+        assert _square_arrays(protocol._STORE[g], (g.n + 1) * g.d) == []
 
     @pytest.mark.parametrize("name, h, dense", [("net_a", 1e-2, True), ("tiled", 5e-2, False)])
     def test_step_map_is_the_rk4_step(self, name, h, dense, tiled, rng):
@@ -808,9 +886,8 @@ class TestClosedLoop:
         assert loop.maps[(h, 1)] is top
 
     def test_sparse_operator_keeps_a_sparse_step_map(self, rng):
-        # a directed path with a signal into its first vertex: the operator
-        # is under a quarter full, the step map is not; the storage follows
-        # the operator
+        # a directed path with a signal into its first vertex: M is under a
+        # quarter full, the step map is not; the storage follows M
         n = 10
         g = SignedGraph.from_edges(
             n, 2, True, {(v + 1, v): random_spd(rng, 2) for v in range(1, n)}
@@ -818,8 +895,9 @@ class TestClosedLoop:
         lap = signed_laplacian(g) + np.eye(2 * n)
         signal = np.zeros((2 * n, 2))
         signal[:2] = -random_spd(rng, 2)
-        loop = ClosedLoop(operator=csr_matrix(np.hstack([lap, signal])))
-        assert 4 * loop.operator.nnz < 2 * n * (2 * n + 2)
+        m = np.vstack([np.hstack([lap, signal]), np.zeros((2, 2 * n + 2))])
+        loop = ClosedLoop(matrix=csr_matrix(m), nd=2 * n)
+        assert 4 * loop.matrix.nnz < 2 * n * (2 * n + 2)
         top = _full_step(loop, 0.1)
         assert issparse(top) and 4 * top.nnz > 2 * n * (2 * n + 2)
         x, theta = rng.normal(size=2 * n), rng.normal(size=2)

@@ -1,7 +1,7 @@
 """The per-graph store of theta-free values: a second design or run on the
-same graph object reuses the design, the closed-loop operator, the full
-step's maps and stacks, the kept pass of a repeating schedule, lambda_min
-and the augmented Laplacian, and gives the same bytes as a fresh graph;
+same graph object reuses the design, the closed loop's augmented Laplacian
+M, the full step's maps and stacks, the kept pass of a repeating schedule
+and lambda_min, and gives the same bytes as a fresh graph;
 stored values cannot be written; the maps keep one step length; entries die
 with their graph."""
 
@@ -100,7 +100,7 @@ def test_second_request_matches_a_fresh_graph(case, tmp_path):
 def test_stored_values_are_read_only(net_a_dec):
     g = bundled_graph("net_a")
     design = design_fixed(g, net_a_dec, np.array([1.0, 2.0, -1.0]))
-    op = closed_loop(g, design).operator  # dense, or CSR with its values in .data
+    op = closed_loop(g, design).matrix  # dense, or CSR with its values in .data
     for arr in (g.heads, g.tails, g.entries, g.classes,
                 design.blocks, design.informed, design_laplacians(g, design)[1].matrix,
                 op if isinstance(op, np.ndarray) else op.data):

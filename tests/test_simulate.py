@@ -17,6 +17,7 @@ from ntconsensus import (
     Trajectory,
     bundled_graph,
     closed_loop,
+    consensus_space,
     contraction_factor,
     convergence_report,
     design_fixed,
@@ -175,7 +176,7 @@ class TestIntegrateFixed:
         kept = _kept_passes(monkeypatch)
         for g, dec in ((net_a, net_a_dec), tiled):
             design = design_fixed(g, dec, THETA)
-            loop = ClosedLoop(operator=-closed_loop(g, design).operator)
+            loop = _negated(closed_loop(g, design))
             lap, forcing = reference.affine_loop(g, design)
             h = 0.99 * _certified(lap)
             x = 1e3 * np.ones(g.n * g.d)
@@ -348,6 +349,11 @@ def _assert_one_gemm_per_group(traj, theta, groups):
     assert row == len(traj.states) - 1
 
 
+def _negated(loop):
+    """A loop on -M, which steps the diverging xdot = L_B x - f; not kept."""
+    return ClosedLoop(matrix=-loop.matrix, k1=loop.k1, nd=loop.nd)
+
+
 def _certified(lap):
     """RK4_RADIUS / ||L_B||_inf, from a dense L_B."""
     return RK4_RADIUS / np.abs(lap).sum(axis=1).max()
@@ -468,7 +474,7 @@ class TestCheckStep:
             g, dec = random_directed_valid(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
             design = design_fixed(g, dec, rng.uniform(-2, 2, g.d) + 3.0)
             h = _certified(reference.affine_loop(g, design)[0])
-            top = simulate._step_map(closed_loop(g, design).operator, h)
+            top = simulate._step_map(closed_loop(g, design), h)
             p = (top if isinstance(top, np.ndarray) else top.toarray())[:, : g.n * g.d]
             assert np.abs(np.linalg.eigvals(p)).max() < 1.0
 
@@ -956,7 +962,7 @@ class TestIntegrateSwitching:
         # time a stage-by-stage run fails, two switches into the run; the
         # guard's bound scales with max|theta| = 2
         graphs, sdesign, _ = _switching_setup(net_a, net_b, net_c)
-        loops = {gid: ClosedLoop(operator=-closed_loop(graphs[gid], design).operator)
+        loops = {gid: _negated(closed_loop(graphs[gid], design))
                  for gid, design in sdesign.designs.items()}
         systems = _affine_loops(graphs, sdesign)
         h = 0.99 * min(_certified(lap) for lap, _ in systems.values())
@@ -1114,11 +1120,11 @@ class TestIntegrateSwitching:
 
 
 class TestConsensusFixedPoint:
-    """1 (x) theta is an equilibrium of every mode for every theta: the
-    operator sends psi = [1 (x) I; I] to 0, and every kept step map and
-    stack, a shortened step's map, and a kept pass's stack and powers send
-    it to 1 (x) I.  This is the simulation-side form of the augmented null
-    space being span psi."""
+    """1 (x) theta is an equilibrium of every mode for every theta: M_theta
+    sends psi = [1 (x) I; I] to 0, so M sends [1 (x) I; k1 I] to 0, and
+    every kept step map and stack, a shortened step's map, and a kept
+    pass's stack and powers send psi to 1 (x) I.  This is the
+    simulation-side form of the augmented null space being span psi."""
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("rule", ["margin", "pinned"])
@@ -1135,12 +1141,13 @@ class TestConsensusFixedPoint:
             nd, d = g.n * g.d, g.d
             psi = np.vstack([np.tile(np.eye(d), (g.n, 1)), np.eye(d)])
             loop = closed_loop(g, design)
-            scale = abs(loop.operator).max()
-            assert np.abs(loop.operator @ psi).max() <= 1e-13 * scale
+            scale = abs(loop.matrix).max()
+            null = consensus_space(g.n, d, 1.0, loop.k1)
+            assert np.abs(loop.matrix @ null).max() <= 1e-13 * scale
             h = min(1e-2, 0.5 * _certified(reference.affine_loop(g, design)[0]))
             integrate_fixed(g, design, np.zeros(nd), h=h, horizon=80.5 * h)
             kept = {key: top for key, top in loop.maps.items() if key[1]}
-            kept["short"] = simulate._step_map(loop.operator, h / 2)
+            kept["short"] = simulate._step_map(loop, h / 2)
             assert len(kept) == (2 if storage == "csr" else 3)
             for top in kept.values():
                 assert isinstance(top, np.ndarray) == (storage == "dense")
