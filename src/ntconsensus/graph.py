@@ -13,6 +13,7 @@ call, and every sum over edges accumulates in edge order (the order in which
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
@@ -114,14 +115,21 @@ class SignedGraph:
         Weights classifying as Zero are dropped (zero means no edge).  For
         undirected graphs each pair may be given once; if both orientations
         are present they must agree entrywise, and both directions take the
-        later edge's entries.  Needs n >= 1 and d >= 1.  Every weight must be
-        d x d, a zero one too.  The weights are classified in one stacked
-        call and the edges checked by masks over their (E, 2) endpoints; the
-        first bad edge in the mapping's order raises, its checks taken in the
-        order vertex range, self-loop, shape, class, undirected mismatch.
+        later edge's entries.  Needs n >= 1 and d >= 1, and n d^2 doubles
+        within NumPy's array bound.  Every weight must be d x d, a zero one
+        too.  The weights are classified in one stacked call and the edges
+        checked by masks over their (E, 2) endpoints; the first bad edge in
+        the mapping's order raises, its checks taken in the order vertex
+        range, self-loop, shape, class, undirected mismatch.
         """
         if n < 1 or d < 1:
             raise DimensionMismatchError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+        nbytes = int(n) * int(d) ** 2 * 8  # in Python ints, which a NumPy n or d would wrap
+        if nbytes > sys.maxsize:  # NumPy's intp bound: no array can hold n d x d blocks
+            raise DimensionMismatchError(
+                f"n = {n}, d = {d}: an n x d x d array of blocks would take"
+                f" {nbytes} bytes, which cannot be allocated"
+            )
         keys = list(edges)
         raws = [np.asarray(w, dtype=float) for w in edges.values()]
         fits = [r.shape == (d, d) for r in raws]

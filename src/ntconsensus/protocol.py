@@ -36,12 +36,12 @@ from .graph import (
     verify_assumption,
 )
 from .spectral import (
+    RANK_TOL,
     Laplacian,
     augmented_laplacian,
     consensus_space,
     eigenvalues_sorted,
     laplacian_blocks,
-    null_dimension,
 )
 
 if TYPE_CHECKING:
@@ -332,26 +332,28 @@ class DesignReport:
 
 
 def verify_design(g: SignedGraph, design: ProtocolDesign) -> DesignReport:
-    """Spectral and null-space verdicts for a design, report-only.
+    """Spectral and null-space verdicts for a design, report-only, from the
+    grounded spectrum and one solve.
 
     spec_ok: every grounded-Laplacian eigenvalue has real part above 1e-8.
-    null_ok: the augmented Laplacian M's null space has dimension d and lies
-    within principal angle 1e-6 of span psi.  Both come from M's singular
-    values alone.  psi's d columns are orthogonal, each of norm
-    sqrt(n + k1^2), so Q = psi / sqrt(n + k1^2) is an orthonormal basis; with
-    sigma_r the smallest singular value counted as nonzero, the sine of the
-    largest angle between span Q and the null space is at most
-    ||M Q||_2 / sigma_r <= ||M Q||_F / sigma_r, and that bound is tested.
+    null_dim: d plus the eigenvalues of L_B of modulus at most RANK_TOL *
+    max |lambda|; M = [[L_B, -delta F], [0, 0]] has rank nd when L_B is
+    nonsingular.  null_ok: null_dim is d and M's null space lies within
+    principal angle 1e-6 of span psi.  With Y = L_B^-1 (M psi)_top,
+    psi - [Y; 0] lies in that null space, and psi's d orthogonal columns
+    each have norm sqrt(n + k1^2), so ||Y||_F / sqrt(n + k1^2) bounds the
+    sine of the largest angle, and that bound is tested.
     """
     grounded, augmented = design_laplacians(g, design)
     eigs = eigenvalues_sorted(grounded.matrix)
-    null_dim, sigma_r = null_dimension(augmented.matrix)
+    size = np.abs(eigs)
+    null_dim = g.d + int(np.sum(size <= RANK_TOL * size.max()))
     residual = augmented.matrix @ consensus_space(g.n, g.d, 1.0, design.k1)
-    q_scale = math.sqrt(g.n + design.k1**2)
     return DesignReport(
         null_dim=null_dim,
         null_ok=null_dim == g.d
-        and float(np.linalg.norm(residual)) < ANGLE_TOL * sigma_r * q_scale,
+        and float(np.linalg.norm(np.linalg.solve(grounded.matrix, residual[: g.n * g.d])))
+        < ANGLE_TOL * math.sqrt(g.n + design.k1**2),
         equilibrium_residual=float(np.max(np.abs(residual))),
         eigenvalues=tuple(eigs),
     )

@@ -83,20 +83,6 @@ def eigenvalues_sorted(m: np.ndarray) -> np.ndarray:
     return eigs[order]
 
 
-def null_dimension(m: np.ndarray) -> Tuple[int, float]:
-    """The dimension of m's right null space and the smallest singular value
-    counted as nonzero (0.0 when none is), from the singular values alone:
-    singular values at or below RANK_TOL * sigma_max count as zero, and no
-    singular vectors are formed."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD failed: {exc}") from exc
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] != 0.0 else 0
-    return m.shape[1] - rank, float(s[rank - 1]) if rank else 0.0
-
-
 def consensus_space(n: int, d: int, xi: float = 1.0, xi0: float = 1.0) -> np.ndarray:
     """The (n+1)d x d matrix whose span is the target convergence space:
     xi on every agent block, xi0 on the signal block."""

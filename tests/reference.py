@@ -2,7 +2,7 @@
 
 The mirrored lifting, the quadratic-form bound and the logarithmic norm are
 devices of the paper's proofs, and the SVD null space with its principal
-angles is the reference that ``verify_design``'s singular-value test is
+angles is the reference that ``verify_design``'s spectrum-and-solve test is
 checked against.  The whole-run convergence report and the necessary
 condition with an SVD on every matrix are the plain formulas that
 ``convergence_report`` and ``necessary_condition_check`` compute in chunks
@@ -118,8 +118,8 @@ def log_norm2(m: np.ndarray) -> float:
 
 def null_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the right null space, via SVD; singular
-    values at or below RANK_TOL * sigma_max count as zero, as in
-    ``spectral.null_dimension``."""
+    values at or below RANK_TOL * sigma_max count as zero, as eigenvalues of
+    L_B at or below RANK_TOL * max |lambda| do in ``verify_design``."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     _, s, vt = np.linalg.svd(m)
     rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] != 0.0 else 0

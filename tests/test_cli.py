@@ -13,6 +13,11 @@ def _p(name):
     return str(bundled_path(name))
 
 
+_AUTO = [("check", "--v1", "auto")]
+_EVERY = [*_AUTO, ("check", "--v1", "1"), ("design", "--v1", "1", "--theta", "1,2,-1"),
+          ("simulate", "--v1", "1", "--theta", "1,2,-1")]
+
+
 class TestCheck:
     def test_benchmark_passes(self, capsys):
         rc = main(["check", "--graph", _p("net_a.json"), "--v1", "1,2,3,4", "--json"])
@@ -44,18 +49,36 @@ class TestCheck:
         assert main(["check", "--graph", str(p), "--v1", "auto"]) == 1
         assert error in capsys.readouterr().err
 
-    @pytest.mark.parametrize("directed, array", [
-        (True, "shape (1000000000000000, 3, 3)"), (False, "shape (1000000000000000,)"),
+    @pytest.mark.parametrize("size, commands, error, names", [
+        # the first n-sized array of --v1 auto, a directed graph's in/out gaps
+        # or an undirected graph's V1 mask, cannot be allocated
+        pytest.param('"n": 1000000000000000, "d": 3, "directed": true', _AUTO,
+                     "MemoryError: Unable to allocate", "shape (1000000000000000, 3, 3)",
+                     id="True-shape (1000000000000000, 3, 3)"),
+        pytest.param('"n": 1000000000000000, "d": 3, "directed": false', _AUTO,
+                     "MemoryError: Unable to allocate", "shape (1000000000000000,)",
+                     id="False-shape (1000000000000000,)"),
+        # n d^2 doubles beyond NumPy's array bound: every command refuses the
+        # graph before it makes any array
+        pytest.param('"n": 100000000000000000000, "d": 3, "directed": true', _EVERY,
+                     "DimensionMismatchError: n = 100000000000000000000, d = 3: ",
+                     " 7200000000000000000000 bytes, which", id="n=1e20"),
+        pytest.param('"n": 1e300, "d": 3, "directed": true', _EVERY,
+                     f"DimensionMismatchError: n = {int(1e300)}, d = 3: ",
+                     f" {int(1e300) * 72} bytes, which", id="n=1e300"),
+        pytest.param('"n": 2, "d": 10000000000, "directed": true', _EVERY,
+                     "DimensionMismatchError: n = 2, d = 10000000000: ",
+                     " 1600000000000000000000 bytes, which", id="d=1e10"),
     ])
-    def test_graph_too_large_to_allocate_exit_1(self, tmp_path, capsys, directed, array):
-        # the first n-sized array of --v1 auto, a directed graph's in/out
-        # gaps or an undirected graph's V1 mask, cannot be allocated
+    def test_graph_too_large_to_allocate_exit_1(self, tmp_path, capsys, size, commands, error,
+                                                names):
         p = tmp_path / "g.json"
-        p.write_text(json.dumps({"n": 10**15, "d": 3, "directed": directed, "edges": []}))
-        assert main(["check", "--graph", str(p), "--v1", "auto"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: MemoryError: Unable to allocate")
-        assert array in err and err.count("\n") == 1
+        p.write_text("{" + size + ', "edges": []}')
+        for command, *args in commands:
+            assert main([command, "--graph", str(p), *args]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: " + error) and err.count("\n") == 1
+            assert names in err
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_explicit_v1_on_too_large_graph_exit_1(self, tmp_path, capsys, directed):

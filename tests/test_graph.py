@@ -167,7 +167,12 @@ class TestSignedGraph:
         with pytest.raises(VertexOutOfRangeError):
             SignedGraph.from_edges(2, 2, True, {(1, 3): np.eye(2)})
 
-    @pytest.mark.parametrize("n, d", [(0, 2), (-1, 2), (2, 0)])
+    @pytest.mark.parametrize("n, d", [
+        (0, 2), (-1, 2), (2, 0),
+        # 8 n d^2 bytes beyond NumPy's array bound, in NumPy integers that
+        # must not wrap (the CLI test covers Python ints)
+        (np.int64(10**18), 3), (2, np.int64(10**10)),
+    ])
     def test_empty_dimensions_rejected(self, n, d):
         with pytest.raises(DimensionMismatchError):
             SignedGraph.from_edges(n, d, True, {})

@@ -16,6 +16,7 @@ from ntconsensus import (
     bundled_decomposition,
     bundled_graph,
     closed_loop,
+    consensus_space,
     contraction_factor,
     design_fixed,
     design_laplacians,
@@ -51,7 +52,8 @@ from conftest import (
     tiled_graph,
 )
 from reference import (
-    affine_loop, grounded_block, necessary_condition_svd, signed_laplacian, top_row_step_map,
+    affine_loop, grounded_block, necessary_condition_svd, null_space, principal_angle,
+    signed_laplacian, top_row_step_map,
 )
 from test_graph import _random_signed_digraph
 
@@ -400,22 +402,27 @@ class TestStackedDesign:
         assert big.n * big.d == 630
 
         def counts(g, dec):
-            calls = {"eigh": 0, "eigvalsh": 0}
-            for name in calls:
-                original = getattr(np.linalg, name)
-
-                def counted(*args, _name=name, _original=original, **kwargs):
-                    calls[_name] += 1
-                    return _original(*args, **kwargs)
-
-                monkeypatch.setattr(np.linalg, name, counted)
-            design_fixed(g, dec, THETA)
-            monkeypatch.undo()
-            return calls
+            return _linalg_calls(monkeypatch, ("eigh", "eigvalsh"), design_fixed, g, dec, THETA)
 
         small = counts(bundled_graph("net_a"), net_a_dec)
         assert small == counts(big, big_dec)
         assert small["eigh"] == 1
+
+
+def _linalg_calls(monkeypatch, names, call, *args):
+    """How often call(*args) calls each of the ``np.linalg`` functions named."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*a, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    call(*args)
+    monkeypatch.undo()
+    return calls
 
 
 class TestVerifyDesign:
@@ -438,29 +445,64 @@ class TestVerifyDesign:
         report = verify_design(net_a_weak, design)
         assert report.equilibrium_residual < 1e-9
 
-    def test_theorem_on_graphs_not_built_to_pass(self):
+    def test_theorem_on_graphs_not_built_to_pass(self, net_a_weak, net_a_dec):
         """delta = C + margin puts the grounded spectrum in the open right
         half-plane and makes the augmented null space the span of psi, on
         random digraphs with cycles and semidefinite edges.  More definite
         and more negative edges than the generator's default make a positive
-        definite block at every V1 vertex, which the design needs, likelier."""
+        definite block at every V1 vertex, which the design needs, likelier.
+
+        On every design the verdicts agree with the SVD reference: null_dim
+        is M's nullity, and where it is d, null_ok holds exactly when the
+        principal angle to span psi is below 1e-6.  A third of the draws take
+        an explicit delta in [1e-3, 10], and a third also a random V1 of
+        vertices with a negative in-edge, which may fail the decomposition
+        check; with net_a_weak at delta = 7.0495, these give singular L_B."""
         rng = np.random.default_rng(20261018)
-        reached = with_semidefinite = 0
-        for _ in range(200):
+        drawn = [(net_a_weak, design_fixed(net_a_weak, net_a_dec, THETA, delta=7.0495), False)]
+        reached = with_semidefinite = singular = 0
+        for _ in range(600):
             n, d = int(rng.integers(2, 8)), int(rng.integers(2, 4))
             g, magnitudes, definite = _random_signed_digraph(
                 rng, n, d, p_definite=0.8, p_negative=0.7
             )
+            dec, delta, route = suggest_decomposition(g), None, int(rng.integers(3))
+            if route:
+                delta = float(10.0 ** rng.uniform(-3.0, 1.0))
+            negative = np.unique(g.heads[g.classes < 0]) + 1
+            if route == 2 and negative.size:
+                dec = Decomposition.of(g, negative[rng.random(negative.size) < 0.5].tolist()
+                                       or [int(negative[0])])
             try:
-                design = design_fixed(g, suggest_decomposition(g), rng.normal(size=d))
+                design = design_fixed(g, dec, rng.normal(size=d), delta=delta)
             except DegenerateCouplingError:
                 continue
+            drawn.append((g, design, delta is None))
+            if delta is None:
+                with_semidefinite += len(definite) < len(magnitudes)
+        for g, design, margin_rule in drawn:
             report = verify_design(g, design)
-            assert report.spec_ok and report.null_ok and report.null_dim == d
-            reached += 1
-            with_semidefinite += len(definite) < len(magnitudes)
-        # the draw must reach designs, semidefinite edges included, to show anything
-        assert reached >= 30 and with_semidefinite >= 10
+            basis = null_space(design_laplacians(g, design)[1].matrix)
+            assert report.null_dim == basis.shape[1]
+            if report.null_dim == g.d:
+                psi, _ = np.linalg.qr(consensus_space(g.n, g.d, 1.0, design.k1))
+                assert report.null_ok == (principal_angle(basis, psi) < 1e-6)
+            if margin_rule:
+                assert report.spec_ok and report.null_ok and report.null_dim == g.d
+            reached += margin_rule
+            singular += report.null_dim > g.d
+        # the draw must reach designs, semidefinite edges and singular L_B
+        # included, to show anything
+        assert reached >= 30 and with_semidefinite >= 10 and singular >= 30
+
+    def test_verdicts_take_one_eigvals_one_solve_and_no_svd(self, net_a_dec, monkeypatch):
+        """Both verdicts come from the grounded spectrum and one solve, on
+        net_a and on the 630-state tiled network alike."""
+        big, big_dec = tiled_graph(np.random.default_rng(3), 30)
+        for g, dec in ((bundled_graph("net_a"), net_a_dec), (big, big_dec)):
+            design = design_fixed(g, dec, THETA)
+            calls = _linalg_calls(monkeypatch, ("eigvals", "solve", "svd"), verify_design, g, design)
+            assert calls == {"eigvals": 1, "solve": 1, "svd": 0}
 
     def test_spectral_report_serialization(self, net_a, net_a_dec):
         design = design_fixed(net_a, net_a_dec, THETA)
@@ -603,7 +645,6 @@ class TestNecessaryCondition:
     def test_shared_design_direction_accepted(self, net_a, net_a_dec):
         design = design_fixed(net_a, net_a_dec, THETA)
         _, aug = design_laplacians(net_a, design)
-        from ntconsensus import consensus_space
 
         z = consensus_space(net_a.n, net_a.d, 1.0, design.k1) @ THETA
         assert necessary_condition_check(z, [aug.matrix])
@@ -619,7 +660,6 @@ class TestNecessaryCondition:
             design_laplacians(g, sdesign.designs[gid])[1].matrix
             for gid, g in {0: net_a, 1: net_b, 2: net_c}.items()
         ]
-        from ntconsensus import consensus_space
 
         # k1 differs per graph, so no common augmented direction survives
         z = consensus_space(7, 3, 1.0, sdesign.designs[0].k1) @ THETA
@@ -631,7 +671,6 @@ class TestNecessaryCondition:
             design_laplacians(g, sdesign.designs[gid])[1].matrix
             for gid, g in {0: net_a, 1: net_b, 2: net_c}.items()
         ]
-        from ntconsensus import consensus_space
 
         svds = _count_svds(monkeypatch)
         for gid, design in sdesign.designs.items():
