@@ -698,38 +698,41 @@ def convergence_report(
     traj: Trajectory, theta: Optional[np.ndarray] = None
 ) -> ConvergenceReport:
     """Judge convergence to the preset state: every sample in the trailing
-    ``DEFAULT_WINDOW`` fraction of the run must be within ``DEFAULT_TOL`` of
-    theta in the per-agent infinity norm.
+    ``DEFAULT_WINDOW`` fraction of the run must be within ``DEFAULT_TOL``
+    times max |theta| of theta in the per-agent infinity norm, so the verdict
+    does not change when theta and the run are scaled by a power of two.
 
     A sample fails when any |x - theta| is not below the tolerance.  The
     settle time is the time of the sample after the last failing one, and
     the run has converged when no failing sample lies in the window.  The
-    deviations are read in chunks from the last (``_deviations``), and only
-    until the last failing sample and the window's verdict are known; the
-    first chunk read holds the last sample, whose largest deviation is the
-    final error.  A theta with NaN or infinite entries raises
-    ``NonFiniteError``."""
+    last sample's largest deviation is the final error; when it fails and
+    lies in the window, that sample alone decides the report.  Otherwise
+    the deviations are read in chunks from the last (``_deviations``), and
+    only until the last failing sample and the window's verdict are known.
+    A theta with NaN or infinite entries raises ``NonFiniteError``."""
     th = traj.theta if theta is None else np.asarray(theta, dtype=float).reshape(-1)
     if th.shape[0] != traj.d:
         raise DimensionMismatchError(f"theta has dimension {th.shape[0]}, run has d={traj.d}")
     if not np.all(np.isfinite(th)):
         raise NonFiniteError("theta has NaN or infinite entries")
-    target = np.tile(th, traj.n)
+    tol = DEFAULT_TOL * np.abs(th).max()
     times = traj.times
-    window = times >= (1.0 - DEFAULT_WINDOW) * times[-1]
+    start = (1.0 - DEFAULT_WINDOW) * times[-1]  # the window's first time
+    final = float(np.abs(traj.states[-1].reshape(traj.n, traj.d) - th).max())
+    if not final < tol and times[-1] >= start:
+        return ConvergenceReport(converged=False, final_error=final, settle_time=None)
+    window = times >= start
     first = int(np.argmax(window)) if window.any() else len(times)  # the window's first sample
-    last_bad, converged, final = -1, True, None
-    for a, dev in _deviations(traj.states, target):
+    last_bad, converged = -1, True
+    for a, dev in _deviations(traj.states, np.tile(th, traj.n)):
         np.abs(dev, out=dev)
-        if final is None:
-            final = float(dev[-1].max())
-        bad = a + np.flatnonzero(~(dev < DEFAULT_TOL).all(axis=1))
+        bad = a + np.flatnonzero(~(dev < tol).all(axis=1))
         if bad.size:
             last_bad = max(last_bad, int(bad[-1]))
             converged = converged and not window[bad].any()
         if last_bad >= 0 and (not converged or a <= first):
             break
     settle: Optional[float] = None
-    if final < DEFAULT_TOL:
+    if final < tol:
         settle = 0.0 if last_bad < 0 else float(times[last_bad + 1])
     return ConvergenceReport(converged=converged, final_error=final, settle_time=settle)

@@ -140,17 +140,19 @@ def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
 
 def whole_run_report(traj: Trajectory, theta: Optional[np.ndarray] = None) -> ConvergenceReport:
     """The convergence report from the per-sample maximum deviation of the
-    whole run, taken at once."""
+    whole run, taken at once, against ``DEFAULT_TOL`` max |theta|; a sample
+    with a NaN deviation is not below the tolerance, so it fails."""
     th = traj.theta if theta is None else np.asarray(theta, dtype=float).reshape(-1)
+    tol = DEFAULT_TOL * np.abs(th).max()
     dev = np.abs(traj.states - np.tile(th, traj.n))
     per_sample = dev.reshape(len(traj.times), traj.n, traj.d).max(axis=(1, 2))
     tail = traj.times >= (1.0 - DEFAULT_WINDOW) * traj.times[-1]
     settle = None
-    if per_sample[-1] < DEFAULT_TOL:
-        bad = np.nonzero(per_sample >= DEFAULT_TOL)[0]
+    if per_sample[-1] < tol:
+        bad = np.nonzero(~(per_sample < tol))[0]
         settle = 0.0 if bad.size == 0 else float(traj.times[min(bad[-1] + 1, len(traj.times) - 1)])
     return ConvergenceReport(
-        converged=bool(np.all(per_sample[tail] < DEFAULT_TOL)),
+        converged=bool(np.all(per_sample[tail] < tol)),
         final_error=float(per_sample[-1]),
         settle_time=settle,
     )

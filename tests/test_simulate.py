@@ -46,6 +46,8 @@ from reference import whole_run_report
 from test_acceptance import _switching_setup
 
 THETA = np.array([1.0, 2.0, -1.0])
+# the convergence tolerance of a run about THETA, DEFAULT_TOL max |THETA|
+TOL = simulate.DEFAULT_TOL * np.abs(THETA).max()
 # samples per chunk of the per-sample reductions on a 7-agent, d = 3 run
 CHUNK = simulate._chunk_rows(21)
 # two full blocks of net_a's stacked step map at h = 1e-3, ten more steps and
@@ -1230,21 +1232,36 @@ class TestConvergenceReport:
         with pytest.raises(NonFiniteError, match="theta has NaN or infinite entries"):
             convergence_report(traj, np.array([bad, 1.0, 1.0]))
 
+    def test_verdict_does_not_change_with_the_scale_of_theta(self, net_a, net_a_dec, rng):
+        # theta and x_init scaled by 2^k scale the run by exactly 2^k, and the
+        # tolerance with it; net_a's run settles at about 5 at k = 0
+        x = rng.uniform(-5, 5, 21)
+        runs = {k: integrate_fixed(net_a, design_fixed(net_a, net_a_dec, 2.0 ** k * THETA),
+                                   2.0 ** k * x, h=1e-3, horizon=20.0) for k in range(-40, 41)}
+        base = convergence_report(runs[0])
+        assert base.converged and 0.0 < base.settle_time < 20.0
+        for k, traj in runs.items():
+            report = convergence_report(traj)
+            assert (report.converged, report.settle_time) == (base.converged, base.settle_time)
+            assert report.final_error == 2.0 ** k * base.final_error
+
 
 def _run_about(rng, samples, theta=THETA, n=7):
     """A hand-made run of ``samples`` samples about theta.  Before a random
     sample, each sample fails the tolerance with probability 1/2 in one
-    random entry; after it every sample passes, and the last one fails with
-    probability 1/4.  Half of the runs have their times shuffled."""
+    random entry, which in one case of four is NaN, inf or -inf; after it
+    every sample passes, and the last one fails with probability 1/4.  Half
+    of the runs have their times shuffled."""
     nd = n * theta.size
-    states = np.tile(theta, n) + rng.uniform(-0.5, 0.5, (samples, nd)) * simulate.DEFAULT_TOL
+    tol = simulate.DEFAULT_TOL * np.abs(theta).max()
+    states = np.tile(theta, n) + rng.uniform(-0.5, 0.5, (samples, nd)) * tol
     settle = rng.integers(0, samples + 1)
     bad = (np.arange(samples) < settle) & (rng.random(samples) < 0.5)
     bad[-1] |= rng.random() < 0.25
-    rows = np.flatnonzero(bad)
-    states[rows, rng.integers(0, nd, rows.size)] += (
-        rng.choice([-1.0, 1.0], rows.size) * rng.uniform(1.0, 2.0, rows.size) * simulate.DEFAULT_TOL
-    )
+    rows, cols = np.flatnonzero(bad), rng.integers(0, nd, bad.sum())
+    states[rows, cols] += rng.choice([-1.0, 1.0], rows.size) * rng.uniform(1.0, 2.0, rows.size) * tol
+    wild = rng.random(rows.size) < 0.25
+    states[rows[wild], cols[wild]] = rng.choice([np.nan, np.inf, -np.inf], wild.sum())
     times = np.linspace(0.0, 1.0, samples)
     if rng.random() < 0.5:
         times = rng.permutation(times)
@@ -1262,8 +1279,9 @@ class TestChunkedConvergenceReport:
         rng = np.random.default_rng(samples)
         for _ in range(25):
             traj = _run_about(rng, samples)
-            for theta in (None, THETA + 6e-4, rng.uniform(-2, 2, 3)):
-                assert convergence_report(traj, theta) == whole_run_report(traj, theta)
+            for theta in (None, THETA + 0.6 * TOL, rng.uniform(-2, 2, 3)):
+                # as ==, but with a NaN final error equal to a NaN one
+                assert repr(convergence_report(traj, theta)) == repr(whole_run_report(traj, theta))
 
     @pytest.mark.parametrize(
         "last_bad", [0, CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 3 * CHUNK - 2]
@@ -1272,15 +1290,15 @@ class TestChunkedConvergenceReport:
         traj = _run_about(np.random.default_rng(1), 3 * CHUNK)
         traj.states[:] = np.tile(THETA, 7)
         traj.times[:] = np.linspace(0.0, 1.0, 3 * CHUNK)
-        traj.states[last_bad, 5] += 2 * simulate.DEFAULT_TOL
+        traj.states[last_bad, 5] += 2 * TOL
         report = convergence_report(traj)
         assert report == whole_run_report(traj)
         assert report.settle_time == traj.times[last_bad + 1]
         # only the last failing sample lies in the window
         assert report.converged == (last_bad == 0 or last_bad < 2 * CHUNK)
         # another theta moves every sample out of the tolerance
-        other = convergence_report(traj, THETA + 2e-3)
-        assert other == whole_run_report(traj, THETA + 2e-3)
+        other = convergence_report(traj, THETA + 2 * TOL)
+        assert other == whole_run_report(traj, THETA + 2 * TOL)
         assert not other.converged and other.settle_time is None
 
     def test_run_that_never_settles(self, net_a, net_b, net_c, rng):
@@ -1291,6 +1309,33 @@ class TestChunkedConvergenceReport:
             report = convergence_report(traj, theta)
             assert report == whole_run_report(traj, theta)
             assert not report.converged and report.settle_time is None
+
+    def test_a_failing_last_sample_in_the_window_decides_alone(self, net_a, net_b, net_c, rng,
+                                                              monkeypatch):
+        graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
+        x = rng.uniform(-5, 5, 21)
+        run = integrate_switching(schedule, sdesign, graphs, x, h=1e-3, horizon=2.0)
+        settled = Trajectory(times=run.times, states=np.tile(THETA, (len(run.times), 7)),
+                             n=7, d=3, theta=THETA)
+        # every time is below 0, so the window, times >= 0.95 times[-1], is
+        # empty and the failing last sample does not decide the run
+        states = np.tile(THETA, (3 * CHUNK, 7))
+        states[-1, 4] += 2 * TOL
+        before = Trajectory(times=np.linspace(-2.0, -1.0, 3 * CHUNK), states=states,
+                            n=7, d=3, theta=THETA)
+        report = convergence_report(before)
+        assert report == whole_run_report(before)
+        assert report.converged and report.settle_time is None
+        want = whole_run_report(run)
+
+        def unread(*args):
+            raise AssertionError("a chunk was read")
+
+        monkeypatch.setattr(simulate, "_deviations", unread)
+        assert convergence_report(run) == want
+        for traj in (settled, before):
+            with pytest.raises(AssertionError, match="a chunk was read"):
+                convergence_report(traj)
 
     def test_report_allocates_under_a_quarter_of_the_states(self, net_a, net_b, net_c, rng):
         graphs, sdesign, schedule = _switching_setup(net_a, net_b, net_c)
