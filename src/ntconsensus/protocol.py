@@ -114,9 +114,10 @@ class ClosedLoop:
     pass of a repeating schedule whose first span runs on this loop.  g's
     ``_STORE`` entry is the loop of the design that ``design_fixed`` last made
     on g, and the only ``kept`` one, whose maps outlive a run; it also holds
-    the (decomposition, margin, delta) asked for, the design without theta and
-    the contraction factor's lambda_min.  Every value is theta-free and filled
-    on first use; every array is read-only."""
+    the (decomposition, margin, delta) asked for, the design without theta,
+    the contraction factor's lambda_min and, for a dense M, the pair that
+    ``design_laplacians`` returns.  Every value is theta-free and filled on
+    first use; every array is read-only."""
 
     matrix: "np.ndarray | csr_matrix | None" = None
     k1: float = 1.0
@@ -126,6 +127,7 @@ class ClosedLoop:
     asked: Optional[tuple] = None
     design: Optional[tuple] = None  # (delta, informed, blocks, C, per-vertex C)
     lmin: Optional[float] = None
+    laplacians: Optional[Tuple[Laplacian, Laplacian]] = None
 
 
 # one entry per graph object, dying with it; only ``design_fixed`` writes
@@ -205,11 +207,16 @@ def _checked_theta(theta: np.ndarray, d: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"theta has dimension {theta.shape[0]}, graph has d={d}"
         )
-    if not np.all(np.isfinite(theta)):
-        raise NonFiniteError("theta has NaN or infinite entries")
-    if not np.any(theta):
-        raise ZeroThetaError("the preset consensus state must be nonzero")
+    _check_theta_values(theta.tolist())
     return _read_only(theta)
+
+
+def _check_theta_values(values: Sequence[float]) -> None:
+    """Raise on a NaN or infinite entry of theta, given as Python floats, then on all zeros."""
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteError("theta has NaN or infinite entries")
+    if not any(values):
+        raise ZeroThetaError("the preset consensus state must be nonzero")
 
 
 def _stored_design(
@@ -266,13 +273,18 @@ def _stored_design(
 
 
 def design_laplacians(g: SignedGraph, design: ProtocolDesign) -> Tuple[Laplacian, Laplacian]:
-    """A design's grounded and augmented Laplacians, read-only: M and a view
-    of its leading nd x nd block.  M is its loop's own where ``_dense``
-    holds (see ``closed_loop``), else a scatter per call, not kept."""
-    m = closed_loop(g, design).matrix if _dense(g, design) else _read_only(
-        augmented_laplacian(g, design.delta, design.informed, design.blocks).matrix)
-    nd = g.n * g.d
-    return Laplacian(m[:nd, :nd]), Laplacian(m)
+    """A design's grounded and augmented Laplacians, read-only: a view of
+    M's leading nd x nd block and M.  Where ``_dense`` holds, M is its
+    loop's own (see ``closed_loop``) and the pair is made once per loop and
+    kept in it, so a stored design gets the same pair on every call; else
+    M is a scatter per call, not kept."""
+    if _dense(g, design):
+        loop = closed_loop(g, design)
+        if loop.laplacians is None:
+            loop.laplacians = (Laplacian(loop.matrix[: loop.nd, : loop.nd]), Laplacian(loop.matrix))
+        return loop.laplacians
+    m = _read_only(augmented_laplacian(g, design.delta, design.informed, design.blocks).matrix)
+    return Laplacian(m[: g.n * g.d, : g.n * g.d]), Laplacian(m)
 
 
 def _dense(g: SignedGraph, design: ProtocolDesign) -> bool:
@@ -427,9 +439,14 @@ def contraction_factor(
     """Lambda = max_i exp(-2 alpha lambda_min(S_i)) with S_i the symmetric
     part of graph i's grounded Laplacian, the leading block of
     ``design_laplacians``; each lambda_min is computed once per graph and
-    design (see ``_STORE``)."""
+    design (see ``_STORE``).  An empty design, or one with a graph id that
+    ``graphs`` lacks, raises ``DimensionMismatchError``."""
+    if not sdesign.designs:
+        raise DimensionMismatchError("need at least one design")
     lmins: Dict[int, float] = {}
     for gid, design in sorted(sdesign.designs.items()):
+        if gid not in graphs:
+            raise DimensionMismatchError(f"the design has graph id {gid}, which has no graph")
         entry = _reuse(graphs[gid], design)
         if entry.lmin is None:
             lap = design_laplacians(graphs[gid], design)[0].matrix
@@ -440,7 +457,8 @@ def contraction_factor(
         raise NotContractingError(
             f"symmetric part not positive definite for graphs {bad}"
         )
-    factor = max(float(np.exp(-2.0 * sdesign.alpha * l)) for l in lmins.values())
+    # np.exp is monotone, so this is the largest factor; math.exp rounds some exponents otherwise
+    factor = float(np.exp(max(-2.0 * sdesign.alpha * l for l in lmins.values())))
     return ContractionReport(factor=factor, per_graph_lmin=lmins)
 
 
@@ -455,14 +473,21 @@ def necessary_condition_check(
     leave the verdict open.  With r = ||M z|| and s = ``MEMBER_TOL`` ||z||,
     r <= s passes, since the right side is at least s; and, since
     ||M||_2 <= ||M||_F, r > s max(1, ||M||_F) (1 + 1e-12) fails, the last
-    factor covering the rounding of both norms."""
+    factor covering the rounding of both norms, which are those of
+    ``np.linalg.norm`` to the bit (``_norm``)."""
     zstar = np.asarray(zstar, dtype=float).reshape(-1)
-    scale = MEMBER_TOL * float(np.linalg.norm(zstar))
+    scale = MEMBER_TOL * _norm(zstar)
 
     def member(m: np.ndarray) -> bool:
-        r = float(np.linalg.norm(m @ zstar))
-        if scale < r <= scale * max(1.0, float(np.linalg.norm(m))) * (1.0 + 1e-12):
+        r = _norm(m @ zstar)
+        if scale < r <= scale * max(1.0, _norm(m)) * (1.0 + 1e-12):
             return r <= scale * max(1.0, float(np.linalg.norm(m, 2)))
         return r <= scale
 
     return all(member(m) for m in augmented_matrices)
+
+
+def _norm(a: np.ndarray) -> float:
+    """The 2-norm of a float array's entries, as ``np.linalg.norm(a)`` computes it."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))

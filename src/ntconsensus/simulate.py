@@ -49,7 +49,8 @@ from .errors import (
 )
 from .graph import SignedGraph
 from .protocol import (
-    ClosedLoop, ProtocolDesign, SwitchingDesign, _first_of_one_shape, _read_only, closed_loop,
+    ClosedLoop, ProtocolDesign, SwitchingDesign, _check_theta_values, _first_of_one_shape,
+    _read_only, closed_loop,
 )
 
 if TYPE_CHECKING:
@@ -709,13 +710,15 @@ def convergence_report(
     lies in the window, that sample alone decides the report.  Otherwise
     the deviations are read in chunks from the last (``_deviations``), and
     only until the last failing sample and the window's verdict are known.
-    A theta with NaN or infinite entries raises ``NonFiniteError``."""
+    A theta with NaN or infinite entries raises ``NonFiniteError``, and an
+    all-zero theta, whose tolerance no run could meet, ``ZeroThetaError``,
+    as ``protocol.design_fixed`` raises them."""
     th = traj.theta if theta is None else np.asarray(theta, dtype=float).reshape(-1)
     if th.shape[0] != traj.d:
         raise DimensionMismatchError(f"theta has dimension {th.shape[0]}, run has d={traj.d}")
-    if not np.all(np.isfinite(th)):
-        raise NonFiniteError("theta has NaN or infinite entries")
-    tol = DEFAULT_TOL * np.abs(th).max()
+    values = th.tolist()
+    _check_theta_values(values)
+    tol = DEFAULT_TOL * max(map(abs, values))
     times = traj.times
     start = (1.0 - DEFAULT_WINDOW) * times[-1]  # the window's first time
     final = float(np.abs(traj.states[-1].reshape(traj.n, traj.d) - th).max())

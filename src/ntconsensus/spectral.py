@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -85,9 +87,18 @@ def eigenvalues_sorted(m: np.ndarray) -> np.ndarray:
 
 def consensus_space(n: int, d: int, xi: float = 1.0, xi0: float = 1.0) -> np.ndarray:
     """The (n+1)d x d matrix whose span is the target convergence space:
-    xi on every agent block, xi0 on the signal block."""
+    xi on every agent block, xi0 on the signal block.  Read-only, and
+    memoized on the arguments: equal arguments give the same array, so a
+    caller that writes into it must copy it first."""
+    # keyed on the signs too: -0.0 == 0.0, yet it gives zeros of the other sign
+    return _consensus_space(n, d, xi, xi0, math.copysign(1.0, xi), math.copysign(1.0, xi0))
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _consensus_space(n: int, d: int, xi: float, xi0: float, *signs: float) -> np.ndarray:
     eye = np.eye(d)
     out = np.empty((n + 1, d, d))
     out[:n] = xi * eye
     out[n] = xi0 * eye
+    out.flags.writeable = False
     return out.reshape((n + 1) * d, d)

@@ -169,6 +169,21 @@ def necessary_condition_svd(zstar: np.ndarray, matrices: Sequence[np.ndarray]) -
     )
 
 
+def necessary_condition_norms(zstar: np.ndarray, matrices: Sequence[np.ndarray]) -> bool:
+    """``protocol.necessary_condition_check`` with every norm taken by
+    ``np.linalg.norm``: the cheap bounds first, the SVD only between them."""
+    zstar = np.asarray(zstar, dtype=float).reshape(-1)
+    scale = MEMBER_TOL * float(np.linalg.norm(zstar))
+
+    def member(m: np.ndarray) -> bool:
+        r = float(np.linalg.norm(m @ zstar))
+        if scale < r <= scale * max(1.0, float(np.linalg.norm(m))) * (1.0 + 1e-12):
+            return r <= scale * max(1.0, float(np.linalg.norm(m, 2)))
+        return r <= scale
+
+    return all(member(m) for m in matrices)
+
+
 def schedule_intervals(
     schedule: SwitchingSchedule, horizon: float
 ) -> Iterator[Tuple[float, float, int]]:

@@ -52,8 +52,8 @@ from conftest import (
     tiled_graph,
 )
 from reference import (
-    affine_loop, grounded_block, necessary_condition_svd, null_space, principal_angle,
-    signed_laplacian, top_row_step_map,
+    affine_loop, grounded_block, necessary_condition_norms, necessary_condition_svd, null_space,
+    principal_angle, signed_laplacian, top_row_step_map,
 )
 from test_graph import _random_signed_digraph
 
@@ -640,6 +640,69 @@ class TestContractionFactor:
         with pytest.raises(NotContractingError):
             contraction_factor(sdesign, {0: net_a_weak})
 
+    def test_factor_is_the_largest_exponential_of_each_graph(self, net_a, net_b, net_c, rng):
+        # np.exp of each graph's exponent, to the bit; math.exp rounds a few
+        # per cent of arguments to the other neighbouring double
+        graphs = {0: net_a, 1: net_b, 2: net_c}
+        base = TestDesignSwitching()._designs(net_a, net_b, net_c)
+        for alpha in np.concatenate([rng.uniform(1e-3, 3.0, 200), [0.02, 1e3]]).tolist():
+            report = contraction_factor(dataclasses.replace(base, alpha=alpha), graphs)
+            want = max(float(np.exp(-2.0 * alpha * l)) for l in report.per_graph_lmin.values())
+            assert report.factor == want
+
+    def test_graph_missing_from_graphs_named(self, net_a, net_b, net_c):
+        # used to raise KeyError: 2
+        sdesign = TestDesignSwitching()._designs(net_a, net_b, net_c)
+        with pytest.raises(DimensionMismatchError) as info:
+            contraction_factor(sdesign, {0: net_a, 1: net_b})
+        assert str(info.value) == "the design has graph id 2, which has no graph"
+
+    def test_empty_design_rejected(self, net_a):
+        # used to raise ValueError: max() arg is an empty sequence
+        with pytest.raises(DimensionMismatchError, match="need at least one design"):
+            contraction_factor(SwitchingDesign({}, alpha=0.02), {0: net_a})
+
+
+THETA_ERRORS = [
+    (np.array([np.nan, 2.0, -1.0]), NonFiniteError, "theta has NaN or infinite entries"),
+    (np.array([1.0, np.inf, -1.0]), NonFiniteError, "theta has NaN or infinite entries"),
+    (np.array([1.0, 2.0, -np.inf]), NonFiniteError, "theta has NaN or infinite entries"),
+    (np.array([0.0, np.nan, 0.0]), NonFiniteError, "theta has NaN or infinite entries"),
+    (np.zeros(3), ZeroThetaError, "the preset consensus state must be nonzero"),
+    (np.array([-0.0, 0.0, -0.0]), ZeroThetaError, "the preset consensus state must be nonzero"),
+    (np.array([1.0, 2.0]), DimensionMismatchError, "theta has dimension 2, graph has d=3"),
+    (np.array([np.nan, 0.0, 0.0, 0.0]), DimensionMismatchError,
+     "theta has dimension 4, graph has d=3"),
+]
+
+
+class TestThetaChecks:
+    """theta is checked as d Python floats, with the error types, messages
+    and order of the NumPy checks it replaced: length, then finiteness,
+    then nonzeroness."""
+
+    @pytest.mark.parametrize("theta, error, message", THETA_ERRORS)
+    def test_design_fixed(self, net_a, net_a_dec, theta, error, message):
+        with pytest.raises(error) as info:
+            design_fixed(net_a, net_a_dec, theta)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("theta, error, message", THETA_ERRORS)
+    def test_design_switching(self, net_a, net_b, net_c, theta, error, message):
+        with pytest.raises(error) as info:
+            TestDesignSwitching()._designs(net_a, net_b, net_c, theta=theta)
+        assert str(info.value) == f"graph 0: {message}"
+
+    @pytest.mark.parametrize("theta, error, message", THETA_ERRORS)
+    def test_convergence_report(self, net_a, net_a_dec, theta, error, message):
+        # an all-zero theta used to give a zero tolerance and a report that
+        # could never pass
+        design = design_fixed(net_a, net_a_dec, THETA)
+        traj = integrate_fixed(net_a, design, np.zeros(21), h=1e-3, horizon=0.01)
+        with pytest.raises(error) as info:
+            simulate.convergence_report(traj, theta)
+        assert str(info.value) == message.replace("graph has", "run has")
+
 
 class TestNecessaryCondition:
     def test_shared_design_direction_accepted(self, net_a, net_a_dec):
@@ -715,6 +778,34 @@ class TestNecessaryCondition:
                 before = len(svds)
                 assert necessary_condition_check(z, [m]) == (factor < 1.0)
                 assert len(svds) == before
+
+    def test_same_verdict_as_the_norm_formula(self, monkeypatch):
+        """The verdict of ``reference.necessary_condition_norms``, which
+        takes every norm with ``np.linalg.norm``, on random z and M, on
+        transposed (Fortran-ordered) M, and on M built to fall between the
+        cheap bounds, where the SVD decides."""
+        rng = np.random.default_rng(34)
+        svds = _count_svds(monkeypatch)
+        between = 0
+        for _ in range(200):
+            k = int(rng.integers(2, 25))
+            m = rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-8, 3)
+            for z in (rng.normal(size=k), np.zeros(k)):
+                for mats in ([m], [m.T], [m, m.T]):
+                    assert necessary_condition_check(z, mats) \
+                        == necessary_condition_norms(z, mats)
+            m[:, 0] = 0.0
+            m *= rng.uniform(1.5, 30.0) / np.linalg.norm(m, 2)
+            w = rng.normal(size=k)
+            w[0] = 0.0
+            sigma = float(np.linalg.norm(m, 2))
+            for factor in (0.5, 0.5 * (1.0 + sigma), sigma * (1.0 + 1e-6)):
+                z = _residual_at(m, w, factor)
+                before = len(svds)
+                got = necessary_condition_check(z, [m])
+                between += len(svds) > before
+                assert got == necessary_condition_norms(z, [m]) == (factor <= sigma)
+        assert between >= 200
 
 
 def _count_svds(monkeypatch):

@@ -111,6 +111,30 @@ def test_stored_values_are_read_only(net_a_dec):
     assert design_fixed(g, net_a_dec, np.array([3.0, 1.0, 2.0])).per_vertex_c == before
 
 
+def test_dense_loop_keeps_its_laplacian_pair(net_a_dec, tiled):
+    """A stored dense loop keeps the pair that design_laplacians returns:
+    a second call gives the same objects, wrapping the loop's own M.  A
+    loop that the quarter rule stores as CSR, and a design built by hand,
+    get a fresh scatter on every call, of the same bytes."""
+    theta = np.array([1.0, 2.0, -1.0])
+    g = bundled_graph("net_a")
+    design = design_fixed(g, net_a_dec, theta)
+    pair = design_laplacians(g, design)
+    again = design_laplacians(g, design)
+    assert again[0] is pair[0] and again[1] is pair[1]
+    assert pair[1].matrix is closed_loop(g, design).matrix
+    big = dataclasses.replace(tiled[0])
+    fresh = ((g, dataclasses.replace(design, blocks=design.blocks.copy())),
+             (big, design_fixed(big, tiled[1], theta)))
+    for graph, made in fresh:
+        first, second = design_laplacians(graph, made), design_laplacians(graph, made)
+        for a, b in zip(first, second):
+            assert a is not b and not np.shares_memory(a.matrix, b.matrix)
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert protocol._STORE[big].laplacians is None
+    assert design_laplacians(g, design)[1] is pair[1]
+
+
 def test_store_holds_one_design_per_graph_and_dies_with_it(rng):
     g, dec = random_directed_valid(rng, 6, 3)
     gc.collect()

@@ -284,6 +284,21 @@ class TestConsensusSpace:
         got = consensus_space(n, d, xi, xi0)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    def test_read_only_and_memoized(self):
+        psi = consensus_space(7, 3, 1.0, 1.2837)
+        with pytest.raises(ValueError, match="read-only"):
+            psi[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            psi.flags.writeable = True
+        assert consensus_space(7, 3, 1.0, 1.2837) is psi
+        assert consensus_space(7, 3, 1.0, 1.5) is not psi
+
+    def test_memo_keeps_the_sign_of_zero_apart(self):
+        # -0.0 == 0.0, yet the signal block's zeros take its sign
+        plus, minus = consensus_space(2, 2, 1.0, 0.0), consensus_space(2, 2, 1.0, -0.0)
+        assert plus.tobytes() == np.vstack([np.eye(2), np.eye(2), 0.0 * np.eye(2)]).tobytes()
+        assert minus.tobytes() == np.vstack([np.eye(2), np.eye(2), -0.0 * np.eye(2)]).tobytes()
+
 
 class TestMinRealPart:
     def test_identity(self):
